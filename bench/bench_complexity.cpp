@@ -40,7 +40,6 @@ std::string loopChain(unsigned K) {
 struct Measurement {
   unsigned Points = 0;
   double Seconds = 0;
-  double ParallelSeconds = 0;
   /// A 3-round refinement chain, warm-started vs cold: the `warm`
   /// column is Cold3Seconds / Warm3Seconds.
   double Warm3Seconds = 0;
@@ -81,11 +80,6 @@ Measurement measure(bench::Harness &H, const std::string &Label,
                     const std::string &Source) {
   Measurement M;
   M.Seconds = timeOnce(H, Label, Source, H.options(), &M.Points);
-  AbstractDebugger::Options Par = H.options();
-  Par.Strategy = IterationStrategy::Parallel;
-  Par.NumThreads = 4;
-  M.ParallelSeconds =
-      timeOnce(H, Label + "/parallel4", Source, Par, nullptr);
   AbstractDebugger::Options Chain = H.options();
   Chain.BackwardRounds = 3;
   Chain.WarmStart = true;
@@ -102,7 +96,6 @@ void reportRow(bench::Harness &H, const char *Family, unsigned K,
   Row.set("k", K);
   Row.set("points", M.Points);
   Row.set("seconds", M.Seconds);
-  Row.set("parallel4_seconds", M.ParallelSeconds);
   Row.set("warm3_seconds", M.Warm3Seconds);
   Row.set("cold3_seconds", M.Cold3Seconds);
   H.row(std::move(Row));
@@ -115,33 +108,28 @@ int main(int argc, char **argv) {
   std::printf("==== E5: analysis complexity (paper 6.3) ====\n\n");
 
   std::printf("-- Loop chains (expected: near-linear time in size) --\n");
-  std::printf("%8s %10s %12s %16s %10s %8s\n", "loops", "points",
-              "time (s)", "us per point", "par(4)", "warm");
+  std::printf("%8s %10s %12s %16s %8s\n", "loops", "points",
+              "time (s)", "us per point", "warm");
   for (unsigned K : {5u, 10u, 20u, 40u, 80u, 160u}) {
     Measurement M =
         measure(H, "loopChain/" + std::to_string(K), loopChain(K));
     reportRow(H, "loopChain", K, M);
-    std::printf("%8u %10u %12.5f %16.2f %9.2fx %7.2fx\n", K, M.Points,
+    std::printf("%8u %10u %12.5f %16.2f %7.2fx\n", K, M.Points,
                 M.Seconds, 1e6 * M.Seconds / M.Points,
-                M.Seconds / M.ParallelSeconds,
                 M.Cold3Seconds / M.Warm3Seconds);
   }
-  std::printf("(a flat us-per-point column = linear scaling; the par(4) "
-              "speedup stays ~1x because a\n sequential chain has no "
-              "independent WTO components — see bench_parallel for the "
-              "wide case)\n\n");
+  std::printf("(a flat us-per-point column = linear scaling)\n\n");
 
   std::printf("-- McCarthy_k (expected: super-linear, the paper's "
               "pathological case) --\n");
-  std::printf("%8s %10s %12s %16s %10s %8s\n", "k", "points", "time (s)",
-              "us per point", "par(4)", "warm");
+  std::printf("%8s %10s %12s %16s %8s\n", "k", "points", "time (s)",
+              "us per point", "warm");
   for (unsigned K : {3u, 6u, 9u, 12u, 18u, 24u, 30u}) {
     Measurement M =
         measure(H, "mcCarthy/" + std::to_string(K), paper::mcCarthyK(K));
     reportRow(H, "mcCarthy", K, M);
-    std::printf("%8u %10u %12.5f %16.2f %9.2fx %7.2fx\n", K, M.Points,
+    std::printf("%8u %10u %12.5f %16.2f %7.2fx\n", K, M.Points,
                 M.Seconds, 1e6 * M.Seconds / M.Points,
-                M.Seconds / M.ParallelSeconds,
                 M.Cold3Seconds / M.Warm3Seconds);
   }
   std::printf("(points grow ~quadratically with k: the unfolded call "

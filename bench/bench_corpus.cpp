@@ -10,7 +10,7 @@
 /// goto-heavy, deep-unfolding and aliasing-heavy families, round-robin)
 /// pushed through mixed cold / warm / edit traffic, sequentially and
 /// through AnalysisBatch. Reports aggregate programs/sec, p50/p99
-/// per-request latency, and cache hit/merge rates per wave, and checks
+/// per-request latency, and cache hit rates per wave, and checks
 /// that every batch wave's findings are bitwise-identical to the
 /// sequential run of the same traffic.
 ///
@@ -20,7 +20,7 @@
 ///
 /// Extra flags (beyond the shared analysis/telemetry set):
 ///   --programs=N   corpus size          (default 200)
-///   --batch=K      batch worker slots   (default 4)
+///   --batch=K      batch pool workers   (default 4)
 ///   --seed=S       corpus base seed     (default 7001)
 ///
 //===----------------------------------------------------------------------===//
@@ -101,16 +101,12 @@ struct WaveResult {
   std::vector<double> PerRequest;    ///< per-program run seconds
   std::vector<json::Value> Findings; ///< per-program findings-only doc
   uint64_t CacheHits = 0, CacheMisses = 0;
-  uint64_t MergeInserted = 0, MergeCombined = 0, MergeDiscarded = 0;
   bool OK = true;
 };
 
 void harvestCacheCounters(MetricsRegistry &M, WaveResult &W) {
   W.CacheHits = M.counterValue("cache.hits");
   W.CacheMisses = M.counterValue("cache.misses");
-  W.MergeInserted = M.counterValue("cache.merge_inserted");
-  W.MergeCombined = M.counterValue("cache.merge_combined");
-  W.MergeDiscarded = M.counterValue("cache.merge_discarded");
 }
 
 const std::string &dirFor(const CorpusProgram &P, DirUse Use) {
@@ -158,7 +154,7 @@ WaveResult runSequential(const std::vector<CorpusProgram> &Corpus,
   return W;
 }
 
-/// Batch execution over one shared worker-slot budget.
+/// Batch execution on one request pool of \p BatchSlots workers.
 WaveResult runBatch(const std::vector<CorpusProgram> &Corpus,
                     const AnalysisOptions &Base, DirUse Use,
                     unsigned BatchSlots) {
@@ -211,9 +207,6 @@ json::Value waveRow(const char *Wave, const char *Mode, const WaveResult &W,
   Row.set("p99_ms", percentile(W.PerRequest, 0.99) * 1e3);
   Row.set("cache_hits", W.CacheHits);
   Row.set("cache_misses", W.CacheMisses);
-  Row.set("cache_merge_inserted", W.MergeInserted);
-  Row.set("cache_merge_combined", W.MergeCombined);
-  Row.set("cache_merge_discarded", W.MergeDiscarded);
   if (MatchesSeq >= 0)
     Row.set("matches_sequential", MatchesSeq != 0);
   return Row;
@@ -354,9 +347,10 @@ int main(int argc, char **argv) {
   H.setField("batch_matches_sequential", AllMatch);
   H.setField("aggregate_speedup",
              BatchTotal > 0 ? SeqTotal / BatchTotal : 0.0);
-  H.setField("note", "programs/sec per wave; batch waves share one "
-                     "ThreadBudget between request and solver pools; "
-                     "single-core hosts cannot show wall-clock speedup");
+  H.setField("note", "programs/sec per wave; batch waves run on one "
+                     "request pool of batch_slots workers, each request "
+                     "solved serially; single-core hosts cannot show "
+                     "wall-clock speedup");
 
   fs::remove_all(CacheRoot, EC);
 

@@ -26,7 +26,7 @@
 ///
 /// Extra flags (beyond the shared analysis/telemetry set):
 ///   --programs=N          corpus size                 (default 120)
-///   --server-threads=N    server worker-slot budget   (default 4)
+///   --server-threads=N    server request-pool workers (default 4)
 ///   --cache-max-bytes=N   server cache-tree cap
 ///                         (default 8192 per program: tight enough that
 ///                         the fattest documents overflow it and the
@@ -418,7 +418,7 @@ int main(int argc, char **argv) {
 
   MetricsRegistry &M = Client.server().metrics();
   std::printf("  server: %llu session hits, %llu engine reuses, "
-              "%llu warm loads, %llu saves, peak %u live threads\n",
+              "%llu warm loads, %llu saves\n",
               static_cast<unsigned long long>(
                   M.counterValue("serve.session_hits")),
               static_cast<unsigned long long>(
@@ -426,8 +426,7 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(
                   M.counterValue("persist.loaded")),
               static_cast<unsigned long long>(
-                  M.counterValue("persist.saved")),
-              Client.server().peakLiveThreads());
+                  M.counterValue("persist.saved")));
   std::printf("  findings: %s\n",
               AllMatch ? "daemon == sequential on every wave"
                        : "DAEMON/SEQUENTIAL MISMATCH");
@@ -440,8 +439,6 @@ int main(int argc, char **argv) {
   H.setField("sequential_seconds", SeqSeconds);
   H.setField("session_hits", M.counterValue("serve.session_hits"));
   H.setField("engine_reuses", M.counterValue("session.engine_reuses"));
-  H.setField("peak_live_threads",
-             static_cast<uint64_t>(Client.server().peakLiveThreads()));
   H.setField("daemon_matches_sequential", AllMatch);
   H.setField("note", "pipelined JSON-lines traffic over a socketpair; "
                      "latencies are the envelopes' timing.total_ms; "

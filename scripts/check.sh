@@ -36,7 +36,7 @@ if [ "$NO_ASAN" -eq 0 ]; then
   # ASan+UBSan over the suites that exercise the solver and the
   # semantics layer (including the demand-driven query battery).
   echo "== preset: asan (fixpoint/semantics suites) =="
-  ASAN_SUITES="wto_test solver_test parallel_solver_test analyzer_test
+  ASAN_SUITES="wto_test solver_test analyzer_test transfer_cache_test
                transfer_test interproc_test store_test store_cow_test
                store_soa_test store_product_test expr_semantics_test
                soundness_test demand_query_test liveness_prune_test
@@ -73,9 +73,20 @@ EOF
 "$CLI" --format=json --metrics-json="$OUT/metrics.json" \
        --trace="$OUT/trace.jsonl" --trace-format=json \
        "$OUT/for.pas" > "$OUT/findings.json"
-"$CLI" --strategy=parallel --threads=4 \
-       --trace="$OUT/trace-chrome.json" --trace-format=chrome \
+"$CLI" --trace="$OUT/trace-chrome.json" --trace-format=chrome \
        "$OUT/for.pas" > /dev/null
+
+# Removed knobs fail loudly: exit 2 with a usage line, never ignored.
+for cmd in "$CLI --threads=4 $OUT/for.pas" \
+           "$CLI --strategy=parallel $OUT/for.pas" \
+           "build-ci/src/serve/syntox_serve --max-concurrent=1"; do
+  rc=0
+  $cmd < /dev/null > /dev/null 2> "$OUT/usage.txt" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q '^usage:' "$OUT/usage.txt"; then
+    echo "removed flag not rejected with usage: $cmd (exit $rc)" >&2
+    exit 1
+  fi
+done
 
 python3 - "$OUT" <<'EOF'
 import json, sys
@@ -599,9 +610,9 @@ echo "== batch-corpus smoke test =="
 # A small corpus through both serving paths: the binary itself exits
 # non-zero if any batch wave's findings diverge from the sequential
 # reference, and the report it writes is validated against the bench
-# schema below. (The owned-cache merge protocol and the shared thread
-# budget get their concurrency stress from cache_owned_test and
-# batch_test, which the tsan preset above runs with the rest of ctest.)
+# schema below. (The request pool gets its concurrency stress from
+# batch_test and serve_test, which the tsan preset above runs with the
+# rest of ctest.)
 build-ci/bench/bench_corpus --programs=24 --batch=4 \
     --out="$OUT/BENCH_corpus.json" > /dev/null
 

@@ -5,8 +5,6 @@
 #include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
-
 using namespace syntox;
 
 unsigned AnalysisBatch::add(AnalysisRequest R) {
@@ -36,16 +34,8 @@ unsigned AnalysisBatch::add(std::string Source, AnalysisOptions Opts) {
 
 std::vector<AnalysisBatch::Outcome> AnalysisBatch::runAll() {
   std::vector<Outcome> Outcomes(Requests.size());
-  ThreadBudget Budget(Cfg.TotalThreads);
-  unsigned Workers = Budget.total();
-  if (Cfg.MaxConcurrentRequests)
-    Workers = std::min(Workers, Cfg.MaxConcurrentRequests);
   {
-    // The request pool draws from the budget like any other pool; its
-    // workers inherit the budget, so nested parallel solvers inside
-    // run() borrow whatever the request pool left over.
-    ThreadBudget::Scope Scope(Budget);
-    ThreadPool Pool(Workers);
+    ThreadPool Pool(Cfg.TotalThreads);
     for (size_t I = 0; I < Requests.size(); ++I)
       Pool.submit([this, I, &Outcomes] {
         Request &R = Requests[I];
@@ -59,13 +49,9 @@ std::vector<AnalysisBatch::Outcome> AnalysisBatch::runAll() {
         O.Index = static_cast<unsigned>(I);
         Metrics.histogram("batch.request_seconds").observe(O.Seconds);
       });
-    // wait() + pool destruction publish every outcome slot to this
-    // thread before the budget goes out of scope.
+    // wait() publishes every outcome slot to this thread.
     Pool.wait();
   }
-  PeakLive = std::max(PeakLive, Budget.peakLiveThreads());
   Metrics.counter("batch.requests").inc(Requests.size());
-  Metrics.gauge("batch.peak_live_threads")
-      .set(static_cast<int64_t>(PeakLive));
   return Outcomes;
 }

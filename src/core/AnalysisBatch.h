@@ -6,20 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batch execution of many AnalysisSessions over one shared worker-slot
-/// budget — the throughput layer under the future syntox_serve. A batch
-/// composes two axes of parallelism without oversubscribing:
-///
-///  - *outer*: requests run concurrently on a batch-owned ThreadPool;
-///  - *inner*: a request whose options select IterationStrategy::Parallel
-///    spawns a nested solver pool, which borrows its workers from the
-///    same ThreadBudget (workers inherit the budget; see ThreadPool.h).
-///    On a saturated budget the nested pool is granted zero slots and
-///    degrades to inline execution — correctness identical, threads
-///    bounded.
-///
-/// The total number of live pool threads therefore never exceeds
-/// Config::TotalThreads regardless of how requests and strategies mix.
+/// Batch execution of many AnalysisSessions on one fixed-size request
+/// pool — the throughput layer syntox_serve shares its scheduling
+/// scheme with. Requests run concurrently on a batch-owned ThreadPool of
+/// Config::TotalThreads workers; each request is solved serially on the
+/// worker that picked it up, so the pool size alone bounds the live
+/// analysis threads.
 ///
 /// Isolation: each request is a self-contained AnalysisSession over its
 /// own source text; the engine's copy-on-write stores share nothing
@@ -49,13 +41,9 @@ namespace syntox {
 class AnalysisBatch {
 public:
   struct Config {
-    /// Global worker-slot budget shared by the request pool and every
-    /// nested parallel solver (0 = one slot per hardware thread).
+    /// Request-pool workers, and so the cap on requests in flight
+    /// (0 = one per hardware thread).
     unsigned TotalThreads = 0;
-    /// Cap on requests in flight at once (0 = up to the whole budget).
-    /// Lowering it below TotalThreads leaves slots for nested parallel
-    /// solvers inside each request.
-    unsigned MaxConcurrentRequests = 0;
   };
 
   AnalysisBatch() = default;
@@ -89,10 +77,6 @@ public:
   /// the batch-level metrics document.
   MetricsRegistry &metrics() { return Metrics; }
 
-  /// Largest number of budgeted pool threads ever live at once across
-  /// runAll() calls — the oversubscription guard's observable.
-  unsigned peakLiveThreads() const { return PeakLive; }
-
 private:
   struct Request {
     std::unique_ptr<AnalysisSession> Session; ///< null on frontend error
@@ -103,7 +87,6 @@ private:
   Config Cfg;
   MetricsRegistry Metrics;
   std::vector<Request> Requests;
-  unsigned PeakLive = 0;
 };
 
 } // namespace syntox

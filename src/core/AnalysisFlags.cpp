@@ -61,22 +61,15 @@ FlagParse syntox::parseAnalysisFlag(const std::string &Arg,
       Error = "invalid --narrowing value '" + std::string(V) + "'";
       return FlagParse::Error;
     }
-  } else if (const char *V = valueOf("--threads=")) {
-    if (!parseUnsigned(V, Opts.NumThreads)) {
-      Error = "invalid --threads value '" + std::string(V) + "'";
-      return FlagParse::Error;
-    }
   } else if (const char *V = valueOf("--strategy=")) {
     std::string Name = V;
     if (Name == "recursive") {
       Opts.Strategy = IterationStrategy::Recursive;
     } else if (Name == "worklist") {
       Opts.Strategy = IterationStrategy::Worklist;
-    } else if (Name == "parallel") {
-      Opts.Strategy = IterationStrategy::Parallel;
     } else {
       Error = "unknown strategy '" + Name +
-              "' (expected recursive, worklist or parallel)";
+              "' (expected recursive or worklist)";
       return FlagParse::Error;
     }
   } else if (const char *V = valueOf("--domain=")) {
@@ -181,9 +174,8 @@ const char *syntox::analysisFlagsHelp() {
          "                       abstract value domain: Z_b intervals\n"
          "                       (default), aZ+b stride classes, or the\n"
          "                       interval x congruence reduced product\n"
-         "  --strategy=recursive|worklist|parallel\n"
+         "  --strategy=recursive|worklist\n"
          "                       chaotic iteration strategy\n"
-         "  --threads=N          workers for --strategy=parallel (0 = all)\n"
          "  --cache, --no-cache  memoizing transfer-function cache\n"
          "                       (default: auto-enabled for large token\n"
          "                       unfoldings)\n"

@@ -8,31 +8,6 @@
 
 using namespace syntox;
 
-/// Whether two configurations build observably identical engines — the
-/// engine-reuse gate. Every field matters: the semantic knobs change
-/// the computed values, the strategy/thread knobs change the recorded
-/// warm-chain shape, and the telemetry pointers are captured by the
-/// Analyzer at construction. Keep in sync with AnalysisOptions.
-static bool sameEngineConfig(const AnalysisOptions &A,
-                             const AnalysisOptions &B) {
-  return A.Domain == B.Domain && A.Strategy == B.Strategy &&
-         A.NumThreads == B.NumThreads &&
-         A.UseTransferCache == B.UseTransferCache &&
-         A.TransferCacheSet == B.TransferCacheSet &&
-         A.AdaptiveCacheInstanceThreshold ==
-             B.AdaptiveCacheInstanceThreshold &&
-         A.NarrowingPasses == B.NarrowingPasses &&
-         A.BackwardRounds == B.BackwardRounds &&
-         A.TerminationGoal == B.TerminationGoal &&
-         A.UseBackward == B.UseBackward &&
-         A.HarrisonGfp == B.HarrisonGfp &&
-         A.ContextInsensitive == B.ContextInsensitive &&
-         A.WarmStart == B.WarmStart &&
-         A.WideningThresholds == B.WideningThresholds &&
-         A.CacheDir == B.CacheDir && A.Telem.Trace == B.Telem.Trace &&
-         A.Telem.Metrics == B.Telem.Metrics;
-}
-
 json::Value AnalysisResult::toJson() const {
   json::Value V = json::Value::object();
   V.set("domain",
@@ -119,13 +94,14 @@ std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
     bool ForDemand) {
   // Reuse requires: we kept an engine, nothing else can observe it (a
   // live AnalysisResult/DemandResult shares ownership), the options
-  // are unchanged, and the run kinds compose — a full run must not
-  // recycle a demand engine (the published chain only ever held a
-  // private demand replay) and a demand run must not recycle a fully
-  // analyzed engine (analyzeDemand() refuses, to protect published
-  // results).
+  // are unchanged member for member (the telemetry pointers too: the
+  // Analyzer captures them at construction), and the run kinds
+  // compose — a full run must not recycle a demand engine (the
+  // published chain only ever held a private demand replay) and a
+  // demand run must not recycle a fully analyzed engine
+  // (analyzeDemand() refuses, to protect published results).
   bool Reusable = Engine && Engine.use_count() == 1 &&
-                  sameEngineConfig(EngineOpts, Opts) &&
+                  EngineOpts == Opts &&
                   (ForDemand ? !Engine->Analyzed : !Engine->DemandAnalyzed);
   if (Reusable) {
     if (MetricsRegistry *M = Opts.Telem.Metrics)

@@ -238,6 +238,10 @@ public:
   /// The analysis configuration used by the next run(). Telemetry
   /// members are managed by the session and reset on run().
   AnalysisOptions &options() { return Opts; }
+  const AnalysisOptions &options() const { return Opts; }
+
+  /// The program text the session analyzes.
+  const std::string &source() const { return Source; }
 
 private:
   AnalysisSession() = default;

@@ -13,18 +13,11 @@
 ///    passes),
 ///  - greatest fixpoints: a single narrowing phase starting from top.
 ///
-/// Three chaotic iteration strategies are provided. The *recursive*
+/// Two chaotic iteration strategies are provided. The *recursive*
 /// strategy (companion FMPA'93 paper) stabilizes every WTO component
 /// before leaving it; the *worklist* strategy picks pending equations in
-/// WTO order. The *parallel* strategy computes the WTO once, treats each
-/// top-level WTO element as a task, orders tasks by the dependency edges
-/// between them (the condensation of the dependency digraph is a DAG, so
-/// independent components have no path between them), and stabilizes
-/// ready tasks concurrently on a small worker pool — falling back to the
-/// recursive strategy *inside* each component, so the widening and
-/// narrowing points are exactly those of the recursive strategy and the
-/// solution is bit-identical to it by construction. Widening/narrowing is
-/// applied at the WTO component heads, which cut every dependency cycle.
+/// WTO order. Widening/narrowing is applied at the WTO component heads,
+/// which cut every dependency cycle.
 ///
 /// The System type parameter supplies the lattice and the equations:
 ///
@@ -41,11 +34,6 @@
 ///     Value widen(const Value &A, const Value &B) const;
 ///     Value narrow(const Value &A, const Value &B) const;
 ///   };
-///
-/// Under the parallel strategy, evaluate() and the lattice operations are
-/// called concurrently from several threads (for nodes of independent
-/// components), so they must be const-thread-safe: no mutation of shared
-/// state except through atomics.
 ///
 /// Warm starts. A refinement chain re-solves the same equation system
 /// with slightly different external inputs (envelope slots, seeds).
@@ -74,13 +62,9 @@
 #include "fixpoint/Digraph.h"
 #include "fixpoint/Wto.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <type_traits>
 #include <vector>
@@ -97,11 +81,11 @@ enum class FixpointKind {
   Gfp,
 };
 
-/// Chaotic iteration strategy (paper §6.3 / FMPA'93).
+/// Chaotic iteration strategy (paper §6.3 / FMPA'93). The values are
+/// part of AnalysisOptions::optionsHash(), which keys the on-disk cache.
 enum class IterationStrategy {
-  Recursive, ///< stabilize each WTO component before moving on
-  Worklist,  ///< WTO-ordered worklist
-  Parallel,  ///< independent WTO components stabilized concurrently
+  Recursive = 0, ///< stabilize each WTO component before moving on
+  Worklist = 1,  ///< WTO-ordered worklist
 };
 
 /// Counters reported by one solver run.
@@ -116,17 +100,6 @@ struct SolverStats {
   /// Equation evaluations those replays avoided: the cost the run that
   /// recorded the memo spent on the replayed elements.
   uint64_t SkippedSteps = 0;
-  /// Top-level WTO components scheduled as independent tasks (parallel
-  /// strategy only; 0 otherwise).
-  uint64_t ParallelComponents = 0;
-  /// Tasks in the scheduling DAG after chain contraction (parallel
-  /// strategy only).
-  uint64_t ParallelTasks = 0;
-  /// Maximum number of tasks on one level of the scheduling DAG (levels
-  /// by longest path from a root). A width of 1 means the schedule is a
-  /// chain and threading cannot help; the attainable speedup is bounded
-  /// by the width regardless of thread count.
-  uint64_t ParallelDagWidth = 0;
   /// Top-level WTO elements scheduled under the demand mask (demand
   /// solves only; 0 on a full solve).
   uint64_t DemandedComponents = 0;
@@ -187,23 +160,6 @@ struct HasExternalInputs<
            std::declval<const S &>().externalInputsUnchanged(0u)))>>
     : std::true_type {};
 
-/// Detects the optional cache-ownership hooks a system may expose so the
-/// parallel strategy can drive a component-owned transfer cache (see
-/// TransferCache's ownership model): parallelPhaseBegin/End bracket one
-/// parallel solve, parallelTaskBegin/End bracket one scheduled task on
-/// its worker thread, and parallelMergeBarrier runs on the coordinating
-/// thread after each sweep's pool drain, while no task is in flight.
-/// Absent hooks cost nothing — the calls compile away.
-template <typename S, typename = void>
-struct HasCacheOwnership : std::false_type {};
-template <typename S>
-struct HasCacheOwnership<
-    S, std::void_t<decltype(std::declval<const S &>().parallelPhaseBegin()),
-                   decltype(std::declval<const S &>().parallelPhaseEnd()),
-                   decltype(std::declval<const S &>().parallelTaskBegin()),
-                   decltype(std::declval<const S &>().parallelTaskEnd()),
-                   decltype(std::declval<const S &>().parallelMergeBarrier())>>
-    : std::true_type {};
 } // namespace solver_detail
 
 template <typename System> class FixpointSolver {
@@ -216,9 +172,6 @@ public:
     /// Descending passes after the ascending phase (Lfp only). The
     /// paper's Syntox runs one narrowing phase per analysis.
     unsigned NarrowingPasses = 1;
-    /// Worker threads for the parallel strategy (0 = one per hardware
-    /// thread). Ignored by the serial strategies.
-    unsigned NumThreads = 0;
     /// Optional trace/metrics sinks; every hook is a null-pointer check
     /// when absent.
     Telemetry Telem;
@@ -261,34 +214,25 @@ public:
       X.push_back(Sys.initialValue(Node, FromTop));
 
     NodeSteps.assign(N, 0);
-    bool Par = Opts.Strategy == IterationStrategy::Parallel;
-    if (Par) {
-      prepareParallel();
-      hookParallelPhaseBegin();
-    }
     prepareWarm();
     prepareDemand();
 
     if (Opts.Kind == FixpointKind::Lfp) {
-      if (Par)
-        ascendParallel();
-      else if (Opts.Strategy == IterationStrategy::Recursive)
+      if (Opts.Strategy == IterationStrategy::Recursive)
         ascendRecursive();
       else
         ascendWorklist();
       for (unsigned Pass = 0; Pass < Opts.NarrowingPasses; ++Pass)
-        if (!(Par ? descendOnceParallel() : descendOnce()))
+        if (!descendOnce())
           break;
     } else {
       // Gfp: descending narrowing iterations until stable. The sweep
       // bound is a safety net; narrowing at the heads makes the chain
       // finite in practice long before it triggers.
       for (unsigned Sweep = 0; Sweep < MaxGfpSweeps; ++Sweep)
-        if (!(Par ? descendOnceParallel() : descendOnce()))
+        if (!descendOnce())
           break;
     }
-    if (Par)
-      hookParallelPhaseEnd();
     finishWarm();
     return X;
   }
@@ -336,30 +280,6 @@ private:
     else
       return true;
   }
-
-  /// \name Cache-ownership hooks (no-ops unless the system opts in).
-  /// @{
-  void hookParallelPhaseBegin() {
-    if constexpr (solver_detail::HasCacheOwnership<System>::value)
-      Sys.parallelPhaseBegin();
-  }
-  void hookParallelPhaseEnd() {
-    if constexpr (solver_detail::HasCacheOwnership<System>::value)
-      Sys.parallelPhaseEnd();
-  }
-  void hookParallelTaskBegin() {
-    if constexpr (solver_detail::HasCacheOwnership<System>::value)
-      Sys.parallelTaskBegin();
-  }
-  void hookParallelTaskEnd() {
-    if constexpr (solver_detail::HasCacheOwnership<System>::value)
-      Sys.parallelTaskEnd();
-  }
-  void hookParallelMergeBarrier() {
-    if constexpr (solver_detail::HasCacheOwnership<System>::value)
-      Sys.parallelMergeBarrier();
-  }
-  /// @}
 
   /// Fills the node -> top-level-element maps (idempotent; shared by the
   /// warm-start and demand preparations).
@@ -538,9 +458,8 @@ private:
 
   /// Whether element \p E of the current sweep can be replayed from the
   /// memo. Checked *before* the element runs: feeder elements have
-  /// already been processed this sweep (they precede E in WTO order, and
-  /// under the parallel strategy their tasks complete first), so their
-  /// Matched flags are current, while Matched[E] still describes the
+  /// already been processed this sweep (they precede E in WTO order), so
+  /// their Matched flags are current, while Matched[E] still describes the
   /// previous boundary — exactly the element's start state.
   bool canReplay(unsigned E) const {
     if (!WarmReplay || CurBoundary >= Opts.Memo->Boundaries.size())
@@ -563,8 +482,7 @@ private:
   /// Copies the recorded boundary values over element \p E and re-emits
   /// its recorded change flag and cost. COW values keep this O(1) per
   /// node and preserve payload identity for downstream comparisons.
-  void replayElement(unsigned E, bool Descending, SolverStats &S,
-                     bool &Changed) {
+  void replayElement(unsigned E, bool Descending, bool &Changed) {
     const WarmStartMemo<Value> &M = *Opts.Memo;
     const std::vector<Value> &B = M.Boundaries[CurBoundary];
     for (unsigned V : ElemVerts[E])
@@ -573,8 +491,8 @@ private:
     bool Flag = M.ElemChanged[CurBoundary][E] != 0;
     uint64_t Steps = M.ElemSteps[CurBoundary][E];
     Changed |= Flag;
-    ++S.ComponentSkips;
-    S.SkippedSteps += Steps;
+    ++Stats.ComponentSkips;
+    Stats.SkippedSteps += Steps;
     SweepChangedBuf[E] = Flag;
     SweepStepsBuf[E] = Steps;
     traceEvent(Trace, TraceEventKind::ComponentSkip,
@@ -603,7 +521,7 @@ private:
     if (!Recording) {
       for (unsigned E = 0; E < Order.elements().size(); ++E)
         if (elemDemanded(E))
-          ascendElement(Order.elements()[E], Stats);
+          ascendElement(Order.elements()[E]);
       return;
     }
     beginSweep();
@@ -612,11 +530,11 @@ private:
       if (!elemDemanded(E))
         continue;
       if (canReplay(E)) {
-        replayElement(E, /*Descending=*/false, Stats, Ignored);
+        replayElement(E, /*Descending=*/false, Ignored);
         continue;
       }
       uint64_t Before = Stats.AscendingSteps;
-      ascendElement(Order.elements()[E], Stats);
+      ascendElement(Order.elements()[E]);
       SweepChangedBuf[E] = 1;
       SweepStepsBuf[E] = Stats.AscendingSteps - Before;
       updateMatched(E);
@@ -635,9 +553,9 @@ private:
         X[Sub.Vertex] = Sys.initialValue(Sub.Vertex, /*FromTop=*/false);
   }
 
-  void ascendElement(const WtoElement &E, SolverStats &S) {
+  void ascendElement(const WtoElement &E) {
     if (!E.IsComponent) {
-      ++S.AscendingSteps;
+      ++Stats.AscendingSteps;
       ++NodeSteps[E.Vertex];
       X[E.Vertex] = Sys.evaluate(E.Vertex, X);
       return;
@@ -667,13 +585,13 @@ private:
     // the head starts out stable.
     for (;;) {
       for (const WtoElement &Sub : E.Body)
-        ascendElement(Sub, S);
-      ++S.AscendingSteps;
+        ascendElement(Sub);
+      ++Stats.AscendingSteps;
       ++NodeSteps[E.Vertex];
       Value New = Sys.evaluate(E.Vertex, X);
       if (Sys.leq(New, X[E.Vertex]))
         break;
-      ++S.Widenings;
+      ++Stats.Widenings;
       traceEvent(Trace, TraceEventKind::Widening, E.Vertex);
       X[E.Vertex] = Sys.widen(X[E.Vertex], New);
     }
@@ -741,7 +659,7 @@ private:
         // successor; drop them with the element.
         while (!Pending.empty() && ElemOf[*Pending.begin()] == E)
           Pending.erase(Pending.begin());
-        replayElement(E, /*Descending=*/false, Stats, Ignored);
+        replayElement(E, /*Descending=*/false, Ignored);
         continue;
       }
       for (unsigned V : ElemVerts[E])
@@ -767,7 +685,7 @@ private:
       bool Changed = false;
       for (unsigned E = 0; E < Order.elements().size(); ++E)
         if (elemDemanded(E))
-          descendElement(Order.elements()[E], Changed, Stats);
+          descendElement(Order.elements()[E], Changed);
       return Changed;
     }
     beginSweep();
@@ -776,12 +694,12 @@ private:
       if (!elemDemanded(E))
         continue;
       if (canReplay(E)) {
-        replayElement(E, /*Descending=*/true, Stats, Changed);
+        replayElement(E, /*Descending=*/true, Changed);
         continue;
       }
       bool ElemChanged = false;
       uint64_t Before = Stats.DescendingSteps;
-      descendElement(Order.elements()[E], ElemChanged, Stats);
+      descendElement(Order.elements()[E], ElemChanged);
       Changed |= ElemChanged;
       SweepChangedBuf[E] = ElemChanged;
       SweepStepsBuf[E] = Stats.DescendingSteps - Before;
@@ -791,9 +709,9 @@ private:
     return Changed;
   }
 
-  void descendElement(const WtoElement &E, bool &Changed, SolverStats &S) {
+  void descendElement(const WtoElement &E, bool &Changed) {
     if (!E.IsComponent) {
-      ++S.DescendingSteps;
+      ++Stats.DescendingSteps;
       ++NodeSteps[E.Vertex];
       Value New = Sys.evaluate(E.Vertex, X);
       // Converged equations resolve in O(1) when the lattice ops are
@@ -813,10 +731,10 @@ private:
     traceEvent(Trace, TraceEventKind::ComponentBegin, E.Vertex,
                /*Descending=*/1);
     for (unsigned Sweep = 0; Sweep < MaxComponentSweeps; ++Sweep) {
-      ++S.DescendingSteps;
+      ++Stats.DescendingSteps;
       ++NodeSteps[E.Vertex];
       Value New = Sys.evaluate(E.Vertex, X);
-      ++S.Narrowings;
+      ++Stats.Narrowings;
       traceEvent(Trace, TraceEventKind::Narrowing, E.Vertex);
       Value Narrowed = Sys.narrow(X[E.Vertex], New);
       // A stable head comes back pointer-identical (delta-aware
@@ -828,7 +746,7 @@ private:
       if (SweepChanged)
         X[E.Vertex] = std::move(Narrowed);
       for (const WtoElement &Sub : E.Body)
-        descendElement(Sub, SweepChanged, S);
+        descendElement(Sub, SweepChanged);
       Changed |= SweepChanged;
       if (!SweepChanged)
         break;
@@ -837,228 +755,6 @@ private:
                /*Descending=*/1);
   }
 
-  //===--------------------------------------------------------------------===//
-  // Parallel strategy: DAG scheduling of top-level WTO elements
-  //===--------------------------------------------------------------------===//
-  //
-  // Every top-level WTO element starts as one task. For every dependency
-  // edge that crosses two tasks, a scheduling edge is added between them
-  // *oriented by WTO order*, so the task graph is acyclic by
-  // construction and scheduling respects exactly the ordering the serial
-  // recursive strategy uses: a task runs only after every earlier task
-  // it shares an edge with has finished, and before every later one.
-  // Tasks with no path between them — the independent components — run
-  // concurrently. Since each task is stabilized by the same recursive
-  // ascent/descent and reads only values the serial schedule would see
-  // in the same state, the solution and the step counters are identical
-  // to the recursive strategy.
-  //
-  // Linear chains of the task DAG are then contracted: an edge a -> b is
-  // merged when a has exactly one successor and b exactly one
-  // predecessor. Contracting a chain never changes which tasks can run
-  // concurrently, so the DAG keeps its full parallel width, but the long
-  // plain-vertex runs between components collapse into a handful of
-  // tasks instead of flooding the pool with thousands of one-vertex
-  // jobs whose scheduling cost would swamp the analysis.
-
-  struct ParallelTask {
-    std::vector<unsigned> Elems; ///< top-level elements, in WTO order
-    std::vector<unsigned> Succs; ///< task indices unblocked by this task
-    unsigned NumPreds = 0;       ///< scheduling in-degree
-  };
-
-  void mapTaskVertices(const WtoElement &E, unsigned TaskIdx,
-                       std::vector<unsigned> &TaskOf) {
-    TaskOf[E.Vertex] = TaskIdx;
-    for (const WtoElement &Sub : E.Body)
-      mapTaskVertices(Sub, TaskIdx, TaskOf);
-  }
-
-  void prepareParallel() {
-    if (!Tasks.empty() || Order.elements().empty())
-      return;
-    unsigned NumElems = static_cast<unsigned>(Order.elements().size());
-    for (const WtoElement &E : Order.elements())
-      if (E.IsComponent)
-        ++Stats.ParallelComponents;
-    // Element-level dependency digraph: edge A -> B (A < B in WTO order)
-    // for every graph edge crossing two top-level elements, deduplicated.
-    std::vector<unsigned> ElemOf(Sys.numNodes(), 0);
-    for (unsigned E = 0; E < NumElems; ++E)
-      mapTaskVertices(Order.elements()[E], E, ElemOf);
-    std::vector<std::set<unsigned>> ESuccs(NumElems);
-    std::vector<unsigned> EPreds(NumElems, 0);
-    for (unsigned V = 0; V < Sys.numNodes(); ++V)
-      for (unsigned U : Sys.graph().preds(V)) {
-        unsigned A = ElemOf[U], B = ElemOf[V];
-        if (A == B)
-          continue;
-        if (A > B)
-          std::swap(A, B);
-        if (ESuccs[A].insert(B).second)
-          ++EPreds[B];
-      }
-    // Chain contraction. A merged edge a -> b always has a < b, so
-    // scanning elements in WTO order visits every chain at its head, and
-    // a task's element list stays sorted in WTO order.
-    std::vector<unsigned> TaskOf(NumElems, NoTask);
-    for (unsigned E = 0; E < NumElems; ++E) {
-      if (TaskOf[E] != NoTask)
-        continue; // absorbed by an earlier chain
-      unsigned TaskIdx = static_cast<unsigned>(Tasks.size());
-      Tasks.emplace_back();
-      unsigned Cur = E;
-      TaskOf[Cur] = TaskIdx;
-      Tasks[TaskIdx].Elems.push_back(Cur);
-      while (ESuccs[Cur].size() == 1) {
-        unsigned Next = *ESuccs[Cur].begin();
-        if (EPreds[Next] != 1 || TaskOf[Next] != NoTask)
-          break;
-        TaskOf[Next] = TaskIdx;
-        Tasks[TaskIdx].Elems.push_back(Next);
-        Cur = Next;
-      }
-    }
-    // Task-level scheduling edges, deduplicated; still oriented by task
-    // index (a crossing edge's head is a chain head, so its task was
-    // created after the tail's task).
-    std::set<std::pair<unsigned, unsigned>> EdgeSet;
-    for (unsigned A = 0; A < NumElems; ++A)
-      for (unsigned B : ESuccs[A])
-        if (TaskOf[A] != TaskOf[B])
-          EdgeSet.insert({std::min(TaskOf[A], TaskOf[B]),
-                          std::max(TaskOf[A], TaskOf[B])});
-    for (const auto &[A, B] : EdgeSet) {
-      Tasks[A].Succs.push_back(B);
-      ++Tasks[B].NumPreds;
-    }
-    // DAG shape counters: width 1 means the schedule degenerates to a
-    // chain and threads cannot overlap any work.
-    Stats.ParallelTasks = Tasks.size();
-    std::vector<unsigned> Level(Tasks.size(), 0);
-    unsigned MaxLevel = 0;
-    for (unsigned A = 0; A < Tasks.size(); ++A)
-      for (unsigned B : Tasks[A].Succs) {
-        Level[B] = std::max(Level[B], Level[A] + 1);
-        MaxLevel = std::max(MaxLevel, Level[B]);
-      }
-    std::vector<uint64_t> PerLevel(MaxLevel + 1, 0);
-    for (unsigned T = 0; T < Tasks.size(); ++T)
-      Stats.ParallelDagWidth =
-          std::max(Stats.ParallelDagWidth, ++PerLevel[Level[T]]);
-    Pool = std::make_unique<ThreadPool>(Opts.NumThreads);
-  }
-
-  /// Runs \p RunTask(TaskIdx) for every task, respecting the scheduling
-  /// edges; independent tasks execute concurrently on the pool.
-  template <typename Fn> void runTaskDag(Fn &&RunTask) {
-    if (Tasks.empty())
-      return;
-    std::vector<std::atomic<unsigned>> Pending(Tasks.size());
-    for (size_t T = 0; T < Tasks.size(); ++T)
-      Pending[T].store(Tasks[T].NumPreds, std::memory_order_relaxed);
-    std::function<void(unsigned)> Exec = [&](unsigned TaskIdx) {
-      traceEvent(Trace, TraceEventKind::TaskRun, TaskIdx,
-                 Tasks[TaskIdx].Elems.size());
-      // The task bracket closes before successors run (even inline on a
-      // zero-worker pool, where submit() recurses from the loop below),
-      // so one thread never holds two open brackets of the same solve.
-      hookParallelTaskBegin();
-      RunTask(TaskIdx);
-      hookParallelTaskEnd();
-      traceEvent(Trace, TraceEventKind::TaskComplete, TaskIdx);
-      for (unsigned S : Tasks[TaskIdx].Succs)
-        if (Pending[S].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          traceEvent(Trace, TraceEventKind::TaskEnqueue, S);
-          Pool->submit([&Exec, S] { Exec(S); });
-        }
-    };
-    for (unsigned T = 0; T < Tasks.size(); ++T)
-      if (Tasks[T].NumPreds == 0) {
-        traceEvent(Trace, TraceEventKind::TaskEnqueue, T);
-        Pool->submit([&Exec, T] { Exec(T); });
-      }
-    Pool->wait();
-    // Every task finished (the pool's queue mutex publishes their
-    // writes); fold the completed tasks' cache arenas into the shared
-    // shards so the next sweep's lock-free probes can see them.
-    hookParallelMergeBarrier();
-  }
-
-  void mergeStats(const SolverStats &Local) {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Stats.AscendingSteps += Local.AscendingSteps;
-    Stats.DescendingSteps += Local.DescendingSteps;
-    Stats.Widenings += Local.Widenings;
-    Stats.Narrowings += Local.Narrowings;
-    Stats.ComponentSkips += Local.ComponentSkips;
-    Stats.SkippedSteps += Local.SkippedSteps;
-  }
-
-  // The warm-start bookkeeping is safe under the task DAG: a feeder's
-  // task completes (with an acq_rel edge) before any dependent task
-  // starts, so reads of Matched[] and X[] see the feeder's writes, and
-  // the per-element slots of Matched/FullyReplayed/SweepChangedBuf/
-  // SweepStepsBuf written inside a task are distinct memory locations
-  // from every concurrently-running task's.
-
-  void ascendParallel() {
-    beginSweep();
-    runTaskDag([this](unsigned TaskIdx) {
-      SolverStats Local;
-      bool Ignored = false;
-      for (unsigned E : Tasks[TaskIdx].Elems) {
-        if (!elemDemanded(E))
-          continue;
-        if (Recording && canReplay(E)) {
-          replayElement(E, /*Descending=*/false, Local, Ignored);
-          continue;
-        }
-        uint64_t Before = Local.AscendingSteps;
-        ascendElement(Order.elements()[E], Local);
-        if (Recording) {
-          SweepChangedBuf[E] = 1;
-          SweepStepsBuf[E] = Local.AscendingSteps - Before;
-          updateMatched(E);
-        }
-      }
-      mergeStats(Local);
-    });
-    endSweep();
-  }
-
-  bool descendOnceParallel() {
-    beginSweep();
-    std::atomic<bool> Changed{false};
-    runTaskDag([this, &Changed](unsigned TaskIdx) {
-      SolverStats Local;
-      bool TaskChanged = false;
-      for (unsigned E : Tasks[TaskIdx].Elems) {
-        if (!elemDemanded(E))
-          continue;
-        if (Recording && canReplay(E)) {
-          replayElement(E, /*Descending=*/true, Local, TaskChanged);
-          continue;
-        }
-        bool ElemChanged = false;
-        uint64_t Before = Local.DescendingSteps;
-        descendElement(Order.elements()[E], ElemChanged, Local);
-        TaskChanged |= ElemChanged;
-        if (Recording) {
-          SweepChangedBuf[E] = ElemChanged;
-          SweepStepsBuf[E] = Local.DescendingSteps - Before;
-          updateMatched(E);
-        }
-      }
-      if (TaskChanged)
-        Changed.store(true, std::memory_order_relaxed);
-      mergeStats(Local);
-    });
-    endSweep();
-    return Changed.load();
-  }
-
-  static constexpr unsigned NoTask = ~0u;
   static constexpr unsigned MaxGfpSweeps = 1000;
   static constexpr unsigned MaxComponentSweeps = 1000;
 
@@ -1068,12 +764,7 @@ private:
   TraceRecorder *Trace; ///< null = tracing off
   std::vector<Value> X;
   SolverStats Stats;
-  std::vector<ParallelTask> Tasks;
-  std::unique_ptr<ThreadPool> Pool;
-  std::mutex StatsMutex;
-  /// Per-node live evaluation counts (see nodeLiveSteps()). Parallel
-  /// tasks write disjoint vertex slots — same argument as the
-  /// per-element sweep buffers below.
+  /// Per-node live evaluation counts (see nodeLiveSteps()).
   std::vector<uint64_t> NodeSteps;
 
   // Demand-driven scheduling state; empty/false on a full solve.

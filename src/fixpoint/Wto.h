@@ -57,8 +57,8 @@ public:
   unsigned depth(unsigned Vertex) const { return Depth[Vertex]; }
 
   /// Index into elements() of the *top-level* element containing
-  /// \p Vertex — the scheduling granule of the parallel strategy and the
-  /// replay granule of warm starts.
+  /// \p Vertex — the replay granule of warm starts and the scheduling
+  /// granule of demand solves.
   unsigned topElement(unsigned Vertex) const { return TopElem[Vertex]; }
 
   /// All widening points (component heads), in order.

@@ -239,16 +239,16 @@ bool StoreOps::leqK(const AbstractStore &A, const AbstractStore &B) const {
       if (rowTop<HasCong>(BV, L))
         continue; // top BV constrains nothing
       if (!((MA >> Bit) & 1)) {
-        KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+        KernelBlocks += Blocks;
         return false; // top !<= a real constraint
       }
       if (!rowLeq<HasCong>(loadRow<HasCong>(PA, S), BV)) {
-        KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+        KernelBlocks += Blocks;
         return false;
       }
     }
   }
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  KernelBlocks += Blocks;
   return true;
 }
 
@@ -342,7 +342,7 @@ bool StoreOps::equalK(const AbstractStore &A, const AbstractStore &B) const {
       }
     }
   }
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  KernelBlocks += Blocks;
   return Eq;
 }
 
@@ -411,7 +411,7 @@ uint64_t StoreOps::hashK(const AbstractStore &S) const {
   if (H == 0)
     H = 0x3f84d5b5b5470917ull; // 0 is the "not yet computed" sentinel
   S.P->CachedHash.store(H, std::memory_order_relaxed);
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  KernelBlocks += Blocks;
   return H;
 }
 
@@ -471,7 +471,7 @@ AbstractStore StoreOps::joinK(const AbstractStore &A,
     }
   }
   if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+    KernelBlocks += Blocks;
     return A;
   }
   // Delta pass 2: symmetric check for result == B (the growing phase of
@@ -499,7 +499,7 @@ AbstractStore StoreOps::joinK(const AbstractStore &A,
     }
   }
   if (EqB) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+    KernelBlocks += Blocks;
     return B;
   }
   // General case: only slots constrained in *both* stores stay
@@ -567,7 +567,7 @@ AbstractStore StoreOps::joinK(const AbstractStore &A,
     Num += static_cast<uint32_t>(__builtin_popcountll(OutBits));
   }
   PO.NumPresent = Num;
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  KernelBlocks += Blocks;
   return Out;
 }
 
@@ -624,7 +624,7 @@ AbstractStore StoreOps::meetK(const AbstractStore &A,
     }
   }
   if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+    KernelBlocks += Blocks;
     return A;
   }
   // General case: clone A's payload and fold every non-top constraint
@@ -673,7 +673,7 @@ AbstractStore StoreOps::meetK(const AbstractStore &A,
         }
       }
       if (MR.Lo > MR.Hi || (HasCong && MR.M < 0)) {
-        KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+        KernelBlocks += Blocks;
         return AbstractStore::bottom();
       }
       PO.ensureCapacity(static_cast<unsigned>(S));
@@ -682,7 +682,7 @@ AbstractStore StoreOps::meetK(const AbstractStore &A,
     }
   }
   PO.CachedHash.store(0, std::memory_order_relaxed);
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  KernelBlocks += Blocks;
   return Out;
 }
 
@@ -739,7 +739,7 @@ AbstractStore StoreOps::widenK(const AbstractStore &A,
     }
   }
   if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+    KernelBlocks += Blocks;
     return A;
   }
   // General case: slots of A with B present widen bound-wise (unstable
@@ -823,7 +823,7 @@ AbstractStore StoreOps::widenK(const AbstractStore &A,
     Num += static_cast<uint32_t>(__builtin_popcountll(OutBits));
   }
   PO.NumPresent = Num;
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  KernelBlocks += Blocks;
   return Out;
 }
 
@@ -931,7 +931,7 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
     }
   }
   if (EqA) {
-    KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+    KernelBlocks += Blocks;
     return A;
   }
 
@@ -981,7 +981,7 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
       if (InA && InB) {
         N = NarrowRow(S, (BoolW >> Bit) & 1);
         if (N.Lo > N.Hi || (HasCong && N.M < 0)) {
-          KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+          KernelBlocks += Blocks;
           return AbstractStore::bottom();
         }
       } else if (InA) {
@@ -989,7 +989,7 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
       } else {
         N = loadRow<HasCong>(PB, S); // A's entry top: narrowing takes B
         if (rowBot<HasCong>(N)) {
-          KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+          KernelBlocks += Blocks;
           return AbstractStore::bottom();
         }
         PO.noteKey(static_cast<unsigned>(S),
@@ -1007,7 +1007,7 @@ AbstractStore StoreOps::narrowK(const AbstractStore &A,
     Num += static_cast<uint32_t>(__builtin_popcountll(OutBits));
   }
   PO.NumPresent = Num;
-  KernelBlocks.fetch_add(Blocks, std::memory_order_relaxed);
+  KernelBlocks += Blocks;
   return Out;
 }
 

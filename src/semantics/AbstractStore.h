@@ -579,9 +579,7 @@ public:
 
   /// Number of non-empty 64-slot bitmap words the vector kernels have
   /// walked since construction (the store.kernel_blocks counter).
-  uint64_t kernelBlocks() const {
-    return KernelBlocks.load(std::memory_order_relaxed);
-  }
+  uint64_t kernelBlocks() const { return KernelBlocks; }
 
 private:
   /// True when \p Value is the top of its own kind (the full numeric
@@ -615,8 +613,8 @@ private:
 
   ValueDomain D;
   std::vector<int64_t> WideningThresholds;
-  /// Kernel telemetry (relaxed; one add per kernel invocation).
-  mutable std::atomic<uint64_t> KernelBlocks{0};
+  /// Kernel telemetry (one add per kernel invocation).
+  mutable uint64_t KernelBlocks = 0;
 };
 
 } // namespace syntox

@@ -36,9 +36,6 @@ struct AnalysisOptions {
   /// The abstract value domain the whole pipeline runs in
   /// (--domain=interval|congruence|product).
   DomainKind Domain = DomainKind::Interval;
-  /// Worker threads for the parallel strategy (0 = one per hardware
-  /// thread). Ignored by the serial strategies.
-  unsigned NumThreads = 0;
   /// Memoize the per-edge transfer functions across all phases (the
   /// cache is purely memoizing: results are identical either way).
   /// Off by default: interval transfers are about as cheap as the
@@ -101,6 +98,12 @@ struct AnalysisOptions {
   /// the caller). Null members disable that half of the telemetry.
   Telemetry Telem;
 
+  /// Member-wise identity over every field above — the one definition
+  /// of "same configuration" that engine reuse (AnalysisSession) and
+  /// parked-session lookup (serve::Server) both rely on, so a new knob
+  /// can never be forgotten by either.
+  bool operator==(const AnalysisOptions &) const = default;
+
   /// Hash of every knob that changes the *values* the solver computes
   /// (as opposed to how fast it computes them). Two runs with equal
   /// solverSemanticsHash() and equal programs produce bitwise-identical
@@ -152,10 +155,6 @@ struct AnalysisOptions {
   }
   AnalysisOptions &domain(DomainKind K) {
     Domain = K;
-    return *this;
-  }
-  AnalysisOptions &threads(unsigned N) {
-    NumThreads = N;
     return *this;
   }
   AnalysisOptions &transferCache(bool On) {

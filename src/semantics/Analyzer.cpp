@@ -5,7 +5,6 @@
 #include "semantics/Liveness.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <unordered_set>
@@ -14,16 +13,14 @@ using namespace syntox;
 
 namespace {
 
-/// Shared helpers for the three equation systems. The union counter is
-/// atomic because the parallel strategy evaluates equations of
-/// independent WTO components concurrently.
+/// Shared helpers for the three equation systems.
 struct SystemBase {
   const SuperGraph &G;
   const StoreOps &Ops;
   /// The shared transfer cache, or null when caching is off. Owned by
   /// the Analyzer; the fwd/bwd systems consult it per Local edge.
   TransferCache *Cache;
-  mutable std::atomic<uint64_t> Unions{0};
+  mutable uint64_t Unions = 0;
   /// Warm-start dirty bits: per node, whether the non-graph inputs of
   /// its equation (envelope slot, seed) are unchanged since the run
   /// that recorded the warm-start memo. Empty (conservative: nothing
@@ -38,31 +35,6 @@ struct SystemBase {
 
   bool externalInputsUnchanged(unsigned Node) const {
     return Node < ExternalUnchanged.size() && ExternalUnchanged[Node];
-  }
-
-  /// Cache-ownership hooks driven by the parallel solver (see
-  /// TransferCache's ownership model and the HasCacheOwnership trait).
-  /// The serial strategies never call these; with no cache they are
-  /// no-ops, so systems without one schedule identically.
-  void parallelPhaseBegin() const {
-    if (Cache)
-      Cache->beginOwned();
-  }
-  void parallelPhaseEnd() const {
-    if (Cache)
-      Cache->endOwned();
-  }
-  void parallelTaskBegin() const {
-    if (Cache)
-      Cache->beginTask();
-  }
-  void parallelTaskEnd() const {
-    if (Cache)
-      Cache->endTask();
-  }
-  void parallelMergeBarrier() const {
-    if (Cache)
-      Cache->mergePending();
   }
 
   bool leq(const AbstractStore &A, const AbstractStore &B) const {
@@ -112,10 +84,9 @@ struct ForwardSystem : SystemBase {
   /// Per-node live-slot masks; null = no dead-slot pruning. The
   /// restriction runs *after* the envelope meet, so requirement residue
   /// a backward phase left on dead slots never re-enters the forward
-  /// values. Atomic counter: the parallel strategy evaluates
-  /// independent components concurrently.
+  /// values.
   const LivenessInfo *Live;
-  mutable std::atomic<uint64_t> PrunedSlots{0};
+  mutable uint64_t PrunedSlots = 0;
   Digraph Dep;
 
   ForwardSystem(const SuperGraph &G, const StoreOps &Ops,
@@ -163,11 +134,8 @@ struct ForwardSystem : SystemBase {
     if (Envelope)
       Out = Ops.meet(Out, (*Envelope)[Node]);
     if (Live) {
-      uint64_t Dropped = 0;
       Out = Ops.restrictTo(Out, Live->maskFor(Node), Live->wordsPerNode(),
-                           &Dropped);
-      if (Dropped)
-        PrunedSlots.fetch_add(Dropped, std::memory_order_relaxed);
+                           &PrunedSlots);
     }
     return Out;
   }
@@ -389,10 +357,6 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
   Stats.Narrowings += S.Narrowings;
   Stats.ComponentSkips += S.ComponentSkips;
   Stats.SkippedSteps += S.SkippedSteps;
-  Stats.ParallelComponents += S.ParallelComponents;
-  Stats.ParallelTasks = std::max(Stats.ParallelTasks, S.ParallelTasks);
-  Stats.ParallelDagWidth =
-      std::max(Stats.ParallelDagWidth, S.ParallelDagWidth);
   Stats.DemandedComponents += S.DemandedComponents;
   Stats.SkippedByDemand += S.SkippedByDemand;
   Stats.Unions += SysUnions;
@@ -404,15 +368,10 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
     M->counter("solver.component_skips").inc(S.ComponentSkips);
     M->counter("solver.skipped_steps").inc(S.SkippedSteps);
     M->counter("solver.unions").inc(SysUnions);
-    M->counter("parallel.components").inc(S.ParallelComponents);
     if (S.DemandedComponents + S.SkippedByDemand > 0) {
       M->counter("demand.components").inc(S.DemandedComponents);
       M->counter("demand.skipped_components").inc(S.SkippedByDemand);
     }
-    M->gauge("parallel.tasks")
-        .accumulateMax(static_cast<int64_t>(S.ParallelTasks));
-    M->gauge("parallel.dag_width")
-        .accumulateMax(static_cast<int64_t>(S.ParallelDagWidth));
     M->histogram("phase.seconds").observe(Phase.Seconds);
     M->histogram("phase." + Phase.Name + ".seconds").observe(Phase.Seconds);
   }
@@ -452,7 +411,6 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
   FixpointSolver<ForwardSystem>::Options SolverOpts;
   SolverOpts.Kind = Opts.HarrisonGfp ? FixpointKind::Gfp : FixpointKind::Lfp;
   SolverOpts.Strategy = Opts.Strategy;
-  SolverOpts.NumThreads = Opts.NumThreads;
   SolverOpts.NarrowingPasses = Opts.NarrowingPasses;
   SolverOpts.Telem = Opts.Telem;
   SolverOpts.DemandNodes = Demand;
@@ -479,7 +437,7 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
           .count();
   accumulateSolverStats(Solver.stats(), Sys.Unions, Phase);
   if (Live) {
-    uint64_t Dropped = Sys.PrunedSlots.load(std::memory_order_relaxed);
+    uint64_t Dropped = Sys.PrunedSlots;
     PrunedSlotsRun += Dropped;
     if (TraceRecorder *Rec = Opts.Telem.Trace;
         Rec && Rec->wants(TraceEventKind::StorePrune))
@@ -520,7 +478,6 @@ Analyzer::solveBackward(bool Eventually,
   FixpointSolver<BackwardSystem>::Options SolverOpts;
   SolverOpts.Kind = Eventually ? FixpointKind::Lfp : FixpointKind::Gfp;
   SolverOpts.Strategy = Opts.Strategy;
-  SolverOpts.NumThreads = Opts.NumThreads;
   SolverOpts.NarrowingPasses = Opts.NarrowingPasses;
   SolverOpts.Telem = Opts.Telem;
   SolverOpts.DemandNodes = Demand;
@@ -707,15 +664,8 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
   }
 
   if (Cache) {
-    // One snapshot pass over the shards (hits()/misses() would each
-    // sweep all 64 again).
-    TransferCache::Stats CS = Cache->statsSnapshot();
-    Stats.CacheHits = CS.Hits;
-    Stats.CacheMisses = CS.Misses;
-    Stats.CacheMergeInserted = CS.MergeInserted;
-    Stats.CacheMergeCombined = CS.MergeCombined;
-    Stats.CacheMergeDiscarded = CS.MergeDiscarded;
-    Stats.CacheTaskArenas = CS.TaskArenas;
+    Stats.CacheHits = Cache->hits();
+    Stats.CacheMisses = Cache->misses();
   }
   Stats.BytesUsed = Graph->approximateBytes();
   // COW stores structurally share payloads across program points; count
@@ -739,10 +689,6 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
     if (Cache) {
       M->counter("cache.hits").inc(Stats.CacheHits);
       M->counter("cache.misses").inc(Stats.CacheMisses);
-      M->counter("cache.merge_inserted").inc(Stats.CacheMergeInserted);
-      M->counter("cache.merge_combined").inc(Stats.CacheMergeCombined);
-      M->counter("cache.merge_discarded").inc(Stats.CacheMergeDiscarded);
-      M->counter("cache.task_arenas").inc(Stats.CacheTaskArenas);
     }
     if (Opts.WarmStart) {
       M->counter("interproc.summary_reuse").inc(Stats.SummaryReuses);

@@ -361,7 +361,7 @@ SuperGraph::fwdTransfer(unsigned EdgeIdx,
       TransferMemoEnabled ? &EdgeMemos[EdgeIdx][0] : nullptr;
   if (M && M->Valid && Ops.equal(M->In1, In1) &&
       (!In2 || Ops.equal(M->In2, *In2))) {
-    TransferMemoHits.fetch_add(1, std::memory_order_relaxed);
+    ++TransferMemoHits;
     return M->Out;
   }
   AbstractStore Out;
@@ -397,7 +397,7 @@ SuperGraph::bwdTransfer(unsigned EdgeIdx,
   LinkTransferMemo *M =
       TransferMemoEnabled ? &EdgeMemos[EdgeIdx][1] : nullptr;
   if (M && M->Valid && Ops.equal(M->In1, In)) {
-    TransferMemoHits.fetch_add(1, std::memory_order_relaxed);
+    ++TransferMemoHits;
     return M->Out;
   }
   AbstractStore Out;

@@ -32,7 +32,6 @@
 #include "semantics/Transfer.h"
 
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <vector>
@@ -218,9 +217,7 @@ public:
     EdgeMemos.assign(Edges.size(), {});
   }
   /// Verified memo hits since construction.
-  uint64_t transferMemoHits() const {
-    return TransferMemoHits.load(std::memory_order_relaxed);
-  }
+  uint64_t transferMemoHits() const { return TransferMemoHits; }
   /// Forward transfer of interprocedural edge \p EdgeIdx (CallIn,
   /// CallOut or ChannelOut) over the current solution \p X, through the
   /// memo when enabled.
@@ -303,11 +300,10 @@ private:
 
   /// Per-edge transfer memos, [edge][0 = forward, 1 = backward]. A slot
   /// is read and written only while evaluating one fixed supergraph
-  /// node (the edge's target forward, its source backward), phases run
-  /// sequentially, and the parallel strategy never schedules one node
-  /// on two threads — so plain single-writer slots are race-free.
+  /// node (the edge's target forward, its source backward) and phases
+  /// run sequentially on one thread.
   mutable std::vector<std::array<LinkTransferMemo, 2>> EdgeMemos;
-  mutable std::atomic<uint64_t> TransferMemoHits{0};
+  mutable uint64_t TransferMemoHits = 0;
   bool TransferMemoEnabled = false;
 };
 

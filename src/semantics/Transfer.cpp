@@ -98,197 +98,6 @@ AbstractStore Transfer::fwd(const Action &A, const AbstractStore &In,
 // TransferCache
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// The calling thread's open task arenas, one frame per cache instance
-/// (nesting across caches is possible when inline-executing pools run a
-/// batch request's solver on an outer worker; nesting *within* one cache
-/// is not — endTask() closes a frame before the next task starts).
-struct ArenaFrame {
-  const void *Owner = nullptr;
-  void *Arena = nullptr;
-};
-thread_local std::vector<ArenaFrame> OpenArenas;
-} // namespace
-
-TransferCache::~TransferCache() = default;
-
-TransferCache::Arena *TransferCache::currentArena() const {
-  for (size_t I = OpenArenas.size(); I-- > 0;)
-    if (OpenArenas[I].Owner == this)
-      return static_cast<Arena *>(OpenArenas[I].Arena);
-  return nullptr;
-}
-
-void TransferCache::beginTask() {
-  std::unique_ptr<Arena> A;
-  {
-    std::lock_guard<std::mutex> Lock(PendingMutex);
-    if (!FreeArenas.empty()) {
-      A = std::move(FreeArenas.back());
-      FreeArenas.pop_back();
-    }
-  }
-  if (!A)
-    A = std::make_unique<Arena>();
-  OpenArenas.push_back({this, A.release()});
-}
-
-void TransferCache::endTask() {
-  for (size_t I = OpenArenas.size(); I-- > 0;) {
-    if (OpenArenas[I].Owner != this)
-      continue;
-    std::unique_ptr<Arena> A(static_cast<Arena *>(OpenArenas[I].Arena));
-    OpenArenas.erase(OpenArenas.begin() + static_cast<ptrdiff_t>(I));
-    std::lock_guard<std::mutex> Lock(PendingMutex);
-    Pending.push_back(std::move(A));
-    return;
-  }
-}
-
-void TransferCache::beginOwned() { Owned = true; }
-
-void TransferCache::endOwned() {
-  mergePending();
-  Owned = false;
-}
-
-void TransferCache::mergePending() {
-  std::vector<std::unique_ptr<Arena>> Work;
-  {
-    std::lock_guard<std::mutex> Lock(PendingMutex);
-    Work.swap(Pending);
-  }
-  if (Work.empty())
-    return;
-  uint64_t InsertedBefore = MergeInserted;
-  uint64_t DroppedBefore = MergeCombined + MergeDiscarded;
-  for (std::unique_ptr<Arena> &APtr : Work) {
-    Arena &A = *APtr;
-    ++TaskArenas;
-    MergedArenaHits += A.Hits;
-    MergedArenaMisses += A.Misses;
-    for (unsigned BI : A.Touched)
-      for (ArenaEntry &E : A.Buckets[BI]) {
-        if (E.Hits < MergeThreshold) {
-          ++MergeDiscarded; // never reused: not worth a shard slot
-          continue;
-        }
-        Shard &Sh = Shards[E.Key % NumShards];
-        auto &SB = Sh.Buckets[(E.Key / NumShards) % Shard::NumBuckets];
-        // The shard lock is uncontended here (merges run at barriers,
-        // with no lookup in flight) but keeps the serial-strategy
-        // locked path correct if both modes ever interleave.
-        std::lock_guard<std::mutex> Lock(Sh.M);
-        bool Present = false;
-        for (const Entry &SE : SB)
-          if (SE.Key == E.Key && SE.EdgeId == E.EdgeId &&
-              SE.Forward == E.Forward && Ops.equal(SE.In, E.In)) {
-            Present = true;
-            break;
-          }
-        if (Present) {
-          // Another task (or an earlier sweep) already promoted this
-          // result; the arena's copy dissolves into it.
-          ++MergeCombined;
-          continue;
-        }
-        if (Sh.Count >= MaxPerShard) {
-          ++MergeDiscarded;
-          continue;
-        }
-        Entry NE;
-        NE.Key = E.Key;
-        NE.EdgeId = E.EdgeId;
-        NE.Forward = E.Forward;
-        NE.In = std::move(E.In);
-        NE.Result = std::move(E.Result);
-        SB.push_back(std::move(NE));
-        ++Sh.Count;
-        ++MergeInserted;
-      }
-    // Recycle the drained arena: clear only the buckets this task
-    // touched and return it to the free list for the next sweep.
-    for (unsigned BI : A.Touched)
-      A.Buckets[BI].clear();
-    A.Touched.clear();
-    A.Count = 0;
-    A.Hits = 0;
-    A.Misses = 0;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(PendingMutex);
-    for (std::unique_ptr<Arena> &APtr : Work)
-      FreeArenas.push_back(std::move(APtr));
-  }
-  traceEvent(Trace, TraceEventKind::CacheMerge,
-             MergeInserted - InsertedBefore,
-             MergeCombined + MergeDiscarded - DroppedBefore);
-}
-
-/// Owned-mode lookup: arena probe, then a lock-free probe of the frozen
-/// shards, then compute-and-insert into the arena. See the class
-/// comment for why no shard lock is needed.
-template <typename Compute>
-const AbstractStore *TransferCache::lookupOwned(uint64_t Key, bool Forward,
-                                                unsigned EdgeId,
-                                                const AbstractStore &In,
-                                                Compute &&Fn) {
-  Arena *A = currentArena();
-  if (A) {
-    auto &Bucket = A->Buckets[(Key / NumShards) % Arena::NumBuckets];
-    for (ArenaEntry &E : Bucket)
-      if (E.Key == Key && E.EdgeId == EdgeId && E.Forward == Forward &&
-          Ops.equal(E.In, In)) {
-        ++E.Hits;
-        ++A->Hits;
-        traceEvent(Trace, TraceEventKind::CacheHit, EdgeId, Forward);
-        return E.Result.get();
-      }
-  }
-  // Copy-on-write seeding from the shared shards: the frozen entries are
-  // read in place (no insertion happens while Owned), so the arena
-  // "inherits" the whole shared cache without copying a single store.
-  const Shard &Sh = Shards[Key % NumShards];
-  const auto &SB = Sh.Buckets[(Key / NumShards) % Shard::NumBuckets];
-  for (const Entry &E : SB)
-    if (E.Key == Key && E.EdgeId == EdgeId && E.Forward == Forward &&
-        Ops.equal(E.In, In)) {
-      if (A)
-        ++A->Hits;
-      else
-        StrayHits.fetch_add(1, std::memory_order_relaxed);
-      traceEvent(Trace, TraceEventKind::CacheHit, EdgeId, Forward);
-      return E.Result.get();
-    }
-  traceEvent(Trace, TraceEventKind::CacheMiss, EdgeId, Forward);
-  auto Result = std::make_unique<const AbstractStore>(Fn());
-  if (A && A->Count < MaxPerShard) {
-    ArenaEntry E;
-    E.Key = Key;
-    E.EdgeId = EdgeId;
-    E.Forward = Forward;
-    E.In = In;
-    E.Result = std::move(Result);
-    unsigned BI = (Key / NumShards) % Arena::NumBuckets;
-    auto &Bucket = A->Buckets[BI];
-    if (Bucket.empty())
-      A->Touched.push_back(BI);
-    Bucket.push_back(std::move(E));
-    ++A->Count;
-    ++A->Misses;
-    return Bucket.back().Result.get();
-  }
-  if (A)
-    ++A->Misses;
-  else
-    StrayMisses.fetch_add(1, std::memory_order_relaxed);
-  // Arena full (or stray lookup): park the value in a thread-local
-  // overflow slot; valid until this thread's next overflowing lookup.
-  static thread_local std::unique_ptr<const AbstractStore> Overflow;
-  Overflow = std::move(Result);
-  return Overflow.get();
-}
-
 template <typename Compute>
 const AbstractStore *TransferCache::lookupOrCompute(bool Forward,
                                                     unsigned EdgeId,
@@ -300,41 +109,22 @@ const AbstractStore *TransferCache::lookupOrCompute(bool Forward,
   // store the solver already hashed (the steady state: COW keeps
   // payloads alive unchanged across iterations) costs one atomic load.
   Key = hashCombine(Key, Ops.hash(In));
-  if (Owned)
-    return lookupOwned(Key, Forward, EdgeId, In,
-                       std::forward<Compute>(Fn));
-  Shard &Sh = Shards[Key % NumShards];
-  auto &Bucket = Sh.Buckets[(Key / NumShards) % Shard::NumBuckets];
-  const AbstractStore *Found = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(Sh.M);
-    for (const Entry &E : Bucket)
-      // Payload identity first: a re-lookup of the very store that
-      // populated the entry short-circuits inside equal() without
-      // touching a single entry; only genuinely distinct payloads pay
-      // the entry-wise confirm.
-      if (E.Key == Key && E.EdgeId == EdgeId && E.Forward == Forward &&
-          Ops.equal(E.In, In)) {
-        ++Sh.Hits;
-        Found = E.Result.get();
-        break;
-      }
-    if (!Found)
-      ++Sh.Misses;
-  }
-  // Trace outside the shard lock; the recorder appends to a per-thread
-  // buffer, so this never contends, but there is no reason to hold the
-  // shard hostage while it does.
-  if (Found) {
-    traceEvent(Trace, TraceEventKind::CacheHit, EdgeId, Forward);
-    return Found;
-  }
+  auto &Bucket = Buckets[Key % NumBuckets];
+  for (const Entry &E : Bucket)
+    // Payload identity first: a re-lookup of the very store that
+    // populated the entry short-circuits inside equal() without
+    // touching a single entry; only genuinely distinct payloads pay
+    // the entry-wise confirm.
+    if (E.Key == Key && E.EdgeId == EdgeId && E.Forward == Forward &&
+        Ops.equal(E.In, In)) {
+      ++Hits;
+      traceEvent(Trace, TraceEventKind::CacheHit, EdgeId, Forward);
+      return E.Result.get();
+    }
+  ++Misses;
   traceEvent(Trace, TraceEventKind::CacheMiss, EdgeId, Forward);
-  // Compute outside the lock; a racing miss on the same key computes the
-  // same pure function twice, which is benign.
   auto Result = std::make_unique<const AbstractStore>(Fn());
-  std::lock_guard<std::mutex> Lock(Sh.M);
-  if (Sh.Count < MaxPerShard) {
+  if (Count < MaxEntries) {
     Entry E;
     E.Key = Key;
     E.EdgeId = EdgeId;
@@ -342,12 +132,9 @@ const AbstractStore *TransferCache::lookupOrCompute(bool Forward,
     E.In = In;
     E.Result = std::move(Result);
     Bucket.push_back(std::move(E));
-    ++Sh.Count;
+    ++Count;
     return Bucket.back().Result.get();
   }
-  // Shard full: park the value in a thread-local overflow slot; valid
-  // until this thread's next overflowing lookup.
-  static thread_local std::unique_ptr<const AbstractStore> Overflow;
   Overflow = std::move(Result);
   return Overflow.get();
 }
@@ -368,54 +155,13 @@ const AbstractStore *TransferCache::bwd(const Transfer &Xfer,
                          [&] { return Xfer.bwd(A, Out, F); });
 }
 
-TransferCache::Stats TransferCache::statsSnapshot() const {
-  // One pass over the shards (the old hits()/misses()/size() triple
-  // swept them three times), folding in the merge ledger and the
-  // owned-mode counters that live outside the shards.
-  Stats S;
-  for (const Shard &Sh : Shards) {
-    std::lock_guard<std::mutex> Lock(Sh.M);
-    S.Hits += Sh.Hits;
-    S.Misses += Sh.Misses;
-    S.Size += Sh.Count;
-  }
-  S.Hits += MergedArenaHits + StrayHits.load(std::memory_order_relaxed);
-  S.Misses += MergedArenaMisses + StrayMisses.load(std::memory_order_relaxed);
-  {
-    // Arenas parked but not yet merged still carry their task's
-    // hit/miss tallies — count them so a snapshot between barriers
-    // (or after an aborted solve) never under-reports.
-    std::lock_guard<std::mutex> Lock(PendingMutex);
-    for (const auto &A : Pending) {
-      S.Hits += A->Hits;
-      S.Misses += A->Misses;
-    }
-  }
-  S.MergeInserted = MergeInserted;
-  S.MergeCombined = MergeCombined;
-  S.MergeDiscarded = MergeDiscarded;
-  S.TaskArenas = TaskArenas;
-  return S;
-}
-
 void TransferCache::clear() {
-  for (Shard &Sh : Shards) {
-    std::lock_guard<std::mutex> Lock(Sh.M);
-    for (auto &Bucket : Sh.Buckets)
-      Bucket.clear();
-    Sh.Count = 0;
-    Sh.Hits = 0;
-    Sh.Misses = 0;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(PendingMutex);
-    Pending.clear();
-    FreeArenas.clear();
-  }
-  MergeInserted = MergeCombined = MergeDiscarded = 0;
-  TaskArenas = MergedArenaHits = MergedArenaMisses = 0;
-  StrayHits.store(0, std::memory_order_relaxed);
-  StrayMisses.store(0, std::memory_order_relaxed);
+  for (auto &Bucket : Buckets)
+    Bucket.clear();
+  Count = 0;
+  Hits = 0;
+  Misses = 0;
+  Overflow.reset();
 }
 
 AbstractStore Transfer::bwd(const Action &A, const AbstractStore &Out,

@@ -20,10 +20,8 @@
 #include "support/Telemetry.h"
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace syntox {
@@ -63,42 +61,15 @@ private:
 /// unchanged (the envelope meet happens *after* the edge transfer, so a
 /// tightened envelope does not invalidate entries).
 ///
-/// Thread-safe: the parallel iteration strategy calls into the cache
-/// concurrently from independent WTO components. The store is sharded;
-/// the transfer itself runs outside any lock (a racing miss computes the
-/// same value twice, which is benign).
-///
-/// Ownership model (parallel solves). Under the serial strategies every
-/// lookup takes a shard mutex — uncontended and cheap. Under the
-/// parallel strategy that mutex *is* contended by every worker, enough
-/// to make the cache a net loss on chain-shaped programs (EXPERIMENTS.md
-/// E-store). The solver therefore drives the cache through an owned
-/// mode:
-///  - beginOwned() freezes the shared shards: no insertions, so workers
-///    probe them without taking any lock;
-///  - each parallel task brackets beginTask()/endTask(), giving it a
-///    private lock-free *arena* for the task's lifetime. A lookup probes
-///    the arena, then the frozen shards (the copy-on-write seeding: the
-///    arena shares the shard entries by reading through to them rather
-///    than copying), and inserts misses into the arena only;
-///  - endTask() parks the arena on a pending list (one mutex push per
-///    task — off the per-lookup hot path);
-///  - mergePending() — called by the solver at sweep barriers, while no
-///    task is running — folds profitable arena entries (hit count >=
-///    the merge threshold, i.e. proven reuse) back into the shared
-///    shards and discards the rest, so the next sweep's lock-free
-///    probes see them. endOwned() merges any stragglers and thaws the
-///    shards.
-/// Happens-before for the lock-free probes comes from the solver's pool:
-/// merges run strictly between Pool->wait() and the next submit().
+/// Not thread-safe, and it need not be: a cache belongs to one Analyzer,
+/// whose solves run on one thread at a time (concurrency lives between
+/// requests, each with its own session and engine).
 class TransferCache {
 public:
-  /// \p MaxEntries caps the number of memoized stores (oldest shards
-  /// simply stop inserting once full — lookups stay correct).
+  /// \p MaxEntries caps the number of memoized stores (once full, the
+  /// cache simply stops inserting — lookups stay correct).
   explicit TransferCache(const StoreOps &Ops, size_t MaxEntries = 1 << 20)
-      : Ops(Ops), MaxPerShard(MaxEntries / NumShards + 1) {}
-
-  ~TransferCache();
+      : Ops(Ops), MaxEntries(MaxEntries) {}
 
   TransferCache(const TransferCache &) = delete;
   TransferCache &operator=(const TransferCache &) = delete;
@@ -109,8 +80,8 @@ public:
   /// re-running even the inexpensive interval transfers. The pointee is
   /// heap-allocated and never evicted, so the pointer stays valid until
   /// clear() — but callers should consume it immediately (on a full
-  /// shard it points to a thread-local overflow slot reused by the next
-  /// overflowing call).
+  /// cache it points to an overflow slot reused by the next overflowing
+  /// call).
   const AbstractStore *fwd(const Transfer &Xfer, unsigned EdgeId,
                            const Action &A, const AbstractStore &In,
                            const FrameMap &F);
@@ -121,54 +92,13 @@ public:
                            const Action &A, const AbstractStore &Out,
                            const FrameMap &F);
 
-  /// Aggregate counters, collected in a single pass over the shards
-  /// (plus the merge ledger maintained at barriers).
-  struct Stats {
-    uint64_t Hits = 0;   ///< lookups answered (shared, frozen or arena)
-    uint64_t Misses = 0; ///< lookups that ran the transfer
-    size_t Size = 0;     ///< entries resident in the shared shards
-    uint64_t MergeInserted = 0;  ///< arena entries merged into the shards
-    uint64_t MergeCombined = 0;  ///< arena entries a shard already held
-    uint64_t MergeDiscarded = 0; ///< arena entries dropped (unprofitable
-                                 ///< or shard full)
-    uint64_t TaskArenas = 0;     ///< task arenas merged so far
-  };
-  Stats statsSnapshot() const;
-
-  uint64_t hits() const { return statsSnapshot().Hits; }
-  uint64_t misses() const { return statsSnapshot().Misses; }
-  size_t size() const { return statsSnapshot().Size; }
+  uint64_t hits() const { return Hits; }     ///< lookups answered
+  uint64_t misses() const { return Misses; } ///< lookups that ran the transfer
+  size_t size() const { return Count; }      ///< entries resident
   void clear();
 
-  /// \name Owned mode (see the class comment)
-  /// @{
-  /// Freezes the shared shards; subsequent lookups must run inside a
-  /// beginTask()/endTask() bracket (a stray lookup still answers
-  /// correctly from the frozen shards, it just cannot insert).
-  void beginOwned();
-  /// Merges pending arenas and thaws the shards.
-  void endOwned();
-  /// Opens a private arena for the calling thread (nestable across
-  /// caches; one arena per cache per thread).
-  void beginTask();
-  /// Closes the calling thread's arena and parks it for merging.
-  void endTask();
-  /// Folds parked arenas into the shared shards. Must not run
-  /// concurrently with owned-mode lookups — the solver calls it at
-  /// sweep barriers, after its pool drained.
-  void mergePending();
-  /// An arena entry is merged back when it served at least this many
-  /// arena-local hits. The default 0 merges every entry: most reuse is
-  /// *across* sweeps (the next sweep's lookup of a stabilized store),
-  /// which an arena-local count cannot see — gating on it would discard
-  /// the entry and recompute the transfer every sweep. Raise the
-  /// threshold only to trade shard growth for recomputation.
-  void setMergeThreshold(uint32_t N) { MergeThreshold = N; }
-  /// @}
-
   /// Installs a trace recorder for per-lookup cache_hit/cache_miss
-  /// events (high-volume: masked out of TraceRecorder::DefaultEvents)
-  /// and per-barrier cache_merge events.
+  /// events (high-volume: masked out of TraceRecorder::DefaultEvents).
   void setTrace(TraceRecorder *R) { Trace = R; }
 
 private:
@@ -177,90 +107,30 @@ private:
     uint32_t EdgeId = 0;
     bool Forward = true;
     AbstractStore In;
-    /// Owned on the heap so the address survives bucket reallocation
-    /// and concurrent insertions; freed only by clear()/destruction.
+    /// Owned on the heap so the address survives bucket reallocation;
+    /// freed only by clear()/destruction.
     std::unique_ptr<const AbstractStore> Result;
-  };
-  /// Each shard is a small flat hash table: the 64-bit lookup key is
-  /// already a mixed hash, so the bucket index is just a bit slice —
-  /// no rehashing policy, no prime modulo, one cache line to the bucket
-  /// vector header. Low key bits pick the shard, the next bits the
-  /// bucket.
-  struct Shard {
-    static constexpr unsigned NumBuckets = 256;
-    mutable std::mutex M;
-    std::array<std::vector<Entry>, NumBuckets> Buckets;
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    size_t Count = 0;
-  };
-
-  /// One task's private cache arena: a small flat hash table with the
-  /// same bucket discipline as a shard, but single-owner and lock-free.
-  /// Per-entry hit counts drive the merge-back decision.
-  struct ArenaEntry {
-    uint64_t Key = 0;
-    uint32_t EdgeId = 0;
-    bool Forward = true;
-    uint32_t Hits = 0; ///< arena-local reuses of this entry
-    AbstractStore In;
-    std::unique_ptr<const AbstractStore> Result;
-  };
-  /// Sized for the worst case of chain contraction: a path-shaped DAG
-  /// collapses into ONE task, so a single arena can hold the whole
-  /// program's working set and its buckets must stay short (the bucket
-  /// array is lazily-allocated vectors — a wide empty arena costs ~50KB,
-  /// not entries).
-  struct Arena {
-    static constexpr unsigned NumBuckets = 2048;
-    std::array<std::vector<ArenaEntry>, NumBuckets> Buckets;
-    /// Indices of non-empty buckets, in first-touch order: merging and
-    /// recycling visit only these instead of sweeping all 2048.
-    std::vector<unsigned> Touched;
-    size_t Count = 0;
-    uint64_t Hits = 0;   ///< arena + frozen-shard hits inside the task
-    uint64_t Misses = 0; ///< transfers computed inside the task
   };
 
   template <typename Compute>
   const AbstractStore *lookupOrCompute(bool Forward, unsigned EdgeId,
                                        const AbstractStore &In,
                                        Compute &&Fn);
-  template <typename Compute>
-  const AbstractStore *lookupOwned(uint64_t Key, bool Forward,
-                                   unsigned EdgeId, const AbstractStore &In,
-                                   Compute &&Fn);
-  Arena *currentArena() const;
 
-  static constexpr unsigned NumShards = 64;
+  /// A flat hash table: the 64-bit lookup key is already a mixed hash,
+  /// so the bucket index is just its low bits — no rehashing policy, no
+  /// prime modulo.
+  static constexpr unsigned NumBuckets = 16384;
   const StoreOps &Ops;
-  size_t MaxPerShard;
+  size_t MaxEntries;
   TraceRecorder *Trace = nullptr;
-  std::array<Shard, NumShards> Shards;
-
-  /// Owned-mode state. Owned is written by beginOwned()/endOwned() on
-  /// the solver's coordinating thread before/after its pool runs; the
-  /// pool's queue mutex gives the workers a happens-before edge to it.
-  bool Owned = false;
-  uint32_t MergeThreshold = 0;
-  mutable std::mutex PendingMutex;
-  std::vector<std::unique_ptr<Arena>> Pending;
-  /// Drained arenas waiting for reuse: a parallel solve opens one arena
-  /// per task per sweep, and constructing the bucket array fresh each
-  /// time costs more than the probes it serves. Guarded by PendingMutex.
-  std::vector<std::unique_ptr<Arena>> FreeArenas;
-  /// Merge ledger; mutated only at barriers (single-threaded), read by
-  /// statsSnapshot() after the solve.
-  uint64_t MergeInserted = 0;
-  uint64_t MergeCombined = 0;
-  uint64_t MergeDiscarded = 0;
-  uint64_t TaskArenas = 0;
-  uint64_t MergedArenaHits = 0;
-  uint64_t MergedArenaMisses = 0;
-  /// Hits/misses of owned-mode lookups that ran outside any task
-  /// bracket (defensive path; normally zero).
-  std::atomic<uint64_t> StrayHits{0};
-  std::atomic<uint64_t> StrayMisses{0};
+  std::array<std::vector<Entry>, NumBuckets> Buckets;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
+  size_t Count = 0;
+  /// Holds a computed result the full cache could not insert; valid
+  /// until the next overflowing lookup.
+  std::unique_ptr<const AbstractStore> Overflow;
 };
 
 } // namespace syntox

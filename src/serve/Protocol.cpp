@@ -75,11 +75,8 @@ bool applyOption(const std::string &Key, const json::Value &V,
       Opts.Strategy = IterationStrategy::Recursive;
     else if (V.isString() && V.asString() == "worklist")
       Opts.Strategy = IterationStrategy::Worklist;
-    else if (V.isString() && V.asString() == "parallel")
-      Opts.Strategy = IterationStrategy::Parallel;
     else {
-      Error = "option 'strategy' must be \"recursive\", \"worklist\" "
-              "or \"parallel\"";
+      Error = "option 'strategy' must be \"recursive\" or \"worklist\"";
       return false;
     }
     return true;
@@ -92,8 +89,6 @@ bool applyOption(const std::string &Key, const json::Value &V,
     }
     return true;
   }
-  if (Key == "threads")
-    return wantUnsigned(V, Key, Opts.NumThreads, Error);
   if (Key == "transfer_cache") {
     bool On = false;
     if (!wantBool(V, Key, On, Error))

@@ -14,7 +14,7 @@
 /// Request (schemas/serve-request.schema.json):
 ///
 ///   {"protocol_version": 1, "id": "r1", "kind": "analyze",
-///    "source": "program p; ...", "options": {"strategy": "parallel"},
+///    "source": "program p; ...", "options": {"strategy": "worklist"},
 ///    "query": "point:12", "cache_key": "file:///a.pas",
 ///    "timeout_ms": 5000}
 ///

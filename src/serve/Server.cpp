@@ -7,7 +7,6 @@
 #include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <unistd.h>
@@ -30,49 +29,6 @@ uint64_t fpString(const std::string &S) {
   return H;
 }
 
-/// Canonical rendering of every option member a request can set (plus
-/// the derived cache shard) — the re-runnable identity half of a
-/// parked-session key.
-std::string renderOptions(const AnalysisOptions &O) {
-  std::string S;
-  S += std::to_string(static_cast<int>(O.Strategy));
-  S += '|';
-  S += std::to_string(O.NumThreads);
-  S += '|';
-  S += O.TransferCacheSet ? (O.UseTransferCache ? '1' : '0') : '-';
-  S += '|';
-  S += std::to_string(O.AdaptiveCacheInstanceThreshold);
-  S += '|';
-  S += std::to_string(O.NarrowingPasses);
-  S += '|';
-  S += std::to_string(O.BackwardRounds);
-  S += '|';
-  S += O.TerminationGoal ? '1' : '0';
-  S += O.UseBackward ? '1' : '0';
-  S += O.HarrisonGfp ? '1' : '0';
-  S += O.ContextInsensitive ? '1' : '0';
-  S += O.WarmStart ? '1' : '0';
-  S += '|';
-  for (int64_t T : O.WideningThresholds) {
-    S += std::to_string(T);
-    S += ',';
-  }
-  S += '|';
-  S += O.CacheDir;
-  return S;
-}
-
-std::string sessionKey(const std::string &Source,
-                       const AnalysisOptions &Opts) {
-  // Hash the (potentially large) source, keep the options readable;
-  // collisions would only ever swap two sessions, never findings —
-  // the session re-runs whatever program it actually holds.
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%016llx:",
-                static_cast<unsigned long long>(fpString(Source)));
-  return Buf + renderOptions(Opts);
-}
-
 } // namespace
 
 /// One admitted analyze request, shared between the read loop and the
@@ -85,11 +41,12 @@ struct Server::Pending {
 Server::Server(ServerConfig Cfg) : Cfg(std::move(Cfg)) {}
 Server::~Server() = default;
 
-std::unique_ptr<AnalysisSession> Server::takeSession(const std::string &Key) {
+std::unique_ptr<AnalysisSession>
+Server::takeSession(const std::string &Source, const AnalysisOptions &Opts) {
   std::lock_guard<std::mutex> Lock(SessionMutex);
   for (auto It = Parked.begin(); It != Parked.end(); ++It)
-    if (It->Key == Key) {
-      std::unique_ptr<AnalysisSession> S = std::move(It->Session);
+    if ((*It)->source() == Source && (*It)->options() == Opts) {
+      std::unique_ptr<AnalysisSession> S = std::move(*It);
       Parked.erase(It);
       Metrics.counter("serve.session_hits").inc();
       return S;
@@ -98,12 +55,11 @@ std::unique_ptr<AnalysisSession> Server::takeSession(const std::string &Key) {
   return nullptr;
 }
 
-void Server::parkSession(std::string Key,
-                         std::unique_ptr<AnalysisSession> Session) {
+void Server::parkSession(std::unique_ptr<AnalysisSession> Session) {
   if (Cfg.SessionCapacity == 0)
     return;
   std::lock_guard<std::mutex> Lock(SessionMutex);
-  Parked.push_front(ParkedSession{std::move(Key), std::move(Session)});
+  Parked.push_front(std::move(Session));
   while (Parked.size() > Cfg.SessionCapacity) {
     Parked.pop_back();
     Metrics.counter("serve.session_evictions").inc();
@@ -177,8 +133,7 @@ void Server::runAnalyze(std::shared_ptr<Pending> P, int OutFd) {
     Opts.CacheDir.clear();
   }
 
-  std::string Key = sessionKey(R.Source, Opts);
-  std::unique_ptr<AnalysisSession> Session = takeSession(Key);
+  std::unique_ptr<AnalysisSession> Session = takeSession(R.Source, Opts);
   if (!Session) {
     DiagnosticsEngine Diags;
     Session = AnalysisSession::create(R.Source, Diags, Opts);
@@ -208,7 +163,7 @@ void Server::runAnalyze(std::shared_ptr<Pending> P, int OutFd) {
   setTiming(Resp, QueueMs, RunMs);
 
   if (O.OK)
-    parkSession(std::move(Key), std::move(Session));
+    parkSession(std::move(Session));
   if (O.OK && !Opts.CacheDir.empty() && Cfg.CacheMaxBytes)
     gcPayload(); // hold the tree under its cap after every save
 
@@ -269,45 +224,21 @@ void Server::handleLine(const std::string &Line, ThreadPool &Pool,
 }
 
 bool Server::serve(int InFd, int OutFd) {
-  ThreadBudget Budget(Cfg.TotalThreads);
-  unsigned Workers = Budget.total();
-  if (Cfg.MaxConcurrentRequests)
-    Workers = std::min(Workers, Cfg.MaxConcurrentRequests);
-  {
-    // Identical to the AnalysisBatch admission scheme: the request pool
-    // draws from the budget, its workers inherit it, nested parallel
-    // solvers borrow what the request pool left over.
-    ThreadBudget::Scope Scope(Budget);
-    ThreadPool Pool(Workers);
-    ActiveBudget.store(&Budget, std::memory_order_release);
-    LineReader Reader(InFd);
-    std::string Line;
-    while (!draining()) {
-      LineReader::Status S = Reader.next(Line, /*TimeoutMs=*/100);
-      if (S == LineReader::Status::Eof)
-        break;
-      if (S == LineReader::Status::Idle)
-        continue;
-      if (Line.empty())
-        continue;
-      handleLine(Line, Pool, OutFd);
-    }
-    // Graceful drain: every admitted request completes and responds
-    // before the pool (and with it this connection's serving) winds
-    // down.
-    Pool.wait();
-    ActiveBudget.store(nullptr, std::memory_order_release);
+  ThreadPool Pool(Cfg.TotalThreads);
+  LineReader Reader(InFd);
+  std::string Line;
+  while (!draining()) {
+    LineReader::Status S = Reader.next(Line, /*TimeoutMs=*/100);
+    if (S == LineReader::Status::Eof)
+      break;
+    if (S == LineReader::Status::Idle)
+      continue;
+    if (Line.empty())
+      continue;
+    handleLine(Line, Pool, OutFd);
   }
-  unsigned Peak = std::max(PeakLive.load(std::memory_order_relaxed),
-                           Budget.peakLiveThreads());
-  PeakLive.store(Peak, std::memory_order_relaxed);
-  Metrics.gauge("serve.peak_live_threads").set(static_cast<int64_t>(Peak));
+  // Graceful drain: every admitted request completes and responds
+  // before the pool (and with it this connection's serving) winds down.
+  Pool.wait();
   return !ShutdownRequested.load(std::memory_order_relaxed);
-}
-
-unsigned Server::peakLiveThreads() const {
-  unsigned Peak = PeakLive.load(std::memory_order_relaxed);
-  if (ThreadBudget *B = ActiveBudget.load(std::memory_order_acquire))
-    Peak = std::max(Peak, B->peakLiveThreads());
-  return Peak;
 }

@@ -7,26 +7,25 @@
 ///
 /// \file
 /// The serving layer: a Server reads JSON-lines requests (see
-/// serve/Protocol.h) from a descriptor, schedules analyze requests over
-/// one shared worker-slot budget, and writes one response line per
-/// request. It is the third driver of the shared AnalysisRequest /
-/// AnalysisOutcome submission model, after the CLI and AnalysisBatch.
+/// serve/Protocol.h) from a descriptor, schedules analyze requests on a
+/// fixed-size worker pool, and writes one response line per request. It
+/// is the third driver of the shared AnalysisRequest / AnalysisOutcome
+/// submission model, after the CLI and AnalysisBatch.
 ///
-/// Scheduling. Analyze requests run on a server-owned ThreadPool whose
-/// workers draw from a ThreadBudget of Config::TotalThreads slots —
-/// exactly the AnalysisBatch admission scheme, so a request whose
-/// options select the parallel strategy borrows *nested* solver workers
-/// from the same budget and the process never oversubscribes
-/// (peakLiveThreads() <= TotalThreads, regardless of traffic). Admin
-/// requests (gc, metrics, ping, shutdown) are answered inline on the
-/// reading thread, ahead of queued analyses.
+/// Scheduling. Analyze requests run on a server-owned ThreadPool of
+/// Config::TotalThreads workers — exactly the AnalysisBatch scheme. Each
+/// request is solved on the one worker that picked it up, so the pool
+/// size alone bounds the requests in flight and the analysis threads.
+/// Admin requests (gc, metrics, ping, shutdown) are answered inline on
+/// the reading thread, ahead of queued analyses.
 ///
 /// Resource bounds.
-///  - In-memory: completed sessions are parked in an LRU keyed by
-///    (source, effective options, cache shard), capacity
-///    Config::SessionCapacity. A resubmitted identical request takes
-///    the parked session and re-runs it — the engine-reuse path, which
-///    replays unchanged work at zero live steps. Entries are *taken*
+///  - In-memory: completed sessions are parked in an LRU of capacity
+///    Config::SessionCapacity. A resubmitted request whose source text
+///    and effective options (cache shard included) both compare equal
+///    to a parked session's takes that session and re-runs it — the
+///    engine-reuse path, which replays unchanged work at zero live
+///    steps. Entries are *taken*
 ///    while in use, so concurrent identical requests each get their own
 ///    session (sessions are not thread-safe).
 ///  - On-disk: requests carrying a cache_key persist warm-start state
@@ -68,7 +67,6 @@
 
 namespace syntox {
 
-class ThreadBudget;
 class ThreadPool;
 
 namespace serve {
@@ -77,11 +75,9 @@ struct ServerConfig {
   /// Per-request analysis defaults; a request's "options" object
   /// overrides them member by member.
   AnalysisOptions Defaults;
-  /// Worker-slot budget shared by the request pool and nested parallel
-  /// solvers (0 = one slot per hardware thread).
+  /// Request-pool workers, and so the cap on analyze requests in
+  /// flight (0 = one per hardware thread).
   unsigned TotalThreads = 0;
-  /// Cap on analyze requests in flight at once (0 = the whole budget).
-  unsigned MaxConcurrentRequests = 0;
   /// Default admission deadline per analyze request, in milliseconds
   /// (0 = none). A request's timeout_ms member overrides it.
   unsigned RequestTimeoutMs = 0;
@@ -120,11 +116,6 @@ public:
   /// The server-wide registry every request reports into.
   MetricsRegistry &metrics() { return Metrics; }
 
-  /// Largest number of budgeted pool threads ever live at once — the
-  /// oversubscription guard's observable (<= TotalThreads). Valid both
-  /// mid-serve and after serve() returns.
-  unsigned peakLiveThreads() const;
-
 private:
   struct Pending; // one admitted analyze request
 
@@ -133,16 +124,11 @@ private:
   json::Value gcPayload();
   void writeLine(int OutFd, const json::Value &Response);
 
-  /// The parked-session cache (see file comment). Key is the exact
-  /// re-runnable identity: source text, effective options rendering,
-  /// cache shard.
-  struct ParkedSession {
-    std::string Key;
-    std::unique_ptr<AnalysisSession> Session;
-  };
-  std::unique_ptr<AnalysisSession> takeSession(const std::string &Key);
-  void parkSession(std::string Key,
-                   std::unique_ptr<AnalysisSession> Session);
+  /// The parked-session cache (see file comment): takes the session
+  /// whose source() and options() both equal \p Source and \p Opts.
+  std::unique_ptr<AnalysisSession> takeSession(const std::string &Source,
+                                               const AnalysisOptions &Opts);
+  void parkSession(std::unique_ptr<AnalysisSession> Session);
 
   ServerConfig Cfg;
   MetricsRegistry Metrics;
@@ -151,12 +137,8 @@ private:
   std::mutex WriteMutex;   ///< one response line at a time
   std::mutex SessionMutex; ///< guards Parked
   std::mutex GcMutex;      ///< one collection at a time
-  std::list<ParkedSession> Parked; ///< front = most recently used
-  std::atomic<unsigned> PeakLive{0};
-  /// The budget of the connection currently being served, so
-  /// peakLiveThreads() sees live traffic, not just finished
-  /// connections.
-  std::atomic<ThreadBudget *> ActiveBudget{nullptr};
+  /// front = most recently used
+  std::list<std::unique_ptr<AnalysisSession>> Parked;
 };
 
 } // namespace serve

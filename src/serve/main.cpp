@@ -5,8 +5,8 @@
 //
 //   syntox_serve [options]
 //     --listen=stdio | unix:PATH | tcp:PORT
-//     --threads-total=N     worker-slot budget (0 = hardware threads)
-//     --max-concurrent=N    analyze requests in flight (0 = budget)
+//     --threads-total=N     request-pool workers, the cap on analyze
+//                           requests in flight (0 = hardware threads)
 //     --timeout-ms=N        default admission deadline (0 = none)
 //     --cache-dir=DIR       root of the on-disk warm cache
 //     --cache-max-bytes=N   size cap the cache tree is collected to
@@ -58,8 +58,7 @@ void usage() {
       stderr,
       "usage: syntox_serve [options]\n"
       "  --listen=stdio|unix:PATH|tcp:PORT   transport (default stdio)\n"
-      "  --threads-total=N    worker-slot budget (0 = hardware threads)\n"
-      "  --max-concurrent=N   analyze requests in flight (0 = budget)\n"
+      "  --threads-total=N    request-pool workers (0 = hardware threads)\n"
       "  --timeout-ms=N       default admission deadline (0 = none)\n"
       "  --cache-dir=DIR      root of the on-disk warm cache\n"
       "  --cache-max-bytes=N  cache-tree size cap (0 = unbounded)\n"
@@ -167,10 +166,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg.rfind("--threads-total=", 0) == 0) {
       if (!parseUnsignedArg(Arg.substr(16), "--threads-total",
                             Cfg.TotalThreads))
-        return 2;
-    } else if (Arg.rfind("--max-concurrent=", 0) == 0) {
-      if (!parseUnsignedArg(Arg.substr(17), "--max-concurrent",
-                            Cfg.MaxConcurrentRequests))
         return 2;
     } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
       if (!parseUnsignedArg(Arg.substr(13), "--timeout-ms",

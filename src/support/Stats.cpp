@@ -56,15 +56,6 @@ std::string AnalysisStats::str() const {
                   (unsigned long long)SummaryReuses);
     Out += Buf;
   }
-  if (ParallelComponents > 0) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "*** Parallel components: %llu (%llu tasks, DAG "
-                  "width %llu)\n",
-                  (unsigned long long)ParallelComponents,
-                  (unsigned long long)ParallelTasks,
-                  (unsigned long long)ParallelDagWidth);
-    Out += Buf;
-  }
   if (DemandedComponents + SkippedByDemand > 0) {
     std::snprintf(Buf, sizeof(Buf),
                   "*** Demand cone: %llu components solved, %llu "
@@ -97,16 +88,9 @@ json::Value AnalysisStats::toJson() const {
   V.set("narrowings", static_cast<int64_t>(Narrowings));
   V.set("cache_hits", static_cast<int64_t>(CacheHits));
   V.set("cache_misses", static_cast<int64_t>(CacheMisses));
-  V.set("cache_merge_inserted", static_cast<int64_t>(CacheMergeInserted));
-  V.set("cache_merge_combined", static_cast<int64_t>(CacheMergeCombined));
-  V.set("cache_merge_discarded", static_cast<int64_t>(CacheMergeDiscarded));
-  V.set("cache_task_arenas", static_cast<int64_t>(CacheTaskArenas));
   V.set("component_skips", static_cast<int64_t>(ComponentSkips));
   V.set("skipped_steps", static_cast<int64_t>(SkippedSteps));
   V.set("summary_reuses", static_cast<int64_t>(SummaryReuses));
-  V.set("parallel_components", static_cast<int64_t>(ParallelComponents));
-  V.set("parallel_tasks", static_cast<int64_t>(ParallelTasks));
-  V.set("parallel_dag_width", static_cast<int64_t>(ParallelDagWidth));
   V.set("demanded_components", static_cast<int64_t>(DemandedComponents));
   V.set("skipped_by_demand", static_cast<int64_t>(SkippedByDemand));
   V.set("bytes_used", static_cast<int64_t>(BytesUsed));

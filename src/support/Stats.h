@@ -57,14 +57,6 @@ struct AnalysisStats {
   uint64_t Narrowings = 0;    ///< narrowing applications
   uint64_t CacheHits = 0;     ///< transfer-function cache hits (all phases)
   uint64_t CacheMisses = 0;   ///< transfer-function cache misses
-  /// Owned-mode cache merge ledger (parallel strategy only; 0 under the
-  /// serial strategies): arena entries promoted into the shared shards
-  /// at merge barriers, entries a shard already held, entries dropped
-  /// (unprofitable or shard full), and task arenas merged.
-  uint64_t CacheMergeInserted = 0;
-  uint64_t CacheMergeCombined = 0;
-  uint64_t CacheMergeDiscarded = 0;
-  uint64_t CacheTaskArenas = 0;
   /// Stable WTO elements replayed by the warm-started refinement chain
   /// instead of re-iterated, summed over all phases.
   uint64_t ComponentSkips = 0;
@@ -74,17 +66,6 @@ struct AnalysisStats {
   /// phase — rounds that left the token's entry state unchanged and
   /// reused its exit summary outright.
   uint64_t SummaryReuses = 0;
-  /// Top-level WTO components scheduled as independent tasks, summed
-  /// over all phases (parallel strategy only).
-  uint64_t ParallelComponents = 0;
-  /// Tasks in the scheduling DAG after chain contraction (parallel
-  /// strategy only; maximum over phases — the DAG is per-graph, not
-  /// per-phase).
-  uint64_t ParallelTasks = 0;
-  /// Parallel width of the scheduling DAG: the largest number of tasks
-  /// on one longest-path level. Width 1 = the schedule is a chain and
-  /// threads cannot overlap; attainable speedup is bounded by the width.
-  uint64_t ParallelDagWidth = 0;
   /// Top-level WTO elements scheduled under a demand cone, summed over
   /// all phases (demand-driven queries only; 0 on a full run).
   uint64_t DemandedComponents = 0;

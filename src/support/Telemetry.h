@@ -30,6 +30,7 @@ struct Telemetry {
   MetricsRegistry *Metrics = nullptr;
 
   bool enabled() const { return Trace || Metrics; }
+  bool operator==(const Telemetry &) const = default;
 };
 
 /// Records \p K iff tracing is on and the kind is enabled. Use the

@@ -6,31 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size worker pool over a FIFO job queue, used by the
-/// parallel fixpoint strategy to stabilize independent WTO components
-/// concurrently. Jobs may submit further jobs (the DAG scheduler enqueues
-/// successor components from inside a worker); wait() blocks until the
-/// queue is drained *and* every in-flight job has finished.
-///
-/// Oversubscription guard. When several analyses run concurrently (the
-/// AnalysisBatch scheduler), every nested parallel solver would otherwise
-/// spawn its own hardware_concurrency workers and the process would run
-/// requests x threads workers. A ThreadBudget caps the *total* number of
-/// pool workers: installing one via ThreadBudget::Scope makes every
-/// ThreadPool constructed under it (on this thread or on a worker thread
-/// of such a pool — workers inherit the budget) borrow its workers from
-/// the shared slot pool instead of spawning freely. A pool granted zero
-/// slots degrades to *inline execution*: submit() runs the job
-/// immediately on the calling thread, so nested parallelism loses
-/// concurrency but never correctness, and the number of live pool
-/// threads never exceeds the budget.
+/// A small fixed-size worker pool over a FIFO job queue: the request
+/// pool of AnalysisBatch and of the syntox_serve daemon. Each job is one
+/// whole analysis request, so the pool size alone bounds the requests in
+/// flight. wait() blocks until the queue is drained *and* every in-flight
+/// job has finished.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYNTOX_SUPPORT_THREADPOOL_H
 #define SYNTOX_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -40,111 +26,17 @@
 
 namespace syntox {
 
-/// A global worker-slot budget shared by every ThreadPool constructed
-/// under a ThreadBudget::Scope. Slots are acquired at pool construction
-/// and released at pool destruction; live/peak worker counts are tracked
-/// so tests (and ops dashboards) can assert the guard holds.
-class ThreadBudget {
-public:
-  /// \p TotalSlots = 0 means one slot per hardware thread (floor 1).
-  explicit ThreadBudget(unsigned TotalSlots = 0) {
-    if (TotalSlots == 0)
-      TotalSlots = std::thread::hardware_concurrency();
-    if (TotalSlots == 0)
-      TotalSlots = 1;
-    Total = TotalSlots;
-    Available.store(TotalSlots, std::memory_order_relaxed);
-  }
-
-  ThreadBudget(const ThreadBudget &) = delete;
-  ThreadBudget &operator=(const ThreadBudget &) = delete;
-
-  unsigned total() const { return Total; }
-
-  /// Takes up to \p Want slots; returns how many were granted (possibly
-  /// zero — the caller must then run inline).
-  unsigned acquire(unsigned Want) {
-    unsigned Avail = Available.load(std::memory_order_relaxed);
-    for (;;) {
-      unsigned Grant = Avail < Want ? Avail : Want;
-      if (Grant == 0)
-        return 0;
-      if (Available.compare_exchange_weak(Avail, Avail - Grant,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed))
-        return Grant;
-    }
-  }
-
-  void release(unsigned N) {
-    Available.fetch_add(N, std::memory_order_acq_rel);
-  }
-
-  /// Worker-thread accounting (called by pool workers).
-  void noteThreadStart() {
-    unsigned Now = Live.fetch_add(1, std::memory_order_acq_rel) + 1;
-    unsigned Seen = Peak.load(std::memory_order_relaxed);
-    while (Now > Seen &&
-           !Peak.compare_exchange_weak(Seen, Now, std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-  void noteThreadExit() { Live.fetch_sub(1, std::memory_order_acq_rel); }
-
-  unsigned liveThreads() const {
-    return Live.load(std::memory_order_acquire);
-  }
-  /// The largest number of budgeted pool workers ever alive at once —
-  /// the oversubscription guard's acceptance metric (<= total()).
-  unsigned peakLiveThreads() const {
-    return Peak.load(std::memory_order_acquire);
-  }
-
-  /// The budget governing pools constructed on the current thread, or
-  /// null (legacy behavior: pools size themselves freely).
-  static ThreadBudget *current() { return CurrentBudget; }
-
-  /// Installs a budget as the current one for the enclosing scope (and,
-  /// transitively, for the workers of every pool constructed inside it).
-  class Scope {
-  public:
-    explicit Scope(ThreadBudget &B) : Prev(CurrentBudget) {
-      CurrentBudget = &B;
-    }
-    ~Scope() { CurrentBudget = Prev; }
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-  private:
-    ThreadBudget *Prev;
-  };
-
-private:
-  friend class ThreadPool;
-  inline static thread_local ThreadBudget *CurrentBudget = nullptr;
-
-  unsigned Total = 1;
-  std::atomic<unsigned> Available{1};
-  std::atomic<unsigned> Live{0};
-  std::atomic<unsigned> Peak{0};
-};
-
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers (0 = std::thread::hardware_concurrency,
-  /// with a floor of one worker). Under a ThreadBudget::Scope the request
-  /// is capped by the available slots instead — possibly to zero workers,
-  /// in which case submit() executes jobs inline on the caller.
-  explicit ThreadPool(unsigned NumThreads = 0) {
-    if (NumThreads == 0)
-      NumThreads = std::thread::hardware_concurrency();
-    if (NumThreads == 0)
-      NumThreads = 1;
-    Budget = ThreadBudget::current();
-    if (Budget)
-      NumThreads = Granted = Budget->acquire(NumThreads);
-    Workers.reserve(NumThreads);
-    for (unsigned I = 0; I < NumThreads; ++I)
+  /// Spawns \p Size workers (0 = std::thread::hardware_concurrency,
+  /// with a floor of one worker).
+  explicit ThreadPool(unsigned Size = 0) {
+    if (Size == 0)
+      Size = std::thread::hardware_concurrency();
+    if (Size == 0)
+      Size = 1;
+    Workers.reserve(Size);
+    for (unsigned I = 0; I < Size; ++I)
       Workers.emplace_back([this] { workerLoop(); });
   }
 
@@ -159,25 +51,12 @@ public:
     WorkAvailable.notify_all();
     for (std::thread &W : Workers)
       W.join();
-    if (Budget)
-      Budget->release(Granted);
   }
 
   unsigned size() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// True when the pool was granted no budget slots and executes every
-  /// job inline on the submitting thread.
-  bool inlineMode() const { return Workers.empty(); }
-
-  /// Enqueues a job. Safe to call from worker threads. With zero workers
-  /// the job runs here and now: recursion replaces concurrency (depth is
-  /// bounded by the submitter's job-DAG depth), and wait() below is then
-  /// trivially satisfied.
+  /// Enqueues a job. Safe to call from worker threads.
   void submit(std::function<void()> Job) {
-    if (Workers.empty()) {
-      Job();
-      return;
-    }
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       Queue.push_back(std::move(Job));
@@ -195,13 +74,6 @@ public:
 
 private:
   void workerLoop() {
-    // Workers inherit the constructing thread's budget so pools created
-    // *inside a job* (a nested parallel solver) keep drawing from the
-    // same global slot pool, and they count toward its live/peak worker
-    // accounting.
-    ThreadBudget::CurrentBudget = Budget;
-    if (Budget)
-      Budget->noteThreadStart();
     for (;;) {
       std::function<void()> Job;
       {
@@ -220,13 +92,9 @@ private:
           AllDone.notify_all();
       }
     }
-    if (Budget)
-      Budget->noteThreadExit();
   }
 
   std::vector<std::thread> Workers;
-  ThreadBudget *Budget = nullptr;
-  unsigned Granted = 0;
   std::deque<std::function<void()>> Queue;
   std::mutex Mutex;
   std::condition_variable WorkAvailable;

@@ -30,20 +30,12 @@ const char *syntox::traceEventKindName(TraceEventKind K) {
     return "cache_hit";
   case TraceEventKind::CacheMiss:
     return "cache_miss";
-  case TraceEventKind::TaskEnqueue:
-    return "task_enqueue";
-  case TraceEventKind::TaskRun:
-    return "task_run";
-  case TraceEventKind::TaskComplete:
-    return "task_complete";
   case TraceEventKind::StoreDetach:
     return "store_detach";
   case TraceEventKind::ComponentSkip:
     return "component_skip";
   case TraceEventKind::DemandSkip:
     return "demand_skip";
-  case TraceEventKind::CacheMerge:
-    return "cache_merge";
   case TraceEventKind::StorePrune:
     return "store_prune";
   }
@@ -171,10 +163,6 @@ ChromeMapping chromeMapping(TraceEventKind K) {
     return {"B", "component"};
   case TraceEventKind::ComponentEnd:
     return {"E", "component"};
-  case TraceEventKind::TaskRun:
-    return {"B", "task"};
-  case TraceEventKind::TaskComplete:
-    return {"E", "task"};
   case TraceEventKind::Widening:
   case TraceEventKind::Narrowing:
     return {"i", "lattice"};
@@ -183,15 +171,11 @@ ChromeMapping chromeMapping(TraceEventKind K) {
   case TraceEventKind::CacheHit:
   case TraceEventKind::CacheMiss:
     return {"i", "cache"};
-  case TraceEventKind::TaskEnqueue:
-    return {"i", "task"};
   case TraceEventKind::StoreDetach:
     return {"i", "store"};
   case TraceEventKind::ComponentSkip:
   case TraceEventKind::DemandSkip:
     return {"i", "component"};
-  case TraceEventKind::CacheMerge:
-    return {"i", "cache"};
   case TraceEventKind::StorePrune:
     return {"i", "store"};
   }
@@ -206,10 +190,6 @@ std::string chromeName(const TraceEvent &E) {
   case TraceEventKind::ComponentEnd:
     return (E.Arg1 ? "descend component head " : "stabilize component head ") +
            std::to_string(E.Arg0);
-  case TraceEventKind::TaskRun:
-  case TraceEventKind::TaskComplete:
-  case TraceEventKind::TaskEnqueue:
-    return "task " + std::to_string(E.Arg0);
   default:
     return traceEventKindName(E.Kind);
   }

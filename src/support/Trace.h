@@ -8,20 +8,19 @@
 /// \file
 /// Event tracing for the analysis engine: a stream of typed, timestamped
 /// events (solver phases, WTO-component stabilizations, widening and
-/// narrowing applications, token unfolding, transfer-cache hits, the
-/// parallel task DAG, store detaches) collected by a TraceRecorder and
-/// rendered by exporters:
+/// narrowing applications, token unfolding, transfer-cache hits, store
+/// detaches) collected by a TraceRecorder and rendered by exporters:
 ///  - JSON-lines: one self-describing JSON object per event,
-///  - Chrome trace_event: loadable in chrome://tracing or Perfetto so the
-///    parallel task DAG shows up as overlapping spans on a per-thread
-///    timeline.
+///  - Chrome trace_event: loadable in chrome://tracing or Perfetto, with
+///    phases and component stabilizations as nested spans on a
+///    per-thread timeline.
 ///
 /// The recorder keeps one append-only buffer per recording thread; a
-/// thread touches only its own buffer while recording, so events from
-/// the parallel fixpoint strategy are collected without a lock on the
-/// hot path. take() merges the buffers into one timestamp-ordered
-/// stream and must only run while no thread is recording (the solver
-/// joins its pool before the analyzer flushes).
+/// thread touches only its own buffer while recording, so events are
+/// collected without a lock on the hot path even when the process-global
+/// store-detach hook routes events from concurrent sessions into one
+/// recorder. take() merges the buffers into one timestamp-ordered stream
+/// and must only run while no thread is recording.
 ///
 /// When tracing is off the instrumentation hooks reduce to a
 /// null-pointer check — see Telemetry.h.
@@ -56,10 +55,6 @@ enum class TraceEventKind : uint8_t {
                   ///< Arg1 = call site id, Label = routine name
   CacheHit,       ///< transfer-cache hit; Arg0 = edge, Arg1 = 0 fwd/1 bwd
   CacheMiss,      ///< transfer-cache miss; args as CacheHit
-  TaskEnqueue,    ///< parallel task became ready; Arg0 = task index
-  TaskRun,        ///< parallel task starts on a worker; Arg0 = task index,
-                  ///< Arg1 = number of top-level WTO elements in the task
-  TaskComplete,   ///< parallel task finished; Arg0 = task index
   StoreDetach,    ///< COW store payload cloned; Arg0 = entry count
   ComponentSkip,  ///< stable WTO element replayed from the warm-start
                   ///< memo instead of re-iterated; Arg0 = head vertex,
@@ -67,9 +62,6 @@ enum class TraceEventKind : uint8_t {
   DemandSkip,     ///< top-level WTO element outside the demand cone,
                   ///< excluded from the schedule for the whole run;
                   ///< Arg0 = head vertex
-  CacheMerge,     ///< transfer-cache arena merge barrier; Arg0 = entries
-                  ///< inserted into the shared shards, Arg1 = entries
-                  ///< combined with existing ones or discarded
   StorePrune,     ///< dead-slot restriction summary of one forward
                   ///< phase; Arg0 = slots dropped, Arg1 = live-slot
                   ///< total of the masks, Label = phase name

@@ -1,15 +1,14 @@
 //===- tests/core/batch_test.cpp - Cross-request batch scheduling ---------===//
 //
-// AnalysisBatch runs many sessions over one shared worker-slot budget;
+// AnalysisBatch runs many sessions on one fixed-size request pool;
 // scheduling must affect only when a request runs, never what it
 // computes. The battery here pins that: a 200-seed random corpus
-// (all four generator families, all three iteration strategies, the
-// parallel requests with the transfer cache pinned on) analyzed through
-// a batch must produce findings bitwise-identical to running each
-// program through its own sequential AnalysisSession — cold, and warm
-// through per-program persistent cache directories. A tsan build of
-// this binary doubles as the whole-analysis stress for the owned-cache
-// protocol and the budget-sharing pools.
+// (all four generator families, both iteration strategies, a third of
+// the requests with the transfer cache pinned on) analyzed through a
+// batch must produce findings bitwise-identical to running each program
+// through its own sequential AnalysisSession — cold, and warm through
+// per-program persistent cache directories. A tsan build of this binary
+// doubles as the whole-analysis stress for the request pool.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +38,8 @@ std::string corpusProgram(uint64_t Seed) {
   return G.generate(Fams[Seed % 4]);
 }
 
-/// Per-seed options sweeping the three strategies; the parallel third
-/// pins the transfer cache on so batches exercise the owned-mode cache
-/// protocol end to end.
+/// Per-seed options sweeping both strategies; every third request pins
+/// the transfer cache on so batches exercise it end to end.
 AnalysisOptions optionsFor(uint64_t Seed) {
   AnalysisOptions Opts;
   switch (Seed % 3) {
@@ -52,8 +50,7 @@ AnalysisOptions optionsFor(uint64_t Seed) {
     Opts.Strategy = IterationStrategy::Worklist;
     break;
   default:
-    Opts.Strategy = IterationStrategy::Parallel;
-    Opts.NumThreads = 2;
+    Opts.Strategy = IterationStrategy::Recursive;
     Opts.transferCache(true);
     break;
   }
@@ -102,23 +99,6 @@ TEST(AnalysisBatchTest, FrontendErrorsSurfaceAsFailedOutcomes) {
   EXPECT_FALSE(Outcomes[1].OK);
   EXPECT_FALSE(Outcomes[1].Error.empty());
   EXPECT_FALSE(Outcomes[1].Result.has_value());
-}
-
-TEST(AnalysisBatchTest, PeakLiveThreadsRespectsTheBudget) {
-  AnalysisBatch::Config Cfg;
-  Cfg.TotalThreads = 3;
-  AnalysisBatch Batch(Cfg);
-  for (uint64_t Seed = 0; Seed < 12; ++Seed) {
-    AnalysisOptions Opts;
-    // All parallel: every request tries to spawn a nested solver pool.
-    Opts.Strategy = IterationStrategy::Parallel;
-    Opts.NumThreads = 4;
-    Batch.add(corpusProgram(Seed), std::move(Opts));
-  }
-  auto Outcomes = Batch.runAll();
-  for (const auto &O : Outcomes)
-    EXPECT_TRUE(O.OK) << O.Error;
-  EXPECT_LE(Batch.peakLiveThreads(), 3u);
 }
 
 TEST(AnalysisBatchTest, ColdBatchIsBitwiseIdenticalToSequential) {

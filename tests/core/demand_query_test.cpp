@@ -7,7 +7,7 @@
 //  - cone computation unit tests on hand-built dependency digraphs
 //    (chains, diamonds, cycles, token-unfolded call graphs),
 //  - a 200-seed differential: demand answers bitwise-equal to the full
-//    solve across all three iteration strategies and all three warm
+//    solve across both iteration strategies and all three warm
 //    states (cold, warm, cache-loaded), with per-node step audits
 //    proving the out-of-cone zero-work guarantee,
 //  - the session/result API contracts: pre-run demand queries throw
@@ -36,14 +36,8 @@ using namespace syntox::test;
 namespace {
 
 IterationStrategy strategyFor(uint64_t Seed) {
-  switch (Seed % 3) {
-  case 0:
-    return IterationStrategy::Recursive;
-  case 1:
-    return IterationStrategy::Worklist;
-  default:
-    return IterationStrategy::Parallel;
-  }
+  return Seed % 3 == 1 ? IterationStrategy::Worklist
+                       : IterationStrategy::Recursive;
 }
 
 /// Every cone must be closed under graph predecessors: that closure is
@@ -216,11 +210,7 @@ TEST(DemandQueryTest, TwoHundredSeedsDemandEqualsFull) {
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
     unsigned Mode = (Seed / 3) % 3; // 0 cold, 1 warm, 2 cache-loaded
-    AnalysisOptions Opts =
-        withOptions()
-            .strategy(S)
-            .threads(S == IterationStrategy::Parallel ? 4 : 0)
-            .backwardRounds(2);
+    AnalysisOptions Opts = withOptions().strategy(S).backwardRounds(2);
 
     AnalyzedProgram P = analyzeProgram(Source, Opts);
     ASSERT_NE(P.An, nullptr);

@@ -9,7 +9,7 @@
 //  - the stride paper programs pin the precision gap the domain
 //    dimension exists for: their exit accesses straddle a bound under
 //    intervals and every check is discharged only by the product,
-//  - determinism: all three iteration strategies produce bitwise-equal
+//  - determinism: both iteration strategies produce bitwise-equal
 //    findings under every domain,
 //  - the serving substrate: warm-started chains, demand check queries
 //    and disk-cache round-trips answer bitwise-identically to cold
@@ -39,14 +39,8 @@ using namespace syntox::test;
 namespace {
 
 IterationStrategy strategyFor(uint64_t Seed) {
-  switch (Seed % 3) {
-  case 0:
-    return IterationStrategy::Recursive;
-  case 1:
-    return IterationStrategy::Worklist;
-  default:
-    return IterationStrategy::Parallel;
-  }
+  return Seed % 3 == 1 ? IterationStrategy::Worklist
+                       : IterationStrategy::Recursive;
 }
 
 bool discharged(CheckVerdict V) {
@@ -108,8 +102,7 @@ TEST(DomainDifferentialTest, ProductRefinesIntervalOnTwoHundredSeeds) {
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
-    AnalysisOptions Base = withOptions().strategy(S).threads(
-        S == IterationStrategy::Parallel ? 4 : 0);
+    AnalysisOptions Base = withOptions().strategy(S);
 
     auto P = analyzeProgram(Source, derive(Base).domain(DomainKind::Interval));
     ASSERT_TRUE(P.FE.SemaOk);
@@ -204,13 +197,10 @@ TEST(DomainDifferentialTest, StrategiesAgreeBitwisePerDomain) {
       json::Value Reference;
       bool HaveReference = false;
       for (IterationStrategy S :
-           {IterationStrategy::Recursive, IterationStrategy::Worklist,
-            IterationStrategy::Parallel}) {
+           {IterationStrategy::Recursive, IterationStrategy::Worklist}) {
         DiagnosticsEngine Diags;
         auto Session = AnalysisSession::create(
-            Source, Diags,
-            withOptions().domain(DK).strategy(S).threads(
-                S == IterationStrategy::Parallel ? 4 : 0));
+            Source, Diags, withOptions().domain(DK).strategy(S));
         ASSERT_NE(Session, nullptr) << Diags.str();
         AnalysisResult R = Session->run();
         json::Value Doc = semanticFindings(R);

@@ -6,9 +6,8 @@
 // observable result: a warm-started refinement chain must produce
 // bitwise-identical invariants, findings and envelope flags to a cold
 // chain, differing only in the work counters. This battery pins that
-// guarantee on 200 random programs and the paper's examples, across all
-// three iteration strategies; the tsan preset reruns it to check the
-// parallel strategy's shared replay bookkeeping for data races.
+// guarantee on 200 random programs and the paper's examples, across
+// both iteration strategies.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,14 +25,8 @@ using namespace syntox::test;
 namespace {
 
 IterationStrategy strategyFor(uint64_t Seed) {
-  switch (Seed % 3) {
-  case 0:
-    return IterationStrategy::Recursive;
-  case 1:
-    return IterationStrategy::Worklist;
-  default:
-    return IterationStrategy::Parallel;
-  }
+  return Seed % 3 == 1 ? IterationStrategy::Worklist
+                       : IterationStrategy::Recursive;
 }
 
 /// The findings document minus the work counters: warm and cold runs
@@ -58,11 +51,8 @@ AnalysisOptions derive(const AnalysisOptions &Base) { return Base; }
 /// actually engaged.
 uint64_t expectWarmColdIdentical(const std::string &Source,
                                  IterationStrategy S, unsigned Rounds) {
-  AnalysisOptions Base = withOptions()
-                             .terminationGoal()
-                             .strategy(S)
-                             .threads(S == IterationStrategy::Parallel ? 4 : 0)
-                             .backwardRounds(Rounds);
+  AnalysisOptions Base =
+      withOptions().terminationGoal().strategy(S).backwardRounds(Rounds);
 
   DiagnosticsEngine WarmDiags;
   auto WarmSession =
@@ -117,20 +107,15 @@ TEST(IncrementalDiffTest, TwoHundredSeedsWarmEqualsCold) {
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
 
-    auto Warm = analyzeProgram(
-        Source, withOptions()
-                    .terminationGoal()
-                    .strategy(S)
-                    .threads(S == IterationStrategy::Parallel ? 4 : 0)
-                    .backwardRounds(2)
-                    .warmStart(true));
+    auto Warm = analyzeProgram(Source, withOptions()
+                                           .terminationGoal()
+                                           .strategy(S)
+                                           .backwardRounds(2)
+                                           .warmStart(true));
     ASSERT_TRUE(Warm.FE.SemaOk);
     auto Cold = reanalyze(Warm, withOptions()
                                     .terminationGoal()
                                     .strategy(S)
-                                    .threads(S == IterationStrategy::Parallel
-                                                 ? 4
-                                                 : 0)
                                     .backwardRounds(2)
                                     .warmStart(false));
 
@@ -160,8 +145,7 @@ TEST(IncrementalDiffTest, FindingsIdenticalOnPaperPrograms) {
     SCOPED_TRACE(Source);
     uint64_t Skips = 0;
     for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist,
-          IterationStrategy::Parallel})
+         {IterationStrategy::Recursive, IterationStrategy::Worklist})
       Skips += expectWarmColdIdentical(Source, S, /*Rounds=*/3);
     EXPECT_GT(Skips, 0u) << "warm start never engaged";
   }
@@ -169,15 +153,14 @@ TEST(IncrementalDiffTest, FindingsIdenticalOnPaperPrograms) {
 
 TEST(IncrementalDiffTest, FindingsIdenticalOnRandomPrograms) {
   // Full findings-document comparison on a slice of the random battery
-  // (all three strategies per seed; the 200-seed store-level test above
+  // (both strategies per seed; the 200-seed store-level test above
   // covers breadth, this covers the serialized findings and states).
   for (uint64_t Seed = 1; Seed <= 24; ++Seed) {
     ProgramGenerator Gen(Seed * 7717);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist,
-          IterationStrategy::Parallel})
+         {IterationStrategy::Recursive, IterationStrategy::Worklist})
       expectWarmColdIdentical(Source, S, /*Rounds=*/2);
   }
 }

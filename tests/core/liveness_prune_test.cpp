@@ -36,14 +36,8 @@ using namespace syntox::test;
 namespace {
 
 IterationStrategy strategyFor(uint64_t Seed) {
-  switch (Seed % 3) {
-  case 0:
-    return IterationStrategy::Recursive;
-  case 1:
-    return IterationStrategy::Worklist;
-  default:
-    return IterationStrategy::Parallel;
-  }
+  return Seed % 3 == 1 ? IterationStrategy::Worklist
+                       : IterationStrategy::Recursive;
 }
 
 /// The findings document minus the work counters (`stats`, `metrics`):
@@ -152,9 +146,7 @@ TEST(LivenessPruneTest, TwoHundredSeedsLiveStatesMatchUnpruned) {
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
-    AnalysisOptions Base =
-        withOptions().terminationGoal().strategy(S).threads(
-            S == IterationStrategy::Parallel ? 4 : 0);
+    AnalysisOptions Base = withOptions().terminationGoal().strategy(S);
 
     auto Pruned = analyzeProgram(Source, derive(Base).prune(true));
     ASSERT_TRUE(Pruned.FE.SemaOk);
@@ -201,11 +193,9 @@ TEST(LivenessPruneTest, FindingsIdenticalOnPaperPrograms) {
   for (const char *Source : Programs) {
     SCOPED_TRACE(Source);
     for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist,
-          IterationStrategy::Parallel})
-      expectPrunedMatchesFull(
-          Source, withOptions().terminationGoal().strategy(S).threads(
-                      S == IterationStrategy::Parallel ? 4 : 0));
+         {IterationStrategy::Recursive, IterationStrategy::Worklist})
+      expectPrunedMatchesFull(Source,
+                              withOptions().terminationGoal().strategy(S));
   }
 }
 
@@ -217,9 +207,8 @@ TEST(LivenessPruneTest, FindingsIdenticalOnRandomPrograms) {
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
     IterationStrategy S = strategyFor(Seed);
-    expectPrunedMatchesFull(
-        Source, withOptions().terminationGoal().strategy(S).threads(
-                    S == IterationStrategy::Parallel ? 4 : 0));
+    expectPrunedMatchesFull(Source,
+                            withOptions().terminationGoal().strategy(S));
   }
 }
 

@@ -310,12 +310,9 @@ TEST(PersistCacheTest, PaperProgramsRoundTripAllStrategies) {
   for (const char *Source : Programs) {
     SCOPED_TRACE(Source);
     for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist,
-          IterationStrategy::Parallel}) {
+         {IterationStrategy::Recursive, IterationStrategy::Worklist}) {
       ScratchDir Dir("paper" + std::to_string(Idx++));
-      AnalysisOptions Opts =
-          withOptions().terminationGoal().strategy(S).threads(
-              S == IterationStrategy::Parallel ? 4 : 0);
+      AnalysisOptions Opts = withOptions().terminationGoal().strategy(S);
       RunOutcome Cold = runOnce(Source, Dir.str(), Opts);
       RunOutcome Warm = runOnce(Source, Dir.str(), Opts);
       ASSERT_TRUE(Cold.Ok && Warm.Ok);
@@ -334,12 +331,9 @@ TEST(PersistCacheTest, FuzzedRoundTripIdenticalFindings) {
     ProgramGenerator Gen(Seed * 12289);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = Seed % 3 == 0   ? IterationStrategy::Recursive
-                          : Seed % 3 == 1 ? IterationStrategy::Worklist
-                                          : IterationStrategy::Parallel;
-    AnalysisOptions Opts =
-        withOptions().terminationGoal().strategy(S).threads(
-            S == IterationStrategy::Parallel ? 4 : 0);
+    IterationStrategy S = Seed % 3 == 1 ? IterationStrategy::Worklist
+                                        : IterationStrategy::Recursive;
+    AnalysisOptions Opts = withOptions().terminationGoal().strategy(S);
 
     ScratchDir Dir("fuzz");
     RunOutcome Cold = runOnce(Source, Dir.str(), Opts);

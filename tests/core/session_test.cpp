@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -176,10 +175,9 @@ TEST(AnalysisSessionTest, TraceJsonLinesGolden) {
   Session->flushTrace(Sink);
 
   const std::set<std::string> Vocabulary{
-      "phase_begin", "phase_end",  "component_begin", "component_end",
-      "widening",    "narrowing",  "token_unfold",    "cache_hit",
-      "cache_miss",  "task_enqueue", "task_run",      "task_complete",
-      "store_detach", "component_skip", "demand_skip"};
+      "phase_begin",  "phase_end",      "component_begin", "component_end",
+      "widening",     "narrowing",      "token_unfold",    "cache_hit",
+      "cache_miss",   "store_detach",   "component_skip",  "demand_skip"};
   std::vector<std::string> PhaseBegins;
   int PhaseDepth = 0;
   uint64_t LastTs = 0;
@@ -219,33 +217,10 @@ TEST(AnalysisSessionTest, TraceJsonLinesGolden) {
   EXPECT_TRUE(OS2.str().empty());
 }
 
-/// K independent heavy loop nests behind a branch tree: the parallel
-/// strategy schedules them as separate tasks.
-std::string wideProgram(unsigned Leaves) {
-  std::string Out = "program gen;\nvar c : integer;\n";
-  for (unsigned I = 0; I < Leaves; ++I)
-    Out += "  x" + std::to_string(I) + ", y" + std::to_string(I) +
-           " : integer;\n";
-  Out += "begin\n  read(c);\n";
-  for (unsigned I = 0; I < Leaves; ++I) {
-    std::string X = "x" + std::to_string(I), Y = "y" + std::to_string(I);
-    Out += "  if c = " + std::to_string(I) + " then begin\n";
-    Out += "    " + X + " := 0;\n";
-    Out += "    while " + X + " < 500 do begin\n";
-    Out += "      " + Y + " := 0;\n";
-    Out += "      while " + Y + " < 500 do " + Y + " := " + Y + " + 1;\n";
-    Out += "      " + X + " := " + X + " + 1\n";
-    Out += "    end\n";
-    Out += "  end;\n";
-  }
-  Out += "  c := 0\nend.\n";
-  return Out;
-}
-
-TEST(AnalysisSessionTest, ChromeTraceOfParallelRunShowsTaskSpans) {
-  auto Session = makeSession(
-      wideProgram(4),
-      AnalysisOptions().strategy(IterationStrategy::Parallel).threads(4));
+TEST(AnalysisSessionTest, ChromeTraceOfDefaultRunIsOneBalancedThread) {
+  // An analysis runs on one thread: every span of the default run sits
+  // on a single tid, and its B/E events balance.
+  auto Session = makeSession(paper::McCarthyProgram);
   ASSERT_NE(Session, nullptr);
   Session->enableTracing();
   Session->run();
@@ -260,30 +235,26 @@ TEST(AnalysisSessionTest, ChromeTraceOfParallelRunShowsTaskSpans) {
   const json::Value *Events = Doc->find("traceEvents");
   ASSERT_TRUE(Events && Events->isArray());
 
-  // Spans balance per thread; component spans exist on worker threads.
-  std::map<int64_t, int> DepthPerTid;
-  std::set<int64_t> ComponentTids;
-  unsigned TaskSpans = 0;
+  std::set<int64_t> Tids;
+  int Depth = 0;
+  unsigned PhaseSpans = 0, ComponentSpans = 0;
   for (const json::Value &E : Events->elements()) {
     const std::string &Ph = E.find("ph")->asString();
-    int64_t Tid = E.find("tid")->asInt();
+    Tids.insert(E.find("tid")->asInt());
     const std::string &Kind = E.find("args")->find("kind")->asString();
     if (Ph == "B") {
-      ++DepthPerTid[Tid];
-      if (Kind == "component_begin")
-        ComponentTids.insert(Tid);
-      if (Kind == "task_run")
-        ++TaskSpans;
+      ++Depth;
+      PhaseSpans += Kind == "phase_begin";
+      ComponentSpans += Kind == "component_begin";
     } else if (Ph == "E") {
-      --DepthPerTid[Tid];
-      EXPECT_GE(DepthPerTid[Tid], 0);
+      --Depth;
+      EXPECT_GE(Depth, 0);
     }
   }
-  for (const auto &[Tid, Depth] : DepthPerTid)
-    EXPECT_EQ(Depth, 0) << "unbalanced spans on tid " << Tid;
-  EXPECT_GE(TaskSpans, 4u) << "one task_run span per independent component";
-  EXPECT_GE(ComponentTids.size(), 2u)
-      << "component stabilizations spread over worker threads";
+  EXPECT_EQ(Depth, 0) << "unbalanced B/E spans";
+  EXPECT_EQ(Tids.size(), 1u);
+  EXPECT_GE(PhaseSpans, 4u) << "forward, always, eventually, forward";
+  EXPECT_GT(ComponentSpans, 0u);
 }
 
 /// toJson() minus the stats/metrics counters (which legitimately differ
@@ -351,6 +322,40 @@ TEST(AnalysisSessionTest, OptionChangeForcesFreshEngine) {
   // reuse happened and the run paid a cold solve under the new knobs.
   EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
   EXPECT_GT(liveSteps(R), 0u);
+}
+
+/// Number of pruned (dead-slot) bindings over every main-routine point.
+size_t prunedBindings(const AnalysisResult &R) {
+  size_t N = 0;
+  for (const PointState &S : R.mainStates())
+    N += S.PrunedVars.size();
+  return N;
+}
+
+TEST(AnalysisSessionTest, PruneChangeForcesFreshEngine) {
+  // Engine reuse compares every option member: turning pruning off
+  // after a pruned run must rebuild the engine, not re-run the pruned
+  // one and keep reporting dead slots.
+  const char *Source = "program p;\n"
+                       "var i, n : integer;\n"
+                       "    T : array [1..100] of integer;\n"
+                       "begin\n"
+                       "  read(n);\n"
+                       "  for i := 0 to n do\n"
+                       "    read(T[i])\n"
+                       "end.\n";
+  auto Session = makeSession(Source);
+  ASSERT_NE(Session, nullptr);
+  EXPECT_GT(prunedBindings(Session->run()), 0u);
+
+  Session->options().prune(false);
+  AnalysisResult Unpruned = Session->run();
+  auto Fresh = makeSession(Source, AnalysisOptions().prune(false));
+  ASSERT_NE(Fresh, nullptr);
+  AnalysisResult Reference = Fresh->run();
+  EXPECT_EQ(prunedBindings(Reference), 0u);
+  EXPECT_EQ(prunedBindings(Unpruned), 0u);
+  EXPECT_TRUE(findingsOnly(Unpruned) == findingsOnly(Reference));
 }
 
 } // namespace

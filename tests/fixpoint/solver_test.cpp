@@ -348,17 +348,11 @@ TEST(WarmStartTest, StrategyMismatchInvalidatesMemo) {
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, WarmStartTest,
                          ::testing::Values(IterationStrategy::Recursive,
-                                           IterationStrategy::Worklist,
-                                           IterationStrategy::Parallel),
+                                           IterationStrategy::Worklist),
                          [](const auto &Info) {
-                           switch (Info.param) {
-                           case IterationStrategy::Recursive:
-                             return "Recursive";
-                           case IterationStrategy::Worklist:
-                             return "Worklist";
-                           default:
-                             return "Parallel";
-                           }
+                           return Info.param == IterationStrategy::Recursive
+                                      ? "Recursive"
+                                      : "Worklist";
                          });
 
 TEST(SolverTest, FourStepConvergenceClaim) {

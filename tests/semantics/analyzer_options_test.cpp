@@ -3,6 +3,7 @@
 // The Analyzer's configuration surface: iteration strategies must agree,
 // narrowing passes control widening overshoot, Harrison/forward-only/
 // context-insensitive modes behave as specified, and thresholds plug in.
+// Option identity (operator== and the cache-key hashes) is pinned too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,8 @@
 #include "../common/AnalysisTestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <utility>
 
 using namespace syntox;
 using namespace syntox::test;
@@ -144,6 +147,60 @@ TEST(AnalyzerOptionsTest, PhaseSnapshotsMatchSchedule) {
   EXPECT_EQ(Names[2], "eventually");
   EXPECT_EQ(Names[3], "forward");
   EXPECT_EQ(Names[4], "always");
+}
+
+TEST(AnalyzerOptionsTest, EqualityComparesEveryMember) {
+  // operator== is the one definition of "same configuration" behind
+  // engine reuse and parked-session lookup: each knob on its own must
+  // make two option sets unequal.
+  const AnalysisOptions Base;
+  EXPECT_TRUE(AnalysisOptions(Base) == Base);
+  MetricsRegistry Metrics;
+  TraceRecorder Trace;
+  const std::pair<const char *, AnalysisOptions> Variants[] = {
+      {"strategy", AnalysisOptions().strategy(IterationStrategy::Worklist)},
+      {"domain", AnalysisOptions().domain(DomainKind::Product)},
+      {"transferCache", AnalysisOptions().transferCache(false)},
+      {"adaptiveCacheThreshold", AnalysisOptions().adaptiveCacheThreshold(3)},
+      {"narrowingPasses", AnalysisOptions().narrowingPasses(2)},
+      {"backwardRounds", AnalysisOptions().backwardRounds(2)},
+      {"terminationGoal", AnalysisOptions().terminationGoal()},
+      {"backward", AnalysisOptions().backward(false)},
+      {"harrisonGfp", AnalysisOptions().harrisonGfp()},
+      {"contextInsensitive", AnalysisOptions().contextInsensitive()},
+      {"warmStart", AnalysisOptions().warmStart(false)},
+      {"prune", AnalysisOptions().prune(false)},
+      {"wideningThresholds", AnalysisOptions().wideningThresholds({0, 100})},
+      {"cacheDir", AnalysisOptions().cacheDir("warm")},
+      {"telemetry.metrics", AnalysisOptions().telemetry({nullptr, &Metrics})},
+      {"telemetry.trace", AnalysisOptions().telemetry({&Trace, nullptr})},
+  };
+  for (const auto &[Name, Variant] : Variants) {
+    EXPECT_FALSE(Variant == Base) << Name;
+    EXPECT_TRUE(AnalysisOptions(Variant) == Variant) << Name;
+  }
+}
+
+TEST(AnalyzerOptionsTest, StrategyValuesKeepCacheKeysStable) {
+  // The enumerator values feed optionsHash(), which names on-disk warm
+  // files: they must not be renumbered.
+  EXPECT_EQ(static_cast<int>(IterationStrategy::Recursive), 0);
+  EXPECT_EQ(static_cast<int>(IterationStrategy::Worklist), 1);
+
+  // The strategy shapes the recorded state but not the computed values.
+  AnalysisOptions R, W;
+  W.strategy(IterationStrategy::Worklist);
+  EXPECT_EQ(R.solverSemanticsHash(), W.solverSemanticsHash());
+  EXPECT_NE(R.optionsHash(), W.optionsHash());
+
+  // Domain and pruning change the stored values themselves.
+  AnalysisOptions Product = AnalysisOptions().domain(DomainKind::Product);
+  EXPECT_NE(R.solverSemanticsHash(), Product.solverSemanticsHash());
+  EXPECT_NE(R.solverSemanticsHash(),
+            AnalysisOptions().prune(false).solverSemanticsHash());
+  // Speed-only knobs leave both hashes alone.
+  AnalysisOptions Cached = AnalysisOptions().transferCache(true);
+  EXPECT_EQ(R.optionsHash(), Cached.optionsHash());
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 
 #include "../common/RandomProgramGen.h"
 #include "core/AnalysisRequest.h"
+#include "frontend/PaperPrograms.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -273,6 +274,13 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerErrorsAndServerSurvives) {
       {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
        "begin end.\",\"options\":{\"cache_dir\":\"/tmp/x\"}}",
        "cache_key"},
+      // Removed knobs fail loudly instead of being ignored.
+      {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
+       "begin end.\",\"options\":{\"threads\":4}}",
+       "unknown option 'threads'"},
+      {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
+       "begin end.\",\"options\":{\"strategy\":\"parallel\"}}",
+       "option 'strategy' must be"},
       {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
        "begin end.\",\"query\":\"sideways:3\"}",
        "invalid query"},
@@ -342,8 +350,6 @@ TEST(ServeConcurrencyTest, ConcurrentFindingsMatchSequential) {
                 sequentialFindings(Sources[I]))
         << "seed " << 9100 + I;
   }
-  H.finish();
-  EXPECT_LE(H.server().peakLiveThreads(), 4u);
 }
 
 TEST(ServeSessionTest, ResubmissionReusesParkedSessions) {
@@ -359,6 +365,27 @@ TEST(ServeSessionTest, ResubmissionReusesParkedSessions) {
   EXPECT_GE(H.server().metrics().counterValue("serve.session_hits"), 1u);
   EXPECT_GE(H.server().metrics().counterValue("session.engine_reuses"),
             1u);
+}
+
+TEST(ServeSessionTest, ParkedSessionIsTakenOnlyUnderEqualOptions) {
+  // The same source under another domain must not take the interval
+  // session parked by the first request: every option member is part
+  // of a parked session's identity.
+  ServeHarness H(ServerConfig{});
+  H.send(analyzeLine("interval", paper::StrideSearchProgram));
+  json::Value Interval = H.recv();
+  ASSERT_EQ(Interval.find("status")->asString(), "ok");
+  H.send(analyzeLine("product", paper::StrideSearchProgram,
+                     "\"options\":{\"domain\":\"product\"}"));
+  json::Value Product = H.recv();
+  ASSERT_EQ(Product.find("status")->asString(), "ok");
+  const json::Value &F = *Product.find("findings");
+  EXPECT_EQ(F.find("domain")->asString(), "product");
+  EXPECT_TRUE(findingsOnly(F) ==
+              sequentialFindings(paper::StrideSearchProgram,
+                                 AnalysisOptions().domain(
+                                     DomainKind::Product)));
+  EXPECT_EQ(H.server().metrics().counterValue("serve.session_hits"), 0u);
 }
 
 TEST(ServeCacheTest, CacheKeySharesShardAndGcHoldsCap) {
@@ -439,7 +466,6 @@ TEST(ServeShutdownTest, ShutdownRequestStopsAfterDraining) {
 TEST(ServeTimeoutTest, ExpiredQueuedRequestsAreShedAtAdmission) {
   ServerConfig Cfg;
   Cfg.TotalThreads = 1;
-  Cfg.MaxConcurrentRequests = 1;
   Cfg.RequestTimeoutMs = 100;
   Cfg.TestStartDelayMs = 300; // the running request blocks the queue
   ServeHarness H(Cfg);

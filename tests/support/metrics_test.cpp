@@ -31,7 +31,7 @@ TEST(MetricsTest, LookupReturnsStableReference) {
 
 TEST(MetricsTest, GaugeSetAndAccumulateMax) {
   MetricsRegistry M;
-  Gauge &G = M.gauge("parallel.tasks");
+  Gauge &G = M.gauge("graph.instances");
   G.set(5);
   G.accumulateMax(3);
   EXPECT_EQ(G.value(), 5);
@@ -58,9 +58,9 @@ TEST(MetricsTest, HistogramSummary) {
 
 TEST(MetricsTest, ConcurrentCountersAreExact) {
   MetricsRegistry M;
-  constexpr unsigned NumThreads = 4, PerThread = 10000;
+  constexpr unsigned Writers = 4, PerThread = 10000;
   std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < NumThreads; ++T)
+  for (unsigned T = 0; T < Writers; ++T)
     Threads.emplace_back([&M] {
       Counter &C = M.counter("shared");
       for (unsigned I = 0; I < PerThread; ++I)
@@ -68,7 +68,7 @@ TEST(MetricsTest, ConcurrentCountersAreExact) {
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(M.counterValue("shared"), NumThreads * PerThread);
+  EXPECT_EQ(M.counterValue("shared"), Writers * PerThread);
 }
 
 TEST(MetricsTest, SnapshotIsSortedJson) {

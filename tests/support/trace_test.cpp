@@ -63,16 +63,16 @@ TEST(TraceRecorderTest, DefaultMaskExcludesDetailKinds) {
   EXPECT_EQ(M & traceEventBit(TraceEventKind::StoreDetach), 0u);
   EXPECT_NE(M & traceEventBit(TraceEventKind::PhaseBegin), 0u);
   EXPECT_NE(M & traceEventBit(TraceEventKind::Widening), 0u);
-  EXPECT_NE(M & traceEventBit(TraceEventKind::TaskRun), 0u);
+  EXPECT_NE(M & traceEventBit(TraceEventKind::ComponentSkip), 0u);
   EXPECT_EQ(TraceRecorder::AllEvents, (1u << NumTraceEventKinds) - 1);
 }
 
 TEST(TraceRecorderTest, MultiThreadedMergePreservesPerThreadOrder) {
   TraceRecorder R(TraceRecorder::AllEvents);
-  constexpr unsigned NumThreads = 4;
+  constexpr unsigned Writers = 4;
   constexpr unsigned PerThread = 500;
   std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < NumThreads; ++T)
+  for (unsigned T = 0; T < Writers; ++T)
     Threads.emplace_back([&R, T] {
       for (unsigned I = 0; I < PerThread; ++I)
         R.record(TraceEventKind::Widening, /*Arg0=*/T, /*Arg1=*/I);
@@ -81,7 +81,7 @@ TEST(TraceRecorderTest, MultiThreadedMergePreservesPerThreadOrder) {
     T.join();
 
   std::vector<TraceEvent> Events = R.take();
-  ASSERT_EQ(Events.size(), NumThreads * PerThread);
+  ASSERT_EQ(Events.size(), Writers * PerThread);
   // Merged stream is globally timestamp-ordered.
   for (size_t I = 1; I < Events.size(); ++I)
     EXPECT_LE(Events[I - 1].TimeNs, Events[I].TimeNs);
@@ -100,8 +100,8 @@ TEST(TraceRecorderTest, MultiThreadedMergePreservesPerThreadOrder) {
     }
     LastPerThread[E.Arg0] = {E.Arg1, E.Tid};
   }
-  EXPECT_EQ(Tids.size(), NumThreads);
-  EXPECT_GE(R.numThreads(), NumThreads);
+  EXPECT_EQ(Tids.size(), Writers);
+  EXPECT_GE(R.numThreads(), Writers);
 }
 
 TEST(TraceHookTest, NoRecorderMeansNoop) {
@@ -195,7 +195,8 @@ TEST(TraceExportTest, EventKindNamesAreStable) {
                "component_begin");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::Widening), "widening");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::CacheHit), "cache_hit");
-  EXPECT_STREQ(traceEventKindName(TraceEventKind::TaskRun), "task_run");
+  EXPECT_STREQ(traceEventKindName(TraceEventKind::ComponentSkip),
+               "component_skip");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::StoreDetach),
                "store_detach");
 }
