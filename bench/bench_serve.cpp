@@ -20,7 +20,7 @@
 /// Reports programs/sec and p50/p99 response latency per wave (from the
 /// envelopes' own timing.total_ms), checks every response's findings
 /// bitwise against a direct sequential AnalysisSession run of the same
-/// source, and checks that the post-save collector held the cache tree
+/// source, and checks that the per-save evictions held the cache tree
 /// at or under its byte cap across the edit wave. Any mismatch or a
 /// cache overrun fails the run.
 ///
@@ -30,7 +30,7 @@
 ///   --cache-max-bytes=N   server cache-tree cap
 ///                         (default 8192 per program: tight enough that
 ///                         the fattest documents overflow it and the
-///                         collector must evict, loose enough that most
+///                         server must evict, loose enough that most
 ///                         edit-wave loads still warm-start)
 ///   --seed=S              corpus base seed            (default 8101)
 ///
@@ -407,7 +407,7 @@ int main(int argc, char **argv) {
   AllOk &= Edit.OK;
   AllMatch &= Edit.Matches;
 
-  // The post-save collector must have held the tree at the cap through
+  // The per-save evictions must have held the tree at the cap through
   // the whole edit wave of saves.
   uint64_t CacheBytes = treeBytes(CacheRoot);
   bool CacheHeld = CacheBytes <= CacheMaxBytes;

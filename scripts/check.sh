@@ -41,7 +41,7 @@ if [ "$NO_ASAN" -eq 0 ]; then
                store_soa_test store_product_test expr_semantics_test
                soundness_test demand_query_test liveness_prune_test
                congruence_test domain_test domain_differential_test
-               serve_test"
+               serve_test cache_gc_test"
   cmake --preset asan
   # shellcheck disable=SC2086
   cmake --build build-asan -j "$(nproc)" --target $ASAN_SUITES syntox_serve
@@ -777,6 +777,73 @@ check(by_id["alive"]["status"] == "ok", "ping failed")
 
 print(f"serve traffic OK ({len(by_id)} responses, warm == cold, "
       f"{counters.get('serve.session_hits', 0)} session hits)")
+PYEOF
+
+  # The cache cap, per save and unbounded. Eight cache_key documents
+  # (843 bytes of cache each) under a 2048-byte cap: the per-save
+  # evictions alone must hold it, so the gc that follows finds the tree
+  # under the cap and removes nothing. Then five documents on an
+  # unbounded daemon (cap 0): its gc reports the tree and keeps every
+  # file.
+  local doc='{"protocol_version":1,"id":"d%s","source":"program p; var i, n : integer; begin read(n); i := 0; while i < n do begin i := i + %s; assert(i >= 1) end end.","cache_key":"doc-%s"}\n'
+  local run name docs cap k
+  for run in capped:8:2048 unbounded:5:0; do
+    IFS=: read -r name docs cap <<< "$run"
+    mkdir -p "$dir/$name"
+    {
+      for k in $(seq 1 "$docs"); do
+        # shellcheck disable=SC2059
+        printf "$doc" "$k" "$k" "$k"
+      done
+      sleep 2
+      printf '%s\n' '{"protocol_version":1,"id":"sweep","kind":"gc"}'
+      printf '%s\n' '{"protocol_version":1,"id":"snap","kind":"metrics"}'
+    } | "$bin" --cache-dir="$dir/$name" --cache-max-bytes="$cap" \
+        > "$dir/$name.jsonl"
+  done
+  python3 - "$dir" <<'PYEOF'
+import json, os, sys
+
+def check(cond, what):
+    if not cond:
+        raise SystemExit(f"serve smoke violation: {what}")
+
+def run(name, docs):
+    with open(os.path.join(sys.argv[1], name + ".jsonl")) as f:
+        lines = [json.loads(l) for l in f]
+    ids = [r["id"] for r in lines]
+    analyses = [f"d{k}" for k in range(1, docs + 1)]
+    check(sorted(ids) == sorted(analyses + ["sweep", "snap"]),
+          f"{name}: unexpected response ids {ids}")
+    check(max(ids.index(a) for a in analyses) < ids.index("sweep"),
+          f"{name}: gc answered before every analysis finished")
+    by_id = {r["id"]: r for r in lines}
+    for a in analyses:
+        check(by_id[a]["status"] == "ok", f"{name}: analyze {a} failed")
+    tree = sum(os.path.getsize(os.path.join(d, f))
+               for d, _, fs in os.walk(os.path.join(sys.argv[1], name))
+               for f in fs)
+    return by_id["sweep"]["gc"], by_id["snap"]["metrics"]["counters"], tree
+
+gc, counters, tree = run("capped", 8)
+check(gc["max_bytes"] == 2048, f"capped: gc cap not reported: {gc}")
+check(gc["bytes_before"] <= 2048,
+      f"capped: the tree was over its cap before gc: {gc}")
+check(gc["files_removed"] == 0,
+      f"capped: gc found work the per-save evictions left: {gc}")
+check(tree <= 2048, f"capped: {tree} bytes on disk over the 2048 cap")
+evicted = counters.get("serve.gc_files_removed", 0)
+check(evicted > 0, "capped: no per-save eviction recorded")
+
+gc, counters, tree = run("unbounded", 5)
+check(gc["max_bytes"] == 0, f"unbounded: gc cap not reported: {gc}")
+check(gc["files_removed"] == 0 and gc["files_kept"] == 10,
+      f"unbounded: gc did not keep every file: {gc}")
+check(gc["bytes_after"] == gc["bytes_before"] == tree,
+      f"unbounded: gc changed the tree ({gc}, {tree} bytes on disk)")
+
+print(f"cache cap OK (per-save evictions held the cap, {evicted} files "
+      "evicted; the unbounded gc kept every file)")
 PYEOF
 
   # SIGTERM drain: the daemon holds one request in flight (start delay),

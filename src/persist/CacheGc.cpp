@@ -3,8 +3,9 @@
 #include "persist/CacheGc.h"
 
 #include <algorithm>
-#include <filesystem>
+#include <sys/stat.h>
 #include <system_error>
+#include <tuple>
 #include <vector>
 
 using namespace syntox;
@@ -14,96 +15,139 @@ namespace fs = std::filesystem;
 
 namespace {
 
-struct Entry {
-  fs::path Warm;
-  fs::path Meta; ///< empty when the sidecar is missing
-  uint64_t Bytes = 0;
-  fs::file_time_type MTime;
-};
-
 bool isWarmFile(const fs::path &P) {
   return P.extension() == ".warm" &&
          P.filename().string().rfind("syntox-", 0) == 0;
 }
 
+fs::path sidecarOf(const fs::path &Warm) {
+  fs::path Meta = Warm;
+  Meta += ".meta.json";
+  return Meta;
+}
+
+/// One stat of a regular file; false for anything else.
+bool statFile(const fs::path &P, struct stat &St) {
+  return ::stat(P.c_str(), &St) == 0 && S_ISREG(St.st_mode);
+}
+
 } // namespace
+
+CacheTree::CacheTree(const std::string &Dir)
+    : Root(fs::path(Dir).lexically_normal()) {
+  if (!Root.has_filename() && Root.has_relative_path())
+    Root = Root.parent_path(); // "dir/" names the same tree as "dir"
+}
+
+bool CacheTree::statEntry(Entry &E) {
+  struct stat St;
+  if (!statFile(E.Warm, St))
+    return false;
+  E.Inode = St.st_ino;
+  E.MTimeNs = static_cast<int64_t>(St.st_mtim.tv_sec) * 1000000000 +
+              St.st_mtim.tv_nsec;
+  E.Bytes = static_cast<uint64_t>(St.st_size);
+  E.HasMeta = statFile(sidecarOf(E.Warm), St);
+  if (E.HasMeta)
+    E.Bytes += static_cast<uint64_t>(St.st_size);
+  return true;
+}
+
+void CacheTree::add(Entry E) {
+  Total += E.Bytes;
+  Files += E.HasMeta ? 2 : 1;
+  auto It = Order.insert(Order.end(), std::move(E));
+  ByPath[It->Warm.native()] = It;
+}
+
+CacheTree::List::iterator CacheTree::erase(List::iterator It) {
+  Total -= It->Bytes;
+  Files -= It->HasMeta ? 2 : 1;
+  ByPath.erase(It->Warm.native());
+  return Order.erase(It);
+}
+
+void CacheTree::rescan() {
+  Order.clear();
+  ByPath.clear();
+  Total = Files = 0;
+  std::vector<Entry> Found;
+  std::error_code EC; // a missing directory is an empty tree
+  for (fs::recursive_directory_iterator
+           It(Root, fs::directory_options::skip_permission_denied, EC),
+       End;
+       !EC && It != End; It.increment(EC)) {
+    if (!isWarmFile(It->path()))
+      continue;
+    Entry E;
+    E.Warm = It->path().lexically_normal();
+    if (statEntry(E))
+      Found.push_back(std::move(E));
+  }
+  // Oldest first; mtime ties broken by path for determinism.
+  std::sort(Found.begin(), Found.end(), [](const Entry &A, const Entry &B) {
+    return std::tie(A.MTimeNs, A.Warm) < std::tie(B.MTimeNs, B.Warm);
+  });
+  for (Entry &E : Found)
+    add(std::move(E));
+}
+
+void CacheTree::touch(const std::string &WarmPath) {
+  Entry E;
+  E.Warm = fs::path(WarmPath).lexically_normal();
+  fs::path Rel = E.Warm.lexically_relative(Root);
+  if (Root.empty() || Rel.empty() || *Rel.begin() == ".." ||
+      !isWarmFile(E.Warm))
+    return;
+  bool Present = statEntry(E);
+  if (auto Known = ByPath.find(E.Warm.native()); Known != ByPath.end()) {
+    if (Present && E == *Known->second)
+      return; // unchanged since it was indexed: keeps its place
+    erase(Known->second);
+  }
+  if (Present)
+    add(std::move(E));
+}
+
+CacheGcResult CacheTree::shrinkTo(uint64_t MaxBytes) {
+  CacheGcResult R;
+  R.BytesBefore = Total;
+  for (auto It = Order.begin(); It != Order.end() && Total > MaxBytes;) {
+    // A save may have rewritten the victim since it was indexed (an
+    // owner may save outside its lock on the index): it is then the
+    // newest entry, not a victim.
+    Entry Now;
+    Now.Warm = It->Warm;
+    if (statEntry(Now) && !(Now == *It)) {
+      It = erase(It);
+      add(std::move(Now));
+      continue;
+    }
+    std::error_code EC;
+    bool Removed = fs::remove(It->Warm, EC);
+    if (EC) {
+      ++It; // the entry survived: it keeps counting
+      continue;
+    }
+    if (Removed) // else the file was already gone
+      ++R.FilesRemoved;
+    if (It->HasMeta && fs::remove(sidecarOf(It->Warm), EC))
+      ++R.FilesRemoved;
+    // Drop the directories this emptied, up to but excluding the root.
+    for (fs::path D = It->Warm.parent_path(); !D.empty() && D != Root;
+         D = D.parent_path())
+      if (!fs::remove(D, EC))
+        break;
+    It = erase(It);
+  }
+  R.BytesAfter = Total;
+  R.FilesKept = Files;
+  return R;
+}
 
 CacheGcResult persist::gcCacheDir(const std::string &Dir,
                                   uint64_t MaxBytes) {
-  CacheGcResult R;
-  std::error_code EC;
-  if (Dir.empty() || !fs::is_directory(Dir, EC))
-    return R;
-
-  std::vector<Entry> Entries;
-  for (fs::recursive_directory_iterator
-           It(Dir, fs::directory_options::skip_permission_denied, EC),
-       End;
-       !EC && It != End; It.increment(EC)) {
-    if (!It->is_regular_file(EC) || !isWarmFile(It->path()))
-      continue;
-    Entry E;
-    E.Warm = It->path();
-    E.Bytes = fs::file_size(E.Warm, EC);
-    if (EC)
-      continue;
-    E.MTime = fs::last_write_time(E.Warm, EC);
-    if (EC)
-      continue;
-    fs::path Meta = E.Warm;
-    Meta += ".meta.json";
-    if (fs::is_regular_file(Meta, EC))
-      E.Meta = Meta;
-    if (!E.Meta.empty())
-      E.Bytes += fs::file_size(E.Meta, EC);
-    Entries.push_back(std::move(E));
-  }
-
-  for (const Entry &E : Entries)
-    R.BytesBefore += E.Bytes;
-  R.BytesAfter = R.BytesBefore;
-
-  // Oldest first; mtime ties broken by path for determinism.
-  std::sort(Entries.begin(), Entries.end(),
-            [](const Entry &A, const Entry &B) {
-              if (A.MTime != B.MTime)
-                return A.MTime < B.MTime;
-              return A.Warm < B.Warm;
-            });
-
-  size_t Victim = 0;
-  for (; Victim < Entries.size() && R.BytesAfter > MaxBytes; ++Victim) {
-    const Entry &E = Entries[Victim];
-    std::error_code DelEC;
-    if (!fs::remove(E.Warm, DelEC) || DelEC)
-      continue; // keep counting its bytes: the entry survived
-    ++R.FilesRemoved;
-    if (!E.Meta.empty() && fs::remove(E.Meta, DelEC) && !DelEC)
-      ++R.FilesRemoved;
-    R.BytesAfter -= std::min<uint64_t>(R.BytesAfter, E.Bytes);
-  }
-  for (const Entry &E : Entries)
-    if (fs::exists(E.Warm, EC)) {
-      ++R.FilesKept;
-      if (!E.Meta.empty() && fs::exists(E.Meta, EC))
-        ++R.FilesKept;
-    }
-
-  // Drop per-document shard directories a collection emptied out.
-  std::vector<fs::path> Dirs;
-  for (fs::recursive_directory_iterator
-           It(Dir, fs::directory_options::skip_permission_denied, EC),
-       End;
-       !EC && It != End; It.increment(EC))
-    if (It->is_directory(EC))
-      Dirs.push_back(It->path());
-  std::sort(Dirs.begin(), Dirs.end(),
-            [](const fs::path &A, const fs::path &B) {
-              return A.string().size() > B.string().size();
-            });
-  for (const fs::path &D : Dirs)
-    if (fs::is_empty(D, EC) && !EC)
-      fs::remove(D, EC);
-
-  return R;
+  CacheTree Tree(Dir);
+  Tree.rescan();
+  return Tree.shrinkTo(MaxBytes);
 }

@@ -3,7 +3,7 @@
 #include "serve/Server.h"
 
 #include "frontend/Fingerprint.h"
-#include "persist/CacheGc.h"
+#include "persist/WarmCache.h"
 #include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 
@@ -38,7 +38,11 @@ struct Server::Pending {
   Clock::time_point Enqueued;
 };
 
-Server::Server(ServerConfig Cfg) : Cfg(std::move(Cfg)) {}
+Server::Server(ServerConfig Cfg)
+    : Cfg(std::move(Cfg)), CacheIndex(this->Cfg.CacheDir) {
+  if (this->Cfg.CacheMaxBytes)
+    CacheIndex.rescan(); // the one walk; saves then update it per entry
+}
 Server::~Server() = default;
 
 std::unique_ptr<AnalysisSession>
@@ -58,9 +62,13 @@ Server::takeSession(const std::string &Source, const AnalysisOptions &Opts) {
 void Server::parkSession(std::unique_ptr<AnalysisSession> Session) {
   if (Cfg.SessionCapacity == 0)
     return;
+  // Declared before the lock, so an evicted session is destroyed after
+  // SessionMutex is released instead of stalling takeSession/parkSession.
+  std::unique_ptr<AnalysisSession> Evicted;
   std::lock_guard<std::mutex> Lock(SessionMutex);
   Parked.push_front(std::move(Session));
-  while (Parked.size() > Cfg.SessionCapacity) {
+  if (Parked.size() > Cfg.SessionCapacity) {
+    Evicted = std::move(Parked.back());
     Parked.pop_back();
     Metrics.counter("serve.session_evictions").inc();
   }
@@ -83,7 +91,13 @@ json::Value Server::gcPayload() {
   persist::CacheGcResult G;
   {
     std::lock_guard<std::mutex> Lock(GcMutex);
-    G = persist::gcCacheDir(Cfg.CacheDir, Cfg.CacheMaxBytes);
+    // A full pass over the tree on disk. To gcCacheDir a cap of 0 means
+    // "collect everything", so an unbounded daemon's pass only reports.
+    G = persist::gcCacheDir(Cfg.CacheDir, Cfg.CacheMaxBytes
+                                              ? Cfg.CacheMaxBytes
+                                              : UINT64_MAX);
+    if (Cfg.CacheMaxBytes)
+      CacheIndex.rescan();
   }
   Metrics.counter("serve.gc_runs").inc();
   Metrics.counter("serve.gc_files_removed").inc(G.FilesRemoved);
@@ -94,6 +108,16 @@ json::Value Server::gcPayload() {
   V.set("files_kept", G.FilesKept);
   V.set("max_bytes", Cfg.CacheMaxBytes);
   return V;
+}
+
+void Server::evictAfterSave(const std::string &WarmPath) {
+  persist::CacheGcResult G;
+  {
+    std::lock_guard<std::mutex> Lock(GcMutex);
+    CacheIndex.touch(WarmPath);
+    G = CacheIndex.shrinkTo(Cfg.CacheMaxBytes);
+  }
+  Metrics.counter("serve.gc_files_removed").inc(G.FilesRemoved);
 }
 
 void Server::runAnalyze(std::shared_ptr<Pending> P, int OutFd) {
@@ -164,8 +188,10 @@ void Server::runAnalyze(std::shared_ptr<Pending> P, int OutFd) {
 
   if (O.OK)
     parkSession(std::move(Session));
-  if (O.OK && !Opts.CacheDir.empty() && Cfg.CacheMaxBytes)
-    gcPayload(); // hold the tree under its cap after every save
+  // Hold the tree under its cap after every save (demand runs never
+  // save).
+  if (O.OK && !O.Demand && !Opts.CacheDir.empty() && Cfg.CacheMaxBytes)
+    evictAfterSave(persist::cacheFilePath(Opts.CacheDir, Opts));
 
   writeLine(OutFd, Resp);
 }

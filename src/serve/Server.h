@@ -31,9 +31,16 @@
 ///  - On-disk: requests carrying a cache_key persist warm-start state
 ///    under CacheDir/<fnv1a(cache_key)>/ (one shard per client
 ///    document, so distinct documents never fight over one cache
-///    file). After every save the server collects the tree down to
-///    Config::CacheMaxBytes, oldest entries first (persist/CacheGc.h);
-///    the `gc` admin request forces a collection.
+///    file). Under a Config::CacheMaxBytes cap the server keeps an
+///    in-memory index of the tree (persist::CacheTree), seeded by one
+///    walk at construction: after every full run that saved, it
+///    re-stats just that entry and evicts the oldest entries until the
+///    tree is back under the cap, so the cap holds after every save
+///    without walking the tree again. The `gc` admin request runs a
+///    full collection (persist::gcCacheDir) and re-seeds the index from
+///    disk — the way to reconcile anything written into the tree behind
+///    the daemon's back. An unbounded daemon (cap 0) keeps no index,
+///    and its `gc` reports the tree without deleting anything.
 ///
 /// Timeouts are enforced at admission: the solver has no preemption
 /// point, so a deadline cannot cancel a running fixpoint — instead a
@@ -54,6 +61,7 @@
 #define SYNTOX_SERVE_SERVER_H
 
 #include "core/AnalysisRequest.h"
+#include "persist/CacheGc.h"
 #include "serve/Protocol.h"
 #include "support/Metrics.h"
 
@@ -85,7 +93,7 @@ struct ServerConfig {
   /// name their shard with cache_key; requests without one never touch
   /// the disk.
   std::string CacheDir;
-  /// Size cap the post-save collector holds the cache tree to
+  /// Size cap the cache tree is held to after every save
   /// (0 = unbounded).
   uint64_t CacheMaxBytes = 0;
   /// Capacity of the parked-session LRU (0 = parking disabled).
@@ -122,6 +130,9 @@ private:
   void handleLine(const std::string &Line, ThreadPool &Pool, int OutFd);
   void runAnalyze(std::shared_ptr<Pending> P, int OutFd);
   json::Value gcPayload();
+  /// Re-indexes the entry a save just wrote at \p WarmPath and evicts
+  /// down to the cap.
+  void evictAfterSave(const std::string &WarmPath);
   void writeLine(int OutFd, const json::Value &Response);
 
   /// The parked-session cache (see file comment): takes the session
@@ -136,9 +147,11 @@ private:
   std::atomic<bool> ShutdownRequested{false};
   std::mutex WriteMutex;   ///< one response line at a time
   std::mutex SessionMutex; ///< guards Parked
-  std::mutex GcMutex;      ///< one collection at a time
   /// front = most recently used
   std::list<std::unique_ptr<AnalysisSession>> Parked;
+  std::mutex GcMutex; ///< guards CacheIndex: one eviction or gc at a time
+  /// The cache tree's entries and bytes (empty when unbounded).
+  persist::CacheTree CacheIndex;
 };
 
 } // namespace serve

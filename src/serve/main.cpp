@@ -9,7 +9,8 @@
 //                           requests in flight (0 = hardware threads)
 //     --timeout-ms=N        default admission deadline (0 = none)
 //     --cache-dir=DIR       root of the on-disk warm cache
-//     --cache-max-bytes=N   size cap the cache tree is collected to
+//     --cache-max-bytes=N   size cap the cache tree is held to after
+//                           every save (0 = unbounded)
 //     --sessions=N          parked-session LRU capacity
 //     --test-start-delay-ms=N   test hook (see ServerConfig)
 //   plus every shared analysis flag (--strategy=, --rounds=, ...) as

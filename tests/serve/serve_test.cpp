@@ -9,7 +9,9 @@
 //    serving) and mid-stream disconnect (a clean drain, never a hang);
 //  - concurrent-vs-sequential determinism over a random corpus;
 //  - the resource bounds: parked-session reuse, per-document disk-cache
-//    shards, and the size-capped cache GC under an edit wave;
+//    shards, the cache cap held after every save of an edit wave and
+//    from the first save of a restarted daemon, and a gc that deletes
+//    nothing on an unbounded daemon;
 //  - graceful drain with requests in flight, admission timeouts, and
 //    the admin requests (gc, metrics, ping, shutdown).
 //
@@ -396,8 +398,9 @@ TEST(ServeCacheTest, CacheKeySharesShardAndGcHoldsCap) {
   Cfg.CacheMaxBytes = 24 * 1024;
   ServeHarness H(Cfg);
 
-  // Edit wave over many distinct documents: every save is followed by a
-  // collection, so the tree never rests above the cap.
+  // Edit wave over many distinct documents: every save is followed by an
+  // eviction from the server's index, so the tree never rests above the
+  // cap.
   const unsigned Docs = 12;
   unsigned Sent = 0;
   for (unsigned Wave = 0; Wave < 2; ++Wave)
@@ -419,17 +422,90 @@ TEST(ServeCacheTest, CacheKeySharesShardAndGcHoldsCap) {
   // The warm path actually engaged: some run loaded recorded state.
   EXPECT_GE(H.server().metrics().counterValue("persist.saved"), 1u);
 
-  // The gc admin request reports a tree at or under the cap, and the
-  // bytes on disk agree.
+  // The per-save evictions alone held the cap: the tree is under it
+  // before any gc, and the gc admin request, a full pass over the disk,
+  // finds nothing left to remove.
+  EXPECT_LE(treeBytes(Dir), Cfg.CacheMaxBytes);
+  EXPECT_GE(H.server().metrics().counterValue("serve.gc_files_removed"), 1u);
   H.send(adminLine("gc", "gc"));
   json::Value Gc = H.recv();
   ASSERT_EQ(Gc.find("status")->asString(), "ok");
   const json::Value &P = *Gc.find("gc");
+  EXPECT_EQ(P.find("files_removed")->asInt(), 0);
   EXPECT_LE(P.find("bytes_after")->asInt(),
             static_cast<int64_t>(Cfg.CacheMaxBytes));
   EXPECT_LE(treeBytes(Dir), Cfg.CacheMaxBytes);
 
   H.finish();
+  std::error_code EC;
+  fs::remove_all(Dir, EC);
+}
+
+/// Sends \p Docs cache_key analyses of distinct generated documents
+/// (seeds from \p Seed) and expects every answer ok.
+void analyzeDocs(ServeHarness &H, unsigned Docs, unsigned Seed) {
+  for (unsigned D = 0; D < Docs; ++D) {
+    ProgramGenerator G(Seed + D, /*WithAssertions=*/true);
+    H.send(analyzeLine("d" + std::to_string(D), G.generate(),
+                       "\"cache_key\":\"doc-" + std::to_string(Seed + D) +
+                           "\""));
+  }
+  auto ById = H.recvAll(Docs);
+  ASSERT_EQ(ById.size(), Docs);
+  for (const auto &KV : ById)
+    EXPECT_EQ(KV.second.find("status")->asString(), "ok") << KV.first;
+}
+
+TEST(ServeCacheTest, GcOnAnUnboundedDaemonDeletesNothing) {
+  // CacheMaxBytes 0 means unbounded: a gc request reports the tree and
+  // must not read the 0 as "collect everything".
+  namespace fs = std::filesystem;
+  fs::path Dir = freshDir("syntox_serve_gc_unbounded_test");
+  ServerConfig Cfg;
+  Cfg.CacheDir = Dir.string();
+  ServeHarness H(Cfg);
+  analyzeDocs(H, 5, 7800);
+  uint64_t Bytes = treeBytes(Dir);
+  ASSERT_GT(Bytes, 0u);
+
+  H.send(adminLine("gc", "gc"));
+  json::Value Gc = H.recv();
+  ASSERT_EQ(Gc.find("status")->asString(), "ok");
+  const json::Value &P = *Gc.find("gc");
+  EXPECT_EQ(P.find("files_removed")->asInt(), 0);
+  EXPECT_EQ(P.find("files_kept")->asInt(), 10); // 5 .warm + 5 sidecars
+  EXPECT_EQ(P.find("bytes_before")->asInt(), static_cast<int64_t>(Bytes));
+  EXPECT_EQ(P.find("bytes_after")->asInt(), static_cast<int64_t>(Bytes));
+  EXPECT_EQ(P.find("max_bytes")->asInt(), 0);
+  EXPECT_EQ(treeBytes(Dir), Bytes);
+
+  H.finish();
+  std::error_code EC;
+  fs::remove_all(Dir, EC);
+}
+
+TEST(ServeCacheTest, RestartedServerHoldsASmallerCapFromItsFirstSave) {
+  // A second daemon over the first one's tree seeds its index from the
+  // disk, so its very first save already evicts down to its own cap.
+  namespace fs = std::filesystem;
+  fs::path Dir = freshDir("syntox_serve_gc_restart_test");
+  ServerConfig Cfg;
+  Cfg.CacheDir = Dir.string();
+  {
+    ServeHarness First(Cfg);
+    analyzeDocs(First, 12, 7900);
+  }
+  uint64_t Bytes = treeBytes(Dir);
+  ASSERT_GT(Bytes, 0u);
+
+  Cfg.CacheMaxBytes = Bytes / 2;
+  ServeHarness Second(Cfg);
+  analyzeDocs(Second, 1, 8000);
+  EXPECT_LE(treeBytes(Dir), Cfg.CacheMaxBytes);
+  EXPECT_GE(Second.server().metrics().counterValue("serve.gc_files_removed"),
+            1u);
+
+  Second.finish();
   std::error_code EC;
   fs::remove_all(Dir, EC);
 }
