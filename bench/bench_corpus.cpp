@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -121,12 +122,17 @@ const std::string &dirFor(const CorpusProgram &P, DirUse Use) {
   }
 }
 
-/// Sequential reference: one AnalysisSession per program, run back to
-/// back on this thread.
+/// Sequential reference: one AnalysisSession per program, created and
+/// run back to back on this thread. The wave times what a batch's
+/// runAll() does: each session's creation and run. Rendering the
+/// findings and destroying the sessions happen after the clock stops,
+/// as they do for the batch.
 WaveResult runSequential(const std::vector<CorpusProgram> &Corpus,
                          const AnalysisOptions &Base, DirUse Use) {
   WaveResult W;
   MetricsRegistry Metrics;
+  std::vector<std::unique_ptr<AnalysisSession>> Sessions;
+  std::vector<AnalysisResult> Results;
   auto WaveStart = std::chrono::steady_clock::now();
   for (const CorpusProgram &P : Corpus) {
     AnalysisOptions Opts = Base;
@@ -141,20 +147,23 @@ WaveResult runSequential(const std::vector<CorpusProgram> &Corpus,
       continue;
     }
     auto Start = std::chrono::steady_clock::now();
-    AnalysisResult R = Session->run();
+    Results.push_back(Session->run());
     W.PerRequest.push_back(std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - Start)
                                .count());
-    W.Findings.push_back(findingsOnly(R));
+    Sessions.push_back(std::move(Session));
   }
   W.Seconds = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - WaveStart)
                   .count();
+  for (const AnalysisResult &R : Results)
+    W.Findings.push_back(findingsOnly(R));
   harvestCacheCounters(Metrics, W);
   return W;
 }
 
-/// Batch execution on one request pool of \p BatchSlots workers.
+/// Batch execution on one request pool of \p BatchSlots workers. add()
+/// only queues, so the timed runAll() creates and runs every session.
 WaveResult runBatch(const std::vector<CorpusProgram> &Corpus,
                     const AnalysisOptions &Base, DirUse Use,
                     unsigned BatchSlots) {

@@ -607,13 +607,15 @@ print(f"demand benchmark OK ({len(report['rows'])} rows, every query a "
 EOF
 
 echo "== batch-corpus smoke test =="
-# A small corpus through both serving paths: the binary itself exits
+# The default corpus through both serving paths: the binary itself exits
 # non-zero if any batch wave's findings diverge from the sequential
 # reference, and the report it writes is validated against the bench
-# schema below. (The request pool gets its concurrency stress from
-# batch_test and serve_test, which the tsan preset above runs with the
-# rest of ctest.)
-build-ci/bench/bench_corpus --programs=24 --batch=4 \
+# schema below. 200 programs, not fewer: on a 24-program corpus one
+# stalled request decides a wave, and the aggregate speedup spread
+# 1.3-3.0x over six runs. (The request pool gets its concurrency stress
+# from batch_test and serve_test, which the tsan preset above runs with
+# the rest of ctest.)
+build-ci/bench/bench_corpus --programs=200 --batch=4 \
     --out="$OUT/BENCH_corpus.json" > /dev/null
 
 python3 - "$OUT" <<'EOF'
@@ -651,9 +653,11 @@ check(report["batch_matches_sequential"] is True,
       "batch_matches_sequential is not true")
 # The throughput claim only makes sense with real parallel hardware:
 # on a single-core host the batch path measures overlap overhead, so
-# the wall-clock assertion is gated on hardware_threads >= 2.
+# the wall-clock assertion is gated on hardware_threads >= 2. The floor
+# is half the lowest of eight runs on 4 hardware threads (2.63-3.34x,
+# EXPERIMENTS.md E-build).
 if report["hardware_threads"] >= 2:
-    check(report["aggregate_speedup"] > 1.0,
+    check(report["aggregate_speedup"] >= 1.3,
           f"aggregate batch speedup {report['aggregate_speedup']:.2f}x "
           f"on {report['hardware_threads']} hardware threads")
     print("batch-corpus smoke test OK "
@@ -777,6 +781,32 @@ check(by_id["alive"]["status"] == "ok", "ping failed")
 
 print(f"serve traffic OK ({len(by_id)} responses, warm == cold, "
       f"{counters.get('serve.session_hits', 0)} session hits)")
+PYEOF
+
+  # One engine build per request: a fresh daemon analyzing a program of
+  # three activation instances (main and two unfoldings of q) reports
+  # interproc.instances exactly once, so the counter reads 3.
+  {
+    printf '%s\n' '{"protocol_version":1,"id":"rec","source":"program p; procedure q(n : integer); begin if n > 0 then q(n - 1) end; begin q(3) end."}'
+    sleep 1
+    printf '%s\n' '{"protocol_version":1,"id":"snap","kind":"metrics"}'
+  } | "$bin" > "$dir/instances.jsonl"
+  python3 - "$dir/instances.jsonl" <<'PYEOF'
+import json, sys
+
+by_id = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        resp = json.loads(line)
+        by_id[resp["id"]] = resp
+if by_id.get("rec", {}).get("status") != "ok":
+    raise SystemExit(f"serve smoke violation: analyze failed: {by_id}")
+counters = by_id["snap"]["metrics"]["counters"]
+n = counters.get("interproc.instances")
+if n != 3:
+    raise SystemExit("serve smoke violation: interproc.instances reads "
+                     f"{n} for a 3-instance program (one build per request)")
+print("engine build counted once (interproc.instances == 3)")
 PYEOF
 
   # The cache cap, per save and unbounded. Eight cache_key documents

@@ -15,12 +15,7 @@ unsigned AnalysisBatch::add(AnalysisRequest R) {
   // requests may report into it freely.
   R.Opts.Telem.Metrics = &Metrics;
   Request Q;
-  Q.Query = R.Query;
-  DiagnosticsEngine Diags;
-  Q.Session = AnalysisSession::create(std::move(R.Source), Diags,
-                                      std::move(R.Opts));
-  if (!Q.Session)
-    Q.Error = Diags.str();
+  Q.Submitted = std::move(R);
   Requests.push_back(std::move(Q));
   return Index;
 }
@@ -40,12 +35,21 @@ std::vector<AnalysisBatch::Outcome> AnalysisBatch::runAll() {
       Pool.submit([this, I, &Outcomes] {
         Request &R = Requests[I];
         Outcome &O = Outcomes[I];
+        if (!R.Validated) {
+          R.Validated = true;
+          DiagnosticsEngine Diags;
+          R.Session = AnalysisSession::create(std::move(R.Submitted.Source),
+                                              Diags,
+                                              std::move(R.Submitted.Opts));
+          if (!R.Session)
+            R.Error = Diags.str();
+        }
         if (!R.Session) {
           O.Index = static_cast<unsigned>(I);
           O.Error = R.Error;
           return;
         }
-        O = runRequest(*R.Session, R.Query);
+        O = runRequest(*R.Session, R.Submitted.Query);
         O.Index = static_cast<unsigned>(I);
         Metrics.histogram("batch.request_seconds").observe(O.Seconds);
       });

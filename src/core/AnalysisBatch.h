@@ -32,7 +32,6 @@
 #include "core/AnalysisRequest.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,10 +49,9 @@ public:
   explicit AnalysisBatch(Config Cfg) : Cfg(Cfg) {}
 
   /// Queues \p R (the shared submission type — source, options,
-  /// optional demand query) and returns its request index. The program
-  /// is validated here; a frontend error is recorded and surfaces as a
-  /// failed outcome (runAll never throws for it). Telemetry metrics
-  /// are routed to the batch registry.
+  /// optional demand query) and returns its request index. Nothing is
+  /// parsed or built here: the first runAll() validates each program
+  /// on the pool. Telemetry metrics are routed to the batch registry.
   unsigned add(AnalysisRequest R);
 
   /// Convenience: a full-analysis request for \p Source under \p Opts.
@@ -69,8 +67,12 @@ public:
   using Outcome = AnalysisOutcome;
 
   /// Runs every queued request to completion and returns the outcomes in
-  /// add() order. May be called again (e.g. a warm second wave): each
-  /// call re-runs all requests.
+  /// add() order. The first call creates each request's session on the
+  /// pool worker that runs it (one frontend and engine build per
+  /// request, which the run then adopts); a frontend error becomes that
+  /// request's failed outcome (runAll never throws for it). May be
+  /// called again (e.g. a warm second wave): each call re-runs all
+  /// requests on their sessions.
   std::vector<Outcome> runAll();
 
   /// The batch-owned registry all sessions report into. Snapshot it for
@@ -79,9 +81,12 @@ public:
 
 private:
   struct Request {
+    /// The submission. The first runAll() moves its source and options
+    /// into the session; the query serves every run.
+    AnalysisRequest Submitted;
+    bool Validated = false; ///< the first runAll() ran the frontend
     std::unique_ptr<AnalysisSession> Session; ///< null on frontend error
-    std::optional<DemandSpec> Query;
-    std::string Error;
+    std::string Error; ///< frontend diagnostics
   };
 
   Config Cfg;

@@ -66,14 +66,17 @@ std::unique_ptr<AnalysisSession>
 AnalysisSession::create(std::string Source, DiagnosticsEngine &Diags,
                         AnalysisOptions Opts) {
   // Validate the program up front so run() cannot fail: frontend errors
-  // surface here, once, with diagnostics.
-  std::unique_ptr<AbstractDebugger> Probe =
-      AbstractDebugger::create(Source, Diags, Opts);
-  if (!Probe)
-    return nullptr;
+  // surface here, once, with diagnostics. The validation build is the
+  // engine itself, built under the telemetry run() installs, so the
+  // first run adopts it instead of building the program again.
   std::unique_ptr<AnalysisSession> S(new AnalysisSession());
   S->Source = std::move(Source);
   S->Opts = std::move(Opts);
+  S->installTelemetry();
+  S->Engine = AbstractDebugger::create(S->Source, Diags, S->Opts);
+  if (!S->Engine)
+    return nullptr;
+  S->EngineOpts = S->Opts;
   return S;
 }
 
@@ -90,6 +93,12 @@ void AnalysisSession::flushTrace(TraceSink &Sink) {
     Trace->flushTo(Sink);
 }
 
+void AnalysisSession::installTelemetry() {
+  Opts.Telem.Trace = Trace.get();
+  if (!Opts.Telem.Metrics)
+    Opts.Telem.Metrics = &Metrics;
+}
+
 std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
     bool ForDemand) {
   // Reuse requires: we kept an engine, nothing else can observe it (a
@@ -104,8 +113,11 @@ std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
                   EngineOpts == Opts &&
                   (ForDemand ? !Engine->Analyzed : !Engine->DemandAnalyzed);
   if (Reusable) {
-    if (MetricsRegistry *M = Opts.Telem.Metrics)
-      M->counter("session.engine_reuses").inc();
+    // Adopting the engine create() validated with is the first run's
+    // build, not a reuse: only an engine that has run before counts.
+    if (Engine->Analyzed || Engine->DemandAnalyzed)
+      if (MetricsRegistry *M = Opts.Telem.Metrics)
+        M->counter("session.engine_reuses").inc();
     return Engine;
   }
   DiagnosticsEngine Diags;
@@ -149,9 +161,7 @@ void AnalysisSession::savePersistCache(const AbstractDebugger &Dbg) {
 }
 
 AnalysisResult AnalysisSession::run() {
-  Opts.Telem.Trace = Trace.get();
-  if (!Opts.Telem.Metrics)
-    Opts.Telem.Metrics = &Metrics;
+  installTelemetry();
 
   // Store detaches happen inside a value type with no telemetry
   // context; route them through the process-global hook for the
@@ -174,9 +184,7 @@ AnalysisResult AnalysisSession::run() {
 }
 
 DemandResult AnalysisSession::runDemandQuery(const DemandSpec &Spec) {
-  Opts.Telem.Trace = Trace.get();
-  if (!Opts.Telem.Metrics)
-    Opts.Telem.Metrics = &Metrics;
+  installTelemetry();
 
   TraceRecorder *DetachHook =
       Trace && Trace->wants(TraceEventKind::StoreDetach) ? Trace.get()

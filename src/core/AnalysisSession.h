@@ -7,7 +7,8 @@
 ///
 /// \file
 /// The preferred entry point to the abstract debugger: an AnalysisSession
-/// holds a validated program plus the analysis configuration and the
+/// holds a program's analysis engine (built once, when create()
+/// validates the source) plus the analysis configuration and the
 /// telemetry plumbing (an owned MetricsRegistry, an optional owned
 /// TraceRecorder); run() executes the full schedule and returns an
 /// *immutable* AnalysisResult that owns every finding — necessary
@@ -26,14 +27,19 @@
 /// after every full run, so the CLI, AnalysisBatch and syntox_serve all
 /// share one entry path — the engine itself knows nothing about disk.
 ///
-/// Engine reuse: run() keeps the analyzed engine and, when nothing
-/// observable holds a reference to it (no live AnalysisResult) and the
-/// configuration is unchanged, re-analyzes it in place — the in-memory
-/// warm-start chain then replays stable components at zero live steps,
-/// which is what makes resubmit-after-edit traffic cheap for a
-/// long-lived server. Results are bitwise-identical either way; only
-/// iteration counters differ. Any outstanding result pins the engine
-/// and forces the next run onto a fresh one, preserving immutability.
+/// Engine reuse: the first run adopts the engine create() built to
+/// validate the program, so a fresh session parses and lowers its
+/// source once. Changing options() or calling enableTracing() before
+/// that run rebuilds it, like any option change (the engine captures
+/// its telemetry sinks at construction). After a run, run() keeps the
+/// analyzed engine and, when nothing observable holds a reference to it
+/// (no live AnalysisResult) and the configuration is unchanged,
+/// re-analyzes it in place — the in-memory warm-start chain then
+/// replays stable components at zero live steps, which is what makes
+/// resubmit-after-edit traffic cheap for a long-lived server. Results
+/// are bitwise-identical either way; only iteration counters differ.
+/// Any outstanding result pins the engine and forces the next run onto
+/// a fresh one, preserving immutability.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -187,11 +193,15 @@ private:
   json::Value MetricsSnapshot;
 };
 
-/// A validated program plus configuration; factory of AnalysisResults.
+/// A program's engine plus configuration; factory of AnalysisResults.
 class AnalysisSession {
 public:
-  /// Parses and validates \p Source. Returns null (with diagnostics in
-  /// \p Diags) when the program has frontend errors.
+  /// Parses and validates \p Source, building the engine the first
+  /// run() adopts. Returns null (with diagnostics in \p Diags) when the
+  /// program has frontend errors. The build reports into the registry
+  /// \p Opts names, else the session's own, and records no trace
+  /// events; enableTracing() before the first run makes that run
+  /// rebuild the engine under the recorder, so the trace covers it.
   static std::unique_ptr<AnalysisSession>
   create(std::string Source, DiagnosticsEngine &Diags,
          AnalysisOptions Opts = {});
@@ -246,10 +256,15 @@ public:
 private:
   AnalysisSession() = default;
   DemandResult runDemandQuery(const DemandSpec &Spec);
+  /// Points Opts' telemetry at the sinks a run reports into: the
+  /// recorder of enableTracing() (or none) and the caller's registry,
+  /// else the session's own.
+  void installTelemetry();
   /// The engine the next run will use: the kept one when it is
   /// uniquely owned, compatible with the current options, and \p
   /// ForDemand-admissible; a freshly created one otherwise. Bumps the
-  /// "session.engine_reuses" counter on reuse.
+  /// "session.engine_reuses" counter when the kept engine has run
+  /// before (adopting create()'s engine is not a reuse).
   std::shared_ptr<AbstractDebugger> engineForRun(bool ForDemand);
   /// One-time per-engine load of the persistent warm cache, with the
   /// persist.* telemetry counters. No-op without CacheDir/WarmStart.
@@ -262,7 +277,8 @@ private:
   AnalysisOptions Opts;
   MetricsRegistry Metrics;
   std::unique_ptr<TraceRecorder> Trace;
-  /// The engine of the last run, kept for warm reuse. A live
+  /// The engine create() built, then the engine of the last run, kept
+  /// for the next run to adopt or reuse warm. A live
   /// AnalysisResult/DemandResult shares ownership, which is exactly
   /// the reuse gate: use_count() > 1 means someone can observe the
   /// engine, so the next run must not touch it.

@@ -50,15 +50,6 @@ public:
     return Preds[Node];
   }
 
-  /// Returns the graph with every edge reversed.
-  Digraph reversed() const {
-    Digraph R(numNodes());
-    for (unsigned U = 0; U < numNodes(); ++U)
-      for (unsigned V : Succs[U])
-        R.addEdge(V, U);
-    return R;
-  }
-
 private:
   std::vector<std::vector<unsigned>> Succs;
   std::vector<std::vector<unsigned>> Preds;

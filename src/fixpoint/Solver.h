@@ -25,7 +25,7 @@
 ///     using Value = ...;
 ///     unsigned numNodes() const;
 ///     const Digraph &graph() const;          // dependency graph
-///     std::vector<unsigned> roots() const;   // where iteration starts
+///     const Wto &wto() const;                // WTO of graph()
 ///     Value initialValue(unsigned Node, bool FromTop) const;
 ///     // Evaluate the RHS of equation Node given current values.
 ///     Value evaluate(unsigned Node, const std::vector<Value> &X) const;
@@ -54,6 +54,11 @@
 /// (detected at compile time; absent means "always unchanged", which is
 /// correct for closed systems whose equations read only other nodes).
 ///
+/// The WTO, and with it the per-element member and feeder tables the
+/// warm and demand schedules use, comes from the system: its owner
+/// builds it once per dependency graph and every solve of the system
+/// iterates the same order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYNTOX_FIXPOINT_SOLVER_H
@@ -63,7 +68,6 @@
 #include "fixpoint/Wto.h"
 #include "support/Telemetry.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <type_traits>
@@ -201,8 +205,8 @@ public:
   };
 
   FixpointSolver(const System &Sys, Options Opts)
-      : Sys(Sys), Opts(Opts), Order(Sys.graph(), Sys.roots()),
-        Trace(Opts.Telem.Trace) {}
+      : Sys(Sys), Opts(Opts), Order(Sys.wto()), Trace(Opts.Telem.Trace),
+        NumElems(static_cast<unsigned>(Order.elements().size())) {}
 
   /// Runs the solver and returns the per-node solution.
   std::vector<Value> solve() {
@@ -281,44 +285,14 @@ private:
       return true;
   }
 
-  /// Fills the node -> top-level-element maps (idempotent; shared by the
-  /// warm-start and demand preparations).
-  void prepareElements() {
-    if (!ElemOf.empty())
-      return;
-    unsigned N = Sys.numNodes();
-    NumElems = static_cast<unsigned>(Order.elements().size());
-    ElemOf.assign(N, 0);
-    ElemVerts.assign(NumElems, {});
-    for (unsigned V = 0; V < N; ++V) {
-      ElemOf[V] = Order.topElement(V);
-      ElemVerts[ElemOf[V]].push_back(V);
-    }
-  }
-
   void prepareWarm() {
     if (!Opts.Memo)
       return;
     Recording = true;
     unsigned N = Sys.numNodes();
-    prepareElements();
-    // External feeders: nodes outside the element with an edge into it.
-    // They live in strictly earlier top-level elements, so their values
-    // are final for the current sweep by the time the element runs.
-    ElemFeeders.assign(NumElems, {});
-    for (unsigned E = 0; E < NumElems; ++E) {
-      for (unsigned V : ElemVerts[E])
-        for (unsigned U : Sys.graph().preds(V))
-          if (ElemOf[U] != E)
-            ElemFeeders[E].push_back(U);
-      std::sort(ElemFeeders[E].begin(), ElemFeeders[E].end());
-      ElemFeeders[E].erase(
-          std::unique(ElemFeeders[E].begin(), ElemFeeders[E].end()),
-          ElemFeeders[E].end());
-    }
     SeedClean.assign(NumElems, 1);
     for (unsigned E = 0; E < NumElems; ++E)
-      for (unsigned V : ElemVerts[E])
+      for (unsigned V : Order.members(E))
         if (!nodeInputsUnchanged(V)) {
           SeedClean[E] = 0;
           break;
@@ -340,7 +314,7 @@ private:
     ElemMembersValid.assign(NumElems, 1);
     if (WarmReplay && !M.NodeValid.empty())
       for (unsigned E = 0; E < NumElems; ++E)
-        for (unsigned V : ElemVerts[E])
+        for (unsigned V : Order.members(E))
           if (!M.NodeValid[V]) {
             ElemMembersValid[E] = 0;
             break;
@@ -402,12 +376,11 @@ private:
       return;
     Demand = true;
     unsigned N = Sys.numNodes();
-    prepareElements();
     const std::vector<uint8_t> &D = *Opts.DemandNodes;
     ElemDemanded.assign(NumElems, 0);
     for (unsigned V = 0; V < N && V < D.size(); ++V)
       if (D[V])
-        ElemDemanded[ElemOf[V]] = 1;
+        ElemDemanded[Order.topElement(V)] = 1;
     for (unsigned E = 0; E < NumElems; ++E) {
       if (ElemDemanded[E]) {
         ++Stats.DemandedComponents;
@@ -421,7 +394,7 @@ private:
       if (WarmReplay) {
         const std::vector<Value> &B = Opts.Memo->Boundaries.back();
         const std::vector<uint8_t> &NV = Opts.Memo->NodeValid;
-        for (unsigned V : ElemVerts[E])
+        for (unsigned V : Order.members(E))
           if (NV.empty() || NV[V])
             X[V] = B[V];
       }
@@ -437,7 +410,7 @@ private:
   /// Whether \p V belongs to a scheduled element (worklist activation
   /// filter; element-exact because demand flags are — see above).
   bool nodeDemanded(unsigned V) const {
-    return !Demand || ElemDemanded[ElemOf[V]] != 0;
+    return !Demand || ElemDemanded[Order.topElement(V)] != 0;
   }
 
   void beginSweep() {
@@ -472,8 +445,10 @@ private:
       return false;
     const std::vector<Value> &B = Opts.Memo->Boundaries[CurBoundary];
     const std::vector<uint8_t> &NV = Opts.Memo->NodeValid;
-    for (unsigned U : ElemFeeders[E])
-      if (!Matched[ElemOf[U]] &&
+    // External feeders live in strictly earlier top-level elements, so
+    // their values are final for the current sweep by now.
+    for (unsigned U : Order.feeders(E))
+      if (!Matched[Order.topElement(U)] &&
           ((!NV.empty() && !NV[U]) || !Sys.equal(X[U], B[U])))
         return false;
     return true;
@@ -485,7 +460,7 @@ private:
   void replayElement(unsigned E, bool Descending, bool &Changed) {
     const WarmStartMemo<Value> &M = *Opts.Memo;
     const std::vector<Value> &B = M.Boundaries[CurBoundary];
-    for (unsigned V : ElemVerts[E])
+    for (unsigned V : Order.members(E))
       X[V] = B[V];
     Matched[E] = 1;
     bool Flag = M.ElemChanged[CurBoundary][E] != 0;
@@ -507,7 +482,7 @@ private:
         CurBoundary >= Opts.Memo->Boundaries.size())
       return;
     const std::vector<Value> &B = Opts.Memo->Boundaries[CurBoundary];
-    for (unsigned V : ElemVerts[E])
+    for (unsigned V : Order.members(E))
       if (!Sys.equal(X[V], B[V]))
         return;
     Matched[E] = 1;
@@ -657,15 +632,15 @@ private:
         // provably stable (that is what the replay check verified), so
         // evaluating them could neither change a value nor activate a
         // successor; drop them with the element.
-        while (!Pending.empty() && ElemOf[*Pending.begin()] == E)
+        while (!Pending.empty() && Order.topElement(*Pending.begin()) == E)
           Pending.erase(Pending.begin());
         replayElement(E, /*Descending=*/false, Ignored);
         continue;
       }
-      for (unsigned V : ElemVerts[E])
+      for (unsigned V : Order.members(E))
         Pending.insert(V);
       uint64_t Before = Stats.AscendingSteps;
-      while (!Pending.empty() && ElemOf[*Pending.begin()] == E)
+      while (!Pending.empty() && Order.topElement(*Pending.begin()) == E)
         Step();
       SweepChangedBuf[E] = 1;
       SweepStepsBuf[E] = Stats.AscendingSteps - Before;
@@ -760,8 +735,9 @@ private:
 
   const System &Sys;
   Options Opts;
-  Wto Order;
+  const Wto &Order; ///< the system's, built once by its owner
   TraceRecorder *Trace; ///< null = tracing off
+  unsigned NumElems; ///< top-level WTO elements
   std::vector<Value> X;
   SolverStats Stats;
   /// Per-node live evaluation counts (see nodeLiveSteps()).
@@ -774,11 +750,7 @@ private:
   // Warm-start state; all empty/false when Options::Memo is null.
   bool Recording = false;  ///< memo present: record this run into it
   bool WarmReplay = false; ///< memo valid: replay stable elements
-  unsigned NumElems = 0;
   unsigned CurBoundary = 0; ///< sweep boundary the current sweep targets
-  std::vector<unsigned> ElemOf; ///< node -> top-level element index
-  std::vector<std::vector<unsigned>> ElemVerts;
-  std::vector<std::vector<unsigned>> ElemFeeders;
   std::vector<uint8_t> SeedClean;
   std::vector<uint8_t> ElemMembersValid;
   std::vector<uint8_t> Matched;

@@ -152,6 +152,31 @@ Wto::Wto(const Digraph &Graph, const std::vector<unsigned> &Roots) {
   TopElem.assign(Graph.numNodes(), 0);
   for (unsigned I = 0; I < Elements.size(); ++I)
     markTopElement(Elements[I], I, TopElem);
+
+  unsigned NumElems = static_cast<unsigned>(Elements.size());
+  MemberStart.assign(NumElems + 1, 0);
+  for (unsigned V = 0; V < Graph.numNodes(); ++V)
+    ++MemberStart[TopElem[V] + 1];
+  for (unsigned E = 0; E < NumElems; ++E)
+    MemberStart[E + 1] += MemberStart[E];
+  MemberList.resize(Graph.numNodes());
+  std::vector<unsigned> Next(MemberStart.begin(), MemberStart.end() - 1);
+  for (unsigned V = 0; V < Graph.numNodes(); ++V)
+    MemberList[Next[TopElem[V]]++] = V;
+
+  FeederStart.reserve(NumElems + 1);
+  FeederStart.push_back(0);
+  for (unsigned E = 0; E < NumElems; ++E) {
+    size_t First = FeederList.size();
+    for (unsigned V : members(E))
+      for (unsigned U : Graph.preds(V))
+        if (TopElem[U] != E)
+          FeederList.push_back(U);
+    std::sort(FeederList.begin() + First, FeederList.end());
+    FeederList.erase(std::unique(FeederList.begin() + First, FeederList.end()),
+                     FeederList.end());
+    FeederStart.push_back(static_cast<unsigned>(FeederList.size()));
+  }
 }
 
 std::vector<unsigned> Wto::wideningPoints() const {

@@ -21,6 +21,7 @@
 
 #include "fixpoint/Digraph.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,14 @@ struct WtoElement {
   std::vector<WtoElement> Body;  ///< nested elements (components only)
 };
 
-/// The WTO of a digraph.
+/// The WTO of a digraph, with the per-element tables the solver's warm
+/// starts and demand solves schedule by. An equation system's owner
+/// builds it once and every solve of that system reuses it.
 class Wto {
 public:
+  /// The empty order (of the empty graph).
+  Wto() = default;
+
   /// Computes a WTO by Bourdoncle's hierarchical-decomposition algorithm
   /// (depth-first, Tarjan-style). Unreachable vertices (from \p Roots)
   /// are appended as plain vertices at the end.
@@ -61,6 +67,18 @@ public:
   /// granule of demand solves.
   unsigned topElement(unsigned Vertex) const { return TopElem[Vertex]; }
 
+  /// The vertices of top-level element \p Elem, in increasing order.
+  std::span<const unsigned> members(unsigned Elem) const {
+    return slice(MemberStart, MemberList, Elem);
+  }
+
+  /// The external feeders of top-level element \p Elem: the vertices
+  /// outside it with an edge into it, sorted and unique. They all lie in
+  /// earlier top-level elements.
+  std::span<const unsigned> feeders(unsigned Elem) const {
+    return slice(FeederStart, FeederList, Elem);
+  }
+
   /// All widening points (component heads), in order.
   std::vector<unsigned> wideningPoints() const;
 
@@ -68,11 +86,21 @@ public:
   std::string str() const;
 
 private:
+  static std::span<const unsigned> slice(const std::vector<unsigned> &Start,
+                                         const std::vector<unsigned> &List,
+                                         unsigned Elem) {
+    return {List.data() + Start[Elem], List.data() + Start[Elem + 1]};
+  }
+
   std::vector<WtoElement> Elements;
   std::vector<bool> Head;
   std::vector<unsigned> Position;
   std::vector<unsigned> Depth;
   std::vector<unsigned> TopElem;
+  /// members(E) is MemberList[MemberStart[E], MemberStart[E + 1]), and
+  /// likewise for feeders.
+  std::vector<unsigned> MemberStart, MemberList;
+  std::vector<unsigned> FeederStart, FeederList;
 };
 
 } // namespace syntox

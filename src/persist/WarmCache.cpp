@@ -33,36 +33,24 @@ std::string hex64(uint64_t V) {
 // Element keys
 //===----------------------------------------------------------------------===//
 
-void collectMembers(const WtoElement &E, std::vector<unsigned> &Out) {
-  Out.push_back(E.Vertex);
-  for (const WtoElement &Sub : E.Body)
-    collectMembers(Sub, Out);
-}
-
-/// Content key of one top-level WTO element: the hash of its sorted
+/// Content key of each top-level WTO element: the hash of its sorted
 /// member node keys. Stable under any reordering of unrelated elements
 /// and under edits that leave the member routines' fingerprints alone.
-uint64_t elementKey(const WtoElement &E,
-                    const std::vector<uint64_t> &NodeKeys) {
-  std::vector<unsigned> Members;
-  collectMembers(E, Members);
-  std::vector<uint64_t> Keys;
-  Keys.reserve(Members.size());
-  for (unsigned V : Members)
-    Keys.push_back(NodeKeys[V]);
-  std::sort(Keys.begin(), Keys.end());
-  uint64_t K = fpMix(fpSeed(), Keys.size());
-  for (uint64_t Key : Keys)
-    K = fpMix(K, Key);
-  return K;
-}
-
 std::vector<uint64_t> elementKeys(const Wto &Order,
                                   const std::vector<uint64_t> &NodeKeys) {
   std::vector<uint64_t> Keys;
   Keys.reserve(Order.elements().size());
-  for (const WtoElement &E : Order.elements())
-    Keys.push_back(elementKey(E, NodeKeys));
+  std::vector<uint64_t> MemberKeys;
+  for (unsigned E = 0; E < Order.elements().size(); ++E) {
+    MemberKeys.clear();
+    for (unsigned V : Order.members(E))
+      MemberKeys.push_back(NodeKeys[V]);
+    std::sort(MemberKeys.begin(), MemberKeys.end());
+    uint64_t K = fpMix(fpSeed(), MemberKeys.size());
+    for (uint64_t Key : MemberKeys)
+      K = fpMix(K, Key);
+    Keys.push_back(K);
+  }
   return Keys;
 }
 
@@ -344,10 +332,10 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
   const StableIds &Ids = G.stableIds();
   unsigned N = G.numNodes();
 
-  Wto FwdOrder(An.forwardDependencies(), An.forwardRoots());
-  Wto BwdOrder(An.backwardDependencies(), An.backwardRoots());
-  std::vector<uint64_t> FwdElemKeys = elementKeys(FwdOrder, Ids.nodeKeys());
-  std::vector<uint64_t> BwdElemKeys = elementKeys(BwdOrder, Ids.nodeKeys());
+  std::vector<uint64_t> FwdElemKeys =
+      elementKeys(An.forwardOrder(), Ids.nodeKeys());
+  std::vector<uint64_t> BwdElemKeys =
+      elementKeys(An.backwardOrder(), Ids.nodeKeys());
 
   StorePoolWriter Pool(Ids);
 
@@ -568,10 +556,10 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     RecOfNew[I] >= 0 ? ++Res.RestoredNodes : ++Res.InvalidatedNodes;
 
   // Current WTO element keys per system, and the recorded-key lookup.
-  Wto FwdOrder(An.forwardDependencies(), An.forwardRoots());
-  Wto BwdOrder(An.backwardDependencies(), An.backwardRoots());
-  std::vector<uint64_t> FwdElemKeys = elementKeys(FwdOrder, Ids.nodeKeys());
-  std::vector<uint64_t> BwdElemKeys = elementKeys(BwdOrder, Ids.nodeKeys());
+  std::vector<uint64_t> FwdElemKeys =
+      elementKeys(An.forwardOrder(), Ids.nodeKeys());
+  std::vector<uint64_t> BwdElemKeys =
+      elementKeys(An.backwardOrder(), Ids.nodeKeys());
   std::unordered_map<uint64_t, unsigned> RecFwdByKey =
       indexByKey(RecFwdElemKeys);
   std::unordered_map<uint64_t, unsigned> RecBwdByKey =

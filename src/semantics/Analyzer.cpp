@@ -17,6 +17,9 @@ namespace {
 struct SystemBase {
   const SuperGraph &G;
   const StoreOps &Ops;
+  /// The system's dependency digraph and WTO, owned by the Analyzer.
+  const Digraph &Dep;
+  const Wto &Order;
   /// The shared transfer cache, or null when caching is off. Owned by
   /// the Analyzer; the fwd/bwd systems consult it per Local edge.
   TransferCache *Cache;
@@ -27,11 +30,15 @@ struct SystemBase {
   /// provably unchanged) unless the Analyzer filled it in.
   std::vector<uint8_t> ExternalUnchanged;
 
-  SystemBase(const SuperGraph &G, const StoreOps &Ops,
-             TransferCache *Cache = nullptr)
-      : G(G), Ops(Ops), Cache(Cache) {}
+  SystemBase(const SuperGraph &G, const StoreOps &Ops, const Digraph &Dep,
+             const Wto &Order, TransferCache *Cache)
+      : G(G), Ops(Ops), Dep(Dep), Order(Order), Cache(Cache) {}
 
   using Value = AbstractStore;
+
+  unsigned numNodes() const { return G.numNodes(); }
+  const Digraph &graph() const { return Dep; }
+  const Wto &wto() const { return Order; }
 
   bool externalInputsUnchanged(unsigned Node) const {
     return Node < ExternalUnchanged.size() && ExternalUnchanged[Node];
@@ -53,10 +60,7 @@ struct SystemBase {
 
 /// Builds the forward dependency digraph: every supergraph edge, plus
 /// the NodeP -> NodeQ dependency of the copy-out/channel-out transfers
-/// (they read the frozen caller store at NodeP). Shared between the
-/// ForwardSystem the solver iterates and the public
-/// Analyzer::forwardDependencies() the persistence layer keys WTO
-/// elements from — one builder, so they cannot diverge.
+/// (they read the frozen caller store at NodeP).
 Digraph buildForwardDep(const SuperGraph &G) {
   Digraph Dep(G.numNodes());
   for (const SuperEdge &E : G.edges()) {
@@ -87,18 +91,13 @@ struct ForwardSystem : SystemBase {
   /// values.
   const LivenessInfo *Live;
   mutable uint64_t PrunedSlots = 0;
-  Digraph Dep;
 
-  ForwardSystem(const SuperGraph &G, const StoreOps &Ops,
-                const Transfer &Xfer, TransferCache *Cache,
+  ForwardSystem(const SuperGraph &G, const StoreOps &Ops, const Digraph &Dep,
+                const Wto &Order, const Transfer &Xfer, TransferCache *Cache,
                 const std::vector<AbstractStore> *Envelope,
                 const LivenessInfo *Live)
-      : SystemBase(G, Ops, Cache), Xfer(Xfer), Envelope(Envelope),
-        Live(Live), Dep(buildForwardDep(G)) {}
-
-  unsigned numNodes() const { return G.numNodes(); }
-  const Digraph &graph() const { return Dep; }
-  std::vector<unsigned> roots() const { return {G.mainEntry()}; }
+      : SystemBase(G, Ops, Dep, Order, Cache), Xfer(Xfer),
+        Envelope(Envelope), Live(Live) {}
 
   AbstractStore initialValue(unsigned, bool) const {
     return AbstractStore::bottom();
@@ -150,19 +149,13 @@ struct BackwardSystem : SystemBase {
   const Transfer &Xfer;
   const std::vector<AbstractStore> &Envelope;
   std::vector<AbstractStore> Seeds;
-  Digraph Dep;
 
-  BackwardSystem(const SuperGraph &G, const StoreOps &Ops,
-                 const Transfer &Xfer, TransferCache *Cache,
+  BackwardSystem(const SuperGraph &G, const StoreOps &Ops, const Digraph &Dep,
+                 const Wto &Order, const Transfer &Xfer, TransferCache *Cache,
                  const std::vector<AbstractStore> &Envelope)
-      : SystemBase(G, Ops, Cache), Xfer(Xfer), Envelope(Envelope),
-        Dep(buildBackwardDep(G)) {
+      : SystemBase(G, Ops, Dep, Order, Cache), Xfer(Xfer), Envelope(Envelope) {
     Seeds.assign(G.numNodes(), AbstractStore::bottom());
   }
-
-  unsigned numNodes() const { return G.numNodes(); }
-  const Digraph &graph() const { return Dep; }
-  std::vector<unsigned> roots() const { return {G.mainExit()}; }
 
   AbstractStore initialValue(unsigned, bool FromTop) const {
     return FromTop ? AbstractStore::top() : AbstractStore::bottom();
@@ -232,6 +225,12 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts)
   Graph = std::make_unique<SuperGraph>(Cfg, Program, Ops, Exprs, Xfer,
                                        this->Opts.ContextInsensitive,
                                        this->Opts.Telem);
+  // Both directions' equation orders depend only on the supergraph:
+  // build them once, for every phase, demand cone and cache load/save.
+  FwdDep = buildForwardDep(*Graph);
+  BwdDep = buildBackwardDep(*Graph);
+  FwdOrder = Wto(FwdDep, {Graph->mainEntry()});
+  BwdOrder = Wto(BwdDep, {Graph->mainExit()});
   // Adaptive transfer cache: unless the caller pinned the cache
   // explicitly (--cache/--no-cache), enable it once the token unfolding
   // is large enough that shared transfer results start repeating across
@@ -261,22 +260,6 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program)
     : Analyzer(Cfg, Program, Options()) {}
 
 Analyzer::~Analyzer() = default;
-
-Digraph Analyzer::forwardDependencies() const {
-  return buildForwardDep(*Graph);
-}
-
-Digraph Analyzer::backwardDependencies() const {
-  return buildBackwardDep(*Graph);
-}
-
-std::vector<unsigned> Analyzer::forwardRoots() const {
-  return {Graph->mainEntry()};
-}
-
-std::vector<unsigned> Analyzer::backwardRoots() const {
-  return {Graph->mainExit()};
-}
 
 Analyzer::WarmSlot &Analyzer::chainSlot(PhaseSig Sig) {
   unsigned Ord = ChainOrdinal++;
@@ -407,7 +390,8 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
                        const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  ForwardSystem Sys(*Graph, Ops, Xfer, Cache.get(), Env, Live.get());
+  ForwardSystem Sys(*Graph, Ops, FwdDep, FwdOrder, Xfer, Cache.get(), Env,
+                    Live.get());
   FixpointSolver<ForwardSystem>::Options SolverOpts;
   SolverOpts.Kind = Opts.HarrisonGfp ? FixpointKind::Gfp : FixpointKind::Lfp;
   SolverOpts.Strategy = Opts.Strategy;
@@ -457,7 +441,7 @@ Analyzer::solveBackward(bool Eventually,
                         const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  BackwardSystem Sys(*Graph, Ops, Xfer, Cache.get(), Env);
+  BackwardSystem Sys(*Graph, Ops, BwdDep, BwdOrder, Xfer, Cache.get(), Env);
   if (Eventually) {
     // Seeds: the intermittent assertions (and optionally termination).
     for (const Instance &Inst : Graph->instances()) {
@@ -563,15 +547,13 @@ void Analyzer::runDemand(const std::vector<unsigned> &QueryNodes) {
   // under its phase's dependency-graph predecessors — the invariant
   // Solver::Options::DemandNodes requires for exact sub-solutions.
   std::vector<PlannedPhase> Plan = phasePlan();
-  Digraph Fwd = buildForwardDep(*Graph);
-  Digraph Bwd = buildBackwardDep(*Graph);
   std::vector<std::vector<uint8_t>> Masks(Plan.size());
   std::vector<unsigned> Want = QueryNodes;
   for (size_t I = Plan.size(); I-- > 0;) {
     const Digraph &Dep = (Plan[I].Sig == PhaseSig::Always ||
                           Plan[I].Sig == PhaseSig::Eventually)
-                             ? Bwd
-                             : Fwd;
+                             ? BwdDep
+                             : FwdDep;
     Masks[I] = dependencyCone(Dep, Want);
     Want.clear();
     for (unsigned V = 0; V < Masks[I].size(); ++V)

@@ -181,13 +181,15 @@ public:
   /// configuration, so value verification alone cannot catch a
   /// semantics mismatch.
   bool importWarmFrom(const Analyzer &Other);
-  /// The forward / backward dependency digraphs — built by the same
-  /// shared helpers the internal equation systems use, so WTOs derived
-  /// from them can never diverge from the ones the solver iterated.
-  Digraph forwardDependencies() const;
-  Digraph backwardDependencies() const;
-  std::vector<unsigned> forwardRoots() const;
-  std::vector<unsigned> backwardRoots() const;
+  /// The forward / backward dependency digraphs and their WTOs (rooted
+  /// at the main entry / exit). Built once at construction, these are
+  /// the very objects every phase's solver iterates, so the demand
+  /// cones and the persisted element keys derived from them describe
+  /// exactly the solved systems.
+  const Digraph &forwardDependencies() const { return FwdDep; }
+  const Digraph &backwardDependencies() const { return BwdDep; }
+  const Wto &forwardOrder() const { return FwdOrder; }
+  const Wto &backwardOrder() const { return BwdOrder; }
   /// True when the transfer cache is live (explicitly requested, or
   /// auto-enabled by the instance-count heuristic).
   bool transferCacheEnabled() const { return Cache != nullptr; }
@@ -231,6 +233,8 @@ private:
   Transfer Xfer;
   std::unique_ptr<TransferCache> Cache;
   std::unique_ptr<SuperGraph> Graph;
+  Digraph FwdDep, BwdDep;
+  Wto FwdOrder, BwdOrder;
   std::unique_ptr<LivenessInfo> Live;
   uint64_t PrunedSlotsRun = 0;
   std::vector<AbstractStore> Forward;

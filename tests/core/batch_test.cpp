@@ -15,6 +15,7 @@
 #include "core/AnalysisBatch.h"
 
 #include "../common/RandomProgramGen.h"
+#include "frontend/PaperPrograms.h"
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,55 @@ TEST(AnalysisBatchTest, FrontendErrorsSurfaceAsFailedOutcomes) {
   EXPECT_FALSE(Outcomes[1].OK);
   EXPECT_FALSE(Outcomes[1].Error.empty());
   EXPECT_FALSE(Outcomes[1].Result.has_value());
+}
+
+TEST(AnalysisBatchTest, AddOnlyQueuesAndRunAllBuildsEachProgramOnce) {
+  // add() parses nothing; the first runAll() builds each program once
+  // on the pool, and the run adopts that build. The batch registry's
+  // construction counters therefore hold exactly one build per program.
+  std::vector<std::string> Sources = {
+      "program p; procedure q(n : integer); "
+      "begin if n > 0 then q(n - 1) end; begin q(3) end.",
+      paper::mcCarthyK(12)};
+  for (uint64_t Seed = 0; Seed < 8; ++Seed)
+    Sources.push_back(corpusProgram(Seed));
+
+  uint64_t Instances = 0, AutoCached = 0;
+  for (const std::string &Source : Sources) {
+    DiagnosticsEngine Diags;
+    auto Session = AnalysisSession::create(Source, Diags);
+    ASSERT_NE(Session, nullptr) << Diags.str();
+    size_t N = Session->run().analyzer().graph().instances().size();
+    Instances += N;
+    AutoCached += N >= AnalysisOptions().AdaptiveCacheInstanceThreshold;
+  }
+  ASSERT_GE(AutoCached, 1u);
+
+  AnalysisBatch::Config Cfg;
+  Cfg.TotalThreads = 2;
+  AnalysisBatch Batch(Cfg);
+  for (const std::string &Source : Sources)
+    Batch.add(Source);
+  Batch.add("program broken; begin x := end.");
+  EXPECT_EQ(Batch.metrics().counterValue("interproc.instances"), 0u);
+
+  auto Outcomes = Batch.runAll();
+  ASSERT_EQ(Outcomes.size(), Sources.size() + 1);
+  for (size_t I = 0; I < Sources.size(); ++I)
+    EXPECT_TRUE(Outcomes[I].OK) << Outcomes[I].Error;
+  EXPECT_FALSE(Outcomes.back().OK);
+  EXPECT_FALSE(Outcomes.back().Error.empty());
+  EXPECT_EQ(Batch.metrics().counterValue("interproc.instances"), Instances);
+  EXPECT_EQ(Batch.metrics().counterValue("cache.auto_enabled"), AutoCached);
+  EXPECT_EQ(Batch.metrics().counterValue("session.engine_reuses"), 0u);
+
+  // A second wave reuses the sessions: the frontend error stays the
+  // same failed outcome.
+  std::string Error = Outcomes.back().Error;
+  Outcomes.clear();
+  auto Second = Batch.runAll();
+  EXPECT_FALSE(Second.back().OK);
+  EXPECT_EQ(Second.back().Error, Error);
 }
 
 TEST(AnalysisBatchTest, ColdBatchIsBitwiseIdenticalToSequential) {

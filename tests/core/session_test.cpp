@@ -358,4 +358,55 @@ TEST(AnalysisSessionTest, PruneChangeForcesFreshEngine) {
   EXPECT_TRUE(findingsOnly(Unpruned) == findingsOnly(Reference));
 }
 
+TEST(AnalysisSessionTest, OptionChangeBeforeFirstRunRebuildsTheEngine) {
+  // create() builds the engine the first run adopts, but only under the
+  // options it was built with. Under intervals StrideSearch keeps a
+  // strided bound check open that the product discharges, so a run that
+  // adopted the stale interval engine would show.
+  auto Session = makeSession(paper::StrideSearchProgram);
+  ASSERT_NE(Session, nullptr);
+  Session->options().domain(DomainKind::Product);
+  AnalysisResult R = Session->run();
+  EXPECT_EQ(R.toJson().find("domain")->asString(), "product");
+  EXPECT_TRUE(R.checks().allSafe());
+
+  auto Product = makeSession(paper::StrideSearchProgram,
+                             AnalysisOptions().domain(DomainKind::Product));
+  auto Interval = makeSession(paper::StrideSearchProgram);
+  ASSERT_NE(Product, nullptr);
+  ASSERT_NE(Interval, nullptr);
+  json::Value Expected = findingsOnly(Product->run());
+  EXPECT_TRUE(findingsOnly(R) == Expected);
+  EXPECT_FALSE(findingsOnly(Interval->run()) == Expected);
+}
+
+/// The token_unfold events in \p Session's recorder, flushed.
+unsigned tokenUnfoldEvents(AnalysisSession &Session) {
+  std::ostringstream OS;
+  StreamTraceSink Sink(OS, TraceFormat::JsonLines);
+  Session.flushTrace(Sink);
+  unsigned N = 0;
+  std::istringstream In(OS.str());
+  std::string Line;
+  while (std::getline(In, Line)) {
+    std::optional<json::Value> V = json::parse(Line);
+    N += V && V->find("ev")->asString() == "token_unfold";
+  }
+  return N;
+}
+
+TEST(AnalysisSessionTest, TracingEnabledAfterCreateRecordsTheEngineBuild) {
+  // create() builds without a recorder; enabling tracing afterwards
+  // changes the engine's telemetry, so the first run rebuilds under the
+  // recorder and the build's token unfoldings reach the trace.
+  auto Session = makeSession(paper::McCarthyProgram);
+  ASSERT_NE(Session, nullptr);
+  Session->enableTracing();
+  AnalysisResult R = Session->run();
+  unsigned Instances =
+      static_cast<unsigned>(R.analyzer().graph().instances().size());
+  EXPECT_GT(Instances, 1u);
+  EXPECT_EQ(tokenUnfoldEvents(*Session), Instances);
+}
+
 } // namespace

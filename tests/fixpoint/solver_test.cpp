@@ -31,19 +31,24 @@ struct IntervalSystem {
 
   IntervalDomain D;
   Digraph DepGraph;
+  /// The WTO of DepGraph from node 0; the solver takes it as given, so
+  /// every edge rebuilds it.
+  Wto Order;
   std::vector<std::vector<EdgeFn>> Inflows; // per node
   std::vector<Interval> Seeds;              // per node, joined in
 
-  explicit IntervalSystem(unsigned N) : DepGraph(N), Inflows(N), Seeds(N) {}
+  explicit IntervalSystem(unsigned N)
+      : DepGraph(N), Order(DepGraph, {0}), Inflows(N), Seeds(N) {}
 
   void addEdge(unsigned From, unsigned To, int64_t Off, Interval Filter) {
     Inflows[To].push_back(EdgeFn(From, Off, Filter));
     DepGraph.addEdge(From, To);
+    Order = Wto(DepGraph, {0});
   }
 
   unsigned numNodes() const { return DepGraph.numNodes(); }
   const Digraph &graph() const { return DepGraph; }
-  std::vector<unsigned> roots() const { return {0}; }
+  const Wto &wto() const { return Order; }
 
   Interval initialValue(unsigned, bool FromTop) const {
     return FromTop ? D.top() : D.bottom();

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <vector>
 
 using namespace syntox;
 
@@ -160,6 +162,61 @@ TEST(WtoTest, PositionsAreAPermutation) {
       Positions.insert(W.position(Node));
     EXPECT_EQ(Positions.size(), N);
     EXPECT_EQ(*Positions.rbegin(), N - 1);
+  }
+}
+
+std::vector<unsigned> listOf(std::span<const unsigned> S) {
+  return std::vector<unsigned>(S.begin(), S.end());
+}
+
+TEST(WtoTest, ElementTablesListMembersAndFeeders) {
+  // 0 -> 1 -> 2 -> 1 (loop), 2 -> 3 and 0 -> 3: elements 0, (1 2), 3.
+  // The loop's back edge 2 -> 1 is internal, so (1 2) has one feeder;
+  // the doubled edge 0 -> 3 lists feeder 0 once.
+  Digraph G(4);
+  G.addEdge(0, 1);
+  G.addEdge(1, 2);
+  G.addEdge(2, 1);
+  G.addEdge(2, 3);
+  G.addEdge(0, 3);
+  G.addEdge(0, 3);
+  Wto W(G, {0});
+  ASSERT_EQ(W.str(), "0 (1 2) 3");
+  EXPECT_EQ(listOf(W.members(0)), (std::vector<unsigned>{0}));
+  EXPECT_EQ(listOf(W.members(1)), (std::vector<unsigned>{1, 2}));
+  EXPECT_EQ(listOf(W.members(2)), (std::vector<unsigned>{3}));
+  EXPECT_TRUE(W.feeders(0).empty());
+  EXPECT_EQ(listOf(W.feeders(1)), (std::vector<unsigned>{0}));
+  EXPECT_EQ(listOf(W.feeders(2)), (std::vector<unsigned>{0, 2}));
+}
+
+TEST(WtoTest, ElementTablesAgreeWithTopElement) {
+  // On random graphs: members(E) is exactly the vertices whose
+  // topElement is E, ascending; feeders(E) is exactly the sorted set of
+  // predecessors outside E, and each lies in an earlier element.
+  Rng R(99);
+  for (int Trial = 0; Trial < 100; ++Trial) {
+    unsigned N = 1 + R.below(20);
+    Digraph G(N);
+    for (unsigned I = 0; I < 2 * N; ++I)
+      G.addEdge(R.below(N), R.below(N));
+    Wto W(G, {0});
+    for (unsigned E = 0; E < W.elements().size(); ++E) {
+      std::vector<unsigned> Members, Feeders;
+      std::set<unsigned> Outside;
+      for (unsigned V = 0; V < N; ++V)
+        if (W.topElement(V) == E)
+          Members.push_back(V);
+      for (unsigned V : Members)
+        for (unsigned U : G.preds(V))
+          if (W.topElement(U) != E)
+            Outside.insert(U);
+      Feeders.assign(Outside.begin(), Outside.end());
+      EXPECT_EQ(listOf(W.members(E)), Members) << W.str();
+      EXPECT_EQ(listOf(W.feeders(E)), Feeders) << W.str();
+      for (unsigned U : Feeders)
+        EXPECT_LT(W.topElement(U), E) << W.str();
+    }
   }
 }
 

@@ -36,11 +36,17 @@ Interpreter::Result runConcrete(const FrontendResult &FE,
 /// which the program terminates cleanly must be inside the envelope right
 /// after the read.
 struct SingleReadCase {
+  const char *Name; ///< the program's name, used as the printed value
   const char *Source;
   const char *ReadDesc; ///< point description of the read
   const char *Var;
   int64_t SweepLo, SweepHi;
 };
+
+/// Prints a case as its program name. Without it gtest dumps the raw
+/// bytes, pointers included, so the value shown in test listings (and in
+/// the ctest names derived from them) would change from run to run.
+void PrintTo(const SingleReadCase &C, std::ostream *OS) { *OS << C.Name; }
 
 class SingleReadSoundness : public ::testing::TestWithParam<SingleReadCase> {
 };
@@ -71,9 +77,12 @@ TEST_P(SingleReadSoundness, SuccessfulInputsAreInEnvelope) {
 INSTANTIATE_TEST_SUITE_P(
     PaperPrograms, SingleReadSoundness,
     ::testing::Values(
-        SingleReadCase{paper::FactProgram, "after read x", "x", -5, 20},
-        SingleReadCase{paper::SelectProgram, "after read n", "n", -5, 25},
-        SingleReadCase{paper::McCarthyBuggy, "after read n", "n", 90, 130}));
+        SingleReadCase{"Fact", paper::FactProgram, "after read x", "x", -5,
+                       20},
+        SingleReadCase{"Select", paper::SelectProgram, "after read n", "n",
+                       -5, 25},
+        SingleReadCase{"McCarthyBuggy", paper::McCarthyBuggy, "after read n",
+                       "n", 90, 130}));
 
 TEST(SoundnessTest, ForProgramConditionIsNecessary) {
   // Every terminating run of For must have n < 0 (the loop body always

@@ -556,6 +556,52 @@ TEST(ServeTimeoutTest, ExpiredQueuedRequestsAreShedAtAdmission) {
   EXPECT_GE(H.server().metrics().counterValue("serve.timeouts"), 1u);
 }
 
+/// The activation instances of \p Source's token unfolding, read off
+/// the analyzed graph rather than any metric.
+uint64_t instancesOf(const std::string &Source) {
+  DiagnosticsEngine Diags;
+  auto Session = AnalysisSession::create(Source, Diags);
+  EXPECT_NE(Session, nullptr) << Diags.str();
+  return Session ? Session->run().analyzer().graph().instances().size() : 0;
+}
+
+int64_t counterOf(const json::Value &Counters, const char *Name) {
+  const json::Value *V = Counters.find(Name);
+  return V ? V->asInt() : 0;
+}
+
+TEST(ServeAdminTest, EngineBuildMetricsCountOncePerRequest) {
+  // A fresh session builds its program once, so the daemon's registry
+  // sees each request's construction metrics once: a 3-instance
+  // program adds 3 to interproc.instances, and a program past the
+  // adaptive transfer-cache threshold adds 1 to cache.auto_enabled.
+  const std::string Small =
+      "program p; procedure q(n : integer); "
+      "begin if n > 0 then q(n - 1) end; begin q(3) end.";
+  const std::string Deep = paper::mcCarthyK(12);
+  uint64_t SmallInstances = instancesOf(Small);
+  uint64_t DeepInstances = instancesOf(Deep);
+  EXPECT_EQ(SmallInstances, 3u);
+  ASSERT_GE(DeepInstances, AnalysisOptions().AdaptiveCacheInstanceThreshold);
+
+  ServeHarness H(ServerConfig{});
+  H.send(analyzeLine("small", Small));
+  ASSERT_EQ(H.recv().find("status")->asString(), "ok");
+  H.send(adminLine("m1", "metrics"));
+  json::Value M1 = *H.recv().find("metrics")->find("counters");
+  EXPECT_EQ(counterOf(M1, "interproc.instances"),
+            static_cast<int64_t>(SmallInstances));
+  EXPECT_EQ(counterOf(M1, "cache.auto_enabled"), 0);
+
+  H.send(analyzeLine("deep", Deep));
+  ASSERT_EQ(H.recv().find("status")->asString(), "ok");
+  H.send(adminLine("m2", "metrics"));
+  json::Value M2 = *H.recv().find("metrics")->find("counters");
+  EXPECT_EQ(counterOf(M2, "interproc.instances"),
+            static_cast<int64_t>(SmallInstances + DeepInstances));
+  EXPECT_EQ(counterOf(M2, "cache.auto_enabled"), 1);
+}
+
 TEST(ServeAdminTest, MetricsAndPing) {
   ServeHarness H(ServerConfig{});
   H.send(analyzeLine("one", CountLoop));
