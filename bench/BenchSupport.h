@@ -7,8 +7,8 @@
 ///
 /// \file
 /// One harness for the benchmark binaries. Every bench accepts the
-/// shared analysis/telemetry flags (parseAnalysisFlags: --strategy=,
-/// --cache, --trace=FILE, --trace-format=json|chrome,
+/// shared analysis/telemetry flags (parseAnalysisFlags: --domain=,
+/// --rounds=, --trace=FILE, --trace-format=json|chrome,
 /// --metrics-json=FILE, ...) plus
 ///
 ///   --out=FILE   machine-readable report path (default BENCH_<name>.json)

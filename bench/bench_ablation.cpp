@@ -1,7 +1,6 @@
 //===- bench/bench_ablation.cpp - E7: design-choice ablations -------------===//
 //
 // Ablates the design points the paper calls out:
-//  - iteration strategy (§6.3/FMPA'93): recursive vs WTO-ordered worklist,
 //  - narrowing passes (§6.1: without narrowing, widening overshoots;
 //    Harrison's lack of narrowing is "extremely costly" in precision),
 //  - widening thresholds (§6.1: "more sophisticated widening operators
@@ -118,10 +117,6 @@ void ablate(bench::Harness &H, const char *Name, const std::string &Source) {
   std::unique_ptr<Analyzer> BaseRun =
       runConfig(H, Name, B, "recursive strategy (default)", Base);
 
-  Analyzer::Options Worklist = Base;
-  Worklist.Strategy = IterationStrategy::Worklist;
-  runConfig(H, Name, B, "worklist strategy", Worklist, BaseRun.get());
-
   Analyzer::Options NoNarrow = Base;
   NoNarrow.NarrowingPasses = 0;
   runConfig(H, Name, B, "no narrowing (overshoots)", NoNarrow,
@@ -166,8 +161,8 @@ int main(int argc, char **argv) {
   ablate(H, "StrideSearch", paper::StrideSearchProgram);
   ablate(H, "StrideSort", paper::StrideSortProgram);
   std::printf("Shape: narrowing recovers the precision widening gives up "
-              "(no-narrowing has\nfewer finite bounds); both strategies "
-              "agree on precision; thresholds never hurt.\n");
+              "(no-narrowing has\nfewer finite bounds); thresholds never "
+              "hurt.\n");
   H.write();
   return 0;
 }

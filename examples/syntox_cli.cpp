@@ -15,7 +15,7 @@
 //                          demand-driven query: solve only the
 //                          dependency cone of one point / runtime check
 //   plus every shared analysis/telemetry flag (see --help): --terminate,
-//   --rounds=N, --strategy=S, --threads=N, --cache/--no-cache,
+//   --rounds=N, --domain=D, --cache-dir=DIR, --no-prune,
 //   --trace=FILE, --trace-format=json|chrome, --metrics-json=FILE, ...
 //
 //===----------------------------------------------------------------------===//

@@ -77,9 +77,14 @@ EOF
        "$OUT/for.pas" > /dev/null
 
 # Removed knobs fail loudly: exit 2 with a usage line, never ignored.
-for cmd in "$CLI --threads=4 $OUT/for.pas" \
-           "$CLI --strategy=parallel $OUT/for.pas" \
-           "build-ci/src/serve/syntox_serve --max-concurrent=1"; do
+SERVE=build-ci/src/serve/syntox_serve
+REMOVED_CMDS=("$CLI --threads=4 $OUT/for.pas"
+              "$CLI --strategy=parallel $OUT/for.pas"
+              "$SERVE --max-concurrent=1")
+for flag in --strategy=worklist --strategy=recursive --cache --no-cache; do
+  REMOVED_CMDS+=("$CLI $flag $OUT/for.pas" "$SERVE $flag")
+done
+for cmd in "${REMOVED_CMDS[@]}"; do
   rc=0
   $cmd < /dev/null > /dev/null 2> "$OUT/usage.txt" || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q '^usage:' "$OUT/usage.txt"; then

@@ -124,7 +124,7 @@ class AbstractDebugger {
 public:
   /// Historical spelling of the shared options struct. The old nested
   /// `Options::Analysis` member is gone: what used to be
-  /// `Opts.Analysis.Strategy` is now just `Opts.Strategy`.
+  /// `Opts.Analysis.Domain` is now just `Opts.Domain`.
   using Options = AnalysisOptions;
 
   /// Parses, checks, lowers and prepares \p Source. Returns null (with

@@ -37,10 +37,6 @@ FlagParse syntox::parseAnalysisFlag(const std::string &Arg,
     Opts.UseBackward = false;
   } else if (Arg == "--context-insensitive") {
     Opts.ContextInsensitive = true;
-  } else if (Arg == "--cache") {
-    Opts.transferCache(true);
-  } else if (Arg == "--no-cache") {
-    Opts.transferCache(false);
   } else if (Arg == "--warm-start") {
     Opts.WarmStart = true;
   } else if (Arg == "--no-warm-start") {
@@ -59,17 +55,6 @@ FlagParse syntox::parseAnalysisFlag(const std::string &Arg,
   } else if (const char *V = valueOf("--narrowing=")) {
     if (!parseUnsigned(V, Opts.NarrowingPasses)) {
       Error = "invalid --narrowing value '" + std::string(V) + "'";
-      return FlagParse::Error;
-    }
-  } else if (const char *V = valueOf("--strategy=")) {
-    std::string Name = V;
-    if (Name == "recursive") {
-      Opts.Strategy = IterationStrategy::Recursive;
-    } else if (Name == "worklist") {
-      Opts.Strategy = IterationStrategy::Worklist;
-    } else {
-      Error = "unknown strategy '" + Name +
-              "' (expected recursive or worklist)";
       return FlagParse::Error;
     }
   } else if (const char *V = valueOf("--domain=")) {
@@ -174,11 +159,6 @@ const char *syntox::analysisFlagsHelp() {
          "                       abstract value domain: Z_b intervals\n"
          "                       (default), aZ+b stride classes, or the\n"
          "                       interval x congruence reduced product\n"
-         "  --strategy=recursive|worklist\n"
-         "                       chaotic iteration strategy\n"
-         "  --cache, --no-cache  memoizing transfer-function cache\n"
-         "                       (default: auto-enabled for large token\n"
-         "                       unfoldings)\n"
          "  --cache-dir=DIR      persistent warm-start cache: reruns\n"
          "                       replay unchanged analysis state from\n"
          "                       disk; edits re-solve only the changed\n"

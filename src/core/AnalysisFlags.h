@@ -10,8 +10,6 @@
 /// the examples and every benchmark — each of which used to hand-roll
 /// its own (drifting) subset. Recognized flags:
 ///
-///   --strategy=recursive|worklist   iteration strategy
-///   --cache / --no-cache   memoizing transfer-function cache
 ///   --rounds=N             backward/forward refinement rounds
 ///   --narrowing=N          narrowing passes per ascending phase
 ///   --terminate            add the goal "the program must terminate"

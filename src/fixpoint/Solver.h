@@ -13,19 +13,17 @@
 ///    passes),
 ///  - greatest fixpoints: a single narrowing phase starting from top.
 ///
-/// Two chaotic iteration strategies are provided. The *recursive*
-/// strategy (companion FMPA'93 paper) stabilizes every WTO component
-/// before leaving it; the *worklist* strategy picks pending equations in
-/// WTO order. Widening/narrowing is applied at the WTO component heads,
-/// which cut every dependency cycle.
+/// Every phase iterates with the *recursive* strategy of the companion
+/// FMPA'93 paper (paper §6.3): each WTO component is stabilized before
+/// the iteration leaves it. Widening/narrowing is applied at the WTO
+/// component heads, which cut every dependency cycle.
 ///
 /// The System type parameter supplies the lattice and the equations:
 ///
 ///   struct System {
 ///     using Value = ...;
 ///     unsigned numNodes() const;
-///     const Digraph &graph() const;          // dependency graph
-///     const Wto &wto() const;                // WTO of graph()
+///     const Wto &wto() const;                // WTO of the dependencies
 ///     Value initialValue(unsigned Node, bool FromTop) const;
 ///     // Evaluate the RHS of equation Node given current values.
 ///     Value evaluate(unsigned Node, const std::vector<Value> &X) const;
@@ -64,12 +62,10 @@
 #ifndef SYNTOX_FIXPOINT_SOLVER_H
 #define SYNTOX_FIXPOINT_SOLVER_H
 
-#include "fixpoint/Digraph.h"
 #include "fixpoint/Wto.h"
 #include "support/Telemetry.h"
 
 #include <cstdint>
-#include <set>
 #include <type_traits>
 #include <vector>
 
@@ -83,13 +79,6 @@ enum class FixpointKind {
   /// Greatest fixpoint: single descending narrowing phase from top
   /// (paper §4).
   Gfp,
-};
-
-/// Chaotic iteration strategy (paper §6.3 / FMPA'93). The values are
-/// part of AnalysisOptions::optionsHash(), which keys the on-disk cache.
-enum class IterationStrategy {
-  Recursive = 0, ///< stabilize each WTO component before moving on
-  Worklist = 1,  ///< WTO-ordered worklist
 };
 
 /// Counters reported by one solver run.
@@ -110,6 +99,10 @@ struct SolverStats {
   /// Top-level WTO elements outside the demand cone, excluded from the
   /// schedule entirely — they perform zero live evaluations.
   uint64_t SkippedByDemand = 0;
+  /// Descending loops cut off by a safety-net bound while still
+  /// changing: a component loop at MaxComponentSweeps, or the Gfp loop
+  /// at MaxGfpSweeps. Each hit leaves a truncated, unproven iterate.
+  uint64_t SweepCapHits = 0;
 };
 
 /// Cross-run memo connecting consecutive solver runs of one slot of a
@@ -120,7 +113,6 @@ struct SolverStats {
 template <typename ValueT> struct WarmStartMemo {
   bool Valid = false; ///< a completed run recorded the fields below
   FixpointKind Kind = FixpointKind::Lfp;
-  IterationStrategy Strategy = IterationStrategy::Recursive;
   unsigned NumNodes = 0;
   /// Full solution snapshot at each sweep boundary, in sweep order: for
   /// Lfp, snapshot 0 is the post-ascending state and the rest follow
@@ -172,7 +164,6 @@ public:
 
   struct Options {
     FixpointKind Kind = FixpointKind::Lfp;
-    IterationStrategy Strategy = IterationStrategy::Recursive;
     /// Descending passes after the ascending phase (Lfp only). The
     /// paper's Syntox runs one narrowing phase per analysis.
     unsigned NarrowingPasses = 1;
@@ -222,20 +213,19 @@ public:
     prepareDemand();
 
     if (Opts.Kind == FixpointKind::Lfp) {
-      if (Opts.Strategy == IterationStrategy::Recursive)
-        ascendRecursive();
-      else
-        ascendWorklist();
+      ascend();
       for (unsigned Pass = 0; Pass < Opts.NarrowingPasses; ++Pass)
-        if (!descendOnce())
+        if (!descend())
           break;
     } else {
       // Gfp: descending narrowing iterations until stable. The sweep
       // bound is a safety net; narrowing at the heads makes the chain
       // finite in practice long before it triggers.
-      for (unsigned Sweep = 0; Sweep < MaxGfpSweeps; ++Sweep)
-        if (!descendOnce())
-          break;
+      unsigned Sweep = 0;
+      while (Sweep < MaxGfpSweeps && descend())
+        ++Sweep;
+      if (Sweep == MaxGfpSweeps)
+        ++Stats.SweepCapHits;
     }
     finishWarm();
     return X;
@@ -298,8 +288,7 @@ private:
           break;
         }
     const WarmStartMemo<Value> &M = *Opts.Memo;
-    WarmReplay = M.Valid && M.Kind == Opts.Kind &&
-                 M.Strategy == Opts.Strategy && M.NumNodes == N &&
+    WarmReplay = M.Valid && M.Kind == Opts.Kind && M.NumNodes == N &&
                  !M.Boundaries.empty() &&
                  M.ElemChanged.size() == M.Boundaries.size() &&
                  M.ElemSteps.size() == M.Boundaries.size() &&
@@ -334,7 +323,6 @@ private:
     CurBoundary = 0;
     NewMemo = WarmStartMemo<Value>();
     NewMemo.Kind = Opts.Kind;
-    NewMemo.Strategy = Opts.Strategy;
     NewMemo.NumNodes = N;
   }
 
@@ -374,7 +362,6 @@ private:
   void prepareDemand() {
     if (!Opts.DemandNodes)
       return;
-    Demand = true;
     unsigned N = Sys.numNodes();
     const std::vector<uint8_t> &D = *Opts.DemandNodes;
     ElemDemanded.assign(NumElems, 0);
@@ -405,12 +392,6 @@ private:
   /// solve).
   bool elemDemanded(unsigned E) const {
     return ElemDemanded.empty() || ElemDemanded[E] != 0;
-  }
-
-  /// Whether \p V belongs to a scheduled element (worklist activation
-  /// filter; element-exact because demand flags are — see above).
-  bool nodeDemanded(unsigned V) const {
-    return !Demand || ElemDemanded[Order.topElement(V)] != 0;
   }
 
   void beginSweep() {
@@ -489,32 +470,51 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Ascending phase (recursive strategy)
+  // Sweeps over the top-level WTO elements
   //===--------------------------------------------------------------------===//
 
-  void ascendRecursive() {
-    if (!Recording) {
-      for (unsigned E = 0; E < Order.elements().size(); ++E)
-        if (elemDemanded(E))
-          ascendElement(Order.elements()[E]);
-      return;
-    }
+  /// One sweep in WTO order, shared by the ascending and descending
+  /// phases: skips elements outside the demand cone, replays the ones
+  /// the memo proves stable, solves the rest with \p SolveElement (which
+  /// returns whether the element changed) and records each element's
+  /// change flag and cost. Returns true when any element changed.
+  template <typename SolveFn>
+  bool sweep(bool Descending, SolveFn SolveElement) {
+    const uint64_t &Steps =
+        Descending ? Stats.DescendingSteps : Stats.AscendingSteps;
     beginSweep();
-    bool Ignored = false;
+    bool Changed = false;
     for (unsigned E = 0; E < NumElems; ++E) {
       if (!elemDemanded(E))
         continue;
       if (canReplay(E)) {
-        replayElement(E, /*Descending=*/false, Ignored);
+        replayElement(E, Descending, Changed);
         continue;
       }
-      uint64_t Before = Stats.AscendingSteps;
-      ascendElement(Order.elements()[E]);
-      SweepChangedBuf[E] = 1;
-      SweepStepsBuf[E] = Stats.AscendingSteps - Before;
-      updateMatched(E);
+      uint64_t Before = Steps;
+      bool ElemChanged = SolveElement(Order.elements()[E]);
+      Changed |= ElemChanged;
+      if (Recording) {
+        SweepChangedBuf[E] = ElemChanged;
+        SweepStepsBuf[E] = Steps - Before;
+        updateMatched(E);
+      }
     }
     endSweep();
+    return Changed;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Ascending phase
+  //===--------------------------------------------------------------------===//
+
+  /// The widening sweep. Ascending elements record change flag 1; the
+  /// flag is unused there.
+  void ascend() {
+    sweep(/*Descending=*/false, [this](const WtoElement &E) {
+      ascendElement(E);
+      return true;
+    });
   }
 
   /// Resets every vertex of a component (head and body, recursively) to
@@ -575,113 +575,17 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Ascending phase (worklist strategy)
-  //===--------------------------------------------------------------------===//
-
-  void ascendWorklist() {
-    auto ByPosition = [this](unsigned A, unsigned B) {
-      unsigned PA = Order.position(A), PB = Order.position(B);
-      if (PA != PB)
-        return PA < PB;
-      return A < B;
-    };
-    std::set<unsigned, decltype(ByPosition)> Pending(ByPosition);
-    auto Step = [&] {
-      unsigned Node = *Pending.begin();
-      Pending.erase(Pending.begin());
-      ++Stats.AscendingSteps;
-      ++NodeSteps[Node];
-      Value New = Sys.evaluate(Node, X);
-      if (Sys.leq(New, X[Node]))
-        return;
-      if (Order.isHead(Node)) {
-        ++Stats.Widenings;
-        traceEvent(Trace, TraceEventKind::Widening, Node);
-        X[Node] = Sys.widen(X[Node], New);
-      } else {
-        X[Node] = std::move(New);
-      }
-      // Successor activations stay inside the demand cone: an
-      // out-of-cone successor is never evaluated, not even when its
-      // in-cone predecessor changes.
-      for (unsigned Succ : Sys.graph().succs(Node))
-        if (nodeDemanded(Succ))
-          Pending.insert(Succ);
-    };
-    if (!Recording) {
-      for (unsigned Node = 0; Node < Sys.numNodes(); ++Node)
-        if (nodeDemanded(Node))
-          Pending.insert(Node);
-      while (!Pending.empty())
-        Step();
-      return;
-    }
-    // Element-wise drain with the same pop sequence as the all-pending
-    // loop above: cross-element dependency edges point forward in WTO
-    // order and positions of an element are contiguous, so the set
-    // drains each top-level element completely (including re-activations
-    // within it) before touching the next, and inserting an element's
-    // vertices lazily at its turn changes nothing.
-    beginSweep();
-    bool Ignored = false;
-    for (unsigned E = 0; E < NumElems; ++E) {
-      if (!elemDemanded(E))
-        continue; // activation is filtered, so nothing can be pending
-      if (canReplay(E)) {
-        // Nodes of this element re-activated by earlier elements are
-        // provably stable (that is what the replay check verified), so
-        // evaluating them could neither change a value nor activate a
-        // successor; drop them with the element.
-        while (!Pending.empty() && Order.topElement(*Pending.begin()) == E)
-          Pending.erase(Pending.begin());
-        replayElement(E, /*Descending=*/false, Ignored);
-        continue;
-      }
-      for (unsigned V : Order.members(E))
-        Pending.insert(V);
-      uint64_t Before = Stats.AscendingSteps;
-      while (!Pending.empty() && Order.topElement(*Pending.begin()) == E)
-        Step();
-      SweepChangedBuf[E] = 1;
-      SweepStepsBuf[E] = Stats.AscendingSteps - Before;
-      updateMatched(E);
-    }
-    endSweep();
-  }
-
-  //===--------------------------------------------------------------------===//
   // Descending phase (shared by Lfp narrowing and Gfp)
   //===--------------------------------------------------------------------===//
 
   /// One full descending sweep in WTO order, stabilizing components with
   /// narrowing at their heads. Returns true when any value changed.
-  bool descendOnce() {
-    if (!Recording) {
+  bool descend() {
+    return sweep(/*Descending=*/true, [this](const WtoElement &E) {
       bool Changed = false;
-      for (unsigned E = 0; E < Order.elements().size(); ++E)
-        if (elemDemanded(E))
-          descendElement(Order.elements()[E], Changed);
+      descendElement(E, Changed);
       return Changed;
-    }
-    beginSweep();
-    bool Changed = false;
-    for (unsigned E = 0; E < NumElems; ++E) {
-      if (!elemDemanded(E))
-        continue;
-      if (canReplay(E)) {
-        replayElement(E, /*Descending=*/true, Changed);
-        continue;
-      }
-      bool ElemChanged = false;
-      uint64_t Before = Stats.DescendingSteps;
-      descendElement(Order.elements()[E], ElemChanged);
-      Changed |= ElemChanged;
-      SweepChangedBuf[E] = ElemChanged;
-      SweepStepsBuf[E] = Stats.DescendingSteps - Before;
-      updateMatched(E);
-    }
-    endSweep();
-    return Changed;
+    });
   }
 
   void descendElement(const WtoElement &E, bool &Changed) {
@@ -705,7 +609,8 @@ private:
     // acyclic. The sweep bound is a safety net only.
     traceEvent(Trace, TraceEventKind::ComponentBegin, E.Vertex,
                /*Descending=*/1);
-    for (unsigned Sweep = 0; Sweep < MaxComponentSweeps; ++Sweep) {
+    unsigned Sweep = 0;
+    for (; Sweep < MaxComponentSweeps; ++Sweep) {
       ++Stats.DescendingSteps;
       ++NodeSteps[E.Vertex];
       Value New = Sys.evaluate(E.Vertex, X);
@@ -726,6 +631,8 @@ private:
       if (!SweepChanged)
         break;
     }
+    if (Sweep == MaxComponentSweeps)
+      ++Stats.SweepCapHits;
     traceEvent(Trace, TraceEventKind::ComponentEnd, E.Vertex,
                /*Descending=*/1);
   }
@@ -743,9 +650,9 @@ private:
   /// Per-node live evaluation counts (see nodeLiveSteps()).
   std::vector<uint64_t> NodeSteps;
 
-  // Demand-driven scheduling state; empty/false on a full solve.
-  bool Demand = false;
-  std::vector<uint8_t> ElemDemanded; ///< per top-level element
+  /// Demand-driven scheduling state, per top-level element; empty on a
+  /// full solve.
+  std::vector<uint8_t> ElemDemanded;
 
   // Warm-start state; all empty/false when Options::Memo is null.
   bool Recording = false;  ///< memo present: record this run into it

@@ -54,8 +54,7 @@ public:
   /// point).
   bool isHead(unsigned Vertex) const { return Head[Vertex]; }
 
-  /// Position of \p Vertex in the linearized order (for worklist
-  /// prioritization).
+  /// Position of \p Vertex in the linearized order.
   unsigned position(unsigned Vertex) const { return Position[Vertex]; }
 
   /// The nesting depth of each vertex (number of enclosing components);

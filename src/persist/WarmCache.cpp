@@ -364,7 +364,7 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
     SlotsW.u8(static_cast<uint8_t>(Slot.Sig));
     SlotsW.u8(Slot.HadEnv);
     SlotsW.u8(static_cast<uint8_t>(M.Kind));
-    SlotsW.u8(static_cast<uint8_t>(M.Strategy));
+    SlotsW.u8(0); // the retired iteration-strategy byte (format v3)
     SlotsW.varint(M.Boundaries.size());
     for (size_t B = 0; B < M.Boundaries.size(); ++B) {
       for (unsigned V = 0; V < N; ++V)
@@ -582,7 +582,10 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     Slot.HadEnv = R.u8() != 0;
     WarmStartMemo<AbstractStore> &M = Slot.Memo;
     M.Kind = static_cast<FixpointKind>(R.u8());
-    M.Strategy = static_cast<IterationStrategy>(R.u8());
+    // The retired iteration-strategy byte: every file this format
+    // describes holds 0 (the recursive strategy, now the only one).
+    if (R.u8() != 0)
+      return Fallback("malformed slot");
     M.NumNodes = NNew;
 
     bool Fwd = isForwardSig(Slot.Sig);

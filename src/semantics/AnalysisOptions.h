@@ -20,7 +20,6 @@
 #ifndef SYNTOX_SEMANTICS_ANALYSISOPTIONS_H
 #define SYNTOX_SEMANTICS_ANALYSISOPTIONS_H
 
-#include "fixpoint/Solver.h"
 #include "lattice/Domain.h"
 #include "support/Telemetry.h"
 
@@ -31,29 +30,13 @@
 namespace syntox {
 
 struct AnalysisOptions {
-  /// Chaotic iteration strategy for every phase.
-  IterationStrategy Strategy = IterationStrategy::Recursive;
+  /// Not a knob: the instance count at which the Analyzer turns the
+  /// transfer cache on (Analyzer::TransferCacheMinInstances). Kept under
+  /// this name because perfbench's traced load generator prints it.
+  static constexpr unsigned AdaptiveCacheInstanceThreshold = 10;
   /// The abstract value domain the whole pipeline runs in
   /// (--domain=interval|congruence|product).
   DomainKind Domain = DomainKind::Interval;
-  /// Memoize the per-edge transfer functions across all phases (the
-  /// cache is purely memoizing: results are identical either way).
-  /// Off by default: interval transfers are about as cheap as the
-  /// hash-and-probe bookkeeping, so memoization only pays once the
-  /// transfer functions themselves are expensive (richer domains,
-  /// costly expression semantics).
-  bool UseTransferCache = false;
-  /// True once transferCache() (or --cache/--no-cache) pinned the cache
-  /// explicitly. When false, the Analyzer auto-enables the cache for
-  /// programs whose token unfolding crosses
-  /// AdaptiveCacheInstanceThreshold instances — the regime where the
-  /// EXPERIMENTS.md E-store measurements show the cache winning
-  /// (McCarthy's 11-instance unfolding gains 1.11-1.25x; small loop
-  /// chains lose 0.66-0.79x).
-  bool TransferCacheSet = false;
-  /// Instance count at which the adaptive heuristic turns the transfer
-  /// cache on (only when TransferCacheSet is false).
-  unsigned AdaptiveCacheInstanceThreshold = 10;
   /// Narrowing passes after each ascending phase.
   unsigned NarrowingPasses = 1;
   /// Rounds of (always, eventually, forward) refinement after the
@@ -133,37 +116,26 @@ struct AnalysisOptions {
   }
 
   /// Semantics hash plus the knobs that change the *shape* of the
-  /// recorded warm-start state (iteration strategy, chain length).
-  /// This keys the on-disk cache file: state recorded under a different
-  /// options hash is never even loaded.
+  /// recorded warm-start state (chain length). This keys the on-disk
+  /// cache file: state recorded under a different options hash is never
+  /// even loaded.
   uint64_t optionsHash() const {
     uint64_t H = solverSemanticsHash();
     auto Mix = [&H](uint64_t V) {
       H ^= V + 0x9e3779b97f4a7c15ull + (H << 12) + (H >> 3);
       H *= 0x100000001b3ull;
     };
-    Mix(static_cast<uint64_t>(Strategy));
+    // The slot the iteration strategy once filled: a constant, so the
+    // cache keys of earlier releases stay valid.
+    Mix(0);
     Mix(BackwardRounds);
     return H;
   }
 
   /// \name Chainable setters
   /// @{
-  AnalysisOptions &strategy(IterationStrategy S) {
-    Strategy = S;
-    return *this;
-  }
   AnalysisOptions &domain(DomainKind K) {
     Domain = K;
-    return *this;
-  }
-  AnalysisOptions &transferCache(bool On) {
-    UseTransferCache = On;
-    TransferCacheSet = true;
-    return *this;
-  }
-  AnalysisOptions &adaptiveCacheThreshold(unsigned N) {
-    AdaptiveCacheInstanceThreshold = N;
     return *this;
   }
   AnalysisOptions &cacheDir(std::string Dir) {

@@ -17,8 +17,7 @@ namespace {
 struct SystemBase {
   const SuperGraph &G;
   const StoreOps &Ops;
-  /// The system's dependency digraph and WTO, owned by the Analyzer.
-  const Digraph &Dep;
+  /// The WTO of the system's dependency digraph, owned by the Analyzer.
   const Wto &Order;
   /// The shared transfer cache, or null when caching is off. Owned by
   /// the Analyzer; the fwd/bwd systems consult it per Local edge.
@@ -30,14 +29,13 @@ struct SystemBase {
   /// provably unchanged) unless the Analyzer filled it in.
   std::vector<uint8_t> ExternalUnchanged;
 
-  SystemBase(const SuperGraph &G, const StoreOps &Ops, const Digraph &Dep,
-             const Wto &Order, TransferCache *Cache)
-      : G(G), Ops(Ops), Dep(Dep), Order(Order), Cache(Cache) {}
+  SystemBase(const SuperGraph &G, const StoreOps &Ops, const Wto &Order,
+             TransferCache *Cache)
+      : G(G), Ops(Ops), Order(Order), Cache(Cache) {}
 
   using Value = AbstractStore;
 
   unsigned numNodes() const { return G.numNodes(); }
-  const Digraph &graph() const { return Dep; }
   const Wto &wto() const { return Order; }
 
   bool externalInputsUnchanged(unsigned Node) const {
@@ -92,11 +90,11 @@ struct ForwardSystem : SystemBase {
   const LivenessInfo *Live;
   mutable uint64_t PrunedSlots = 0;
 
-  ForwardSystem(const SuperGraph &G, const StoreOps &Ops, const Digraph &Dep,
-                const Wto &Order, const Transfer &Xfer, TransferCache *Cache,
+  ForwardSystem(const SuperGraph &G, const StoreOps &Ops, const Wto &Order,
+                const Transfer &Xfer, TransferCache *Cache,
                 const std::vector<AbstractStore> *Envelope,
                 const LivenessInfo *Live)
-      : SystemBase(G, Ops, Dep, Order, Cache), Xfer(Xfer),
+      : SystemBase(G, Ops, Order, Cache), Xfer(Xfer),
         Envelope(Envelope), Live(Live) {}
 
   AbstractStore initialValue(unsigned, bool) const {
@@ -150,10 +148,10 @@ struct BackwardSystem : SystemBase {
   const std::vector<AbstractStore> &Envelope;
   std::vector<AbstractStore> Seeds;
 
-  BackwardSystem(const SuperGraph &G, const StoreOps &Ops, const Digraph &Dep,
-                 const Wto &Order, const Transfer &Xfer, TransferCache *Cache,
+  BackwardSystem(const SuperGraph &G, const StoreOps &Ops, const Wto &Order,
+                 const Transfer &Xfer, TransferCache *Cache,
                  const std::vector<AbstractStore> &Envelope)
-      : SystemBase(G, Ops, Dep, Order, Cache), Xfer(Xfer), Envelope(Envelope) {
+      : SystemBase(G, Ops, Order, Cache), Xfer(Xfer), Envelope(Envelope) {
     Seeds.assign(G.numNodes(), AbstractStore::bottom());
   }
 
@@ -231,21 +229,13 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts)
   BwdDep = buildBackwardDep(*Graph);
   FwdOrder = Wto(FwdDep, {Graph->mainEntry()});
   BwdOrder = Wto(BwdDep, {Graph->mainExit()});
-  // Adaptive transfer cache: unless the caller pinned the cache
-  // explicitly (--cache/--no-cache), enable it once the token unfolding
-  // is large enough that shared transfer results start repeating across
-  // instances — the regime where the E-store measurements show it
-  // winning.
-  if (!this->Opts.TransferCacheSet &&
-      Graph->instances().size() >=
-          this->Opts.AdaptiveCacheInstanceThreshold)
-    this->Opts.UseTransferCache = true;
-  if (this->Opts.UseTransferCache) {
+  // Large unfoldings repeat transfer inputs across instances, which is
+  // where the cache pays (see TransferCacheMinInstances).
+  if (Graph->instances().size() >= TransferCacheMinInstances) {
     Cache = std::make_unique<TransferCache>(Ops);
     Cache->setTrace(this->Opts.Telem.Trace);
-    if (!this->Opts.TransferCacheSet)
-      if (MetricsRegistry *M = this->Opts.Telem.Metrics)
-        M->counter("cache.auto_enabled").inc();
+    if (MetricsRegistry *M = this->Opts.Telem.Metrics)
+      M->counter("cache.auto_enabled").inc();
   }
   if (this->Opts.WarmStart)
     Graph->enableTransferMemo();
@@ -342,6 +332,7 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
   Stats.SkippedSteps += S.SkippedSteps;
   Stats.DemandedComponents += S.DemandedComponents;
   Stats.SkippedByDemand += S.SkippedByDemand;
+  Stats.SweepCapHits += S.SweepCapHits;
   Stats.Unions += SysUnions;
   if (MetricsRegistry *M = Opts.Telem.Metrics) {
     M->counter("solver.ascending_steps").inc(S.AscendingSteps);
@@ -355,6 +346,10 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
       M->counter("demand.components").inc(S.DemandedComponents);
       M->counter("demand.skipped_components").inc(S.SkippedByDemand);
     }
+    // Created on the first hit only: a snapshot of a run that converged
+    // everywhere has no such counter.
+    if (S.SweepCapHits > 0)
+      M->counter("solver.sweep_cap_hits").inc(S.SweepCapHits);
     M->histogram("phase.seconds").observe(Phase.Seconds);
     M->histogram("phase." + Phase.Name + ".seconds").observe(Phase.Seconds);
   }
@@ -390,11 +385,10 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
                        const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  ForwardSystem Sys(*Graph, Ops, FwdDep, FwdOrder, Xfer, Cache.get(), Env,
+  ForwardSystem Sys(*Graph, Ops, FwdOrder, Xfer, Cache.get(), Env,
                     Live.get());
   FixpointSolver<ForwardSystem>::Options SolverOpts;
   SolverOpts.Kind = Opts.HarrisonGfp ? FixpointKind::Gfp : FixpointKind::Lfp;
-  SolverOpts.Strategy = Opts.Strategy;
   SolverOpts.NarrowingPasses = Opts.NarrowingPasses;
   SolverOpts.Telem = Opts.Telem;
   SolverOpts.DemandNodes = Demand;
@@ -441,7 +435,7 @@ Analyzer::solveBackward(bool Eventually,
                         const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  BackwardSystem Sys(*Graph, Ops, BwdDep, BwdOrder, Xfer, Cache.get(), Env);
+  BackwardSystem Sys(*Graph, Ops, BwdOrder, Xfer, Cache.get(), Env);
   if (Eventually) {
     // Seeds: the intermittent assertions (and optionally termination).
     for (const Instance &Inst : Graph->instances()) {
@@ -461,7 +455,6 @@ Analyzer::solveBackward(bool Eventually,
 
   FixpointSolver<BackwardSystem>::Options SolverOpts;
   SolverOpts.Kind = Eventually ? FixpointKind::Lfp : FixpointKind::Gfp;
-  SolverOpts.Strategy = Opts.Strategy;
   SolverOpts.NarrowingPasses = Opts.NarrowingPasses;
   SolverOpts.Telem = Opts.Telem;
   SolverOpts.DemandNodes = Demand;

@@ -70,30 +70,12 @@ bool wantUnsigned(const json::Value &V, const std::string &Key,
 /// schemas/serve-request.schema.json.
 bool applyOption(const std::string &Key, const json::Value &V,
                  AnalysisOptions &Opts, std::string &Error) {
-  if (Key == "strategy") {
-    if (V.isString() && V.asString() == "recursive")
-      Opts.Strategy = IterationStrategy::Recursive;
-    else if (V.isString() && V.asString() == "worklist")
-      Opts.Strategy = IterationStrategy::Worklist;
-    else {
-      Error = "option 'strategy' must be \"recursive\" or \"worklist\"";
-      return false;
-    }
-    return true;
-  }
   if (Key == "domain") {
     if (!V.isString() || !parseDomainKind(V.asString(), Opts.Domain)) {
       Error = "option 'domain' must be \"interval\", \"congruence\" "
               "or \"product\"";
       return false;
     }
-    return true;
-  }
-  if (Key == "transfer_cache") {
-    bool On = false;
-    if (!wantBool(V, Key, On, Error))
-      return false;
-    Opts.transferCache(On);
     return true;
   }
   if (Key == "narrowing_passes")

@@ -14,7 +14,7 @@
 /// Request (schemas/serve-request.schema.json):
 ///
 ///   {"protocol_version": 1, "id": "r1", "kind": "analyze",
-///    "source": "program p; ...", "options": {"strategy": "worklist"},
+///    "source": "program p; ...", "options": {"domain": "product"},
 ///    "query": "point:12", "cache_key": "file:///a.pas",
 ///    "timeout_ms": 5000}
 ///

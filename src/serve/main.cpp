@@ -13,7 +13,7 @@
 //                           every save (0 = unbounded)
 //     --sessions=N          parked-session LRU capacity
 //     --test-start-delay-ms=N   test hook (see ServerConfig)
-//   plus every shared analysis flag (--strategy=, --rounds=, ...) as
+//   plus every shared analysis flag (--domain=, --rounds=, ...) as
 //   the per-request defaults that a request's "options" object
 //   overrides.
 //

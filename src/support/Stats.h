@@ -72,6 +72,10 @@ struct AnalysisStats {
   /// Top-level WTO elements outside the demand cone, excluded from the
   /// schedule (zero live evaluations), summed over all phases.
   uint64_t SkippedByDemand = 0;
+  /// Descending loops the solver cut off at a safety-net sweep bound
+  /// while still changing, summed over all phases (see
+  /// SolverStats::SweepCapHits). 0 when every phase converged.
+  uint64_t SweepCapHits = 0;
   uint64_t BytesUsed = 0;     ///< live analysis structures, in bytes
   double CpuSeconds = 0.0;    ///< wall-clock analysis time
   std::vector<PhaseStats> Phases;

@@ -2,12 +2,12 @@
 //
 // AnalysisBatch runs many sessions on one fixed-size request pool;
 // scheduling must affect only when a request runs, never what it
-// computes. The battery here pins that: a 200-seed random corpus
-// (all four generator families, both iteration strategies, a third of
-// the requests with the transfer cache pinned on) analyzed through a
-// batch must produce findings bitwise-identical to running each program
-// through its own sequential AnalysisSession — cold, and warm through
-// per-program persistent cache directories. A tsan build of this binary
+// computes. The battery here pins that: a 200-seed random corpus (all
+// four generator families, with the transfer cache on wherever the
+// unfolding is large enough) analyzed through a batch must produce
+// findings bitwise-identical to running each program through its own
+// sequential AnalysisSession — cold, and warm through per-program
+// persistent cache directories. A tsan build of this binary
 // doubles as the whole-analysis stress for the request pool.
 //
 //===----------------------------------------------------------------------===//
@@ -37,25 +37,6 @@ std::string corpusProgram(uint64_t Seed) {
   };
   ProgramGenerator G(Seed, /*WithAssertions=*/true);
   return G.generate(Fams[Seed % 4]);
-}
-
-/// Per-seed options sweeping both strategies; every third request pins
-/// the transfer cache on so batches exercise it end to end.
-AnalysisOptions optionsFor(uint64_t Seed) {
-  AnalysisOptions Opts;
-  switch (Seed % 3) {
-  case 0:
-    Opts.Strategy = IterationStrategy::Recursive;
-    break;
-  case 1:
-    Opts.Strategy = IterationStrategy::Worklist;
-    break;
-  default:
-    Opts.Strategy = IterationStrategy::Recursive;
-    Opts.transferCache(true);
-    break;
-  }
-  return Opts;
 }
 
 /// The findings document minus the timing/telemetry members.
@@ -120,7 +101,7 @@ TEST(AnalysisBatchTest, AddOnlyQueuesAndRunAllBuildsEachProgramOnce) {
     ASSERT_NE(Session, nullptr) << Diags.str();
     size_t N = Session->run().analyzer().graph().instances().size();
     Instances += N;
-    AutoCached += N >= AnalysisOptions().AdaptiveCacheInstanceThreshold;
+    AutoCached += N >= Analyzer::TransferCacheMinInstances;
   }
   ASSERT_GE(AutoCached, 1u);
 
@@ -159,7 +140,7 @@ TEST(AnalysisBatchTest, ColdBatchIsBitwiseIdenticalToSequential) {
   std::vector<std::string> Sources;
   for (uint64_t Seed = 0; Seed < Seeds; ++Seed) {
     Sources.push_back(corpusProgram(Seed));
-    Batch.add(Sources.back(), optionsFor(Seed));
+    Batch.add(Sources.back());
   }
   auto Outcomes = Batch.runAll();
   ASSERT_EQ(Outcomes.size(), Seeds);
@@ -167,7 +148,7 @@ TEST(AnalysisBatchTest, ColdBatchIsBitwiseIdenticalToSequential) {
     ASSERT_TRUE(Outcomes[Seed].OK) << "seed " << Seed << ": "
                                    << Outcomes[Seed].Error;
     EXPECT_EQ(findingsOnly(*Outcomes[Seed].Result),
-              sequentialFindings(Sources[Seed], optionsFor(Seed)))
+              sequentialFindings(Sources[Seed], AnalysisOptions()))
         << "seed " << Seed;
   }
 }
@@ -189,10 +170,10 @@ TEST(AnalysisBatchTest, WarmBatchIsBitwiseIdenticalToSequential) {
     fs::path Dir = Root / ("p" + std::to_string(Seed));
     fs::create_directories(Dir, EC);
     Dirs.push_back(Dir.string());
-    AnalysisOptions Prime = optionsFor(Seed);
+    AnalysisOptions Prime;
     Prime.CacheDir = Dirs.back();
     sequentialFindings(Sources.back(), std::move(Prime)); // prime only
-    AnalysisOptions Warm = optionsFor(Seed);
+    AnalysisOptions Warm;
     Warm.CacheDir = Dirs.back();
     Expected.push_back(
         sequentialFindings(Sources.back(), std::move(Warm)));
@@ -202,7 +183,7 @@ TEST(AnalysisBatchTest, WarmBatchIsBitwiseIdenticalToSequential) {
   Cfg.TotalThreads = 4;
   AnalysisBatch Batch(Cfg);
   for (uint64_t Seed = 0; Seed < Seeds; ++Seed) {
-    AnalysisOptions Opts = optionsFor(Seed);
+    AnalysisOptions Opts;
     Opts.CacheDir = Dirs[Seed];
     Batch.add(Sources[Seed], std::move(Opts));
   }
@@ -219,7 +200,7 @@ TEST(AnalysisBatchTest, WarmBatchIsBitwiseIdenticalToSequential) {
 
 TEST(AnalysisBatchTest, RepeatedRunAllIsStable) {
   AnalysisBatch Batch;
-  Batch.add(corpusProgram(7), optionsFor(7));
+  Batch.add(corpusProgram(7));
   auto First = Batch.runAll();
   auto Second = Batch.runAll(); // e.g. a warm second wave
   ASSERT_TRUE(First[0].OK);

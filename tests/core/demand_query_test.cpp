@@ -7,8 +7,8 @@
 //  - cone computation unit tests on hand-built dependency digraphs
 //    (chains, diamonds, cycles, token-unfolded call graphs),
 //  - a 200-seed differential: demand answers bitwise-equal to the full
-//    solve across both iteration strategies and all three warm
-//    states (cold, warm, cache-loaded), with per-node step audits
+//    solve across all three warm states (cold, warm, cache-loaded),
+//    with per-node step audits
 //    proving the out-of-cone zero-work guarantee,
 //  - the session/result API contracts: pre-run demand queries throw
 //    std::logic_error exactly like stateAt(), out-of-cone queries are
@@ -34,11 +34,6 @@ using namespace syntox;
 using namespace syntox::test;
 
 namespace {
-
-IterationStrategy strategyFor(uint64_t Seed) {
-  return Seed % 3 == 1 ? IterationStrategy::Worklist
-                       : IterationStrategy::Recursive;
-}
 
 /// Every cone must be closed under graph predecessors: that closure is
 /// the contract FixpointSolver::Options::DemandNodes relies on.
@@ -198,19 +193,18 @@ end.
 //===----------------------------------------------------------------------===//
 
 TEST(DemandQueryTest, TwoHundredSeedsDemandEqualsFull) {
-  // 200 random assertion-bearing programs; strategies cycle per seed,
-  // warm states (cold / warm / cache-loaded) cycle independently. For
-  // each, a single-node demand query must agree bitwise with the full
-  // solve at every in-cone node, and the per-phase audit must show
-  // zero live evaluations at every out-of-cone node.
+  // 200 random assertion-bearing programs; warm states (cold / warm /
+  // cache-loaded) cycle across seeds. For each, a single-node demand
+  // query must agree bitwise with the full solve at every in-cone node,
+  // and the per-phase audit must show zero live evaluations at every
+  // out-of-cone node.
   uint64_t TotalSkipped = 0, TotalDemanded = 0;
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
     ProgramGenerator Gen(Seed * 9973 + 17, /*WithAssertions=*/true);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = strategyFor(Seed);
     unsigned Mode = (Seed / 3) % 3; // 0 cold, 1 warm, 2 cache-loaded
-    AnalysisOptions Opts = withOptions().strategy(S).backwardRounds(2);
+    AnalysisOptions Opts = withOptions().backwardRounds(2);
 
     AnalyzedProgram P = analyzeProgram(Source, Opts);
     ASSERT_NE(P.An, nullptr);
@@ -305,8 +299,7 @@ TEST(DemandQueryTest, EditSequenceDemandStable) {
       SourceLoc Loc(Line, 0);
 
       DiagnosticsEngine Diags;
-      auto Session = AnalysisSession::create(
-          Source, Diags, withOptions().strategy(strategyFor(Seed)));
+      auto Session = AnalysisSession::create(Source, Diags, withOptions());
       ASSERT_NE(Session, nullptr) << Diags.str();
       AnalysisResult Full = Session->run();
       DemandResult Partial = Session->demandStateAt(Loc);

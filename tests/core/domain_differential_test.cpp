@@ -9,8 +9,6 @@
 //  - the stride paper programs pin the precision gap the domain
 //    dimension exists for: their exit accesses straddle a bound under
 //    intervals and every check is discharged only by the product,
-//  - determinism: both iteration strategies produce bitwise-equal
-//    findings under every domain,
 //  - the serving substrate: warm-started chains, demand check queries
 //    and disk-cache round-trips answer bitwise-identically to cold
 //    full solves per domain, and a cache directory shared across
@@ -38,11 +36,6 @@ using namespace syntox::test;
 
 namespace {
 
-IterationStrategy strategyFor(uint64_t Seed) {
-  return Seed % 3 == 1 ? IterationStrategy::Worklist
-                       : IterationStrategy::Recursive;
-}
-
 bool discharged(CheckVerdict V) {
   return V == CheckVerdict::Safe || V == CheckVerdict::Unreachable;
 }
@@ -50,7 +43,7 @@ bool discharged(CheckVerdict V) {
 AnalysisOptions derive(const AnalysisOptions &Base) { return Base; }
 
 /// The findings document minus the work counters: domains are compared
-/// on semantics, strategies on everything semantic.
+/// on semantics, warm/demand/cached runs on everything semantic.
 json::Value semanticFindings(const AnalysisResult &R) {
   json::Value Doc = R.toJson();
   json::Value Out = json::Value::object();
@@ -101,8 +94,7 @@ TEST(DomainDifferentialTest, ProductRefinesIntervalOnTwoHundredSeeds) {
     ProgramGenerator Gen(Seed * 4447, /*WithAssertions=*/Seed % 2 == 0);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = strategyFor(Seed);
-    AnalysisOptions Base = withOptions().strategy(S);
+    AnalysisOptions Base = withOptions();
 
     auto P = analyzeProgram(Source, derive(Base).domain(DomainKind::Interval));
     ASSERT_TRUE(P.FE.SemaOk);
@@ -181,42 +173,6 @@ TEST(DomainDifferentialTest, StrideProgramsDischargeOnlyUnderProduct) {
               ProductChecks.summary().Safe +
                   ProductChecks.summary().Unreachable);
     EXPECT_FALSE(CheckAnalysis(*Congr).allSafe());
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Determinism: strategies agree bitwise per domain
-//===----------------------------------------------------------------------===//
-
-TEST(DomainDifferentialTest, StrategiesAgreeBitwisePerDomain) {
-  for (uint64_t Seed = 1; Seed <= 18; ++Seed) {
-    ProgramGenerator Gen(Seed * 9001, /*WithAssertions=*/Seed % 3 == 0);
-    std::string Source = Gen.generate();
-    SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    for (DomainKind DK : {DomainKind::Congruence, DomainKind::Product}) {
-      json::Value Reference;
-      bool HaveReference = false;
-      for (IterationStrategy S :
-           {IterationStrategy::Recursive, IterationStrategy::Worklist}) {
-        DiagnosticsEngine Diags;
-        auto Session = AnalysisSession::create(
-            Source, Diags, withOptions().domain(DK).strategy(S));
-        ASSERT_NE(Session, nullptr) << Diags.str();
-        AnalysisResult R = Session->run();
-        json::Value Doc = semanticFindings(R);
-        EXPECT_EQ(Doc.find("domain")->asString(), domainKindName(DK));
-        if (!HaveReference) {
-          Reference = std::move(Doc);
-          HaveReference = true;
-        } else {
-          EXPECT_TRUE(Doc == Reference)
-              << domainKindName(DK) << " findings differ across "
-              << "strategies:\n"
-              << Doc.pretty() << "\nvs\n"
-              << Reference.pretty();
-        }
-      }
-    }
   }
 }
 

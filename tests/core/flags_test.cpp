@@ -4,8 +4,8 @@
 // daemon's defaults, the examples and every benchmark. Each tool exits 2
 // with usage on an Error and on any argument the shared parser leaves
 // unconsumed, so these tests pin which spellings are accepted, which are
-// rejected, and that the removed knobs (--threads=N and
-// --strategy=parallel) are no longer accepted.
+// rejected, and that the removed knobs (--threads=N, every --strategy=
+// and --cache/--no-cache) are no longer accepted.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,22 +35,23 @@ Parsed parse(const std::string &Arg) {
   return P;
 }
 
-TEST(AnalysisFlagsTest, StrategyFlagSelectsRecursiveOrWorklist) {
-  Parsed R = parse("--strategy=recursive");
-  ASSERT_EQ(R.Outcome, FlagParse::Consumed);
-  EXPECT_EQ(R.Opts.Strategy, IterationStrategy::Recursive);
-  Parsed W = parse("--strategy=worklist");
-  ASSERT_EQ(W.Outcome, FlagParse::Consumed);
-  EXPECT_EQ(W.Opts.Strategy, IterationStrategy::Worklist);
+TEST(AnalysisFlagsTest, StrategyAndCacheFlagsAreNotAnalysisFlags) {
+  // One iteration strategy and an unpinned transfer cache: the flags
+  // that chose them are left to the calling tool, which rejects any
+  // argument it does not know.
+  for (const char *Arg : {"--strategy=worklist", "--strategy=recursive",
+                          "--cache", "--no-cache"}) {
+    SCOPED_TRACE(Arg);
+    Parsed P = parse(Arg);
+    EXPECT_EQ(P.Outcome, FlagParse::NotAnalysisFlag);
+    EXPECT_TRUE(P.Error.empty());
+    EXPECT_TRUE(P.Opts == AnalysisOptions());
+  }
 }
 
 TEST(AnalysisFlagsTest, ParallelStrategyIsRejected) {
   Parsed P = parse("--strategy=parallel");
-  EXPECT_EQ(P.Outcome, FlagParse::Error);
-  EXPECT_NE(P.Error.find("unknown strategy 'parallel'"), std::string::npos)
-      << P.Error;
-  EXPECT_NE(P.Error.find("recursive or worklist"), std::string::npos)
-      << P.Error;
+  EXPECT_EQ(P.Outcome, FlagParse::NotAnalysisFlag);
   EXPECT_TRUE(P.Opts == AnalysisOptions()) << "a rejected flag changes nothing";
 }
 
@@ -74,15 +75,6 @@ TEST(AnalysisFlagsTest, BooleanFlagsSetAndClearOptions) {
   EXPECT_TRUE(parse("--prune").Opts.PruneDeadSlots);
   EXPECT_FALSE(parse("--no-warm-start").Opts.WarmStart);
   EXPECT_TRUE(parse("--warm-start").Opts.WarmStart);
-
-  // --cache / --no-cache pin the cache, turning the adaptive switch off.
-  AnalysisOptions On = parse("--cache").Opts;
-  EXPECT_TRUE(On.UseTransferCache);
-  EXPECT_TRUE(On.TransferCacheSet);
-  AnalysisOptions Off = parse("--no-cache").Opts;
-  EXPECT_FALSE(Off.UseTransferCache);
-  EXPECT_TRUE(Off.TransferCacheSet);
-  EXPECT_FALSE(AnalysisOptions().TransferCacheSet);
 }
 
 TEST(AnalysisFlagsTest, ValuedFlagsParseAndRejectMalformedValues) {
@@ -128,28 +120,36 @@ TEST(AnalysisFlagsTest, TelemetryFlagsFillTheTelemetryRequest) {
 }
 
 TEST(AnalysisFlagsTest, ParseAnalysisFlagsConsumesOnlyRecognizedArguments) {
-  std::vector<std::string> Args{"--strategy=worklist", "prog.pas",
-                                "--threads=4", "--no-prune", "--states"};
+  std::vector<std::string> Args{"--domain=product", "prog.pas",
+                                "--threads=4",      "--strategy=worklist",
+                                "--no-prune",       "--cache",
+                                "--states",         "--no-cache"};
   AnalysisOptions Opts;
   TelemetryFlags Telem;
   std::string Error;
   ASSERT_TRUE(parseAnalysisFlags(Args, Opts, Telem, Error)) << Error;
-  EXPECT_EQ(Args,
-            (std::vector<std::string>{"prog.pas", "--threads=4", "--states"}));
-  EXPECT_EQ(Opts.Strategy, IterationStrategy::Worklist);
+  EXPECT_EQ(Args, (std::vector<std::string>{"prog.pas", "--threads=4",
+                                            "--strategy=worklist", "--cache",
+                                            "--states", "--no-cache"}));
+  EXPECT_EQ(Opts.Domain, DomainKind::Product);
   EXPECT_FALSE(Opts.PruneDeadSlots);
 
   // A malformed recognized flag stops the parse with an error.
-  std::vector<std::string> Bad{"--no-backward", "--strategy=parallel"};
+  std::vector<std::string> Bad{"--no-backward", "--rounds=two"};
   EXPECT_FALSE(parseAnalysisFlags(Bad, Opts, Telem, Error));
-  EXPECT_NE(Error.find("parallel"), std::string::npos);
+  EXPECT_NE(Error.find("two"), std::string::npos);
 }
 
 TEST(AnalysisFlagsTest, HelpListsOnlyAcceptedKnobs) {
   const char *Help = analysisFlagsHelp();
-  EXPECT_NE(std::strstr(Help, "--strategy=recursive|worklist\n"), nullptr);
-  EXPECT_EQ(std::strstr(Help, "parallel"), nullptr);
-  EXPECT_EQ(std::strstr(Help, "--threads"), nullptr);
+  EXPECT_NE(std::strstr(Help, "--domain=interval|congruence|product\n"),
+            nullptr);
+  EXPECT_NE(std::strstr(Help, "--cache-dir=DIR"), nullptr);
+  for (const char *Removed : {"--strategy", "worklist", "parallel",
+                              "--threads", "--cache,", "--no-cache"}) {
+    SCOPED_TRACE(Removed);
+    EXPECT_EQ(std::strstr(Help, Removed), nullptr);
+  }
 }
 
 TEST(AnalysisFlagsTest, QuerySpecGrammar) {

@@ -6,8 +6,7 @@
 // observable result: a warm-started refinement chain must produce
 // bitwise-identical invariants, findings and envelope flags to a cold
 // chain, differing only in the work counters. This battery pins that
-// guarantee on 200 random programs and the paper's examples, across
-// both iteration strategies.
+// guarantee on 200 random programs and the paper's examples.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,11 +22,6 @@ using namespace syntox;
 using namespace syntox::test;
 
 namespace {
-
-IterationStrategy strategyFor(uint64_t Seed) {
-  return Seed % 3 == 1 ? IterationStrategy::Worklist
-                       : IterationStrategy::Recursive;
-}
 
 /// The findings document minus the work counters: warm and cold runs
 /// agree on everything except `stats` and `metrics` (evaluation counts,
@@ -45,14 +39,14 @@ json::Value semanticFindings(const AnalysisResult &R) {
 /// configuration without mutating it in place.
 AnalysisOptions derive(const AnalysisOptions &Base) { return Base; }
 
-/// Runs \p Source warm and cold under \p S and asserts identical
-/// findings JSON and identical per-point envelope states. Returns the
-/// warm run's component-skip count so callers can assert the machinery
-/// actually engaged.
+/// Runs \p Source warm and cold and asserts identical findings JSON and
+/// identical per-point envelope states. Returns the warm run's
+/// component-skip count so callers can assert the machinery actually
+/// engaged.
 uint64_t expectWarmColdIdentical(const std::string &Source,
-                                 IterationStrategy S, unsigned Rounds) {
+                                 unsigned Rounds) {
   AnalysisOptions Base =
-      withOptions().terminationGoal().strategy(S).backwardRounds(Rounds);
+      withOptions().terminationGoal().backwardRounds(Rounds);
 
   DiagnosticsEngine WarmDiags;
   auto WarmSession =
@@ -95,8 +89,7 @@ uint64_t expectWarmColdIdentical(const std::string &Source,
 }
 
 TEST(IncrementalDiffTest, TwoHundredSeedsWarmEqualsCold) {
-  // 200 random programs, strategies cycling per seed, two backward
-  // rounds so the later phases have recorded memos to replay. The
+  // 200 random programs, two backward rounds so the later phases have recorded memos to replay. The
   // invariants are compared store-by-store at every supergraph node
   // (sharing one AST between the analyzers keeps StoreOps::equal
   // meaningful).
@@ -105,17 +98,14 @@ TEST(IncrementalDiffTest, TwoHundredSeedsWarmEqualsCold) {
     ProgramGenerator Gen(Seed * 9973);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = strategyFor(Seed);
 
     auto Warm = analyzeProgram(Source, withOptions()
                                            .terminationGoal()
-                                           .strategy(S)
                                            .backwardRounds(2)
                                            .warmStart(true));
     ASSERT_TRUE(Warm.FE.SemaOk);
     auto Cold = reanalyze(Warm, withOptions()
                                     .terminationGoal()
-                                    .strategy(S)
                                     .backwardRounds(2)
                                     .warmStart(false));
 
@@ -143,25 +133,20 @@ TEST(IncrementalDiffTest, FindingsIdenticalOnPaperPrograms) {
   };
   for (const char *Source : Programs) {
     SCOPED_TRACE(Source);
-    uint64_t Skips = 0;
-    for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist})
-      Skips += expectWarmColdIdentical(Source, S, /*Rounds=*/3);
-    EXPECT_GT(Skips, 0u) << "warm start never engaged";
+    EXPECT_GT(expectWarmColdIdentical(Source, /*Rounds=*/3), 0u)
+        << "warm start never engaged";
   }
 }
 
 TEST(IncrementalDiffTest, FindingsIdenticalOnRandomPrograms) {
   // Full findings-document comparison on a slice of the random battery
-  // (both strategies per seed; the 200-seed store-level test above
-  // covers breadth, this covers the serialized findings and states).
+  // (the 200-seed store-level test above covers breadth, this covers
+  // the serialized findings and states).
   for (uint64_t Seed = 1; Seed <= 24; ++Seed) {
     ProgramGenerator Gen(Seed * 7717);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist})
-      expectWarmColdIdentical(Source, S, /*Rounds=*/2);
+    expectWarmColdIdentical(Source, /*Rounds=*/2);
   }
 }
 

@@ -7,7 +7,7 @@
 //  - findings documents bitwise identical (verdict, necessary
 //    conditions, invariant warnings, check classifications),
 //  - every live variable's forward and envelope value bitwise equal at
-//    every supergraph node (200 random programs, strategies cycling),
+//    every supergraph node (200 random programs),
 //  - the structured point states equal modulo the documented PrunedVars
 //    contract: a pruned run shows a subset of the unpruned bindings and
 //    names every dropped variable in PrunedVars,
@@ -34,11 +34,6 @@ using namespace syntox;
 using namespace syntox::test;
 
 namespace {
-
-IterationStrategy strategyFor(uint64_t Seed) {
-  return Seed % 3 == 1 ? IterationStrategy::Worklist
-                       : IterationStrategy::Recursive;
-}
 
 /// The findings document minus the work counters (`stats`, `metrics`):
 /// pruned and unpruned runs agree on everything semantic and differ
@@ -135,18 +130,17 @@ void expectPrunedMatchesFull(const std::string &Source,
 //===----------------------------------------------------------------------===//
 
 TEST(LivenessPruneTest, TwoHundredSeedsLiveStatesMatchUnpruned) {
-  // 200 random programs, strategies cycling per seed. The pruned and
-  // unpruned analyzers share one AST (reanalyze), so StoreOps::get is
-  // comparable key-by-key: every variable whose slot the liveness masks
-  // call live must carry the bitwise-identical forward and envelope
-  // value in both runs, at every supergraph node.
+  // 200 random programs. The pruned and unpruned analyzers share one
+  // AST (reanalyze), so StoreOps::get is comparable key-by-key: every
+  // variable whose slot the liveness masks call live must carry the
+  // bitwise-identical forward and envelope value in both runs, at
+  // every supergraph node.
   uint64_t TotalPruned = 0;
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
     ProgramGenerator Gen(Seed * 8293);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = strategyFor(Seed);
-    AnalysisOptions Base = withOptions().terminationGoal().strategy(S);
+    AnalysisOptions Base = withOptions().terminationGoal();
 
     auto Pruned = analyzeProgram(Source, derive(Base).prune(true));
     ASSERT_TRUE(Pruned.FE.SemaOk);
@@ -192,10 +186,7 @@ TEST(LivenessPruneTest, FindingsIdenticalOnPaperPrograms) {
   };
   for (const char *Source : Programs) {
     SCOPED_TRACE(Source);
-    for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist})
-      expectPrunedMatchesFull(Source,
-                              withOptions().terminationGoal().strategy(S));
+    expectPrunedMatchesFull(Source, withOptions().terminationGoal());
   }
 }
 
@@ -206,9 +197,7 @@ TEST(LivenessPruneTest, FindingsIdenticalOnRandomPrograms) {
     ProgramGenerator Gen(Seed * 6121, /*WithAssertions=*/true);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = strategyFor(Seed);
-    expectPrunedMatchesFull(Source,
-                            withOptions().terminationGoal().strategy(S));
+    expectPrunedMatchesFull(Source, withOptions().terminationGoal());
   }
 }
 
@@ -244,7 +233,7 @@ TEST(LivenessPruneTest, DemandQueriesMatchModuloPruning) {
                             std::count(Source.begin() + Pos, Source.end(),
                                        '\n'));
     SourceLoc Loc(Line, 0);
-    AnalysisOptions Base = withOptions().strategy(strategyFor(Seed));
+    AnalysisOptions Base = withOptions();
 
     DiagnosticsEngine PrunedDiags;
     auto PrunedSession =

@@ -7,12 +7,13 @@
 // cold run, and a truncated, corrupted, version-skewed or
 // options-skewed cache file falls back to a cold solve with — again —
 // identical findings. The fuzzed battery pins the save/load round trip
-// on 200 random programs across the three iteration strategies.
+// on 200 random programs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/AnalysisSession.h"
 #include "frontend/PaperPrograms.h"
+#include "persist/Serial.h"
 #include "persist/WarmCache.h"
 #include "support/Metrics.h"
 
@@ -254,6 +255,72 @@ TEST(PersistCacheTest, CorruptedBytesFallBackCold) {
   }
 }
 
+/// Size of the cache file header: magic, version, options hash,
+/// supergraph hash, body length, body checksum.
+constexpr size_t HeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
+
+/// File offset of the first valid chain slot's iteration-strategy byte,
+/// found by walking the body layout of persist/WarmCache.h: four key
+/// tables, the store pool (rows in the codec of WarmCache.cpp's
+/// writeValue), then the slots. 0 when the walk fails.
+size_t strategyByteOffset(const std::vector<char> &File) {
+  persist::ByteReader R(File.data() + HeaderBytes,
+                        File.size() - HeaderBytes);
+  for (int Table = 0; Table < 4; ++Table)
+    for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I)
+      R.u64();
+  for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I)
+    for (uint64_t E = 0, M = R.varint(); E < M && !R.failed(); ++E) {
+      R.varint(); // variable index
+      uint8_t Flags = R.u8();
+      if (Flags & 3)
+        continue; // a bool row, or a bottom interval: no bounds follow
+      if (!(Flags & 4))
+        R.svarint();
+      if (!(Flags & 8))
+        R.svarint();
+      if (Flags & 16) {
+        R.svarint();
+        R.svarint();
+      }
+    }
+  for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I) {
+    if (!R.u8())
+      continue; // an unsaved slot is a single 0 byte
+    R.u8(); // phase signature
+    R.u8(); // solved inside an envelope
+    R.u8(); // fixpoint kind
+    return R.failed() ? 0 : File.size() - R.remaining();
+  }
+  return 0;
+}
+
+TEST(PersistCacheTest, NonZeroStrategyByteFallsBackCold) {
+  // Format v3 keeps the byte the iteration strategy once filled; files
+  // always hold 0 there, and any other value is a malformed slot.
+  ScratchDir Dir("strategy");
+  RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok);
+  std::vector<char> Full = readFile(cacheFile(Dir.str()));
+  size_t At = strategyByteOffset(Full);
+  ASSERT_GT(At, HeaderBytes);
+  EXPECT_EQ(Full[At], 0);
+  Full[At] = 1;
+  // Re-seal the body so the checksum cannot be what rejects the file.
+  uint64_t Sum =
+      persist::fnv1a(Full.data() + HeaderBytes, Full.size() - HeaderBytes);
+  for (int I = 0; I < 8; ++I)
+    Full[HeaderBytes - 8 + I] = static_cast<char>(Sum >> (8 * I));
+  writeFile(cacheFile(Dir.str()), Full);
+
+  AnalyzedProgram P =
+      analyzeProgram(TwoProcProgram, withOptions().terminationGoal());
+  persist::CacheLoadResult Load = persist::loadWarmCache(Dir.str(), *P.An);
+  EXPECT_FALSE(Load.Loaded);
+  EXPECT_EQ(Load.FallbackReason, "malformed slot");
+  expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold, "strategy byte");
+}
+
 TEST(PersistCacheTest, FormatVersionMismatchFallsBackCold) {
   ScratchDir Dir("version");
   RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
@@ -309,36 +376,29 @@ TEST(PersistCacheTest, PaperProgramsRoundTripAllStrategies) {
   unsigned Idx = 0;
   for (const char *Source : Programs) {
     SCOPED_TRACE(Source);
-    for (IterationStrategy S :
-         {IterationStrategy::Recursive, IterationStrategy::Worklist}) {
-      ScratchDir Dir("paper" + std::to_string(Idx++));
-      AnalysisOptions Opts = withOptions().terminationGoal().strategy(S);
-      RunOutcome Cold = runOnce(Source, Dir.str(), Opts);
-      RunOutcome Warm = runOnce(Source, Dir.str(), Opts);
-      ASSERT_TRUE(Cold.Ok && Warm.Ok);
-      EXPECT_EQ(Warm.Loaded, 1u);
-      EXPECT_EQ(Warm.LiveSteps, 0u);
-      EXPECT_TRUE(Warm.Findings == Cold.Findings);
-    }
+    ScratchDir Dir("paper" + std::to_string(Idx++));
+    RunOutcome Cold = runOnce(Source, Dir.str());
+    RunOutcome Warm = runOnce(Source, Dir.str());
+    ASSERT_TRUE(Cold.Ok && Warm.Ok);
+    EXPECT_EQ(Warm.Loaded, 1u);
+    EXPECT_EQ(Warm.LiveSteps, 0u);
+    EXPECT_TRUE(Warm.Findings == Cold.Findings);
   }
 }
 
 TEST(PersistCacheTest, FuzzedRoundTripIdenticalFindings) {
-  // 200 random programs, strategies cycling per seed: save on the first
-  // run, full replay on the second, identical findings both times.
+  // 200 random programs: save on the first run, full replay on the
+  // second, identical findings both times.
   uint64_t TotalReplayedRuns = 0;
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
     ProgramGenerator Gen(Seed * 12289);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
-    IterationStrategy S = Seed % 3 == 1 ? IterationStrategy::Worklist
-                                        : IterationStrategy::Recursive;
-    AnalysisOptions Opts = withOptions().terminationGoal().strategy(S);
 
     ScratchDir Dir("fuzz");
-    RunOutcome Cold = runOnce(Source, Dir.str(), Opts);
+    RunOutcome Cold = runOnce(Source, Dir.str());
     ASSERT_TRUE(Cold.Ok);
-    RunOutcome Warm = runOnce(Source, Dir.str(), Opts);
+    RunOutcome Warm = runOnce(Source, Dir.str());
     ASSERT_TRUE(Warm.Ok);
     EXPECT_EQ(Warm.Loaded, 1u);
     EXPECT_EQ(Warm.LiveSteps, 0u) << "live steps after replay";

@@ -152,6 +152,8 @@ TEST(AnalysisSessionTest, MetricsAccumulateAcrossRuns) {
   ASSERT_TRUE(C1 && C1->find("solver.ascending_steps"));
   int64_t Steps1 = C1->find("solver.ascending_steps")->asInt();
   EXPECT_GT(Steps1, 0);
+  EXPECT_EQ(C1->find("solver.sweep_cap_hits"), nullptr)
+      << "the sweep-cap counter exists only once a loop hits the cap";
 
   AnalysisResult Second = Session->run();
   const json::Value *C2 = Second.metrics().find("counters");

@@ -1,8 +1,7 @@
 //===- tests/fixpoint/solver_test.cpp - Fixpoint solver tests -------------===//
 //
 // Exercises the generic solver on hand-built interval equation systems,
-// including the paper's §6.1 example loop, for both iteration strategies
-// and both fixpoint kinds.
+// including the paper's §6.1 example loop, for both fixpoint kinds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,6 +9,8 @@
 #include "lattice/Interval.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace syntox;
 
@@ -47,7 +48,6 @@ struct IntervalSystem {
   }
 
   unsigned numNodes() const { return DepGraph.numNodes(); }
-  const Digraph &graph() const { return DepGraph; }
   const Wto &wto() const { return Order; }
 
   Interval initialValue(unsigned, bool FromTop) const {
@@ -93,13 +93,10 @@ IntervalSystem countingLoop() {
   return S;
 }
 
-class StrategyTest : public ::testing::TestWithParam<IterationStrategy> {};
-
-TEST_P(StrategyTest, CountingLoopOptimalAfterNarrowing) {
+TEST(SolverTest, CountingLoopOptimalAfterNarrowing) {
   IntervalSystem S = countingLoop();
   FixpointSolver<IntervalSystem>::Options Opts;
   Opts.Kind = FixpointKind::Lfp;
-  Opts.Strategy = GetParam();
   FixpointSolver<IntervalSystem> Solver(S, Opts);
   std::vector<Interval> X = Solver.solve();
   // The paper's optimum: loop head [0,100], body entry [0,99],
@@ -113,10 +110,9 @@ TEST_P(StrategyTest, CountingLoopOptimalAfterNarrowing) {
   EXPECT_GT(Solver.stats().Narrowings, 0u);
 }
 
-TEST_P(StrategyTest, WithoutNarrowingTopRemains) {
+TEST(SolverTest, WithoutNarrowingTopRemains) {
   IntervalSystem S = countingLoop();
   FixpointSolver<IntervalSystem>::Options Opts;
-  Opts.Strategy = GetParam();
   Opts.NarrowingPasses = 0;
   FixpointSolver<IntervalSystem> Solver(S, Opts);
   std::vector<Interval> X = Solver.solve();
@@ -124,15 +120,6 @@ TEST_P(StrategyTest, WithoutNarrowingTopRemains) {
   EXPECT_EQ(X[1], Interval(0, INT64_MAX));
   EXPECT_EQ(X[4], Interval(100, INT64_MAX));
 }
-
-INSTANTIATE_TEST_SUITE_P(BothStrategies, StrategyTest,
-                         ::testing::Values(IterationStrategy::Recursive,
-                                           IterationStrategy::Worklist),
-                         [](const auto &Info) {
-                           return Info.param == IterationStrategy::Recursive
-                                      ? "Recursive"
-                                      : "Worklist";
-                         });
 
 TEST(SolverTest, StraightLinePropagation) {
   IntervalSystem S(3);
@@ -227,13 +214,10 @@ struct DirtyIntervalSystem : IntervalSystem {
   }
 };
 
-class WarmStartTest : public ::testing::TestWithParam<IterationStrategy> {};
-
-TEST_P(WarmStartTest, IdenticalResolveIsFullyReplayed) {
+TEST(WarmStartTest, IdenticalResolveIsFullyReplayed) {
   IntervalSystem S = countingLoop();
   WarmStartMemo<Interval> Memo;
   FixpointSolver<IntervalSystem>::Options Opts;
-  Opts.Strategy = GetParam();
   Opts.Memo = &Memo;
 
   FixpointSolver<IntervalSystem> Cold(S, Opts);
@@ -256,7 +240,7 @@ TEST_P(WarmStartTest, IdenticalResolveIsFullyReplayed) {
     EXPECT_TRUE(Replayed);
 }
 
-TEST_P(WarmStartTest, DirtySeedForcesRecomputationAndStaysExact) {
+TEST(WarmStartTest, DirtySeedForcesRecomputationAndStaysExact) {
   DirtyIntervalSystem S(5);
   S.Seeds[0] = Interval(0, 0);
   S.addEdge(0, 1, 0, S.D.top());
@@ -267,7 +251,6 @@ TEST_P(WarmStartTest, DirtySeedForcesRecomputationAndStaysExact) {
 
   WarmStartMemo<Interval> Memo;
   FixpointSolver<DirtyIntervalSystem>::Options Opts;
-  Opts.Strategy = GetParam();
   Opts.Memo = &Memo;
   FixpointSolver<DirtyIntervalSystem>(S, Opts).solve();
 
@@ -279,12 +262,11 @@ TEST_P(WarmStartTest, DirtySeedForcesRecomputationAndStaysExact) {
   std::vector<Interval> XWarm = Warm.solve();
 
   FixpointSolver<DirtyIntervalSystem>::Options ColdOpts;
-  ColdOpts.Strategy = GetParam();
   FixpointSolver<DirtyIntervalSystem> Cold(S, ColdOpts);
   EXPECT_EQ(XWarm, Cold.solve());
 }
 
-TEST_P(WarmStartTest, UpstreamEditInvalidatesDownstreamReplay) {
+TEST(WarmStartTest, UpstreamEditInvalidatesDownstreamReplay) {
   // Two straight-line nodes feeding a loop: editing the straight-line
   // seed changes the loop's inputs, so the loop component must be
   // re-iterated, not replayed — and the result must match a cold solve.
@@ -297,7 +279,6 @@ TEST_P(WarmStartTest, UpstreamEditInvalidatesDownstreamReplay) {
 
   WarmStartMemo<Interval> Memo;
   FixpointSolver<DirtyIntervalSystem>::Options Opts;
-  Opts.Strategy = GetParam();
   Opts.Memo = &Memo;
   FixpointSolver<DirtyIntervalSystem>(S, Opts).solve();
 
@@ -310,19 +291,17 @@ TEST_P(WarmStartTest, UpstreamEditInvalidatesDownstreamReplay) {
         << "node " << I << " sits downstream of the edit";
 
   FixpointSolver<DirtyIntervalSystem>::Options ColdOpts;
-  ColdOpts.Strategy = GetParam();
   FixpointSolver<DirtyIntervalSystem> Cold(S, ColdOpts);
   EXPECT_EQ(XWarm, Cold.solve());
 }
 
-TEST_P(WarmStartTest, GfpReplayIsExactToo) {
+TEST(WarmStartTest, GfpReplayIsExactToo) {
   IntervalSystem S(2);
   S.addEdge(0, 0, 0, S.D.make(0, 50));
   S.addEdge(0, 1, 1, S.D.top());
   WarmStartMemo<Interval> Memo;
   FixpointSolver<IntervalSystem>::Options Opts;
   Opts.Kind = FixpointKind::Gfp;
-  Opts.Strategy = GetParam();
   Opts.Memo = &Memo;
   std::vector<Interval> X0 = FixpointSolver<IntervalSystem>(S, Opts).solve();
   FixpointSolver<IntervalSystem> Warm(S, Opts);
@@ -330,35 +309,31 @@ TEST_P(WarmStartTest, GfpReplayIsExactToo) {
   EXPECT_GT(Warm.stats().ComponentSkips, 0u);
 }
 
-TEST(WarmStartTest, StrategyMismatchInvalidatesMemo) {
-  // A memo recorded under one strategy must not seed replay under
-  // another: the sweep boundaries are strategy-specific.
-  IntervalSystem S = countingLoop();
+TEST(WarmStartTest, KindMismatchInvalidatesMemo) {
+  // A memo recorded by an Lfp solve must not seed replay of a Gfp solve:
+  // the sweep boundaries belong to a different iteration.
+  IntervalSystem S(2);
+  S.addEdge(0, 0, 0, S.D.make(0, 50));
+  S.addEdge(0, 1, 1, S.D.top());
   WarmStartMemo<Interval> Memo;
-  FixpointSolver<IntervalSystem>::Options Rec;
-  Rec.Memo = &Memo;
-  std::vector<Interval> X0 = FixpointSolver<IntervalSystem>(S, Rec).solve();
+  FixpointSolver<IntervalSystem>::Options Lfp;
+  Lfp.Memo = &Memo;
+  FixpointSolver<IntervalSystem>(S, Lfp).solve();
 
-  FixpointSolver<IntervalSystem>::Options Wl;
-  Wl.Strategy = IterationStrategy::Worklist;
-  Wl.Memo = &Memo;
-  FixpointSolver<IntervalSystem> Warm(S, Wl);
-  EXPECT_EQ(Warm.solve(), X0);
+  FixpointSolver<IntervalSystem>::Options Gfp;
+  Gfp.Kind = FixpointKind::Gfp;
+  Gfp.Memo = &Memo;
+  FixpointSolver<IntervalSystem> Warm(S, Gfp);
+  std::vector<Interval> X0 = Warm.solve();
   EXPECT_EQ(Warm.stats().ComponentSkips, 0u);
-  // The mismatched run re-records, so a second worklist run replays.
-  FixpointSolver<IntervalSystem> Warm2(S, Wl);
+  FixpointSolver<IntervalSystem>::Options ColdGfp;
+  ColdGfp.Kind = FixpointKind::Gfp;
+  EXPECT_EQ(X0, FixpointSolver<IntervalSystem>(S, ColdGfp).solve());
+  // The mismatched run re-records, so a second Gfp run replays.
+  FixpointSolver<IntervalSystem> Warm2(S, Gfp);
   EXPECT_EQ(Warm2.solve(), X0);
   EXPECT_GT(Warm2.stats().ComponentSkips, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllStrategies, WarmStartTest,
-                         ::testing::Values(IterationStrategy::Recursive,
-                                           IterationStrategy::Worklist),
-                         [](const auto &Info) {
-                           return Info.param == IterationStrategy::Recursive
-                                      ? "Recursive"
-                                      : "Worklist";
-                         });
 
 TEST(SolverTest, FourStepConvergenceClaim) {
   // Paper §6.1: with widening and narrowing, the per-equation cost is
@@ -371,6 +346,64 @@ TEST(SolverTest, FourStepConvergenceClaim) {
   uint64_t Total =
       Solver.stats().AscendingSteps + Solver.stats().DescendingSteps;
   EXPECT_LE(Total, 5u * 8u) << "fixpoint took unexpectedly many steps";
+}
+
+/// One equation X0 = X0 - 1 over the integers (ordered by <=), whose
+/// "narrowing" just takes the new value: every descending sweep lowers
+/// the head, so the descending loops only stop at their safety-net
+/// bounds.
+struct CountdownSystem {
+  using Value = int64_t;
+  static constexpr int64_t Top = 2000000;
+
+  Digraph DepGraph{1};
+  Wto Order;
+  CountdownSystem() {
+    DepGraph.addEdge(0, 0);
+    Order = Wto(DepGraph, {0});
+  }
+
+  unsigned numNodes() const { return 1; }
+  const Wto &wto() const { return Order; }
+  int64_t initialValue(unsigned, bool FromTop) const {
+    return FromTop ? Top : 0;
+  }
+  int64_t evaluate(unsigned, const std::vector<int64_t> &X) const {
+    return X[0] - 1;
+  }
+  bool leq(int64_t A, int64_t B) const { return A <= B; }
+  bool equal(int64_t A, int64_t B) const { return A == B; }
+  int64_t widen(int64_t A, int64_t B) const { return std::max(A, B); }
+  int64_t narrow(int64_t, int64_t B) const { return B; }
+};
+
+TEST(SolverTest, SweepCapHitsAreCountedAndKeepTheCappedIterate) {
+  CountdownSystem S;
+  ASSERT_TRUE(S.wto().isHead(0));
+
+  // Lfp: the ascent is stable at once (0 - 1 <= 0); the one narrowing
+  // pass runs the component loop to its 1000-sweep cap.
+  FixpointSolver<CountdownSystem>::Options Lfp;
+  FixpointSolver<CountdownSystem> L(S, Lfp);
+  EXPECT_EQ(L.solve()[0], -1000);
+  EXPECT_EQ(L.stats().SweepCapHits, 1u);
+  EXPECT_EQ(L.stats().Widenings, 0u);
+
+  // Gfp: each of the 1000 outer sweeps stops its component loop at the
+  // cap, and the outer loop then stops at its own: 1000 + 1 hits.
+  FixpointSolver<CountdownSystem>::Options Gfp;
+  Gfp.Kind = FixpointKind::Gfp;
+  FixpointSolver<CountdownSystem> G(S, Gfp);
+  EXPECT_EQ(G.solve()[0], CountdownSystem::Top - 1000 * 1000);
+  EXPECT_EQ(G.stats().SweepCapHits, 1001u);
+  EXPECT_EQ(G.stats().Narrowings, 1000u * 1000u);
+
+  // A solve that converges reports none.
+  IntervalSystem C = countingLoop();
+  FixpointSolver<IntervalSystem>::Options Opts;
+  FixpointSolver<IntervalSystem> Converged(C, Opts);
+  Converged.solve();
+  EXPECT_EQ(Converged.stats().SweepCapHits, 0u);
 }
 
 } // namespace

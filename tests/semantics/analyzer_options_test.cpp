@@ -1,7 +1,7 @@
 //===- tests/semantics/analyzer_options_test.cpp - Option matrix tests ----===//
 //
-// The Analyzer's configuration surface: iteration strategies must agree,
-// narrowing passes control widening overshoot, Harrison/forward-only/
+// The Analyzer's configuration surface: narrowing passes control
+// widening overshoot, Harrison/forward-only/
 // context-insensitive modes behave as specified, and thresholds plug in.
 // Option identity (operator== and the cache-key hashes) is pinned too.
 //
@@ -19,33 +19,6 @@ using namespace syntox;
 using namespace syntox::test;
 
 namespace {
-
-TEST(AnalyzerOptionsTest, StrategiesAgreeOnObservableResults) {
-  // The two chaotic iteration strategies take different narrowing paths
-  // (per-node values can be incomparable), but the headline results —
-  // the envelope at the program exit and the derived loop bounds — must
-  // coincide on the paper programs.
-  struct Probe {
-    const char *Source;
-    const char *Point;
-    const char *Var;
-  } Probes[] = {
-      {paper::IntermittentProgramPlain, "exit of intermit", "i"},
-      {paper::FactProgram, "after read x", "x"},
-      {paper::McCarthyProgram, "exit of mccarthy", "m"},
-      {paper::BinarySearchProgram, "exit of binarysearch", "n"},
-  };
-  for (const Probe &P : Probes) {
-    auto A1 = analyzeProgram(P.Source, withOptions());
-    auto A2 = analyzeProgram(
-        P.Source, withOptions().strategy(IterationStrategy::Worklist));
-    const VarDecl *V1 = A1.var("", P.Var);
-    const VarDecl *V2 = A2.var("", P.Var);
-    EXPECT_EQ(A1.envInt(A1.node("", P.Point), V1),
-              A2.envInt(A2.node("", P.Point), V2))
-        << P.Point << " / " << P.Var;
-  }
-}
 
 TEST(AnalyzerOptionsTest, NoNarrowingOvershoots) {
   const char *Source = "program p; var i : integer;\n"
@@ -158,10 +131,7 @@ TEST(AnalyzerOptionsTest, EqualityComparesEveryMember) {
   MetricsRegistry Metrics;
   TraceRecorder Trace;
   const std::pair<const char *, AnalysisOptions> Variants[] = {
-      {"strategy", AnalysisOptions().strategy(IterationStrategy::Worklist)},
       {"domain", AnalysisOptions().domain(DomainKind::Product)},
-      {"transferCache", AnalysisOptions().transferCache(false)},
-      {"adaptiveCacheThreshold", AnalysisOptions().adaptiveCacheThreshold(3)},
       {"narrowingPasses", AnalysisOptions().narrowingPasses(2)},
       {"backwardRounds", AnalysisOptions().backwardRounds(2)},
       {"terminationGoal", AnalysisOptions().terminationGoal()},
@@ -181,26 +151,31 @@ TEST(AnalyzerOptionsTest, EqualityComparesEveryMember) {
   }
 }
 
-TEST(AnalyzerOptionsTest, StrategyValuesKeepCacheKeysStable) {
-  // The enumerator values feed optionsHash(), which names on-disk warm
-  // files: they must not be renumbered.
-  EXPECT_EQ(static_cast<int>(IterationStrategy::Recursive), 0);
-  EXPECT_EQ(static_cast<int>(IterationStrategy::Worklist), 1);
-
-  // The strategy shapes the recorded state but not the computed values.
-  AnalysisOptions R, W;
-  W.strategy(IterationStrategy::Worklist);
-  EXPECT_EQ(R.solverSemanticsHash(), W.solverSemanticsHash());
-  EXPECT_NE(R.optionsHash(), W.optionsHash());
+TEST(AnalyzerOptionsTest, OptionsHashesMatchTheRecordedGoldens) {
+  // optionsHash() names the on-disk warm files, so cache files written
+  // by earlier builds must keep their names. These values were recorded
+  // before the iteration-strategy knob was retired; its slot in the
+  // hash is now a constant.
+  AnalysisOptions R;
+  EXPECT_EQ(R.optionsHash(), 0x04e3292583958ff9ull);
+  EXPECT_EQ(R.solverSemanticsHash(), 0x4ced0ee6149f25b5ull);
+  EXPECT_EQ(AnalysisOptions().domain(DomainKind::Product).optionsHash(),
+            0x83a3431ac5d22dcfull);
+  EXPECT_EQ(
+      AnalysisOptions().terminationGoal().backwardRounds(2).optionsHash(),
+      0xa5c62d3c4ba0e2f9ull);
 
   // Domain and pruning change the stored values themselves.
   AnalysisOptions Product = AnalysisOptions().domain(DomainKind::Product);
   EXPECT_NE(R.solverSemanticsHash(), Product.solverSemanticsHash());
   EXPECT_NE(R.solverSemanticsHash(),
             AnalysisOptions().prune(false).solverSemanticsHash());
+  // The chain length shapes the recorded state but not the values.
+  AnalysisOptions Two = AnalysisOptions().backwardRounds(2);
+  EXPECT_EQ(R.solverSemanticsHash(), Two.solverSemanticsHash());
+  EXPECT_NE(R.optionsHash(), Two.optionsHash());
   // Speed-only knobs leave both hashes alone.
-  AnalysisOptions Cached = AnalysisOptions().transferCache(true);
-  EXPECT_EQ(R.optionsHash(), Cached.optionsHash());
+  EXPECT_EQ(R.optionsHash(), AnalysisOptions().warmStart(false).optionsHash());
 }
 
 } // namespace

@@ -6,7 +6,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
 #include "../common/AnalysisTestUtil.h"
@@ -352,44 +351,6 @@ TEST(AssertionTest, IntermittentUnreachableGivesBottomEnvelope) {
                           "end.");
   unsigned Entry = A.node("", "entry of p");
   EXPECT_TRUE(A.An->envelopeAt(Entry).isBottom());
-}
-
-//===----------------------------------------------------------------------===//
-// Strategy independence of the findings
-//===----------------------------------------------------------------------===//
-
-/// The abstract debugger's necessary conditions and invariant warnings
-/// under strategy \p S, rendered word for word.
-std::vector<std::string> conditionsUnder(const char *Source,
-                                         IterationStrategy S) {
-  DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(
-      Source, Diags, withOptions().terminationGoal().strategy(S));
-  EXPECT_NE(Dbg, nullptr) << Diags.str();
-  std::vector<std::string> Out;
-  if (!Dbg)
-    return Out;
-  Dbg->analyze();
-  for (const NecessaryCondition &C : Dbg->conditions())
-    Out.push_back(C.str());
-  for (const InvariantWarning &W : Dbg->invariantWarnings())
-    Out.push_back(W.Message);
-  return Out;
-}
-
-TEST(StrategyTest, FindingsAgreeAcrossStrategies) {
-  // The worklist strategy may narrow along a different path than the
-  // recursive one, but the reported findings are observable results
-  // and must agree.
-  for (const char *Source :
-       {paper::ForProgram, paper::ForProgram1ToN, paper::WhileProgram,
-        paper::FactProgram, paper::SelectProgram, paper::IntermittentProgram,
-        paper::McCarthyProgram, paper::McCarthyBuggy,
-        paper::BinarySearchProgram}) {
-    SCOPED_TRACE(Source);
-    EXPECT_EQ(conditionsUnder(Source, IterationStrategy::Worklist),
-              conditionsUnder(Source, IterationStrategy::Recursive));
-  }
 }
 
 } // namespace

@@ -88,19 +88,18 @@ TEST(EndToEndRandomTest, EnvelopeCoversSuccessfulRunsToo) {
 }
 
 TEST(EndToEndRandomTest, CachedRecursiveStrategyIsSound) {
-  // The soundness oracle for the transfer cache: every random program is
-  // analyzed with the recursive strategy and the memoizing transfer
-  // cache, and the concrete final state observed by the interpreter
-  // must stay inside the computed intervals. Every fourth seed is
-  // additionally re-analyzed with no cache, and the forward invariants
-  // and envelopes must be identical at every supergraph node — the
-  // cache is purely memoizing.
+  // The soundness oracle over 200 random programs, analyzed as every
+  // caller analyzes them: the concrete final state observed by the
+  // interpreter must stay inside the computed intervals. The programs
+  // whose unfolding reaches Analyzer::TransferCacheMinInstances run with
+  // the transfer cache on; transfer_cache_test checks the memoized
+  // transfers against the plain ones on every fourth seed.
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
     ProgramGenerator Gen(Seed * 6271);
     std::string Source = Gen.generate();
     SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
 
-    auto A = analyzeProgram(Source, withOptions().transferCache(true));
+    auto A = analyzeProgram(Source);
     ASSERT_TRUE(A.FE.SemaOk);
 
     Interpreter I(A.FE.Program);
@@ -119,17 +118,6 @@ TEST(EndToEndRandomTest, CachedRecursiveStrategyIsSound) {
       EXPECT_TRUE(Abstract.contains(Concrete))
           << "v" << V << " = " << Concrete << " not in "
           << A.An->storeOps().domain().intervals().str(Abstract);
-    }
-
-    if (Seed % 4 == 0) {
-      auto B = reanalyze(A, withOptions().transferCache(false));
-      const StoreOps &Ops = B->storeOps();
-      for (unsigned Node = 0; Node < B->graph().numNodes(); ++Node) {
-        EXPECT_TRUE(Ops.equal(A.An->forwardAt(Node), B->forwardAt(Node)))
-            << "forward invariant differs at node " << Node;
-        EXPECT_TRUE(Ops.equal(A.An->envelopeAt(Node), B->envelopeAt(Node)))
-            << "envelope differs at node " << Node;
-      }
     }
   }
 }

@@ -8,8 +8,10 @@
 // never fabricates results across edges, directions or distinct stores.
 // The table's own contract is pinned as well: one entry per key, result
 // pointers stable until clear(), a global entry cap that clear() lifts,
-// and one trace event per lookup. Over whole analyses, switching the
-// cache on must leave every store bit-identical.
+// and one trace event per lookup. Over whole analyses, every memoized
+// transfer (a miss, then a hit) must equal the transfer itself on the
+// stores the phases compute, and the Analyzer must turn the cache on
+// exactly from Analyzer::TransferCacheMinInstances instances.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +20,11 @@
 #include "support/Trace.h"
 
 #include "../common/AnalysisTestUtil.h"
+#include "../common/RandomProgramGen.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 using namespace syntox;
@@ -282,40 +286,110 @@ TEST_F(TransferCacheTest, TraceRecordsOneEventPerLookup) {
 // The cache inside whole analyses
 //===----------------------------------------------------------------------===//
 
-/// Asserts that analyzers \p A and \p B (sharing one AST) computed
-/// bit-identical forward invariants and envelopes at every node.
-void expectIdenticalStores(const Analyzer &A, const Analyzer &B) {
-  const StoreOps &Ops = A.storeOps();
-  ASSERT_EQ(A.graph().numNodes(), B.graph().numNodes());
-  for (unsigned Node = 0; Node < A.graph().numNodes(); ++Node) {
-    EXPECT_TRUE(Ops.equal(A.forwardAt(Node), B.forwardAt(Node)))
-        << "forward invariant differs at node " << Node;
-    EXPECT_TRUE(Ops.equal(A.envelopeAt(Node), B.envelopeAt(Node)))
-        << "envelope differs at node " << Node;
+/// The paper programs the whole-analysis checks run over.
+const char *const PaperSources[] = {
+    paper::ForProgram,          paper::ForProgram1ToN, paper::WhileProgram,
+    paper::FactProgram,         paper::SelectProgram,
+    paper::IntermittentProgram, paper::McCarthyProgram,
+    paper::McCarthyBuggy,       paper::BinarySearchProgram};
+
+/// The random programs of EndToEndRandomTest.CachedRecursiveStrategyIsSound.
+std::string randomSource(uint64_t Seed) {
+  return ProgramGenerator(Seed * 6271).generate();
+}
+
+/// The memo-level differential: for every phase snapshot of \p P and
+/// every Local edge, a fresh cache's fwd (on the edge's source store)
+/// and bwd (on its target store) must miss, then hit, and both answers
+/// must equal the uncached Transfer::fwd/bwd.
+void expectMemoMatchesTransfer(const AnalyzedProgram &P) {
+  const Analyzer &An = *P.An;
+  const StoreOps &Ops = An.storeOps();
+  const SuperGraph &G = An.graph();
+  Transfer Xfer(Ops, An.exprSemantics(), *P.Cfg);
+  ASSERT_FALSE(An.phaseSnapshots().empty());
+  for (const auto &[Phase, Stores] : An.phaseSnapshots()) {
+    SCOPED_TRACE(Phase);
+    TransferCache Cache(Ops);
+    uint64_t Probes = 0;
+    for (unsigned EdgeIdx = 0; EdgeIdx < G.edges().size(); ++EdgeIdx) {
+      const SuperEdge &E = G.edges()[EdgeIdx];
+      if (E.K != SuperEdge::Kind::Local)
+        continue;
+      const FrameMap &F = G.instanceOf(E.From).Frame;
+      AbstractStore Fwd = Xfer.fwd(*E.Act, Stores[E.From], F);
+      AbstractStore Bwd = Xfer.bwd(*E.Act, Stores[E.To], F);
+      for (int Probe = 0; Probe < 2; ++Probe) {
+        EXPECT_TRUE(Ops.equal(
+            *Cache.fwd(Xfer, EdgeIdx, *E.Act, Stores[E.From], F), Fwd))
+            << "fwd of edge " << EdgeIdx << ", probe " << Probe;
+        EXPECT_TRUE(Ops.equal(
+            *Cache.bwd(Xfer, EdgeIdx, *E.Act, Stores[E.To], F), Bwd))
+            << "bwd of edge " << EdgeIdx << ", probe " << Probe;
+      }
+      Probes += 2;
+    }
+    EXPECT_GT(Probes, 0u);
+    EXPECT_EQ(Cache.misses(), Probes);
+    EXPECT_EQ(Cache.hits(), Probes);
   }
 }
 
-TEST(TransferCacheAnalysisTest, CacheDoesNotChangeResults) {
-  // The transfer cache is purely memoizing: with it on or off, the
-  // fixpoint is the same.
-  for (const char *Source :
-       {paper::ForProgram, paper::ForProgram1ToN, paper::WhileProgram,
-        paper::FactProgram, paper::SelectProgram, paper::IntermittentProgram,
-        paper::McCarthyProgram, paper::McCarthyBuggy,
-        paper::BinarySearchProgram}) {
+TEST(TransferCacheAnalysisTest, MemoMatchesTransferOnPaperPrograms) {
+  for (const char *Source : PaperSources) {
     SCOPED_TRACE(Source);
-    auto Base = analyzeProgram(Source, withOptions().transferCache(false));
-    auto Cached = reanalyze(Base, withOptions().transferCache(true));
-    expectIdenticalStores(*Base.An, *Cached);
+    expectMemoMatchesTransfer(analyzeProgram(Source));
   }
+}
+
+TEST(TransferCacheAnalysisTest, MemoMatchesTransferOnRandomPrograms) {
+  // The seeds whose analyses the cache-off comparison used to rerun.
+  for (uint64_t Seed = 4; Seed <= 200; Seed += 4) {
+    std::string Source = randomSource(Seed);
+    SCOPED_TRACE("seed " + std::to_string(Seed) + "\n" + Source);
+    expectMemoMatchesTransfer(analyzeProgram(Source));
+  }
+}
+
+/// Frontend, CFG and Analyzer construction only: the cache decision is
+/// made before any phase runs.
+bool cacheDecisionHolds(const std::string &Source, bool &On) {
+  FrontendResult FE = runFrontend(Source);
+  EXPECT_TRUE(FE.SemaOk) << FE.Diags->str();
+  if (!FE.SemaOk)
+    return false;
+  std::unique_ptr<ProgramCfg> Cfg =
+      CfgBuilder(*FE.Ctx, *FE.Diags).build(FE.Program);
+  Analyzer An(*Cfg, FE.Program);
+  On = An.transferCacheEnabled();
+  return On == (An.graph().instances().size() >=
+                Analyzer::TransferCacheMinInstances);
+}
+
+TEST(TransferCacheAnalysisTest, CacheIsOnExactlyFromTheInstanceThreshold) {
+  bool On = false;
+  EXPECT_TRUE(cacheDecisionHolds(paper::McCarthyProgram, On));
+  EXPECT_TRUE(On) << "McCarthy unfolds into 11 instances";
+  EXPECT_TRUE(cacheDecisionHolds(paper::ForProgram, On));
+  EXPECT_FALSE(On) << "ForProgram is a single instance";
+
+  unsigned CachedSeeds = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    EXPECT_TRUE(cacheDecisionHolds(randomSource(Seed), On))
+        << "seed " << Seed;
+    CachedSeeds += On;
+  }
+  std::printf("transfer cache on for %u of 200 random programs\n",
+              CachedSeeds);
+  RecordProperty("cached_seeds", static_cast<int>(CachedSeeds));
 }
 
 TEST(TransferCacheAnalysisTest, CacheHitsAccumulateAcrossPhases) {
   // Later phases of the refinement chain revisit edges with stores
   // already seen by earlier phases, so a multi-phase analysis must
   // actually reuse cached transfers.
-  auto A = analyzeProgram(paper::McCarthyProgram,
-                          withOptions().transferCache(true));
+  auto A = analyzeProgram(paper::McCarthyProgram);
+  ASSERT_TRUE(A.An->transferCacheEnabled());
   EXPECT_GT(A.An->stats().CacheHits, 0u);
   EXPECT_GT(A.An->stats().CacheMisses, 0u);
 }

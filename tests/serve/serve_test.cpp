@@ -282,7 +282,16 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerErrorsAndServerSurvives) {
        "unknown option 'threads'"},
       {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
        "begin end.\",\"options\":{\"strategy\":\"parallel\"}}",
-       "option 'strategy' must be"},
+       "unknown option 'strategy'"},
+      {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
+       "begin end.\",\"options\":{\"strategy\":\"worklist\"}}",
+       "unknown option 'strategy'"},
+      {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
+       "begin end.\",\"options\":{\"strategy\":\"recursive\"}}",
+       "unknown option 'strategy'"},
+      {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
+       "begin end.\",\"options\":{\"transfer_cache\":true}}",
+       "unknown option 'transfer_cache'"},
       {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
        "begin end.\",\"query\":\"sideways:3\"}",
        "invalid query"},
@@ -582,7 +591,7 @@ TEST(ServeAdminTest, EngineBuildMetricsCountOncePerRequest) {
   uint64_t SmallInstances = instancesOf(Small);
   uint64_t DeepInstances = instancesOf(Deep);
   EXPECT_EQ(SmallInstances, 3u);
-  ASSERT_GE(DeepInstances, AnalysisOptions().AdaptiveCacheInstanceThreshold);
+  ASSERT_GE(DeepInstances, Analyzer::TransferCacheMinInstances);
 
   ServeHarness H(ServerConfig{});
   H.send(analyzeLine("small", Small));
