@@ -13,8 +13,8 @@
 /// syntox_serve client would send. Three waves model an editor fleet:
 ///
 ///   cold   every document analyzed for the first time
-///   warm   every document resubmitted unchanged (parked sessions +
-///          the per-document disk shards answer)
+///   warm   every document resubmitted unchanged (each replays its
+///          per-document disk shard)
 ///   edit   every document mutated once (a keystroke) and resubmitted
 ///
 /// Reports programs/sec and p50/p99 response latency per wave (from the
@@ -359,7 +359,6 @@ int main(int argc, char **argv) {
   Cfg.TotalThreads = ServerThreads;
   Cfg.CacheDir = CacheRoot.string();
   Cfg.CacheMaxBytes = CacheMaxBytes;
-  Cfg.SessionCapacity = Programs; // park every document between waves
   ServeClient Client(Cfg);
 
   bool AllOk = true;
@@ -417,12 +416,7 @@ int main(int argc, char **argv) {
               CacheHeld ? "held" : "OVER CAP");
 
   MetricsRegistry &M = Client.server().metrics();
-  std::printf("  server: %llu session hits, %llu engine reuses, "
-              "%llu warm loads, %llu saves\n",
-              static_cast<unsigned long long>(
-                  M.counterValue("serve.session_hits")),
-              static_cast<unsigned long long>(
-                  M.counterValue("session.engine_reuses")),
+  std::printf("  server: %llu warm loads, %llu saves\n",
               static_cast<unsigned long long>(
                   M.counterValue("persist.loaded")),
               static_cast<unsigned long long>(
@@ -437,13 +431,12 @@ int main(int argc, char **argv) {
   H.setField("cache_bytes_final", CacheBytes);
   H.setField("cache_cap_held", CacheHeld);
   H.setField("sequential_seconds", SeqSeconds);
-  H.setField("session_hits", M.counterValue("serve.session_hits"));
-  H.setField("engine_reuses", M.counterValue("session.engine_reuses"));
+  H.setField("warm_loads", M.counterValue("persist.loaded"));
   H.setField("daemon_matches_sequential", AllMatch);
   H.setField("note", "pipelined JSON-lines traffic over a socketpair; "
                      "latencies are the envelopes' timing.total_ms; "
-                     "warm/edit waves exercise parked sessions and the "
-                     "per-document disk shards under the GC cap");
+                     "warm/edit waves replay the per-document disk "
+                     "shards under the GC cap");
 
   fs::remove_all(CacheRoot, EC);
 

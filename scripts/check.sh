@@ -80,7 +80,8 @@ EOF
 SERVE=build-ci/src/serve/syntox_serve
 REMOVED_CMDS=("$CLI --threads=4 $OUT/for.pas"
               "$CLI --strategy=parallel $OUT/for.pas"
-              "$SERVE --max-concurrent=1")
+              "$SERVE --max-concurrent=1"
+              "$SERVE --sessions=32")
 for flag in --strategy=worklist --strategy=recursive --cache --no-cache; do
   REMOVED_CMDS+=("$CLI $flag $OUT/for.pas" "$SERVE $flag")
 done
@@ -89,6 +90,17 @@ for cmd in "${REMOVED_CMDS[@]}"; do
   $cmd < /dev/null > /dev/null 2> "$OUT/usage.txt" || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q '^usage:' "$OUT/usage.txt"; then
     echo "removed flag not rejected with usage: $cmd (exit $rc)" >&2
+    exit 1
+  fi
+done
+
+# Signed and out-of-range numbers exit 2 instead of wrapping (-1 would
+# read as 4294967295 workers, 2^32 ms as no deadline).
+for flag in --threads-total=-1 --cache-max-bytes=-1 --timeout-ms=4294967296; do
+  rc=0
+  $SERVE $flag < /dev/null > /dev/null 2> "$OUT/usage.txt" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q 'invalid' "$OUT/usage.txt"; then
+    echo "out-of-range number not rejected: $SERVE $flag (exit $rc)" >&2
     exit 1
   fi
 done
@@ -777,15 +789,42 @@ check(by_id["badopt"]["status"] == "error"
       "wire cache_dir option not rejected")
 check(by_id["sweep"]["gc"]["max_bytes"] == 65536, "gc cap not reported")
 counters = by_id["snap"]["metrics"]["counters"]
-check(counters.get("serve.session_hits", 0) >= 1,
-      "warm resubmission did not hit the parked session")
-check(counters.get("session.engine_reuses", 0) >= 1,
-      "warm resubmission did not reuse the engine")
+check(counters.get("persist.loaded", 0) >= 1,
+      "warm resubmission did not replay from its shard")
+check(not [k for k in counters if k.startswith("serve.session_")],
+      "a serve.session_* counter is still reported")
 check(counters.get("persist.saved", 0) >= 1, "no cache save recorded")
 check(by_id["alive"]["status"] == "ok", "ping failed")
 
 print(f"serve traffic OK ({len(by_id)} responses, warm == cold, "
-      f"{counters.get('serve.session_hits', 0)} session hits)")
+      f"{counters.get('persist.loaded', 0)} shard loads)")
+PYEOF
+
+  # A 4 GiB cap is read as 64 bits (a 32-bit read wraps it to 0, which
+  # means unbounded), and a 300,000-deep line is an error envelope, not
+  # a dead daemon.
+  {
+    python3 -c 'print("[" * 300000 + "]" * 300000)'
+    printf '%s\n' '{"protocol_version":1,"id":"sweep","kind":"gc"}'
+    printf '%s\n' '{"protocol_version":1,"id":"alive","kind":"ping"}'
+  } | "$bin" --cache-dir="$dir/big" --cache-max-bytes=4294967296 \
+      > "$dir/big.jsonl"
+  python3 - "$dir/big.jsonl" <<'PYEOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    by_id = {r["id"]: r for r in map(json.loads, f)}
+if set(by_id) != {"", "sweep", "alive"}:
+    raise SystemExit(f"serve smoke violation: unexpected ids {sorted(by_id)}")
+if by_id[""]["status"] != "error" or "nesting" not in by_id[""]["error"]:
+    raise SystemExit("serve smoke violation: deep line not answered with "
+                     f"a nesting error: {by_id['']}")
+if by_id["sweep"]["gc"]["max_bytes"] != 4294967296:
+    raise SystemExit("serve smoke violation: --cache-max-bytes=4294967296 "
+                     f"read as {by_id['sweep']['gc']['max_bytes']}")
+if by_id["alive"]["status"] != "ok":
+    raise SystemExit("serve smoke violation: ping failed after the deep line")
+print("limits OK (4 GiB cap honoured, 300,000-deep line answered error)")
 PYEOF
 
   # One engine build per request: a fresh daemon analyzing a program of

@@ -4,22 +4,39 @@
 
 #include "core/AnalysisSession.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 using namespace syntox;
 
-/// Parses the value of a "--flag=N" argument as a non-negative integer.
-static bool parseUnsigned(const std::string &Value, unsigned &Out) {
-  if (Value.empty())
+/// Parses \p Text as decimal digits whose value is at most \p Max.
+static bool parseDecimal(const std::string &Text, uint64_t Max,
+                         uint64_t &Out) {
+  // strtoull alone would accept blanks, a sign (negating the value) and
+  // trailing text.
+  if (Text.empty() || Text.find_first_not_of("0123456789") != Text.npos)
     return false;
-  char *End = nullptr;
-  unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-  if (*End != '\0')
+  errno = 0;
+  unsigned long long N = std::strtoull(Text.c_str(), nullptr, 10);
+  if (errno == ERANGE || N > Max)
+    return false;
+  Out = N;
+  return true;
+}
+
+bool syntox::parseUnsigned(const std::string &Text, unsigned &Out) {
+  uint64_t N = 0;
+  if (!parseDecimal(Text, std::numeric_limits<unsigned>::max(), N))
     return false;
   Out = static_cast<unsigned>(N);
   return true;
+}
+
+bool syntox::parseUnsigned(const std::string &Text, uint64_t &Out) {
+  return parseDecimal(Text, std::numeric_limits<uint64_t>::max(), Out);
 }
 
 FlagParse syntox::parseAnalysisFlag(const std::string &Arg,

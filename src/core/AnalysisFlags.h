@@ -29,6 +29,7 @@
 #include "semantics/AnalysisOptions.h"
 #include "support/Trace.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,14 @@ FlagParse parseAnalysisFlag(const std::string &Arg, AnalysisOptions &Opts,
 bool parseAnalysisFlags(std::vector<std::string> &Args,
                         AnalysisOptions &Opts, TelemetryFlags &Telem,
                         std::string &Error);
+
+/// The checked number parser behind the numeric flags of this parser
+/// and of syntox_serve: \p Text must be plain decimal digits (no sign,
+/// no blanks, nothing after them) whose value fits in \p Out. Returns
+/// false on anything else, leaving \p Out unchanged; a value is never
+/// wrapped into range.
+bool parseUnsigned(const std::string &Text, unsigned &Out);
+bool parseUnsigned(const std::string &Text, uint64_t &Out);
 
 /// Usage text describing every flag the shared parser accepts, for
 /// embedding in --help output (one flag per line, indented).

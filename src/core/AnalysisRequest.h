@@ -17,8 +17,7 @@
 /// Two runners: the one-shot overload validates and runs in one step
 /// (frontend errors surface in the outcome, never as exceptions); the
 /// session overload runs a request against a caller-owned
-/// AnalysisSession, which is how the batch and the server reuse warm
-/// engines across resubmissions.
+/// AnalysisSession, which AnalysisBatch keeps between waves.
 ///
 //===----------------------------------------------------------------------===//
 

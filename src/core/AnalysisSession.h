@@ -35,9 +35,8 @@
 /// analyzed engine and, when nothing observable holds a reference to it
 /// (no live AnalysisResult) and the configuration is unchanged,
 /// re-analyzes it in place — the in-memory warm-start chain then
-/// replays stable components at zero live steps, which is what makes
-/// resubmit-after-edit traffic cheap for a long-lived server. Results
-/// are bitwise-identical either way; only iteration counters differ.
+/// replays stable components at zero live steps. Results are
+/// bitwise-identical either way; only iteration counters differ.
 /// Any outstanding result pins the engine and forces the next run onto
 /// a fresh one, preserving immutability.
 ///
@@ -249,9 +248,6 @@ public:
   /// members are managed by the session and reset on run().
   AnalysisOptions &options() { return Opts; }
   const AnalysisOptions &options() const { return Opts; }
-
-  /// The program text the session analyzes.
-  const std::string &source() const { return Source; }
 
 private:
   AnalysisSession() = default;

@@ -82,9 +82,8 @@ struct AnalysisOptions {
   Telemetry Telem;
 
   /// Member-wise identity over every field above — the one definition
-  /// of "same configuration" that engine reuse (AnalysisSession) and
-  /// parked-session lookup (serve::Server) both rely on, so a new knob
-  /// can never be forgotten by either.
+  /// of "same configuration" that engine reuse (AnalysisSession) relies
+  /// on, so a new knob can never be forgotten by it.
   bool operator==(const AnalysisOptions &) const = default;
 
   /// Hash of every knob that changes the *values* the solver computes

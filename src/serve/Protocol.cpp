@@ -5,6 +5,7 @@
 #include "core/AnalysisFlags.h"
 
 #include <cerrno>
+#include <limits>
 #include <poll.h>
 #include <unistd.h>
 
@@ -55,10 +56,14 @@ bool wantBool(const json::Value &V, const std::string &Key, bool &Out,
   return true;
 }
 
+/// Rejects, never wraps, a value outside [0, 4294967295]: a wrapped
+/// timeout_ms of 2^32 would read as "no deadline".
 bool wantUnsigned(const json::Value &V, const std::string &Key,
                   unsigned &Out, std::string &Error) {
-  if (!V.isInt() || V.asInt() < 0) {
-    Error = "option '" + Key + "' must be a non-negative integer";
+  if (!V.isInt() || V.asInt() < 0 ||
+      V.asInt() > std::numeric_limits<unsigned>::max()) {
+    Error = "'" + Key + "' must be an integer from 0 to " +
+            std::to_string(std::numeric_limits<unsigned>::max());
     return false;
   }
   Out = static_cast<unsigned>(V.asInt());
@@ -200,11 +205,8 @@ bool serve::parseServeRequest(const std::string &Line,
       }
       Out.CacheKey = V.asString();
     } else if (Key == "timeout_ms") {
-      if (!V.isInt() || V.asInt() < 0) {
-        Error = "'timeout_ms' must be a non-negative integer";
+      if (!wantUnsigned(V, Key, Out.TimeoutMs, Error))
         return false;
-      }
-      Out.TimeoutMs = static_cast<unsigned>(V.asInt());
     } else {
       Error = "unknown request member '" + Key + "'";
       return false;

@@ -45,35 +45,6 @@ Server::Server(ServerConfig Cfg)
 }
 Server::~Server() = default;
 
-std::unique_ptr<AnalysisSession>
-Server::takeSession(const std::string &Source, const AnalysisOptions &Opts) {
-  std::lock_guard<std::mutex> Lock(SessionMutex);
-  for (auto It = Parked.begin(); It != Parked.end(); ++It)
-    if ((*It)->source() == Source && (*It)->options() == Opts) {
-      std::unique_ptr<AnalysisSession> S = std::move(*It);
-      Parked.erase(It);
-      Metrics.counter("serve.session_hits").inc();
-      return S;
-    }
-  Metrics.counter("serve.session_misses").inc();
-  return nullptr;
-}
-
-void Server::parkSession(std::unique_ptr<AnalysisSession> Session) {
-  if (Cfg.SessionCapacity == 0)
-    return;
-  // Declared before the lock, so an evicted session is destroyed after
-  // SessionMutex is released instead of stalling takeSession/parkSession.
-  std::unique_ptr<AnalysisSession> Evicted;
-  std::lock_guard<std::mutex> Lock(SessionMutex);
-  Parked.push_front(std::move(Session));
-  if (Parked.size() > Cfg.SessionCapacity) {
-    Evicted = std::move(Parked.back());
-    Parked.pop_back();
-    Metrics.counter("serve.session_evictions").inc();
-  }
-}
-
 void Server::writeLine(int OutFd, const json::Value &Response) {
   std::string Line = Response.str();
   Line += '\n';
@@ -157,42 +128,43 @@ void Server::runAnalyze(std::shared_ptr<Pending> P, int OutFd) {
     Opts.CacheDir.clear();
   }
 
-  std::unique_ptr<AnalysisSession> Session = takeSession(R.Source, Opts);
-  if (!Session) {
+  json::Value Resp;
+  {
+    // The outcome (whose result co-owns the engine) and then the session
+    // end with this block, so the engine is freed before the response
+    // is written: its teardown never overlaps the client's next request.
     DiagnosticsEngine Diags;
-    Session = AnalysisSession::create(R.Source, Diags, Opts);
+    std::unique_ptr<AnalysisSession> Session =
+        AnalysisSession::create(R.Source, Diags, Opts);
     if (!Session) {
       Metrics.counter("serve.errors").inc();
-      json::Value Resp = makeEnvelope(R.Id, R.Kind, "error");
+      Resp = makeEnvelope(R.Id, R.Kind, "error");
       Resp.set("error", Diags.str());
       setTiming(Resp, QueueMs, msSince(Picked, Clock::now()));
       writeLine(OutFd, Resp);
       return;
     }
+
+    AnalysisOutcome O = runRequest(*Session, R.Query);
+    double RunMs = msSince(Picked, Clock::now());
+    Metrics.histogram("serve.run_ms").observe(RunMs);
+
+    Resp = makeEnvelope(R.Id, R.Kind, O.OK ? "ok" : "error");
+    if (!O.OK) {
+      Metrics.counter("serve.errors").inc();
+      Resp.set("error", O.Error);
+    } else if (O.Demand) {
+      Resp.set("demand", O.findingsJson());
+    } else {
+      Resp.set("findings", O.findingsJson());
+    }
+    setTiming(Resp, QueueMs, RunMs);
+
+    // Hold the tree under its cap after every save (demand runs never
+    // save).
+    if (O.OK && !O.Demand && !Opts.CacheDir.empty() && Cfg.CacheMaxBytes)
+      evictAfterSave(persist::cacheFilePath(Opts.CacheDir, Opts));
   }
-
-  AnalysisOutcome O = runRequest(*Session, R.Query);
-  double RunMs = msSince(Picked, Clock::now());
-  Metrics.histogram("serve.run_ms").observe(RunMs);
-
-  json::Value Resp = makeEnvelope(R.Id, R.Kind, O.OK ? "ok" : "error");
-  if (!O.OK) {
-    Metrics.counter("serve.errors").inc();
-    Resp.set("error", O.Error);
-  } else if (O.Demand) {
-    Resp.set("demand", O.findingsJson());
-  } else {
-    Resp.set("findings", O.findingsJson());
-  }
-  setTiming(Resp, QueueMs, RunMs);
-
-  if (O.OK)
-    parkSession(std::move(Session));
-  // Hold the tree under its cap after every save (demand runs never
-  // save).
-  if (O.OK && !O.Demand && !Opts.CacheDir.empty() && Cfg.CacheMaxBytes)
-    evictAfterSave(persist::cacheFilePath(Opts.CacheDir, Opts));
-
   writeLine(OutFd, Resp);
 }
 

@@ -19,28 +19,24 @@
 /// Admin requests (gc, metrics, ping, shutdown) are answered inline on
 /// the reading thread, ahead of queued analyses.
 ///
-/// Resource bounds.
-///  - In-memory: completed sessions are parked in an LRU of capacity
-///    Config::SessionCapacity. A resubmitted request whose source text
-///    and effective options (cache shard included) both compare equal
-///    to a parked session's takes that session and re-runs it — the
-///    engine-reuse path, which replays unchanged work at zero live
-///    steps. Entries are *taken*
-///    while in use, so concurrent identical requests each get their own
-///    session (sessions are not thread-safe).
-///  - On-disk: requests carrying a cache_key persist warm-start state
-///    under CacheDir/<fnv1a(cache_key)>/ (one shard per client
-///    document, so distinct documents never fight over one cache
-///    file). Under a Config::CacheMaxBytes cap the server keeps an
-///    in-memory index of the tree (persist::CacheTree), seeded by one
-///    walk at construction: after every full run that saved, it
-///    re-stats just that entry and evicts the oldest entries until the
-///    tree is back under the cap, so the cap holds after every save
-///    without walking the tree again. The `gc` admin request runs a
-///    full collection (persist::gcCacheDir) and re-seeds the index from
-///    disk — the way to reconcile anything written into the tree behind
-///    the daemon's back. An unbounded daemon (cap 0) keeps no index,
-///    and its `gc` reports the tree without deleting anything.
+/// Resource bounds. Memory holds only the requests in flight: each
+/// analyze request creates its own AnalysisSession, runs it, renders
+/// the response, and frees the session and its engine before it writes
+/// that response. What outlives a request is on disk: requests carrying
+/// a cache_key persist warm-start state under
+/// CacheDir/<fnv1a(cache_key)>/ (one shard per client document, so
+/// distinct documents never fight over one cache file), and a
+/// resubmitted or edited document replays from its shard. Under a
+/// Config::CacheMaxBytes cap the server keeps an in-memory index of the
+/// tree (persist::CacheTree), seeded by one walk at construction: after
+/// every full run that saved, it re-stats just that entry and evicts
+/// the oldest entries until the tree is back under the cap, so the cap
+/// holds after every save without walking the tree again. The `gc`
+/// admin request runs a full collection (persist::gcCacheDir) and
+/// re-seeds the index from disk — the way to reconcile anything written
+/// into the tree behind the daemon's back. An unbounded daemon (cap 0)
+/// keeps no index, and its `gc` reports the tree without deleting
+/// anything.
 ///
 /// Timeouts are enforced at admission: the solver has no preemption
 /// point, so a deadline cannot cancel a running fixpoint — instead a
@@ -68,7 +64,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,8 +91,6 @@ struct ServerConfig {
   /// Size cap the cache tree is held to after every save
   /// (0 = unbounded).
   uint64_t CacheMaxBytes = 0;
-  /// Capacity of the parked-session LRU (0 = parking disabled).
-  unsigned SessionCapacity = 32;
   /// Test hook: every analyze job sleeps this long at the start of its
   /// run phase, making in-flight windows deterministic for the drain
   /// and timeout tests. Zero in production.
@@ -135,20 +128,11 @@ private:
   void evictAfterSave(const std::string &WarmPath);
   void writeLine(int OutFd, const json::Value &Response);
 
-  /// The parked-session cache (see file comment): takes the session
-  /// whose source() and options() both equal \p Source and \p Opts.
-  std::unique_ptr<AnalysisSession> takeSession(const std::string &Source,
-                                               const AnalysisOptions &Opts);
-  void parkSession(std::unique_ptr<AnalysisSession> Session);
-
   ServerConfig Cfg;
   MetricsRegistry Metrics;
   std::atomic<bool> Draining{false};
   std::atomic<bool> ShutdownRequested{false};
-  std::mutex WriteMutex;   ///< one response line at a time
-  std::mutex SessionMutex; ///< guards Parked
-  /// front = most recently used
-  std::list<std::unique_ptr<AnalysisSession>> Parked;
+  std::mutex WriteMutex; ///< one response line at a time
   std::mutex GcMutex; ///< guards CacheIndex: one eviction or gc at a time
   /// The cache tree's entries and bytes (empty when unbounded).
   persist::CacheTree CacheIndex;

@@ -11,11 +11,14 @@
 //     --cache-dir=DIR       root of the on-disk warm cache
 //     --cache-max-bytes=N   size cap the cache tree is held to after
 //                           every save (0 = unbounded)
-//     --sessions=N          parked-session LRU capacity
 //     --test-start-delay-ms=N   test hook (see ServerConfig)
 //   plus every shared analysis flag (--domain=, --rounds=, ...) as
 //   the per-request defaults that a request's "options" object
-//   overrides.
+//   overrides. A signed, malformed or out-of-range number exits 2
+//   instead of wrapping.
+//
+// Each analyze request builds, runs and frees its own session before
+// it answers; only the on-disk cache outlives a request.
 //
 // SIGTERM/SIGINT start a graceful drain: the read loop stops, every
 // admitted request still answers, then the process exits 0. Socket
@@ -30,7 +33,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -63,22 +65,18 @@ void usage() {
       "  --timeout-ms=N       default admission deadline (0 = none)\n"
       "  --cache-dir=DIR      root of the on-disk warm cache\n"
       "  --cache-max-bytes=N  cache-tree size cap (0 = unbounded)\n"
-      "  --sessions=N         parked-session LRU capacity (default 32)\n"
       "%s",
       analysisFlagsHelp());
 }
 
-bool parseUnsignedArg(const std::string &Value, const char *Flag,
-                      unsigned &Out) {
-  char *End = nullptr;
-  unsigned long N = std::strtoul(Value.c_str(), &End, 10);
-  if (Value.empty() || *End != '\0') {
-    std::fprintf(stderr, "syntox_serve: invalid %s '%s'\n", Flag,
-                 Value.c_str());
-    return false;
-  }
-  Out = static_cast<unsigned>(N);
-  return true;
+/// parseUnsigned, reporting a rejected value on stderr.
+template <typename T>
+bool parseUnsignedArg(const std::string &Value, const char *Flag, T &Out) {
+  if (parseUnsigned(Value, Out))
+    return true;
+  std::fprintf(stderr, "syntox_serve: invalid %s '%s'\n", Flag,
+               Value.c_str());
+  return false;
 }
 
 int listenUnix(const std::string &Path) {
@@ -173,13 +171,8 @@ int main(int Argc, char **Argv) {
                             Cfg.RequestTimeoutMs))
         return 2;
     } else if (Arg.rfind("--cache-max-bytes=", 0) == 0) {
-      unsigned N = 0;
-      if (!parseUnsignedArg(Arg.substr(18), "--cache-max-bytes", N))
-        return 2;
-      Cfg.CacheMaxBytes = N;
-    } else if (Arg.rfind("--sessions=", 0) == 0) {
-      if (!parseUnsignedArg(Arg.substr(11), "--sessions",
-                            Cfg.SessionCapacity))
+      if (!parseUnsignedArg(Arg.substr(18), "--cache-max-bytes",
+                            Cfg.CacheMaxBytes))
         return 2;
     } else if (Arg.rfind("--test-start-delay-ms=", 0) == 0) {
       if (!parseUnsignedArg(Arg.substr(22), "--test-start-delay-ms",

@@ -289,11 +289,15 @@ struct Parser {
     return true;
   }
 
-  bool parseValue(Value &Out) {
+  /// Parses one value nested inside \p Depth arrays and objects.
+  bool parseValue(Value &Out, unsigned Depth) {
     skipWs();
     if (Pos >= Text.size())
       return fail("unexpected end of input");
     char C = Text[Pos];
+    if ((C == '[' || C == '{') && Depth == MaxNestingDepth)
+      return fail("nesting deeper than " + std::to_string(MaxNestingDepth) +
+                  " levels");
     if (C == 'n') {
       if (!literal("null"))
         return false;
@@ -329,7 +333,7 @@ struct Parser {
       }
       for (;;) {
         Value Elem;
-        if (!parseValue(Elem))
+        if (!parseValue(Elem, Depth + 1))
           return false;
         Out.push(std::move(Elem));
         skipWs();
@@ -364,7 +368,7 @@ struct Parser {
           return fail("expected ':'");
         ++Pos;
         Value Member;
-        if (!parseValue(Member))
+        if (!parseValue(Member, Depth + 1))
           return false;
         Out.set(Key, std::move(Member));
         skipWs();
@@ -415,7 +419,7 @@ std::optional<Value> json::parse(const std::string &Text,
                                  std::string *Error) {
   Parser P(Text);
   Value V;
-  if (!P.parseValue(V)) {
+  if (!P.parseValue(V, 0)) {
     if (Error)
       *Error = P.Error;
     return std::nullopt;

@@ -119,8 +119,14 @@ void escape(const std::string &S, std::string &Out);
 /// "quoted-and-escaped" rendering of \p S.
 std::string quoted(const std::string &S);
 
-/// Parses one JSON document. Returns nullopt on malformed input and, when
-/// \p Error is given, stores a short reason with an offset.
+/// The most arrays and objects parse() lets a document open at once.
+/// The parser recurses once per level, so the limit bounds its stack
+/// on hostile input; real documents nest a handful of levels.
+inline constexpr unsigned MaxNestingDepth = 512;
+
+/// Parses one JSON document. Returns nullopt on malformed input (nesting
+/// past MaxNestingDepth included) and, when \p Error is given, stores a
+/// short reason with an offset.
 std::optional<Value> parse(const std::string &Text,
                            std::string *Error = nullptr);
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -89,6 +90,7 @@ TEST(AnalysisFlagsTest, ValuedFlagsParseAndRejectMalformedValues) {
   EXPECT_EQ(Domain.Opts.Domain, DomainKind::Product);
 
   for (const char *Arg : {"--rounds=", "--rounds=two", "--narrowing=1x",
+                          "--rounds=-1", "--narrowing=4294967296",
                           "--domain=octagon", "--trace-format=xml",
                           "--trace=", "--metrics-json=", "--cache-dir="}) {
     SCOPED_TRACE(Arg);
@@ -96,6 +98,30 @@ TEST(AnalysisFlagsTest, ValuedFlagsParseAndRejectMalformedValues) {
     EXPECT_EQ(P.Outcome, FlagParse::Error);
     EXPECT_FALSE(P.Error.empty());
   }
+}
+
+TEST(AnalysisFlagsTest, UnsignedParserRejectsWhatItCannotHold) {
+  unsigned U = 7;
+  uint64_t Wide = 7;
+  EXPECT_TRUE(parseUnsigned("4294967295", U));
+  EXPECT_EQ(U, 4294967295u);
+  EXPECT_TRUE(parseUnsigned("4294967296", Wide));
+  EXPECT_EQ(Wide, 4294967296u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", Wide));
+  EXPECT_EQ(Wide, UINT64_MAX);
+
+  U = 7;
+  Wide = 7;
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "0x10", "1e3"}) {
+    SCOPED_TRACE(Bad);
+    EXPECT_FALSE(parseUnsigned(Bad, U));
+    EXPECT_FALSE(parseUnsigned(Bad, Wide));
+  }
+  EXPECT_FALSE(parseUnsigned("4294967296", U));
+  EXPECT_FALSE(parseUnsigned("18446744073709551616", Wide)); // ERANGE
+  EXPECT_FALSE(parseUnsigned(std::string("1\0" "2", 3), Wide));
+  EXPECT_EQ(U, 7u) << "a rejected value leaves the target unchanged";
+  EXPECT_EQ(Wide, 7u);
 }
 
 TEST(AnalysisFlagsTest, TelemetryFlagsFillTheTelemetryRequest) {

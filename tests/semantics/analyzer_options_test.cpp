@@ -124,8 +124,8 @@ TEST(AnalyzerOptionsTest, PhaseSnapshotsMatchSchedule) {
 
 TEST(AnalyzerOptionsTest, EqualityComparesEveryMember) {
   // operator== is the one definition of "same configuration" behind
-  // engine reuse and parked-session lookup: each knob on its own must
-  // make two option sets unequal.
+  // engine reuse: each knob on its own must make two option sets
+  // unequal.
   const AnalysisOptions Base;
   EXPECT_TRUE(AnalysisOptions(Base) == Base);
   MetricsRegistry Metrics;

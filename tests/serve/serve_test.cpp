@@ -8,10 +8,11 @@
 //  - malformed-request handling (the daemon answers an error and keeps
 //    serving) and mid-stream disconnect (a clean drain, never a hang);
 //  - concurrent-vs-sequential determinism over a random corpus;
-//  - the resource bounds: parked-session reuse, per-document disk-cache
-//    shards, the cache cap held after every save of an edit wave and
-//    from the first save of a restarted daemon, and a gc that deletes
-//    nothing on an unbounded daemon;
+//  - the resource bounds: per-document disk-cache shards that answer an
+//    unchanged resubmission and keep option sets apart, the cache cap
+//    held after every save of an edit wave and from the first save of a
+//    restarted daemon, and a gc that deletes nothing on an unbounded
+//    daemon;
 //  - graceful drain with requests in flight, admission timeouts, and
 //    the admin requests (gc, metrics, ping, shutdown).
 //
@@ -257,7 +258,7 @@ TEST(ServeProtocolTest, PerRequestOptionsOverrideDefaults) {
 TEST(ServeProtocolTest, MalformedRequestsAnswerErrorsAndServerSurvives) {
   ServeHarness H(ServerConfig{});
   struct Case {
-    const char *Line;
+    std::string Line;
     const char *ErrorNeedle;
   };
   const Case Cases[] = {
@@ -300,14 +301,27 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerErrorsAndServerSurvives) {
        "only valid on analyze"},
       {"{\"protocol_version\":1,\"id\":\"x\",\"unicorn\":true}",
        "unknown request member"},
+      // Numbers past 32 bits are rejected, not wrapped (2^32 ms would
+      // wrap to 0, which means no deadline).
+      {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
+       "begin end.\",\"timeout_ms\":4294967296}",
+       "'timeout_ms' must be an integer from 0 to 4294967295"},
+      {"{\"protocol_version\":1,\"id\":\"x\",\"source\":\"program p; "
+       "begin end.\",\"options\":{\"backward_rounds\":4294967296}}",
+       "'backward_rounds' must be an integer from 0 to 4294967295"},
+      // Nesting far past json::MaxNestingDepth is a parse error, not a
+      // stack overflow in the recursive reader.
+      {std::string(300000, '[') + std::string(300000, ']'),
+       "nesting deeper than"},
   };
   for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Line.substr(0, 120));
     H.send(C.Line);
     json::Value R = H.recv();
-    EXPECT_EQ(R.find("status")->asString(), "error") << C.Line;
+    EXPECT_EQ(R.find("status")->asString(), "error");
     EXPECT_NE(R.find("error")->asString().find(C.ErrorNeedle),
               std::string::npos)
-        << C.Line << " -> " << R.find("error")->asString();
+        << R.find("error")->asString();
     EXPECT_FALSE(R.has("findings"));
   }
   // A frontend error is an error *response*, not a dead daemon.
@@ -363,31 +377,54 @@ TEST(ServeConcurrencyTest, ConcurrentFindingsMatchSequential) {
   }
 }
 
-TEST(ServeSessionTest, ResubmissionReusesParkedSessions) {
-  ServeHarness H(ServerConfig{});
-  H.send(analyzeLine("a", CountLoop));
+TEST(ServeCacheTest, IdenticalResubmissionReplaysFromItsShard) {
+  // No session outlives its request: an unchanged resubmission is
+  // answered by a fresh session that replays its document's disk shard.
+  namespace fs = std::filesystem;
+  fs::path Dir = freshDir("syntox_serve_replay_test");
+  ServerConfig Cfg;
+  Cfg.CacheDir = Dir.string();
+  ServeHarness H(Cfg);
+  MetricsRegistry &M = H.server().metrics();
+
+  H.send(analyzeLine("a", CountLoop, "\"cache_key\":\"doc\""));
   json::Value First = H.recv();
   ASSERT_EQ(First.find("status")->asString(), "ok");
-  H.send(analyzeLine("b", CountLoop));
+  uint64_t Loaded = M.counterValue("persist.loaded");
+  uint64_t Restored = M.counterValue("persist.restored_nodes");
+  H.send(analyzeLine("b", CountLoop, "\"cache_key\":\"doc\""));
   json::Value Second = H.recv();
   ASSERT_EQ(Second.find("status")->asString(), "ok");
+
   EXPECT_TRUE(findingsOnly(*First.find("findings")) ==
               findingsOnly(*Second.find("findings")));
-  EXPECT_GE(H.server().metrics().counterValue("serve.session_hits"), 1u);
-  EXPECT_GE(H.server().metrics().counterValue("session.engine_reuses"),
-            1u);
+  EXPECT_GT(M.counterValue("persist.loaded"), Loaded);
+  EXPECT_GT(M.counterValue("persist.restored_nodes"), Restored);
+  json::Value Counters = *M.snapshot().find("counters");
+  for (const auto &KV : Counters.members())
+    EXPECT_NE(KV.first.rfind("serve.session_", 0), 0u) << KV.first;
+
+  H.finish();
+  std::error_code EC;
+  fs::remove_all(Dir, EC);
 }
 
-TEST(ServeSessionTest, ParkedSessionIsTakenOnlyUnderEqualOptions) {
-  // The same source under another domain must not take the interval
-  // session parked by the first request: every option member is part
-  // of a parked session's identity.
-  ServeHarness H(ServerConfig{});
-  H.send(analyzeLine("interval", paper::StrideSearchProgram));
+TEST(ServeCacheTest, SharedCacheKeyKeepsDomainsApart) {
+  // The same document under another domain shares its shard with the
+  // interval run before it and must not replay that run's state: every
+  // option member is part of a cache file's identity.
+  namespace fs = std::filesystem;
+  fs::path Dir = freshDir("syntox_serve_domains_test");
+  ServerConfig Cfg;
+  Cfg.CacheDir = Dir.string();
+  ServeHarness H(Cfg);
+  H.send(analyzeLine("interval", paper::StrideSearchProgram,
+                     "\"cache_key\":\"doc\""));
   json::Value Interval = H.recv();
   ASSERT_EQ(Interval.find("status")->asString(), "ok");
   H.send(analyzeLine("product", paper::StrideSearchProgram,
-                     "\"options\":{\"domain\":\"product\"}"));
+                     "\"options\":{\"domain\":\"product\"},"
+                     "\"cache_key\":\"doc\""));
   json::Value Product = H.recv();
   ASSERT_EQ(Product.find("status")->asString(), "ok");
   const json::Value &F = *Product.find("findings");
@@ -396,7 +433,10 @@ TEST(ServeSessionTest, ParkedSessionIsTakenOnlyUnderEqualOptions) {
               sequentialFindings(paper::StrideSearchProgram,
                                  AnalysisOptions().domain(
                                      DomainKind::Product)));
-  EXPECT_EQ(H.server().metrics().counterValue("serve.session_hits"), 0u);
+
+  H.finish();
+  std::error_code EC;
+  fs::remove_all(Dir, EC);
 }
 
 TEST(ServeCacheTest, CacheKeySharesShardAndGcHoldsCap) {

@@ -56,6 +56,26 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(json::parse("{\"a\" 1}").has_value());
   EXPECT_FALSE(json::parse("tru").has_value());
   EXPECT_FALSE(json::parse("1 2").has_value()); // trailing garbage
+
+  // Nesting is bounded: MaxNestingDepth levels of arrays or objects
+  // parse, one level more is an error rather than deeper recursion.
+  auto arrays = [](unsigned Levels) {
+    return std::string(Levels, '[') + std::string(Levels, ']');
+  };
+  auto objects = [](unsigned Levels) {
+    std::string S;
+    for (unsigned I = 0; I < Levels; ++I)
+      S += "{\"a\":";
+    return S + "1" + std::string(Levels, '}');
+  };
+  EXPECT_TRUE(json::parse(arrays(json::MaxNestingDepth)).has_value());
+  EXPECT_TRUE(json::parse(objects(json::MaxNestingDepth)).has_value());
+  for (const std::string &TooDeep : {arrays(json::MaxNestingDepth + 1),
+                                     objects(json::MaxNestingDepth + 1)}) {
+    Error.clear();
+    EXPECT_FALSE(json::parse(TooDeep, &Error).has_value());
+    EXPECT_NE(Error.find("nesting deeper than"), std::string::npos) << Error;
+  }
 }
 
 TEST(JsonTest, RoundTripsThroughWriterAndParser) {
