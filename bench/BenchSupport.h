@@ -78,6 +78,22 @@ public:
   /// Command-line arguments the shared parser did not consume.
   const std::vector<std::string> &args() const { return Rest; }
 
+  /// The value of the numeric flag \p Arg, which starts with \p Prefix
+  /// ("--programs="), read by the checked parseUnsigned: a sign, a
+  /// non-digit or a value too wide for \p T exits 2 with a message
+  /// instead of aborting or wrapping.
+  template <typename T>
+  T unsignedFlag(const std::string &Arg, const std::string &Prefix) const {
+    T Out = 0;
+    std::string Value = Arg.substr(Prefix.size());
+    if (!parseUnsigned(Value, Out)) {
+      std::fprintf(stderr, "bench_%s: invalid %s'%s'\n", Name.c_str(),
+                   Prefix.c_str(), Value.c_str());
+      std::exit(2);
+    }
+    return Out;
+  }
+
   /// The configuration selected on the command line, with the harness
   /// telemetry attached. Copy and adjust per run.
   AnalysisOptions options() {

@@ -244,11 +244,11 @@ int main(int argc, char **argv) {
   uint64_t Seed = 7001;
   for (const std::string &Arg : H.args()) {
     if (Arg.rfind("--programs=", 0) == 0)
-      Programs = static_cast<unsigned>(std::stoul(Arg.substr(11)));
+      Programs = H.unsignedFlag<unsigned>(Arg, "--programs=");
     else if (Arg.rfind("--batch=", 0) == 0)
-      BatchSlots = static_cast<unsigned>(std::stoul(Arg.substr(8)));
+      BatchSlots = H.unsignedFlag<unsigned>(Arg, "--batch=");
     else if (Arg.rfind("--seed=", 0) == 0)
-      Seed = std::stoull(Arg.substr(7));
+      Seed = H.unsignedFlag<uint64_t>(Arg, "--seed=");
     else {
       std::fprintf(stderr, "bench_corpus: unknown flag %s\n", Arg.c_str());
       return 2;

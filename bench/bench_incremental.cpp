@@ -129,7 +129,7 @@ int main(int argc, char **argv) {
   unsigned Rounds = 4;
   for (const std::string &Arg : H.args())
     if (Arg.rfind("--bench-rounds=", 0) == 0)
-      Rounds = static_cast<unsigned>(std::atoi(Arg.c_str() + 15));
+      Rounds = H.unsignedFlag<unsigned>(Arg, "--bench-rounds=");
   H.setField("rounds", Rounds);
   H.setField("note", "per-round live evaluations, cold vs warm-started "
                      "refinement chain; factor = cold/warm");

@@ -322,13 +322,13 @@ int main(int argc, char **argv) {
   uint64_t Seed = 8101;
   for (const std::string &Arg : H.args()) {
     if (Arg.rfind("--programs=", 0) == 0)
-      Programs = static_cast<unsigned>(std::stoul(Arg.substr(11)));
+      Programs = H.unsignedFlag<unsigned>(Arg, "--programs=");
     else if (Arg.rfind("--server-threads=", 0) == 0)
-      ServerThreads = static_cast<unsigned>(std::stoul(Arg.substr(17)));
+      ServerThreads = H.unsignedFlag<unsigned>(Arg, "--server-threads=");
     else if (Arg.rfind("--cache-max-bytes=", 0) == 0)
-      CacheMaxBytes = std::stoull(Arg.substr(18));
+      CacheMaxBytes = H.unsignedFlag<uint64_t>(Arg, "--cache-max-bytes=");
     else if (Arg.rfind("--seed=", 0) == 0)
-      Seed = std::stoull(Arg.substr(7));
+      Seed = H.unsignedFlag<uint64_t>(Arg, "--seed=");
     else {
       std::fprintf(stderr, "bench_serve: unknown flag %s\n", Arg.c_str());
       return 2;

@@ -94,16 +94,36 @@ for cmd in "${REMOVED_CMDS[@]}"; do
   fi
 done
 
-# Signed and out-of-range numbers exit 2 instead of wrapping (-1 would
-# read as 4294967295 workers, 2^32 ms as no deadline).
-for flag in --threads-total=-1 --cache-max-bytes=-1 --timeout-ms=4294967296; do
+# Signed, malformed and out-of-range numbers exit 2 instead of wrapping
+# (-1 would read as 4294967295 workers or rounds, 2^32 ms as no
+# deadline) or aborting.
+BENCH=build-ci/bench
+BAD_NUMBER_CMDS=("$SERVE --threads-total=-1"
+                 "$SERVE --cache-max-bytes=-1"
+                 "$SERVE --timeout-ms=4294967296"
+                 "$BENCH/bench_corpus --programs=abc"
+                 "$BENCH/bench_serve --programs=-1"
+                 "$BENCH/bench_incremental --bench-rounds=-1")
+for cmd in "${BAD_NUMBER_CMDS[@]}"; do
   rc=0
-  $SERVE $flag < /dev/null > /dev/null 2> "$OUT/usage.txt" || rc=$?
+  $cmd < /dev/null > /dev/null 2> "$OUT/usage.txt" || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q 'invalid' "$OUT/usage.txt"; then
-    echo "out-of-range number not rejected: $SERVE $flag (exit $rc)" >&2
+    echo "out-of-range number not rejected: $cmd (exit $rc)" >&2
     exit 1
   fi
 done
+
+# Source nested past the parser's limit is an error diagnostic (exit 1),
+# not a stack overflow (exit 139).
+python3 -c 'n = 200000
+print("program p; var x : integer; begin " + "begin " * n + "x := 1" +
+      " end" * n + " end.")' > "$OUT/deep.pas"
+rc=0
+"$CLI" "$OUT/deep.pas" > "$OUT/deep.txt" 2>&1 || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q 'nesting deeper than' "$OUT/deep.txt"; then
+  echo "200,000-deep source not rejected with a diagnostic (exit $rc)" >&2
+  exit 1
+fi
 
 python3 - "$OUT" <<'EOF'
 import json, sys
@@ -191,6 +211,16 @@ with open(f"{out}/metrics.json") as f:
 validate(metrics, findings_schema["properties"]["metrics"], "metrics.json")
 check(metrics["counters"].get("solver.ascending_steps", 0) > 0,
       "metrics.json: no solver work recorded")
+# The For program re-runs loop bodies whose inputs are unchanged: the
+# solver skips some, never all, of its scheduled steps.
+c = metrics["counters"]
+scheduled = c["solver.ascending_steps"] + c.get("solver.descending_steps", 0)
+check(0 < c.get("solver.stable_input_skips", 0) < scheduled,
+      f"metrics.json: solver.stable_input_skips "
+      f"{c.get('solver.stable_input_skips')} not in (0, {scheduled})")
+check(findings["stats"]["stable_input_skips"] ==
+      sum(p["stable_input_skips"] for p in findings["stats"]["phases"]),
+      "findings.json: per-phase stable_input_skips do not sum to the total")
 
 print(f"telemetry smoke test OK ({n} trace events)")
 EOF

@@ -25,7 +25,9 @@
 ///     unsigned numNodes() const;
 ///     const Wto &wto() const;                // WTO of the dependencies
 ///     Value initialValue(unsigned Node, bool FromTop) const;
-///     // Evaluate the RHS of equation Node given current values.
+///     // Evaluate the RHS of equation Node given current values. It
+///     // may read X only at wto().preds(Node), plus inputs that stay
+///     // fixed for the solve (the skip rule below relies on this).
 ///     Value evaluate(unsigned Node, const std::vector<Value> &X) const;
 ///     bool leq(const Value &A, const Value &B) const;
 ///     bool equal(const Value &A, const Value &B) const;
@@ -53,9 +55,32 @@
 /// correct for closed systems whose equations read only other nodes).
 ///
 /// The WTO, and with it the per-element member and feeder tables the
-/// warm and demand schedules use, comes from the system: its owner
-/// builds it once per dependency graph and every solve of the system
-/// iterates the same order.
+/// warm and demand schedules use and the per-vertex predecessor table
+/// the skip rule reads, comes from the system: its owner builds it once
+/// per dependency graph and every solve of the system iterates the same
+/// order.
+///
+/// Stable-input skips. The recursive strategy re-runs a component's
+/// whole body each time its head iterates, and most of those
+/// evaluations would recompute the value already stored. The solver
+/// keeps two epochs per node — when its value last changed, and when
+/// its equation was last evaluated — and skips a plain (non-head) WTO
+/// vertex that was evaluated earlier in this solve when none of its
+/// predecessors (Wto::preds) changed since. The skip is exact, not an
+/// approximation: evaluate() reads only X at preds(Node) plus inputs
+/// that are fixed for the solve (envelope, seeds), so with equal inputs
+/// it returns a value equal to the one stored, which the iteration
+/// would have kept. That holds because every write to X that is not
+/// the stored result of evaluate() stamps the node as changed: a
+/// widening or narrowing at a head, and a leaf restart, a memo replay
+/// or a demand splice — the last three also forget the node's
+/// evaluation, since the value they write is not evaluate() of its
+/// current predecessors. Component heads always evaluate, so widening
+/// and narrowing see exactly the sequences of an always-evaluating
+/// iteration. A skipped evaluation still counts as a scheduled step
+/// (AscendingSteps, DescendingSteps, nodeLiveSteps(), the memo's
+/// ElemSteps: Figure 2's iteration counts) and is reported separately
+/// as SolverStats::StableInputSkips.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,6 +128,10 @@ struct SolverStats {
   /// changing: a component loop at MaxComponentSweeps, or the Gfp loop
   /// at MaxGfpSweeps. Each hit leaves a truncated, unproven iterate.
   uint64_t SweepCapHits = 0;
+  /// Scheduled steps (counted in AscendingSteps/DescendingSteps) whose
+  /// evaluation was skipped because no predecessor of the plain vertex
+  /// changed since its last evaluation (see the file comment).
+  uint64_t StableInputSkips = 0;
 };
 
 /// Cross-run memo connecting consecutive solver runs of one slot of a
@@ -209,6 +238,9 @@ public:
       X.push_back(Sys.initialValue(Node, FromTop));
 
     NodeSteps.assign(N, 0);
+    ChangedAt.assign(N, 0);
+    EvaluatedAt.assign(N, 0);
+    Clock = 0;
     prepareWarm();
     prepareDemand();
 
@@ -243,10 +275,10 @@ public:
     return FullyReplayed;
   }
 
-  /// Per node: live equation evaluations this run performed on it
-  /// (replays and demand skips contribute nothing). The audit trail
-  /// behind the demand-mode guarantee that out-of-cone nodes run zero
-  /// live steps.
+  /// Per node: equation evaluations this run scheduled on it, stable
+  /// input skips included (replays and demand skips contribute
+  /// nothing). The audit trail behind the demand-mode guarantee that
+  /// out-of-cone nodes run zero live steps.
   const std::vector<uint64_t> &nodeLiveSteps() const { return NodeSteps; }
 
 private:
@@ -383,7 +415,7 @@ private:
         const std::vector<uint8_t> &NV = Opts.Memo->NodeValid;
         for (unsigned V : Order.members(E))
           if (NV.empty() || NV[V])
-            X[V] = B[V];
+            overwrite(V, B[V]);
       }
     }
   }
@@ -442,7 +474,7 @@ private:
     const WarmStartMemo<Value> &M = *Opts.Memo;
     const std::vector<Value> &B = M.Boundaries[CurBoundary];
     for (unsigned V : Order.members(E))
-      X[V] = B[V];
+      overwrite(V, B[V]);
     Matched[E] = 1;
     bool Flag = M.ElemChanged[CurBoundary][E] != 0;
     uint64_t Steps = M.ElemSteps[CurBoundary][E];
@@ -467,6 +499,51 @@ private:
       if (!Sys.equal(X[V], B[V]))
         return;
     Matched[E] = 1;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Stable-input skips: the per-node epochs
+  //===--------------------------------------------------------------------===//
+
+  /// Records that X[V] changed.
+  void stamp(unsigned V) { ChangedAt[V] = ++Clock; }
+
+  /// Writes a value that is not evaluate() of V's current predecessors
+  /// (a leaf restart, memo replay or demand splice): V changed, and its
+  /// next evaluation must run.
+  void overwrite(unsigned V, Value New) {
+    X[V] = std::move(New);
+    stamp(V);
+    EvaluatedAt[V] = 0;
+  }
+
+  /// One scheduled step of plain vertex \p V, counted in \p Steps:
+  /// evaluates V's equation unless V was evaluated earlier in this
+  /// solve and none of its predecessors changed since. Keeps the stored
+  /// value when the result is equal to it. Returns whether X[V] changed.
+  bool stepPlain(unsigned V, uint64_t &Steps) {
+    ++Steps;
+    ++NodeSteps[V];
+    if (uint64_t At = EvaluatedAt[V]) {
+      bool Stable = true;
+      for (unsigned P : Order.preds(V))
+        Stable &= ChangedAt[P] < At;
+      if (Stable) {
+        ++Stats.StableInputSkips;
+        return false;
+      }
+    }
+    EvaluatedAt[V] = ++Clock;
+    Value New = Sys.evaluate(V, X);
+    // Converged equations resolve in O(1) when the lattice ops are
+    // delta-aware: evaluate() then returns a value sharing its
+    // representation with X[V], and equal() short-circuits on that
+    // identity before any entry-wise comparison.
+    if (Sys.equal(New, X[V]))
+      return false;
+    X[V] = std::move(New);
+    stamp(V);
+    return true;
   }
 
   //===--------------------------------------------------------------------===//
@@ -520,19 +597,18 @@ private:
   /// Resets every vertex of a component (head and body, recursively) to
   /// its ascending start value.
   void resetComponent(const WtoElement &E) {
-    X[E.Vertex] = Sys.initialValue(E.Vertex, /*FromTop=*/false);
+    overwrite(E.Vertex, Sys.initialValue(E.Vertex, /*FromTop=*/false));
     for (const WtoElement &Sub : E.Body)
       if (Sub.IsComponent)
         resetComponent(Sub);
       else
-        X[Sub.Vertex] = Sys.initialValue(Sub.Vertex, /*FromTop=*/false);
+        overwrite(Sub.Vertex,
+                  Sys.initialValue(Sub.Vertex, /*FromTop=*/false));
   }
 
   void ascendElement(const WtoElement &E) {
     if (!E.IsComponent) {
-      ++Stats.AscendingSteps;
-      ++NodeSteps[E.Vertex];
-      X[E.Vertex] = Sys.evaluate(E.Vertex, X);
+      stepPlain(E.Vertex, Stats.AscendingSteps);
       return;
     }
     // Restart *leaf* components from bottom: when an enclosing component
@@ -569,6 +645,7 @@ private:
       ++Stats.Widenings;
       traceEvent(Trace, TraceEventKind::Widening, E.Vertex);
       X[E.Vertex] = Sys.widen(X[E.Vertex], New);
+      stamp(E.Vertex);
     }
     traceEvent(Trace, TraceEventKind::ComponentEnd, E.Vertex,
                /*Descending=*/0);
@@ -590,17 +667,7 @@ private:
 
   void descendElement(const WtoElement &E, bool &Changed) {
     if (!E.IsComponent) {
-      ++Stats.DescendingSteps;
-      ++NodeSteps[E.Vertex];
-      Value New = Sys.evaluate(E.Vertex, X);
-      // Converged equations resolve in O(1) when the lattice ops are
-      // delta-aware: evaluate() then returns a value sharing its
-      // representation with X[E.Vertex], and equal() short-circuits on
-      // that identity before any entry-wise comparison.
-      if (!Sys.equal(New, X[E.Vertex])) {
-        X[E.Vertex] = std::move(New);
-        Changed = true;
-      }
+      Changed |= stepPlain(E.Vertex, Stats.DescendingSteps);
       return;
     }
     // Stabilize the component: iterate while the head *or* its body
@@ -623,8 +690,10 @@ private:
       // assignment below is skipped to keep the stored value's
       // identity (and its memoized hash) untouched.
       bool SweepChanged = !Sys.equal(Narrowed, X[E.Vertex]);
-      if (SweepChanged)
+      if (SweepChanged) {
         X[E.Vertex] = std::move(Narrowed);
+        stamp(E.Vertex);
+      }
       for (const WtoElement &Sub : E.Body)
         descendElement(Sub, SweepChanged);
       Changed |= SweepChanged;
@@ -647,8 +716,14 @@ private:
   unsigned NumElems; ///< top-level WTO elements
   std::vector<Value> X;
   SolverStats Stats;
-  /// Per-node live evaluation counts (see nodeLiveSteps()).
+  /// Per-node scheduled step counts (see nodeLiveSteps()).
   std::vector<uint64_t> NodeSteps;
+  /// Skip-rule epochs, per node, on one clock: when X[V] last changed,
+  /// and when V's equation last ran (0 = not since the solve began or
+  /// since the last overwrite()).
+  std::vector<uint64_t> ChangedAt;
+  std::vector<uint64_t> EvaluatedAt;
+  uint64_t Clock = 0;
 
   /// Demand-driven scheduling state, per top-level element; empty on a
   /// full solve.

@@ -164,12 +164,24 @@ Wto::Wto(const Digraph &Graph, const std::vector<unsigned> &Roots) {
   for (unsigned V = 0; V < Graph.numNodes(); ++V)
     MemberList[Next[TopElem[V]]++] = V;
 
+  PredStart.reserve(Graph.numNodes() + 1);
+  PredStart.push_back(0);
+  for (unsigned V = 0; V < Graph.numNodes(); ++V) {
+    size_t First = PredList.size();
+    PredList.insert(PredList.end(), Graph.preds(V).begin(),
+                    Graph.preds(V).end());
+    std::sort(PredList.begin() + First, PredList.end());
+    PredList.erase(std::unique(PredList.begin() + First, PredList.end()),
+                   PredList.end());
+    PredStart.push_back(static_cast<unsigned>(PredList.size()));
+  }
+
   FeederStart.reserve(NumElems + 1);
   FeederStart.push_back(0);
   for (unsigned E = 0; E < NumElems; ++E) {
     size_t First = FeederList.size();
     for (unsigned V : members(E))
-      for (unsigned U : Graph.preds(V))
+      for (unsigned U : preds(V))
         if (TopElem[U] != E)
           FeederList.push_back(U);
     std::sort(FeederList.begin() + First, FeederList.end());

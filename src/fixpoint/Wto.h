@@ -36,8 +36,9 @@ struct WtoElement {
 };
 
 /// The WTO of a digraph, with the per-element tables the solver's warm
-/// starts and demand solves schedule by. An equation system's owner
-/// builds it once and every solve of that system reuses it.
+/// starts and demand solves schedule by, and the per-vertex predecessor
+/// table its skip rule reads. An equation system's owner builds it once
+/// and every solve of that system reuses it.
 class Wto {
 public:
   /// The empty order (of the empty graph).
@@ -78,6 +79,13 @@ public:
     return slice(FeederStart, FeederList, Elem);
   }
 
+  /// The graph predecessors of \p Vertex, sorted and unique: the values
+  /// its equation reads. The solver skips a plain vertex whose
+  /// predecessors all kept their values since its last evaluation.
+  std::span<const unsigned> preds(unsigned Vertex) const {
+    return slice(PredStart, PredList, Vertex);
+  }
+
   /// All widening points (component heads), in order.
   std::vector<unsigned> wideningPoints() const;
 
@@ -87,8 +95,8 @@ public:
 private:
   static std::span<const unsigned> slice(const std::vector<unsigned> &Start,
                                          const std::vector<unsigned> &List,
-                                         unsigned Elem) {
-    return {List.data() + Start[Elem], List.data() + Start[Elem + 1]};
+                                         unsigned I) {
+    return {List.data() + Start[I], List.data() + Start[I + 1]};
   }
 
   std::vector<WtoElement> Elements;
@@ -97,9 +105,10 @@ private:
   std::vector<unsigned> Depth;
   std::vector<unsigned> TopElem;
   /// members(E) is MemberList[MemberStart[E], MemberStart[E + 1]), and
-  /// likewise for feeders.
+  /// likewise for feeders (per element) and preds (per vertex).
   std::vector<unsigned> MemberStart, MemberList;
   std::vector<unsigned> FeederStart, FeederList;
+  std::vector<unsigned> PredStart, PredList;
 };
 
 } // namespace syntox

@@ -27,12 +27,31 @@ bool Parser::match(TokenKind K) {
   return true;
 }
 
+void Parser::error(SourceLoc Loc, std::string Message) {
+  if (!Stopped)
+    Diags.error(Loc, std::move(Message));
+}
+
+bool Parser::nest() {
+  if (Stopped)
+    return false;
+  if (++Depth <= MaxNestingDepth)
+    return true;
+  Diags.error(current().Loc,
+              "nesting deeper than " + std::to_string(MaxNestingDepth) +
+                  " levels (statements, routines and expression terms); "
+                  "parsing stopped");
+  Stopped = true;
+  Pos = Tokens.size() - 1; // the EndOfFile sentinel
+  return false;
+}
+
 bool Parser::expect(TokenKind K, const char *Context) {
   if (match(K))
     return true;
-  Diags.error(current().Loc, std::string("expected ") + tokenKindName(K) +
-                                 " " + Context + ", found " +
-                                 tokenKindName(current().Kind));
+  error(current().Loc, std::string("expected ") + tokenKindName(K) +
+                           " " + Context + ", found " +
+                           tokenKindName(current().Kind));
   return false;
 }
 
@@ -79,7 +98,7 @@ RoutineDecl *Parser::parseProgram() {
   if (!expect(TokenKind::KwProgram, "at start of unit"))
     return nullptr;
   if (!check(TokenKind::Identifier)) {
-    Diags.error(current().Loc, "expected program name");
+    error(current().Loc, "expected program name");
     return nullptr;
   }
   Token NameTok = advance();
@@ -98,7 +117,7 @@ RoutineDecl *Parser::parseProgram() {
   Program->setBlock(B);
   expect(TokenKind::Dot, "at end of program");
   popScope();
-  return Program;
+  return Stopped ? nullptr : Program;
 }
 
 Block *Parser::parseBlock(RoutineDecl *Owner) {
@@ -124,7 +143,7 @@ void Parser::parseLabelSection(Block *B) {
   advance(); // 'label'
   do {
     if (!check(TokenKind::IntLiteral)) {
-      Diags.error(current().Loc, "expected numeric label");
+      error(current().Loc, "expected numeric label");
       break;
     }
     B->Labels.push_back(advance().IntValue);
@@ -146,16 +165,16 @@ std::optional<int64_t> Parser::parseConstValue() {
     Token Tok = advance();
     if (const ConstDecl *C = lookupConst(Tok.Text)) {
       if (C->isBool()) {
-        Diags.error(Tok.Loc, "boolean constant '" + Tok.Text +
-                                 "' is not valid here");
+        error(Tok.Loc,
+              "boolean constant '" + Tok.Text + "' is not valid here");
         return std::nullopt;
       }
       return Negate ? -C->value() : C->value();
     }
-    Diags.error(Tok.Loc, "unknown constant '" + Tok.Text + "'");
+    error(Tok.Loc, "unknown constant '" + Tok.Text + "'");
     return std::nullopt;
   }
-  Diags.error(current().Loc, "expected constant expression");
+  error(current().Loc, "expected constant expression");
   return std::nullopt;
 }
 
@@ -217,12 +236,11 @@ const Type *Parser::parseTypeExpr() {
       return nullptr;
     const auto *Subrange = dyn_cast<SubrangeType>(IndexTy);
     if (!Subrange) {
-      Diags.error(current().Loc, "array index type must be a subrange");
+      error(current().Loc, "array index type must be a subrange");
       return nullptr;
     }
     if (ElemTy->isArray()) {
-      Diags.error(current().Loc,
-                  "multi-dimensional arrays are not supported");
+      error(current().Loc, "multi-dimensional arrays are not supported");
       return nullptr;
     }
     return Ctx.getArrayType(Subrange->lo(), Subrange->hi(), ElemTy);
@@ -243,8 +261,8 @@ const Type *Parser::parseTypeExpr() {
     if (!Hi)
       return nullptr;
     if (*Lo > *Hi) {
-      Diags.error(Loc, "empty subrange " + std::to_string(*Lo) + ".." +
-                           std::to_string(*Hi));
+      error(Loc, "empty subrange " + std::to_string(*Lo) + ".." +
+                     std::to_string(*Hi));
       return nullptr;
     }
     return Ctx.getSubrangeType(*Lo, *Hi);
@@ -254,7 +272,7 @@ const Type *Parser::parseTypeExpr() {
 
 const Type *Parser::parseNamedType() {
   if (!check(TokenKind::Identifier)) {
-    Diags.error(current().Loc, "expected type");
+    error(current().Loc, "expected type");
     return nullptr;
   }
   Token Tok = advance();
@@ -264,7 +282,7 @@ const Type *Parser::parseNamedType() {
     return Ctx.booleanType();
   if (const Type *Ty = lookupType(Tok.Text))
     return Ty;
-  Diags.error(Tok.Loc, "unknown type '" + Tok.Text + "'");
+  error(Tok.Loc, "unknown type '" + Tok.Text + "'");
   return nullptr;
 }
 
@@ -275,7 +293,7 @@ void Parser::parseVarSection(Block *B) {
     Names.push_back(advance());
     while (match(TokenKind::Comma)) {
       if (!check(TokenKind::Identifier)) {
-        Diags.error(current().Loc, "expected variable name");
+        error(current().Loc, "expected variable name");
         break;
       }
       Names.push_back(advance());
@@ -295,10 +313,13 @@ void Parser::parseVarSection(Block *B) {
 }
 
 RoutineDecl *Parser::parseRoutine() {
+  Nesting Level(*this);
+  if (!Level.enter())
+    return nullptr;
   bool IsFunction = check(TokenKind::KwFunction);
   SourceLoc Loc = advance().Loc; // 'procedure' / 'function'
   if (!check(TokenKind::Identifier)) {
-    Diags.error(current().Loc, "expected routine name");
+    error(current().Loc, "expected routine name");
     syncToStatementBoundary();
     return nullptr;
   }
@@ -332,13 +353,13 @@ std::vector<VarDecl *> Parser::parseFormalParams() {
     bool IsVar = match(TokenKind::KwVar);
     std::vector<Token> Names;
     if (!check(TokenKind::Identifier)) {
-      Diags.error(current().Loc, "expected parameter name");
+      error(current().Loc, "expected parameter name");
       break;
     }
     Names.push_back(advance());
     while (match(TokenKind::Comma)) {
       if (!check(TokenKind::Identifier)) {
-        Diags.error(current().Loc, "expected parameter name");
+        error(current().Loc, "expected parameter name");
         break;
       }
       Names.push_back(advance());
@@ -392,8 +413,8 @@ Parser::parseStatementList(std::initializer_list<TokenKind> Terminators) {
     }
     if (AtTerminator())
       return Body;
-    Diags.error(current().Loc, std::string("expected ';', found ") +
-                                   tokenKindName(current().Kind));
+    error(current().Loc, std::string("expected ';', found ") +
+                             tokenKindName(current().Kind));
     syncToStatementBoundary();
     // Guarantee progress: a stray 'else'/'end' that is not one of our
     // terminators is consumed by neither parseStatement nor the
@@ -406,6 +427,9 @@ Parser::parseStatementList(std::initializer_list<TokenKind> Terminators) {
 }
 
 Stmt *Parser::parseStatement() {
+  Nesting Level(*this);
+  if (!Level.enter())
+    return nullptr;
   // Numeric label prefix: `10: stmt`.
   if (check(TokenKind::IntLiteral) && peek(1).is(TokenKind::Colon)) {
     Token LabelTok = advance();
@@ -446,8 +470,8 @@ Stmt *Parser::parseUnlabeledStatement() {
   case TokenKind::KwElse:
     return Ctx.create<EmptyStmt>(current().Loc);
   default:
-    Diags.error(current().Loc, std::string("expected statement, found ") +
-                                   tokenKindName(current().Kind));
+    error(current().Loc, std::string("expected statement, found ") +
+                             tokenKindName(current().Kind));
     syncToStatementBoundary();
     return Ctx.create<EmptyStmt>(current().Loc);
   }
@@ -549,7 +573,7 @@ Stmt *Parser::parseRepeat() {
 Stmt *Parser::parseFor() {
   SourceLoc Loc = advance().Loc; // 'for'
   if (!check(TokenKind::Identifier)) {
-    Diags.error(current().Loc, "expected loop variable");
+    error(current().Loc, "expected loop variable");
     syncToStatementBoundary();
     return Ctx.create<EmptyStmt>(Loc);
   }
@@ -600,7 +624,7 @@ Stmt *Parser::parseCase() {
 Stmt *Parser::parseGoto() {
   SourceLoc Loc = advance().Loc; // 'goto'
   if (!check(TokenKind::IntLiteral)) {
-    Diags.error(current().Loc, "expected numeric label after 'goto'");
+    error(current().Loc, "expected numeric label after 'goto'");
     return Ctx.create<EmptyStmt>(Loc);
   }
   return Ctx.create<GotoStmt>(Loc, advance().IntValue);
@@ -658,6 +682,7 @@ Expr *Parser::parseSimpleExpr() {
   Expr *LHS = parseTerm();
   if (Negate)
     LHS = Ctx.create<UnaryExpr>(SignLoc, UnaryOp::Neg, LHS);
+  Nesting Chain(*this);
   for (;;) {
     BinaryOp Op;
     switch (current().Kind) {
@@ -674,6 +699,8 @@ Expr *Parser::parseSimpleExpr() {
       return LHS;
     }
     SourceLoc Loc = advance().Loc;
+    if (!Chain.enter())
+      return LHS;
     Expr *RHS = parseTerm();
     LHS = Ctx.create<BinaryExpr>(Loc, Op, LHS, RHS);
   }
@@ -681,6 +708,7 @@ Expr *Parser::parseSimpleExpr() {
 
 Expr *Parser::parseTerm() {
   Expr *LHS = parseFactor();
+  Nesting Chain(*this);
   for (;;) {
     BinaryOp Op;
     switch (current().Kind) {
@@ -697,14 +725,15 @@ Expr *Parser::parseTerm() {
       Op = BinaryOp::And;
       break;
     case TokenKind::Slash:
-      Diags.error(current().Loc,
-                  "real division '/' is not supported; use 'div'");
+      error(current().Loc, "real division '/' is not supported; use 'div'");
       Op = BinaryOp::Div;
       break;
     default:
       return LHS;
     }
     SourceLoc Loc = advance().Loc;
+    if (!Chain.enter())
+      return LHS;
     Expr *RHS = parseFactor();
     LHS = Ctx.create<BinaryExpr>(Loc, Op, LHS, RHS);
   }
@@ -712,6 +741,9 @@ Expr *Parser::parseTerm() {
 
 Expr *Parser::parseFactor() {
   SourceLoc Loc = current().Loc;
+  Nesting Level(*this);
+  if (!Level.enter())
+    return Ctx.create<IntLiteralExpr>(Loc, 0);
   switch (current().Kind) {
   case TokenKind::IntLiteral:
     return Ctx.create<IntLiteralExpr>(Loc, advance().IntValue);
@@ -752,8 +784,8 @@ Expr *Parser::parseFactor() {
     return Ctx.create<VarRefExpr>(Loc, NameTok.Text);
   }
   default:
-    Diags.error(Loc, std::string("expected expression, found ") +
-                         tokenKindName(current().Kind));
+    error(Loc, std::string("expected expression, found ") +
+                   tokenKindName(current().Kind));
     // Do not consume statement boundaries; the caller resynchronizes.
     switch (current().Kind) {
     case TokenKind::Semicolon:

@@ -16,6 +16,12 @@
 /// the next statement boundary, so one broken statement does not hide the
 /// rest of the file.
 ///
+/// Nesting is bounded by MaxNestingDepth: past it the parser reports one
+/// error naming the limit and stops, so neither it nor the passes that
+/// recurse over the tree (Sema, CfgBuilder, the interpreter, the printer,
+/// the expression semantics) can exhaust a thread's stack on hostile
+/// input.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SYNTOX_FRONTEND_PARSER_H
@@ -33,15 +39,51 @@ namespace syntox {
 
 class Parser {
 public:
+  /// The most levels of nesting a program may hold open at once. Each
+  /// statement, routine declaration and expression factor counts one
+  /// level while it is being parsed, and so does each operator of a
+  /// left-associative chain (`a + b + c` builds a tree as deep as its
+  /// operator count). Real programs stay within a few dozen levels; at
+  /// this limit every pass that recurses over the tree stays within a
+  /// small fraction of an 8 MiB thread stack.
+  static constexpr unsigned MaxNestingDepth = 512;
+
   Parser(std::vector<Token> Tokens, AstContext &Ctx, DiagnosticsEngine &Diags)
       : Tokens(std::move(Tokens)), Ctx(Ctx), Diags(Diags) {}
 
   /// Parses a whole `program ... .` unit. Returns null when errors make
-  /// the tree unusable; partial errors still return a best-effort tree
-  /// with diagnostics reported.
+  /// the tree unusable (nesting past MaxNestingDepth included); partial
+  /// errors still return a best-effort tree with diagnostics reported.
   RoutineDecl *parseProgram();
 
 private:
+  /// Holds nesting levels for the lifetime of one production and gives
+  /// them back when it returns.
+  class Nesting {
+  public:
+    explicit Nesting(Parser &P) : P(P) {}
+    ~Nesting() { P.Depth -= Levels; }
+    Nesting(const Nesting &) = delete;
+    Nesting &operator=(const Nesting &) = delete;
+    /// Opens one more level; false once parsing has stopped at the
+    /// limit.
+    bool enter() {
+      ++Levels;
+      return P.nest();
+    }
+
+  private:
+    Parser &P;
+    unsigned Levels = 0;
+  };
+
+  /// Counts one level; past MaxNestingDepth reports the limit once and
+  /// stops parsing by jumping to the end of input. Returns !Stopped.
+  bool nest();
+  /// Reports a syntax error, unless parsing has stopped: after the stop,
+  /// errors describe the truncated input, not the source.
+  void error(SourceLoc Loc, std::string Message);
+
   // Token stream helpers.
   const Token &peek(unsigned Ahead = 0) const;
   const Token &current() const { return peek(); }
@@ -99,6 +141,8 @@ private:
   DiagnosticsEngine &Diags;
   size_t Pos = 0;
   std::vector<Scope> Scopes;
+  unsigned Depth = 0;   ///< nesting levels open (see MaxNestingDepth)
+  bool Stopped = false; ///< the nesting limit stopped the parse
 };
 
 } // namespace syntox

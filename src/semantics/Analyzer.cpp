@@ -326,6 +326,7 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
   Phase.NarrowingSteps = S.DescendingSteps;
   Phase.ComponentSkips = S.ComponentSkips;
   Phase.SkippedSteps = S.SkippedSteps;
+  Phase.StableInputSkips = S.StableInputSkips;
   Stats.Widenings += S.Widenings;
   Stats.Narrowings += S.Narrowings;
   Stats.ComponentSkips += S.ComponentSkips;
@@ -333,6 +334,7 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
   Stats.DemandedComponents += S.DemandedComponents;
   Stats.SkippedByDemand += S.SkippedByDemand;
   Stats.SweepCapHits += S.SweepCapHits;
+  Stats.StableInputSkips += S.StableInputSkips;
   Stats.Unions += SysUnions;
   if (MetricsRegistry *M = Opts.Telem.Metrics) {
     M->counter("solver.ascending_steps").inc(S.AscendingSteps);
@@ -341,6 +343,7 @@ void Analyzer::accumulateSolverStats(const SolverStats &S,
     M->counter("solver.narrowings").inc(S.Narrowings);
     M->counter("solver.component_skips").inc(S.ComponentSkips);
     M->counter("solver.skipped_steps").inc(S.SkippedSteps);
+    M->counter("solver.stable_input_skips").inc(S.StableInputSkips);
     M->counter("solver.unions").inc(SysUnions);
     if (S.DemandedComponents + S.SkippedByDemand > 0) {
       M->counter("demand.components").inc(S.DemandedComponents);

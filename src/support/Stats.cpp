@@ -9,7 +9,9 @@ using namespace syntox;
 std::string AnalysisStats::str() const {
   std::string Out;
   char Buf[160];
+  uint64_t Scheduled = 0;
   for (const PhaseStats &P : Phases) {
+    Scheduled += P.WideningSteps + P.NarrowingSteps;
     std::snprintf(Buf, sizeof(Buf),
                   "*** %s [round %u]: widening (%llu), narrowing (%llu), "
                   "%.3f s\n",
@@ -39,6 +41,14 @@ std::string AnalysisStats::str() const {
                 (unsigned long long)Equations, (unsigned long long)Unions,
                 (unsigned long long)Widenings);
   Out += Buf;
+  if (Scheduled > 0) {
+    std::snprintf(Buf, sizeof(Buf),
+                  "*** %llu of %llu scheduled evaluations skipped, inputs "
+                  "unchanged\n",
+                  (unsigned long long)StableInputSkips,
+                  (unsigned long long)Scheduled);
+    Out += Buf;
+  }
   if (CacheHits + CacheMisses > 0) {
     std::snprintf(Buf, sizeof(Buf),
                   "*** Transfer cache: %llu hits, %llu misses (%.1f%%)\n",
@@ -75,6 +85,7 @@ json::Value PhaseStats::toJson() const {
   V.set("narrowing_steps", static_cast<int64_t>(NarrowingSteps));
   V.set("component_skips", static_cast<int64_t>(ComponentSkips));
   V.set("skipped_steps", static_cast<int64_t>(SkippedSteps));
+  V.set("stable_input_skips", static_cast<int64_t>(StableInputSkips));
   V.set("seconds", Seconds);
   return V;
 }
@@ -90,6 +101,7 @@ json::Value AnalysisStats::toJson() const {
   V.set("cache_misses", static_cast<int64_t>(CacheMisses));
   V.set("component_skips", static_cast<int64_t>(ComponentSkips));
   V.set("skipped_steps", static_cast<int64_t>(SkippedSteps));
+  V.set("stable_input_skips", static_cast<int64_t>(StableInputSkips));
   V.set("summary_reuses", static_cast<int64_t>(SummaryReuses));
   V.set("demanded_components", static_cast<int64_t>(DemandedComponents));
   V.set("skipped_by_demand", static_cast<int64_t>(SkippedByDemand));

@@ -42,6 +42,10 @@ struct PhaseStats {
   /// Equation evaluations those skips avoided (the recorded cost of the
   /// replayed elements in the round that computed them).
   uint64_t SkippedSteps = 0;
+  /// Of WideningSteps + NarrowingSteps, the scheduled steps whose
+  /// evaluation the solver skipped because none of the equation's
+  /// inputs changed since its last evaluation in this phase.
+  uint64_t StableInputSkips = 0;
   double Seconds = 0.0;        ///< wall-clock time of this phase
 
   /// Stable JSON rendering (schemas/findings.schema.json).
@@ -76,6 +80,9 @@ struct AnalysisStats {
   /// while still changing, summed over all phases (see
   /// SolverStats::SweepCapHits). 0 when every phase converged.
   uint64_t SweepCapHits = 0;
+  /// Scheduled solver steps skipped because the equation's inputs were
+  /// unchanged since its last evaluation, summed over all phases.
+  uint64_t StableInputSkips = 0;
   uint64_t BytesUsed = 0;     ///< live analysis structures, in bytes
   double CpuSeconds = 0.0;    ///< wall-clock analysis time
   std::vector<PhaseStats> Phases;

@@ -7,10 +7,12 @@
 
 #include "fixpoint/Solver.h"
 #include "lattice/Interval.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 using namespace syntox;
 
@@ -199,6 +201,12 @@ TEST(SolverTest, NestedLoopsConverge) {
   EXPECT_TRUE(Solver.wto().isHead(1));
   EXPECT_TRUE(Solver.wto().isHead(3));
   EXPECT_EQ(Solver.wto().depth(4), 2u);
+  // The inner body and the exit re-run with unchanged inputs while the
+  // loops iterate: the skip rule fires, and skips are a subset of the
+  // scheduled steps.
+  const SolverStats &St = Solver.stats();
+  EXPECT_GT(St.StableInputSkips, 0u);
+  EXPECT_LE(St.StableInputSkips, St.AscendingSteps + St.DescendingSteps);
 }
 
 /// IntervalSystem plus the optional warm-start concept method: per-node
@@ -404,6 +412,279 @@ TEST(SolverTest, SweepCapHitsAreCountedAndKeepTheCappedIterate) {
   FixpointSolver<IntervalSystem> Converged(C, Opts);
   Converged.solve();
   EXPECT_EQ(Converged.stats().SweepCapHits, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Stable-input skips against an always-evaluating reference
+//===----------------------------------------------------------------------===//
+
+/// The recursive strategy as it runs without the skip rule: ascent with
+/// leaf restarts, descending sweeps, both sweep caps, and demand masks,
+/// evaluating every scheduled equation. It shares no epoch bookkeeping
+/// with FixpointSolver, so equal solutions and equal step counts show
+/// that skipping changes nothing but the work done.
+template <typename System> class ReferenceSolver {
+public:
+  using Value = typename System::Value;
+
+  ReferenceSolver(const System &Sys, FixpointKind Kind,
+                  unsigned NarrowingPasses,
+                  const std::vector<uint8_t> *Demand = nullptr)
+      : Sys(Sys), Kind(Kind), NarrowingPasses(NarrowingPasses),
+        Demand(Demand) {}
+
+  std::vector<Value> solve() {
+    const Wto &W = Sys.wto();
+    bool FromTop = Kind == FixpointKind::Gfp;
+    X.clear();
+    for (unsigned V = 0; V < Sys.numNodes(); ++V)
+      X.push_back(Sys.initialValue(V, FromTop));
+    Scheduled.assign(W.elements().size(), Demand ? 0 : 1);
+    if (Demand) {
+      for (unsigned V = 0; V < Sys.numNodes(); ++V)
+        if ((*Demand)[V])
+          Scheduled[W.topElement(V)] = 1;
+      for (uint8_t S : Scheduled)
+        ++(S ? Stats.DemandedComponents : Stats.SkippedByDemand);
+    }
+    if (Kind == FixpointKind::Lfp) {
+      sweep(/*Descending=*/false);
+      for (unsigned Pass = 0; Pass < NarrowingPasses; ++Pass)
+        if (!sweep(/*Descending=*/true))
+          break;
+    } else {
+      unsigned Sweep = 0;
+      while (Sweep < MaxSweeps && sweep(/*Descending=*/true))
+        ++Sweep;
+      if (Sweep == MaxSweeps)
+        ++Stats.SweepCapHits;
+    }
+    return X;
+  }
+
+  const SolverStats &stats() const { return Stats; }
+
+private:
+  static constexpr unsigned MaxSweeps = 1000;
+
+  bool sweep(bool Descending) {
+    bool Changed = false;
+    const std::vector<WtoElement> &Elems = Sys.wto().elements();
+    for (unsigned E = 0; E < Elems.size(); ++E) {
+      if (!Scheduled[E])
+        continue;
+      if (Descending)
+        descend(Elems[E], Changed);
+      else
+        ascend(Elems[E]);
+    }
+    return Changed;
+  }
+
+  void reset(const WtoElement &E) {
+    X[E.Vertex] = Sys.initialValue(E.Vertex, false);
+    for (const WtoElement &Sub : E.Body)
+      reset(Sub);
+  }
+
+  void ascend(const WtoElement &E) {
+    if (!E.IsComponent) {
+      ++Stats.AscendingSteps;
+      X[E.Vertex] = Sys.evaluate(E.Vertex, X);
+      return;
+    }
+    bool IsLeaf = true;
+    for (const WtoElement &Sub : E.Body)
+      IsLeaf &= !Sub.IsComponent;
+    if (IsLeaf)
+      reset(E);
+    for (;;) {
+      for (const WtoElement &Sub : E.Body)
+        ascend(Sub);
+      ++Stats.AscendingSteps;
+      Value New = Sys.evaluate(E.Vertex, X);
+      if (Sys.leq(New, X[E.Vertex]))
+        break;
+      ++Stats.Widenings;
+      X[E.Vertex] = Sys.widen(X[E.Vertex], New);
+    }
+  }
+
+  void descend(const WtoElement &E, bool &Changed) {
+    if (!E.IsComponent) {
+      ++Stats.DescendingSteps;
+      Value New = Sys.evaluate(E.Vertex, X);
+      if (!Sys.equal(New, X[E.Vertex])) {
+        X[E.Vertex] = New;
+        Changed = true;
+      }
+      return;
+    }
+    unsigned Sweep = 0;
+    for (; Sweep < MaxSweeps; ++Sweep) {
+      ++Stats.DescendingSteps;
+      ++Stats.Narrowings;
+      Value Narrowed = Sys.narrow(X[E.Vertex], Sys.evaluate(E.Vertex, X));
+      bool SweepChanged = !Sys.equal(Narrowed, X[E.Vertex]);
+      X[E.Vertex] = Narrowed;
+      for (const WtoElement &Sub : E.Body)
+        descend(Sub, SweepChanged);
+      Changed |= SweepChanged;
+      if (!SweepChanged)
+        break;
+    }
+    if (Sweep == MaxSweeps)
+      ++Stats.SweepCapHits;
+  }
+
+  const System &Sys;
+  FixpointKind Kind;
+  unsigned NarrowingPasses;
+  const std::vector<uint8_t> *Demand;
+  std::vector<Value> X;
+  std::vector<uint8_t> Scheduled;
+  SolverStats Stats;
+};
+
+/// A random interval system of 2-40 nodes: every node but 0 is fed from
+/// an earlier one, and back edges (self loops included) close cycles
+/// that overlap and nest. Edges carry small offsets and, half the time,
+/// a filter; node 0 and a few others carry seeds.
+DirtyIntervalSystem randomSystem(Rng &R) {
+  unsigned N = 2 + static_cast<unsigned>(R.below(39));
+  DirtyIntervalSystem S(N);
+  auto Filter = [&]() {
+    if (R.chance(1, 2))
+      return S.D.top();
+    int64_t Lo = R.range(-20, 20);
+    switch (R.below(3)) {
+    case 0:
+      return S.D.make(INT64_MIN, Lo);
+    case 1:
+      return S.D.make(Lo, INT64_MAX);
+    default:
+      return S.D.make(Lo, Lo + R.range(0, 40));
+    }
+  };
+  auto Seed = [&]() {
+    int64_t Lo = R.range(-10, 10);
+    return Interval(Lo, Lo + R.range(0, 5));
+  };
+  S.Seeds[0] = Seed();
+  for (unsigned V = 1; V < N; ++V) {
+    S.addEdge(static_cast<unsigned>(R.below(V)), V, R.range(-3, 3),
+              Filter());
+    if (R.chance(1, 3))
+      S.addEdge(V, static_cast<unsigned>(R.below(V + 1)), R.range(-3, 3),
+                Filter());
+    if (R.chance(1, 5))
+      S.addEdge(static_cast<unsigned>(R.below(V)), V, R.range(-3, 3),
+                Filter());
+    if (R.chance(1, 8))
+      S.Seeds[V] = Seed();
+  }
+  return S;
+}
+
+/// The dependency cone of node \p Query: the demand mask a demand solve
+/// for it takes (closed under graph predecessors).
+std::vector<uint8_t> coneOf(const Digraph &G, unsigned Query) {
+  std::vector<uint8_t> In(G.numNodes(), 0);
+  std::vector<unsigned> Work{Query};
+  In[Query] = 1;
+  while (!Work.empty()) {
+    unsigned V = Work.back();
+    Work.pop_back();
+    for (unsigned P : G.preds(V))
+      if (!In[P]) {
+        In[P] = 1;
+        Work.push_back(P);
+      }
+  }
+  return In;
+}
+
+void expectSameCounts(const SolverStats &Got, const SolverStats &Want) {
+  EXPECT_EQ(Got.AscendingSteps, Want.AscendingSteps);
+  EXPECT_EQ(Got.DescendingSteps, Want.DescendingSteps);
+  EXPECT_EQ(Got.Widenings, Want.Widenings);
+  EXPECT_EQ(Got.Narrowings, Want.Narrowings);
+  EXPECT_EQ(Got.SweepCapHits, Want.SweepCapHits);
+  EXPECT_EQ(Got.DemandedComponents, Want.DemandedComponents);
+  EXPECT_EQ(Got.SkippedByDemand, Want.SkippedByDemand);
+  EXPECT_LE(Got.StableInputSkips, Got.AscendingSteps + Got.DescendingSteps);
+}
+
+TEST(StableInputSkipTest, MatchesAlwaysEvaluatingReferenceOnRandomSystems) {
+  struct Mode {
+    FixpointKind Kind;
+    unsigned Passes;
+  };
+  const Mode Modes[] = {{FixpointKind::Lfp, 0},
+                        {FixpointKind::Lfp, 1},
+                        {FixpointKind::Lfp, 2},
+                        {FixpointKind::Gfp, 1}};
+  uint64_t Skips = 0;
+  for (uint64_t Seed = 1; Seed <= 500; ++Seed) {
+    Rng R(Seed);
+    DirtyIntervalSystem S = randomSystem(R);
+    unsigned Query = static_cast<unsigned>(R.below(S.numNodes()));
+    std::vector<uint8_t> Cone = coneOf(S.DepGraph, Query);
+    unsigned Edited = static_cast<unsigned>(R.below(S.numNodes()));
+    Interval EditedSeed(R.range(-10, 10), 10);
+    for (const Mode &M : Modes) {
+      SCOPED_TRACE("seed " + std::to_string(Seed) + ", " +
+                   (M.Kind == FixpointKind::Gfp
+                        ? std::string("gfp")
+                        : "lfp/" + std::to_string(M.Passes)) +
+                   ", " + S.Order.str());
+      FixpointSolver<DirtyIntervalSystem>::Options Opts;
+      Opts.Kind = M.Kind;
+      Opts.NarrowingPasses = M.Passes;
+
+      // Cold, full solve.
+      ReferenceSolver<DirtyIntervalSystem> Ref(S, M.Kind, M.Passes);
+      std::vector<Interval> Want = Ref.solve();
+      FixpointSolver<DirtyIntervalSystem> Cold(S, Opts);
+      EXPECT_EQ(Cold.solve(), Want);
+      expectSameCounts(Cold.stats(), Ref.stats());
+      Skips += Cold.stats().StableInputSkips;
+
+      // Demand-restricted solve: the cone's values, and the same work.
+      FixpointSolver<DirtyIntervalSystem>::Options DemandOpts = Opts;
+      DemandOpts.DemandNodes = &Cone;
+      ReferenceSolver<DirtyIntervalSystem> DemandRef(S, M.Kind, M.Passes,
+                                                     &Cone);
+      std::vector<Interval> DemandWant = DemandRef.solve();
+      FixpointSolver<DirtyIntervalSystem> Demanded(S, DemandOpts);
+      EXPECT_EQ(Demanded.solve(), DemandWant);
+      expectSameCounts(Demanded.stats(), DemandRef.stats());
+
+      // The run that records a memo replays nothing: it matches the
+      // reference exactly. The warm re-solve after a seed edit then
+      // replays, and its replays plus live steps account for exactly
+      // the reference's scheduled steps.
+      DirtyIntervalSystem Edit = S;
+      WarmStartMemo<Interval> Memo;
+      FixpointSolver<DirtyIntervalSystem>::Options WarmOpts = Opts;
+      WarmOpts.Memo = &Memo;
+      FixpointSolver<DirtyIntervalSystem> Recording(Edit, WarmOpts);
+      EXPECT_EQ(Recording.solve(), Want);
+      expectSameCounts(Recording.stats(), Ref.stats());
+      Edit.Seeds[Edited] = EditedSeed;
+      Edit.Unchanged[Edited] = 0;
+      ReferenceSolver<DirtyIntervalSystem> EditRef(Edit, M.Kind, M.Passes);
+      std::vector<Interval> EditWant = EditRef.solve();
+      FixpointSolver<DirtyIntervalSystem> Warm(Edit, WarmOpts);
+      EXPECT_EQ(Warm.solve(), EditWant);
+      const SolverStats &WS = Warm.stats();
+      EXPECT_EQ(WS.AscendingSteps + WS.DescendingSteps + WS.SkippedSteps,
+                EditRef.stats().AscendingSteps +
+                    EditRef.stats().DescendingSteps);
+      EXPECT_LE(WS.StableInputSkips, WS.AscendingSteps + WS.DescendingSteps);
+    }
+  }
+  EXPECT_GT(Skips, 0u);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/PaperPrograms.h"
+#include "frontend/PrettyPrinter.h"
 #include "support/Rng.h"
 
 #include "../common/FrontendTestUtil.h"
@@ -101,8 +102,7 @@ TEST(RobustnessTest, MutatedValidPrograms) {
 }
 
 TEST(RobustnessTest, DeeplyNestedExpressions) {
-  // 200 nested parentheses: recursive descent must handle it (the depth
-  // is modest by design; extreme inputs would need an explicit limiter).
+  // 200 nested parentheses: well inside Parser::MaxNestingDepth.
   std::string Expr(200, '(');
   Expr += "1";
   Expr += std::string(200, ')');
@@ -121,6 +121,87 @@ TEST(RobustnessTest, DeeplyNestedStatements) {
   Source += "end.";
   auto R = runFrontend(Source);
   EXPECT_FALSE(R.Diags->hasErrors()) << R.Diags->str();
+}
+
+//===----------------------------------------------------------------------===//
+// The nesting limit (Parser::MaxNestingDepth)
+//===----------------------------------------------------------------------===//
+
+std::string repeat(const std::string &S, unsigned N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (unsigned I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// Programs whose deepest point holds exactly \p Depth nesting levels
+/// open. The assignment statement holds one level and each expression
+/// factor one more, so `i := (((1)))` is 3 + 2 levels deep.
+std::string nestedParens(unsigned Depth) {
+  return "program p; var i : integer; begin i := " +
+         repeat("(", Depth - 2) + "1" + repeat(")", Depth - 2) + " end.";
+}
+std::string nestedBegins(unsigned Depth) {
+  return "program p; begin " + repeat("begin ", Depth) +
+         repeat("end ", Depth) + "end.";
+}
+std::string nestedRoutines(unsigned Depth) {
+  std::string Source = "program p; ";
+  for (unsigned I = 0; I < Depth; ++I)
+    Source += "procedure q" + std::to_string(I) + "; ";
+  return Source + repeat("begin end; ", Depth) + "begin end.";
+}
+/// A flat sum still builds a left-deep tree: each operator is a level.
+std::string operatorChain(unsigned Depth) {
+  return "program p; var i : integer; begin i := 1" +
+         repeat(" + 1", Depth - 2) + " end.";
+}
+
+void expectStoppedAtLimit(const std::string &Source) {
+  auto R = runFrontend(Source);
+  EXPECT_EQ(R.Program, nullptr);
+  ASSERT_EQ(R.Diags->errorCount(), 1u) << R.Diags->str().substr(0, 500);
+  const std::string &Message = R.Diags->diagnostics().front().Message;
+  EXPECT_NE(Message.find("nesting deeper than " +
+                         std::to_string(Parser::MaxNestingDepth)),
+            std::string::npos)
+      << Message;
+}
+
+TEST(RobustnessTest, NestingAtTheLimitParsesChecksAndPrints) {
+  const unsigned Max = Parser::MaxNestingDepth;
+  for (const std::string &Source :
+       {nestedParens(Max), nestedBegins(Max), nestedRoutines(Max),
+        operatorChain(Max)}) {
+    SCOPED_TRACE(Source.substr(0, 80));
+    auto R = runFrontend(Source);
+    ASSERT_NE(R.Program, nullptr) << R.Diags->str().substr(0, 500);
+    EXPECT_FALSE(R.Diags->hasErrors()) << R.Diags->str().substr(0, 500);
+    EXPECT_TRUE(R.SemaOk);
+    EXPECT_FALSE(printProgram(R.Program).empty());
+  }
+}
+
+TEST(RobustnessTest, NestingPastTheLimitIsOneDiagnostic) {
+  const unsigned Max = Parser::MaxNestingDepth;
+  for (const std::string &Source :
+       {nestedParens(Max + 1), nestedBegins(Max + 1),
+        nestedRoutines(Max + 1), operatorChain(Max + 1)}) {
+    SCOPED_TRACE(Source.substr(0, 80));
+    expectStoppedAtLimit(Source);
+  }
+}
+
+TEST(RobustnessTest, HostileNestingStopsInsteadOfCrashing) {
+  // Each of these overflowed the stack before the limit existed.
+  expectStoppedAtLimit(nestedParens(200000));
+  expectStoppedAtLimit(nestedBegins(200000));
+  expectStoppedAtLimit(operatorChain(200000));
+  expectStoppedAtLimit("program p; var i : integer; begin " +
+                       repeat("if i > 0 then ", 100000) + "i := 1 end.");
+  expectStoppedAtLimit("program p; var b : boolean; begin b := " +
+                       repeat("not ", 200000) + "true end.");
 }
 
 TEST(RobustnessTest, ErrorsAlwaysHaveMessages) {

@@ -44,6 +44,31 @@ TEST(InterpreterTest, BooleanOutput) {
   EXPECT_EQ(R.Output, "true true false \n");
 }
 
+TEST(InterpreterTest, RunsProgramsNestedToTheParserLimit) {
+  // The parser accepts at most Parser::MaxNestingDepth open levels; the
+  // recursive evaluator must run any program it accepts. Each source
+  // below holds exactly that many at its innermost `1` (the statement and
+  // the factor count one level each).
+  const unsigned K = Parser::MaxNestingDepth - 2;
+  auto Repeat = [](const std::string &S, unsigned N) {
+    std::string Out;
+    for (unsigned I = 0; I < N; ++I)
+      Out += S;
+    return Out;
+  };
+  for (const std::string &Body :
+       {Repeat("begin ", K) + "i := 1" + Repeat(" end", K),
+        "i := " + Repeat("(", K) + "1" + Repeat(")", K),
+        Repeat("if i = 0 then ", K) + "i := 1",
+        "i := 1" + Repeat(" * 1", K)}) {
+    auto R = runProgram("program p; var i : integer; begin i := 0; " +
+                            Body + "; writeln(i) end.",
+                        {});
+    EXPECT_EQ(R.St, Interpreter::Status::Ok) << Body.substr(0, 40);
+    EXPECT_EQ(R.Output, "1 \n") << Body.substr(0, 40);
+  }
+}
+
 TEST(InterpreterTest, FactorialRecursion) {
   auto R = runProgram("program p; var y : integer;\n"
                       "function f(n : integer) : integer;\n"

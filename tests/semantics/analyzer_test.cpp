@@ -308,6 +308,24 @@ TEST(McCarthyTest, BuggyVariantTerminationNeedsLargeN) {
   EXPECT_GT(Cond.Lo, 100);
 }
 
+TEST(McCarthyTest, StableInputSkipsAreReportedPerPhase) {
+  // McCarthy's recursive unfolding re-runs loop bodies whose inputs did
+  // not move: the solver skips those evaluations, and each phase reports
+  // its own share of its scheduled steps.
+  auto A = analyzeProgram(paper::McCarthyProgram);
+  const AnalysisStats &St = A.An->stats();
+  uint64_t Sum = 0, Scheduled = 0;
+  for (const PhaseStats &P : St.Phases) {
+    EXPECT_LT(P.StableInputSkips, P.WideningSteps + P.NarrowingSteps)
+        << P.Name << " round " << P.Round;
+    Sum += P.StableInputSkips;
+    Scheduled += P.WideningSteps + P.NarrowingSteps;
+  }
+  EXPECT_EQ(Sum, St.StableInputSkips);
+  EXPECT_GT(St.StableInputSkips, 0u);
+  EXPECT_LT(St.StableInputSkips, Scheduled);
+}
+
 TEST(McCarthyTest, UnfoldingMatchesTokenCount) {
   auto A = analyzeProgram(paper::McCarthyProgram);
   // Main + one instance per call site: 9 nested + 1 outer call.

@@ -23,6 +23,7 @@
 #include "../common/RandomProgramGen.h"
 #include "core/AnalysisRequest.h"
 #include "frontend/PaperPrograms.h"
+#include "frontend/Parser.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -329,6 +330,20 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerErrorsAndServerSurvives) {
   json::Value Bad = H.recv();
   EXPECT_EQ(Bad.find("status")->asString(), "error");
   EXPECT_FALSE(Bad.find("error")->asString().empty());
+  // Source nesting past Parser::MaxNestingDepth is a diagnostic, not a
+  // stack overflow on a worker; a program at the limit is analyzed.
+  auto Parens = [](unsigned N) {
+    return "program p; var i : integer; begin i := " + std::string(N, '(') +
+           "1" + std::string(N, ')') + " end.";
+  };
+  H.send(analyzeLine("deep-src", Parens(20000)));
+  json::Value Deep = H.recv();
+  EXPECT_EQ(Deep.find("status")->asString(), "error");
+  EXPECT_NE(Deep.find("error")->asString().find("nesting deeper than"),
+            std::string::npos)
+      << Deep.find("error")->asString();
+  H.send(analyzeLine("limit-src", Parens(Parser::MaxNestingDepth - 2)));
+  EXPECT_EQ(H.recv().find("status")->asString(), "ok");
   // The daemon is still serving.
   H.send(adminLine("alive", "ping"));
   EXPECT_EQ(H.recv().find("status")->asString(), "ok");
