@@ -53,8 +53,8 @@ double timeOnce(bench::Harness &H, const std::string &Label,
   const AnalysisStats *Stats = nullptr;
   std::unique_ptr<AbstractDebugger> Last;
   for (int I = 0; I < 3; ++I) {
-    // A fresh debugger per repetition so no state (e.g. an enabled
-    // transfer cache) carries fills across analyze() calls.
+    // A fresh debugger per repetition so no state (the warm-start
+    // slots, say) carries across analyze() calls.
     DiagnosticsEngine Diags;
     auto Dbg = AbstractDebugger::create(Source, Diags, Opts);
     if (!Dbg) {

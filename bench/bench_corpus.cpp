@@ -9,10 +9,10 @@
 /// The analysis-server load generator: a randomized corpus (plain,
 /// goto-heavy, deep-unfolding and aliasing-heavy families, round-robin)
 /// pushed through mixed cold / warm / edit traffic, sequentially and
-/// through AnalysisBatch. Reports aggregate programs/sec, p50/p99
-/// per-request latency, and cache hit rates per wave, and checks
-/// that every batch wave's findings are bitwise-identical to the
-/// sequential run of the same traffic.
+/// through AnalysisBatch. Reports aggregate programs/sec and p50/p99
+/// per-request latency per wave, and checks that every batch wave's
+/// findings are bitwise-identical to the sequential run of the same
+/// traffic.
 ///
 /// Sequential and batch waves use disjoint per-program disk-cache trees,
 /// both copied from one prime pass, so warm and edit waves start from
@@ -101,14 +101,8 @@ struct WaveResult {
   double Seconds = 0.0;
   std::vector<double> PerRequest;    ///< per-program run seconds
   std::vector<json::Value> Findings; ///< per-program findings-only doc
-  uint64_t CacheHits = 0, CacheMisses = 0;
   bool OK = true;
 };
-
-void harvestCacheCounters(MetricsRegistry &M, WaveResult &W) {
-  W.CacheHits = M.counterValue("cache.hits");
-  W.CacheMisses = M.counterValue("cache.misses");
-}
 
 const std::string &dirFor(const CorpusProgram &P, DirUse Use) {
   static const std::string Empty;
@@ -130,6 +124,7 @@ const std::string &dirFor(const CorpusProgram &P, DirUse Use) {
 WaveResult runSequential(const std::vector<CorpusProgram> &Corpus,
                          const AnalysisOptions &Base, DirUse Use) {
   WaveResult W;
+  // One registry for the whole wave, as a batch records into its own.
   MetricsRegistry Metrics;
   std::vector<std::unique_ptr<AnalysisSession>> Sessions;
   std::vector<AnalysisResult> Results;
@@ -158,7 +153,6 @@ WaveResult runSequential(const std::vector<CorpusProgram> &Corpus,
                   .count();
   for (const AnalysisResult &R : Results)
     W.Findings.push_back(findingsOnly(R));
-  harvestCacheCounters(Metrics, W);
   return W;
 }
 
@@ -190,7 +184,6 @@ WaveResult runBatch(const std::vector<CorpusProgram> &Corpus,
     W.PerRequest.push_back(O.Seconds);
     W.Findings.push_back(findingsOnly(*O.Result));
   }
-  harvestCacheCounters(Batch.metrics(), W);
   return W;
 }
 
@@ -214,8 +207,6 @@ json::Value waveRow(const char *Wave, const char *Mode, const WaveResult &W,
           W.Seconds > 0 ? W.PerRequest.size() / W.Seconds : 0.0);
   Row.set("p50_ms", percentile(W.PerRequest, 0.50) * 1e3);
   Row.set("p99_ms", percentile(W.PerRequest, 0.99) * 1e3);
-  Row.set("cache_hits", W.CacheHits);
-  Row.set("cache_misses", W.CacheMisses);
   if (MatchesSeq >= 0)
     Row.set("matches_sequential", MatchesSeq != 0);
   return Row;

@@ -24,7 +24,6 @@
 #include "core/AnalysisRequest.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -102,14 +101,9 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg.rfind("--state-at=", 0) == 0) {
+      // The location grammar of --query=point: (parseSourceLoc).
       std::string Spec = Arg.substr(11);
-      size_t Colon = Spec.find(':');
-      StateLoc.Line =
-          static_cast<uint32_t>(std::atoi(Spec.substr(0, Colon).c_str()));
-      if (Colon != std::string::npos)
-        StateLoc.Column =
-            static_cast<uint32_t>(std::atoi(Spec.c_str() + Colon + 1));
-      if (StateLoc.Line == 0) {
+      if (!parseSourceLoc(Spec, StateLoc)) {
         std::fprintf(stderr, "syntox_cli: invalid --state-at '%s'\n",
                      Spec.c_str());
         return 2;

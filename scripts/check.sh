@@ -36,7 +36,7 @@ if [ "$NO_ASAN" -eq 0 ]; then
   # ASan+UBSan over the suites that exercise the solver and the
   # semantics layer (including the demand-driven query battery).
   echo "== preset: asan (fixpoint/semantics suites) =="
-  ASAN_SUITES="wto_test solver_test analyzer_test transfer_cache_test
+  ASAN_SUITES="wto_test solver_test analyzer_test
                transfer_test interproc_test store_test store_cow_test
                store_soa_test store_product_test expr_semantics_test
                soundness_test demand_query_test liveness_prune_test
@@ -103,7 +103,10 @@ BAD_NUMBER_CMDS=("$SERVE --threads-total=-1"
                  "$SERVE --timeout-ms=4294967296"
                  "$BENCH/bench_corpus --programs=abc"
                  "$BENCH/bench_serve --programs=-1"
-                 "$BENCH/bench_incremental --bench-rounds=-1")
+                 "$BENCH/bench_incremental --bench-rounds=-1"
+                 "$CLI --state-at=4294967300"
+                 "$CLI --state-at=-5"
+                 "$CLI --state-at=4:x")
 for cmd in "${BAD_NUMBER_CMDS[@]}"; do
   rc=0
   $cmd < /dev/null > /dev/null 2> "$OUT/usage.txt" || rc=$?
@@ -124,6 +127,22 @@ if [ "$rc" -ne 1 ] || ! grep -q 'nesting deeper than' "$OUT/deep.txt"; then
   echo "200,000-deep source not rejected with a diagnostic (exit $rc)" >&2
   exit 1
 fi
+
+# Long but shallow source analyzes (exit 0): no pass may recurse along
+# the length of a path (the WTO builder once did, exit 139).
+python3 -c 'print("program p; var x : integer; begin " +
+      "x := 1; " * 49999 + "x := 1 end.")' > "$OUT/long.pas"
+python3 -c 'print("program p; var i : integer; begin " +
+      "i := 0; while i < 10 do i := i + 1; " * 20000 + "i := 0 end.")' \
+  > "$OUT/loops.pas"
+for src in long loops; do
+  rc=0
+  "$CLI" "$OUT/$src.pas" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "$src.pas (50,000 statements / 20,000 loops) failed (exit $rc)" >&2
+    exit 1
+  fi
+done
 
 python3 - "$OUT" <<'EOF'
 import json, sys
@@ -439,9 +458,16 @@ CACHE="$OUT/cache"
 "$CLI" --cache-dir="$CACHE" --format=json \
        --metrics-json="$OUT/persist-cold.json" "$OUT/two.pas" \
        > "$OUT/persist-findings-cold.json"
+cp "$CACHE"/syntox-*.warm "$OUT/persist-cold.warm"
 "$CLI" --cache-dir="$CACHE" --format=json \
        --metrics-json="$OUT/persist-warm.json" "$OUT/two.pas" \
        > "$OUT/persist-findings-warm.json"
+# The rerun replayed everything it loaded: it skips the save and leaves
+# the file's bytes as they were.
+if ! cmp -s "$CACHE"/syntox-*.warm "$OUT/persist-cold.warm"; then
+  echo "persistent-cache violation: the unchanged rerun rewrote the file" >&2
+  exit 1
+fi
 "$CLI" --cache-dir="$CACHE" --format=json \
        --metrics-json="$OUT/persist-edit.json" "$OUT/two-edited.pas" \
        > "$OUT/persist-findings-edit.json"
@@ -477,6 +503,9 @@ editcold = counters(f"{out}/persist-editcold.json")
 # every component skipped, identical findings.
 check(cold.get("persist.saved") == 1, "run 1 did not save a cache")
 check(warm.get("persist.loaded") == 1, "run 2 did not load the cache")
+check(warm.get("persist.save_skipped") == 1,
+      "the unchanged rerun did not skip its save")
+check("persist.saved" not in warm, "the unchanged rerun saved")
 check(live_steps(cold) > 0, "cold run did no solver work")
 check(live_steps(warm) == 0,
       f"unchanged rerun performed {live_steps(warm)} live solver steps")
@@ -685,7 +714,7 @@ check(isinstance(report["rows"], list) and report["rows"], "no rows")
 waves = set()
 for i, row in enumerate(report["rows"]):
     for col in ("wave", "mode", "programs", "seconds", "programs_per_sec",
-                "p50_ms", "p99_ms", "cache_hits", "cache_misses"):
+                "p50_ms", "p99_ms"):
         check(col in row, f"rows[{i}] missing '{col}'")
     waves.add((row["wave"], row["mode"]))
     # The determinism claim, per wave: batch findings are bitwise equal

@@ -134,23 +134,24 @@ bool syntox::parseAnalysisFlags(std::vector<std::string> &Args,
   return true;
 }
 
+bool syntox::parseSourceLoc(const std::string &Text, SourceLoc &Out) {
+  size_t Colon = Text.find(':');
+  unsigned Line = 0, Column = 0;
+  if (!parseUnsigned(Text.substr(0, Colon), Line) || Line == 0)
+    return false;
+  if (Colon != std::string::npos &&
+      !parseUnsigned(Text.substr(Colon + 1), Column))
+    return false;
+  Out.Line = Line;
+  Out.Column = Column;
+  return true;
+}
+
 bool syntox::parseQuerySpec(const std::string &Spec, DemandSpec &Out,
                             std::string &Error) {
-  auto parseLoc = [](const std::string &Pt, SourceLoc &Loc) {
-    size_t Colon = Pt.find(':');
-    unsigned Line = 0, Column = 0;
-    if (!parseUnsigned(Pt.substr(0, Colon), Line) || Line == 0)
-      return false;
-    if (Colon != std::string::npos &&
-        !parseUnsigned(Pt.substr(Colon + 1), Column))
-      return false;
-    Loc.Line = Line;
-    Loc.Column = Column;
-    return true;
-  };
   if (Spec.rfind("point:", 0) == 0) {
     SourceLoc Loc;
-    if (!parseLoc(Spec.substr(6), Loc)) {
+    if (!parseSourceLoc(Spec.substr(6), Loc)) {
       Error = "invalid query '" + Spec + "' (expected point:LINE[:COL])";
       return false;
     }
@@ -197,8 +198,8 @@ const char *syntox::analysisFlagsHelp() {
          "  --trace=FILE         write an event trace (- = stdout)\n"
          "  --trace-format=json|chrome\n"
          "                       trace encoding (default json-lines)\n"
-         "  --trace-detail       include cache, store-detach and\n"
-         "                       store-prune events\n"
+         "  --trace-detail       include store-detach and store-prune\n"
+         "                       events\n"
          "  --metrics-json=FILE  write a metrics snapshot (- = stdout)\n";
 }
 

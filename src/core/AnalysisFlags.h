@@ -17,7 +17,7 @@
 ///   --context-insensitive  merge the call sites of each routine
 ///   --trace=FILE           write an event trace ("-" = stdout)
 ///   --trace-format=json|chrome   trace encoding (default json-lines)
-///   --trace-detail         include per-lookup/per-clone detail events
+///   --trace-detail         include the store detach/prune detail events
 ///   --metrics-json=FILE    write a metrics snapshot ("-" = stdout)
 ///
 //===----------------------------------------------------------------------===//
@@ -82,6 +82,13 @@ bool parseUnsigned(const std::string &Text, uint64_t &Out);
 /// Usage text describing every flag the shared parser accepts, for
 /// embedding in --help output (one flag per line, indented).
 const char *analysisFlagsHelp();
+
+/// Parses a source location "LINE[:COL]" (LINE >= 1; COL defaults to 0)
+/// with parseUnsigned into \p Out: the one location grammar of
+/// syntox_cli's --state-at, --query=point: and the serve protocol's
+/// point queries. Returns false on anything else, leaving \p Out
+/// unchanged.
+bool parseSourceLoc(const std::string &Text, SourceLoc &Out);
 
 /// Parses a demand-query spec — "point:LINE[:COL]" or "assertion:ID" —
 /// into \p Out. One grammar for every driver: the CLI's --query= flag

@@ -128,12 +128,12 @@ std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
   return Engine;
 }
 
-void AnalysisSession::loadPersistCache(AbstractDebugger &Dbg) {
+bool AnalysisSession::loadPersistCache(AbstractDebugger &Dbg) {
   // With a cache directory configured, the first run on a fresh engine
   // warm-starts from the persisted recordings of an earlier process,
   // falling back to cold on any mismatch.
   if (Opts.CacheDir.empty() || !Opts.WarmStart || EnginePersistProbed)
-    return;
+    return false;
   EnginePersistProbed = true;
   MetricsRegistry *M = Opts.Telem.Metrics;
   persist::CacheLoadResult R = persist::loadWarmCache(Opts.CacheDir, *Dbg.An);
@@ -150,13 +150,26 @@ void AnalysisSession::loadPersistCache(AbstractDebugger &Dbg) {
       M->counter("persist.fallback").inc();
     }
   }
+  return R.Loaded;
 }
 
-void AnalysisSession::savePersistCache(const AbstractDebugger &Dbg) {
+void AnalysisSession::savePersistCache(const AbstractDebugger &Dbg,
+                                       bool Loaded) {
   if (Opts.CacheDir.empty() || !Opts.WarmStart)
     return;
+  MetricsRegistry *M = Opts.Telem.Metrics;
+  if (Loaded) {
+    uint64_t LiveSteps = 0;
+    for (const PhaseStats &P : Dbg.An->stats().Phases)
+      LiveSteps += P.WideningSteps + P.NarrowingSteps;
+    if (LiveSteps == 0 && persist::touchWarmCache(Opts.CacheDir, Opts)) {
+      if (M)
+        M->counter("persist.save_skipped").inc();
+      return;
+    }
+  }
   if (persist::saveWarmCache(Opts.CacheDir, *Dbg.An))
-    if (MetricsRegistry *M = Opts.Telem.Metrics)
+    if (M)
       M->counter("persist.saved").inc();
 }
 
@@ -173,9 +186,9 @@ AnalysisResult AnalysisSession::run() {
     trace::StoreDetachHook.store(DetachHook, std::memory_order_relaxed);
 
   std::shared_ptr<AbstractDebugger> Dbg = engineForRun(/*ForDemand=*/false);
-  loadPersistCache(*Dbg);
+  bool Loaded = loadPersistCache(*Dbg);
   Dbg->analyze();
-  savePersistCache(*Dbg);
+  savePersistCache(*Dbg, Loaded);
 
   if (DetachHook)
     trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);

@@ -264,10 +264,15 @@ private:
   std::shared_ptr<AbstractDebugger> engineForRun(bool ForDemand);
   /// One-time per-engine load of the persistent warm cache, with the
   /// persist.* telemetry counters. No-op without CacheDir/WarmStart.
-  void loadPersistCache(AbstractDebugger &Dbg);
+  /// Returns whether this call loaded the file.
+  bool loadPersistCache(AbstractDebugger &Dbg);
   /// Saves the engine's recordings back to the cache directory after a
-  /// full run (demand runs never save). No-op without CacheDir.
-  void savePersistCache(const AbstractDebugger &Dbg);
+  /// full run (demand runs never save). No-op without CacheDir. A run
+  /// that \p Loaded the file and then took no live solver step
+  /// replayed everything it loaded, so the save would write the bytes
+  /// already on disk: it only advances the file's mtime instead
+  /// (persist.save_skipped), or saves after all if the file is gone.
+  void savePersistCache(const AbstractDebugger &Dbg, bool Loaded);
 
   std::string Source;
   AnalysisOptions Opts;

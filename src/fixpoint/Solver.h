@@ -688,7 +688,7 @@ private:
       // narrow), so this equality check — the convergence test of the
       // whole descending phase — is O(1) on the steady state, and the
       // assignment below is skipped to keep the stored value's
-      // identity (and its memoized hash) untouched.
+      // identity untouched.
       bool SweepChanged = !Sys.equal(Narrowed, X[E.Vertex]);
       if (SweepChanged) {
         X[E.Vertex] = std::move(Narrowed);

@@ -16,6 +16,12 @@ namespace {
 
 constexpr unsigned InfDfn = std::numeric_limits<unsigned>::max();
 
+/// Bourdoncle's hierarchical decomposition, run on an explicit frame
+/// stack: the textbook formulation recurses once per vertex along a DFS
+/// path, which a long straight-line program or a chain of thousands of
+/// loops turns into a native stack overflow. Each frame is one pending
+/// call of the recursive algorithm, visit(V) or component(V), and
+/// resumes at its next successor, so the output is the recursive one.
 class WtoBuilder {
 public:
   explicit WtoBuilder(const Digraph &Graph)
@@ -25,68 +31,125 @@ public:
     std::vector<WtoElement> Partition;
     for (unsigned Root : Roots)
       if (Dfn[Root] == 0)
-        visit(Root, Partition);
+        visitFrom(Root, Partition);
     // Vertices unreachable from the roots are decomposed too: they may
     // contain cycles that the solver still has to cut.
     for (unsigned V = 0; V < Graph.numNodes(); ++V)
       if (Dfn[V] == 0)
-        visit(V, Partition);
+        visitFrom(V, Partition);
     std::reverse(Partition.begin(), Partition.end());
     return Partition;
   }
 
 private:
-  /// Returns the head DFN of the strongly-connected region containing
-  /// \p V; prepends finished elements to \p Partition (in reverse; the
-  /// caller reverses once).
-  unsigned visit(unsigned V, std::vector<WtoElement> &Partition) {
-    Stack.push_back(V);
-    Dfn[V] = ++Num;
-    unsigned Head = Dfn[V];
+  /// One pending call. A visit frame walks V's successors, keeping the
+  /// smallest DFN reached (Head) and whether V closes a cycle (Loop).
+  /// When a visit finds V heading a cycle, its frame turns into the
+  /// component frame that decomposes the cycle's body (the recursive
+  /// algorithm's makeComponent), still returning Head to its caller.
+  struct Frame {
+    unsigned V;
+    unsigned Next = 0; ///< index of the next successor to look at
+    unsigned Head = 0;
     bool Loop = false;
-    for (unsigned W : Graph.succs(V)) {
-      unsigned Min = Dfn[W] == 0 ? visit(W, Partition) : Dfn[W];
-      if (Min <= Head) {
-        Head = Min;
-        Loop = true;
-      }
-    }
-    if (Head == Dfn[V]) {
-      Dfn[V] = InfDfn;
-      unsigned Element = Stack.back();
-      Stack.pop_back();
-      if (Loop) {
-        while (Element != V) {
-          Dfn[Element] = 0; // will be re-visited inside the component
-          Element = Stack.back();
-          Stack.pop_back();
+    bool Component = false;
+  };
+
+  /// Decomposes everything reachable from \p Root, appending finished
+  /// elements to \p Partition in reverse (the caller reverses once).
+  void visitFrom(unsigned Root, std::vector<WtoElement> &Partition) {
+    // Elements go to the innermost open component body, or to
+    // Partition when none is open: a frame finishes only after every
+    // frame above it, so the innermost body is always its own.
+    auto Target = [&]() -> std::vector<WtoElement> & {
+      return Bodies.empty() ? Partition : Bodies.back();
+    };
+    enter(Root);
+    while (!Frames.empty()) {
+      Frame &F = Frames.back();
+      const auto &Succs = Graph.succs(F.V);
+      if (F.Component) {
+        while (F.Next < Succs.size() && Dfn[Succs[F.Next]] != 0)
+          ++F.Next;
+        if (F.Next < Succs.size()) {
+          enter(Succs[F.Next++]);
+          continue;
         }
-        Partition.push_back(makeComponent(V));
-      } else {
+        std::vector<WtoElement> Body = std::move(Bodies.back());
+        Bodies.pop_back();
+        std::reverse(Body.begin(), Body.end());
         WtoElement E;
-        E.Vertex = V;
-        Partition.push_back(E);
+        E.Vertex = F.V;
+        E.IsComponent = true;
+        E.Body = std::move(Body);
+        Target().push_back(std::move(E));
+        finish();
+        continue;
       }
+      if (F.Next < Succs.size()) {
+        unsigned W = Succs[F.Next++];
+        if (Dfn[W] == 0)
+          enter(W); // its Head comes back through finish()
+        else
+          reached(F, Dfn[W]);
+        continue;
+      }
+      if (F.Head == Dfn[F.V]) {
+        Dfn[F.V] = InfDfn;
+        unsigned Element = Stack.back();
+        Stack.pop_back();
+        if (F.Loop) {
+          while (Element != F.V) {
+            Dfn[Element] = 0; // will be re-visited inside the component
+            Element = Stack.back();
+            Stack.pop_back();
+          }
+          F.Component = true;
+          F.Next = 0;
+          Bodies.emplace_back();
+          continue;
+        }
+        WtoElement E;
+        E.Vertex = F.V;
+        Target().push_back(std::move(E));
+      }
+      finish();
     }
-    return Head;
   }
 
-  WtoElement makeComponent(unsigned Head) {
-    std::vector<WtoElement> Body;
-    for (unsigned W : Graph.succs(Head))
-      if (Dfn[W] == 0)
-        visit(W, Body);
-    std::reverse(Body.begin(), Body.end());
-    WtoElement E;
-    E.Vertex = Head;
-    E.IsComponent = true;
-    E.Body = std::move(Body);
-    return E;
+  /// Opens visit(V).
+  void enter(unsigned V) {
+    Stack.push_back(V);
+    Dfn[V] = ++Num;
+    Frame F;
+    F.V = V;
+    F.Head = Dfn[V];
+    Frames.push_back(F);
+  }
+
+  /// A successor of \p F's vertex reached DFN \p Min.
+  static void reached(Frame &F, unsigned Min) {
+    if (Min <= F.Head) {
+      F.Head = Min;
+      F.Loop = true;
+    }
+  }
+
+  /// Pops the finished top frame and hands its Head to the caller (a
+  /// component frame ignores what its body visits return).
+  void finish() {
+    unsigned Head = Frames.back().Head;
+    Frames.pop_back();
+    if (!Frames.empty() && !Frames.back().Component)
+      reached(Frames.back(), Head);
   }
 
   const Digraph &Graph;
   std::vector<unsigned> Dfn;
   std::vector<unsigned> Stack;
+  std::vector<Frame> Frames;
+  /// Bodies of the component frames open on Frames, innermost last.
+  std::vector<std::vector<WtoElement>> Bodies;
   unsigned Num = 0;
 };
 

@@ -109,19 +109,6 @@ struct NumVal {
   bool operator!=(const NumVal &Other) const { return !(*this == Other); }
 };
 
-/// Hash consistent with NumVal::operator==. Values whose congruence
-/// component is top hash exactly like their bare interval, so
-/// interval-domain runs produce the same hashes as before the domain
-/// refactor.
-inline uint64_t hashValue(const NumVal &V) {
-  if (V.isBottom())
-    return hashValue(Interval::bottom());
-  uint64_t H = hashValue(V.I);
-  if (!V.C.isTop())
-    H = hashCombine(H, hashValue(V.C));
-  return H;
-}
-
 /// The runtime-pluggable abstract domain over NumVal. Owns an
 /// IntervalDomain (machine bounds) and a CongruenceDomain and dispatches
 /// on DomainKind:

@@ -10,7 +10,7 @@
 /// bytes under a directory by deleting the oldest cache entries first.
 /// An *entry* is one `syntox-<hash>.warm` file together with its
 /// `.meta.json` sidecar — the pair is removed (or kept) together, and
-/// anything else in the tree (`*.warm.tmp` files of a save in progress
+/// anything else in the tree (the `*.tmp` file of a save in progress
 /// included) is left untouched. The saver rewrites an entry on every
 /// run, so the least recently *saved* entry goes first (an LRU policy
 /// over cache entries).

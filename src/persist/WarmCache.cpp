@@ -8,11 +8,17 @@
 #include "support/Json.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sys/stat.h>
+#include <unistd.h>
 #include <unordered_map>
 
 using namespace syntox;
@@ -166,11 +172,14 @@ AbsValue readValue(ByteReader &R, bool &Ok) {
 // Store pool (save side)
 //===----------------------------------------------------------------------===//
 
-/// Payload-identity-deduplicated pool of serialized stores. References
-/// 0 and 1 are the implicit top and bottom stores; payload entries
-/// start at 2. COW payload sharing across boundary snapshots makes the
-/// pool the dominant size saver: a store unchanged across sweeps and
-/// phases serializes once.
+/// Content-addressed pool of serialized stores. References 0 and 1 are
+/// the implicit top and bottom stores; pool entries start at 2. Entries
+/// are keyed by their encoded row bytes, so a store serializes once
+/// however many boundary snapshots hold it and whichever payloads they
+/// hold it in, and the file depends on the values alone, not on how
+/// the solver happened to share payloads. A payload-identity memo in
+/// front skips re-encoding a payload already seen (COW sharing makes
+/// that the common case).
 class StorePoolWriter {
 public:
   explicit StorePoolWriter(const StableIds &Ids) : Ids(Ids) {}
@@ -190,18 +199,19 @@ public:
       W.varint(varIndex(V));
       writeValue(W, Val);
     });
-    uint64_t Ref = 2 + Entries.size();
-    Entries.push_back(W);
-    ByPayload.emplace(Identity, Ref);
-    return Ref;
+    auto [Entry, Inserted] = ByBytes.emplace(W.buffer(), 2 + Entries.size());
+    if (Inserted)
+      Entries.push_back(&Entry->first);
+    ByPayload.emplace(Identity, Entry->second);
+    return Entry->second;
   }
 
   const std::vector<uint64_t> &varKeys() const { return VarKeys; }
 
   void writePool(ByteWriter &W) const {
     W.varint(Entries.size());
-    for (const ByteWriter &E : Entries)
-      W.append(E);
+    for (const std::string *E : Entries)
+      W.bytes(E->data(), E->size());
   }
 
 private:
@@ -216,7 +226,9 @@ private:
   std::unordered_map<const VarDecl *, uint64_t> VarIdx;
   std::vector<uint64_t> VarKeys;
   std::unordered_map<const void *, uint64_t> ByPayload;
-  std::vector<ByteWriter> Entries;
+  std::unordered_map<std::string, uint64_t> ByBytes;
+  /// The keys of ByBytes in reference order (node keys never move).
+  std::vector<const std::string *> Entries;
 };
 
 //===----------------------------------------------------------------------===//
@@ -294,6 +306,46 @@ std::vector<uint64_t> readKeyTable(ByteReader &R) {
 bool isForwardSig(Analyzer::PhaseSig Sig) {
   return Sig == Analyzer::PhaseSig::FwdNoEnv ||
          Sig == Analyzer::PhaseSig::FwdEnv;
+}
+
+/// Writes \p Data to a fresh temp file next to \p Path and renames it
+/// into place. The temp name is unique to this save (pid plus a
+/// per-process counter, created O_EXCL), so concurrent saves of one
+/// file never write through each other's temp inode. Returns an error
+/// message, empty on success.
+std::string writeFileAtomically(const std::string &Path,
+                                const std::string &Data) {
+  static std::atomic<uint64_t> Serial{0};
+  char Suffix[64];
+  std::snprintf(Suffix, sizeof(Suffix), ".%ld.%llu.tmp",
+                static_cast<long>(::getpid()),
+                static_cast<unsigned long long>(Serial.fetch_add(1)));
+  std::string Tmp = Path + Suffix;
+  auto Failure = [&Tmp](const char *What, int Errno) {
+    return What + Tmp + ": " + std::strerror(Errno);
+  };
+  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                  0666);
+  if (Fd < 0)
+    return Failure("cannot open cache file for writing: ", errno);
+  std::string Error;
+  for (size_t Off = 0; Off < Data.size();) {
+    ssize_t N = ::write(Fd, Data.data() + Off, Data.size() - Off);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0) {
+      Error = Failure("write failed: ", errno);
+      break;
+    }
+    Off += static_cast<size_t>(N);
+  }
+  if (::close(Fd) != 0 && Error.empty())
+    Error = Failure("write failed: ", errno);
+  if (Error.empty() && ::rename(Tmp.c_str(), Path.c_str()) != 0)
+    Error = Failure("cannot move cache file into place: ", errno);
+  if (!Error.empty())
+    ::unlink(Tmp.c_str());
+  return Error;
 }
 
 } // namespace
@@ -439,21 +491,10 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
   if (EC)
     return Fail("cannot create cache directory: " + EC.message());
   std::string Path = cacheFilePath(Dir, Opts);
-  {
-    // Write-then-rename so a crash mid-save leaves the old file intact.
-    std::string Tmp = Path + ".tmp";
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return Fail("cannot open cache file for writing: " + Tmp);
-    Out.write(File.buffer().data(),
-              static_cast<std::streamsize>(File.size()));
-    Out.close();
-    if (!Out)
-      return Fail("write failed: " + Tmp);
-    std::filesystem::rename(Tmp, Path, EC);
-    if (EC)
-      return Fail("cannot move cache file into place: " + EC.message());
-  }
+  // Write-then-rename so a crash mid-save leaves the old file intact.
+  if (std::string Error = writeFileAtomically(Path, File.buffer());
+      !Error.empty())
+    return Fail(Error);
 
   json::Value Meta = json::Value::object();
   Meta.set("magic", json::Value("SYXC"));
@@ -469,6 +510,32 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
   if (MetaOut)
     MetaOut << Meta.pretty() << "\n";
   return true;
+}
+
+bool persist::touchWarmCache(const std::string &Dir,
+                             const AnalysisOptions &Opts) {
+  std::string Path = cacheFilePath(Dir, Opts);
+  struct stat Before, After;
+  if (::stat(Path.c_str(), &Before) != 0 || !S_ISREG(Before.st_mode))
+    return false;
+  // UTIME_NOW stamps the file clock a write would. That clock ticks
+  // coarsely, so within one tick step 1 ns past the old mtime instead:
+  // the index must see the entry change.
+  if (::utimensat(AT_FDCWD, Path.c_str(), nullptr, 0) != 0 ||
+      ::stat(Path.c_str(), &After) != 0)
+    return false;
+  auto Ns = [](const struct timespec &T) {
+    return static_cast<int64_t>(T.tv_sec) * 1000000000 + T.tv_nsec;
+  };
+  if (Ns(After.st_mtim) > Ns(Before.st_mtim))
+    return true;
+  int64_t Next = Ns(Before.st_mtim) + 1;
+  struct timespec Times[2];
+  Times[0].tv_sec = 0;
+  Times[0].tv_nsec = UTIME_OMIT;
+  Times[1].tv_sec = static_cast<time_t>(Next / 1000000000);
+  Times[1].tv_nsec = static_cast<long>(Next % 1000000000);
+  return ::utimensat(AT_FDCWD, Path.c_str(), Times, 0) == 0;
 }
 
 //===----------------------------------------------------------------------===//

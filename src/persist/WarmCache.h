@@ -19,12 +19,19 @@
 ///   header           magic "SYXC", format version, options hash,
 ///                    supergraph hash, body length, FNV-1a body checksum
 ///   body             var-key table, recorded node-key table, forward /
-///                    backward WTO element-key tables, a payload-deduped
-///                    store pool (interval bounds as zigzag varints with
-///                    +/-oo sentinel flags), the chain slots, and the
-///                    edge-transfer memos keyed by edge key
+///                    backward WTO element-key tables, a store pool
+///                    deduplicated by content (interval bounds as zigzag
+///                    varints with +/-oo sentinel flags), the chain
+///                    slots, and the edge-transfer memos keyed by edge
+///                    key
 ///   sidecar          <file>.meta.json — the header decoded to JSON,
 ///                    validated by schemas/cache.schema.json
+///
+/// A save writes the whole file to a temp file of its own (pid plus a
+/// per-process counter, created with O_EXCL) and renames it into place,
+/// so a reader sees the old file or the new one, never a torn mix, even
+/// while two saves of one file race (two daemon requests sharing a
+/// cache_key). The sidecar is written in place: nothing reads it back.
 ///
 /// Loading maps recorded node keys onto the current supergraph: matched
 /// nodes get their recorded boundary values, unmatched ones get
@@ -85,6 +92,13 @@ std::string cacheFilePath(const std::string &Dir,
 /// there is nothing to save yet.
 bool saveWarmCache(const std::string &Dir, const Analyzer &An,
                    std::string *ErrorOut = nullptr);
+
+/// Advances the modification time of the cache file for \p Opts under
+/// \p Dir to now (or 1 ns past its old mtime, if the clock has not
+/// moved on), as a rewrite of the same bytes would, so the cache index
+/// (persist/CacheGc.h) ranks the entry newest. Returns false when the
+/// file is gone.
+bool touchWarmCache(const std::string &Dir, const AnalysisOptions &Opts);
 
 /// Loads the cache file for \p An's options and maps its state into
 /// \p An (chain slots via Analyzer::importChainSlots, edge memos via

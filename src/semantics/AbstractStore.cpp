@@ -277,15 +277,6 @@ bool StoreOps::equalK(const AbstractStore &A, const AbstractStore &B) const {
   if (A.samePayload(B))
     return true;
   const StorePayload *PA = A.P.get(), *PB = B.P.get();
-  // Memoized-hash short-circuit: differing computed hashes mean the
-  // stores differ (hash is consistent with equal); do not force a
-  // computation just for this.
-  if (PA && PB) {
-    uint64_t HA = PA->CachedHash.load(std::memory_order_relaxed);
-    uint64_t HB = PB->CachedHash.load(std::memory_order_relaxed);
-    if (HA && HB && HA != HB)
-      return false;
-  }
   // Synchronized walk over the union of present slots (missing slot =
   // top; explicit top entries match missing ones).
   const int64_t MinV = D.minValue(), MaxV = D.maxValue();
@@ -353,77 +344,6 @@ bool StoreOps::equal(const AbstractStore &A, const AbstractStore &B) const {
     return true;
   return wantCong(A.P.get(), B.P.get()) ? equalK<true>(A, B)
                                         : equalK<false>(A, B);
-}
-
-template <bool HasCong>
-uint64_t StoreOps::hashK(const AbstractStore &S) const {
-  if (S.isBottom())
-    return 0x452821e638d01377ull;
-  if (!S.P || S.P->NumPresent == 0)
-    return 0x13198a2e03707344ull; // the top store
-  uint64_t Cached = S.P->CachedHash.load(std::memory_order_relaxed);
-  if (Cached)
-    return Cached;
-  const StorePayload *P = S.P.get();
-  const int64_t MinV = D.minValue(), MaxV = D.maxValue();
-  uint64_t H = 0x13198a2e03707344ull;
-  uint64_t Blocks = 0;
-  // Slot order is deterministic across runs (per-routine declaration
-  // order), unlike the pointer order of the old map representation.
-  for (size_t W = 0; W < P->Bits.size(); ++W) {
-    uint64_t Mask = P->Bits[W];
-    if (!Mask)
-      continue;
-    ++Blocks;
-    uint64_t BoolW = P->BoolBits[W];
-    size_t Base = W * 64;
-    while (Mask) {
-      unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Mask));
-      Mask &= Mask - 1;
-      size_t Slot = Base + Bit;
-      Row RV = loadRow<HasCong>(P, Slot);
-      bool IsBool = (BoolW >> Bit) & 1;
-      Lane L{IsBool ? 0 : MinV, IsBool ? 1 : MaxV};
-      if (rowTop<HasCong>(RV, L))
-        continue; // explicit top entry == missing slot
-      H = hashCombine(H, static_cast<uint64_t>(Slot));
-      if (!IsBool) {
-        // Mirrors hashValue(NumVal): the congruence plane contributes
-        // only when it constrains (top is silent), so interval-domain
-        // payload hashes are unchanged by the refactor.
-        uint64_t HV = hashValue(Interval(RV.Lo, RV.Hi));
-        if constexpr (HasCong)
-          if (RV.M != 1)
-            HV = hashCombine(HV, hashValue(Congruence(RV.M, RV.R)));
-        H = hashCombine(H, HV);
-      } else {
-        // BoolLattice::kind(): Bottom=0, False=1, True=2, Top=3,
-        // recovered from the pseudo-interval rows.
-        uint64_t Kind = RV.Lo > RV.Hi
-                            ? 0
-                            : static_cast<uint64_t>(1 + RV.Lo +
-                                                    2 * (RV.Hi - RV.Lo));
-        H = hashCombine(H, 0xa4093822299f31d0ull);
-        H = hashCombine(H, Kind);
-      }
-    }
-  }
-  if (H == 0)
-    H = 0x3f84d5b5b5470917ull; // 0 is the "not yet computed" sentinel
-  S.P->CachedHash.store(H, std::memory_order_relaxed);
-  KernelBlocks += Blocks;
-  return H;
-}
-
-uint64_t StoreOps::hash(const AbstractStore &S) const {
-  if (S.isBottom())
-    return 0x452821e638d01377ull;
-  if (!S.P || S.P->NumPresent == 0)
-    return 0x13198a2e03707344ull; // the top store
-  uint64_t Cached = S.P->CachedHash.load(std::memory_order_relaxed);
-  if (Cached)
-    return Cached;
-  return wantCong(S.P.get(), nullptr) ? hashK<true>(S) : hashK<false>(S);
 }
 
 //===----------------------------------------------------------------------===//
@@ -681,7 +601,6 @@ AbstractStore StoreOps::meetK(const AbstractStore &A,
       PO.putRaw(static_cast<unsigned>(S), MR.Lo, MR.Hi, IsBool, MR.M, MR.R);
     }
   }
-  PO.CachedHash.store(0, std::memory_order_relaxed);
   KernelBlocks += Blocks;
   return Out;
 }
@@ -1051,7 +970,6 @@ AbstractStore StoreOps::restrictTo(const AbstractStore &S,
     PO.Bits[W] &= Live;
   }
   PO.NumPresent -= Removed;
-  PO.CachedHash.store(0, std::memory_order_relaxed);
   if (PrunedSlots)
     *PrunedSlots += Removed;
   return Out;

@@ -39,7 +39,7 @@
 /// boolean join/meet/leq coincide with the interval formulas once the
 /// lane's domain bounds are taken as (0, 1) instead of (w-, w+), and
 /// the dense-word equality fast path can xor all planes alike.
-/// StoreOps exploits this: join/meet/widen/narrow/equal/hash are
+/// StoreOps exploits this: join/meet/widen/narrow/equal are
 /// whole-vector kernels that walk 64-slot bitmap words (absent words
 /// are skipped wholesale) with branch-light inner loops over the raw
 /// rows, never materializing an AbsValue.
@@ -54,8 +54,7 @@
 /// in StoreOps are delta-aware: join/widen/narrow/meet return an input
 /// store (payload pointer and all) whenever the result is semantically
 /// identical to it, so the solver's convergence checks hit the O(1)
-/// pointer-equality fast path of equal()/leq(), and the memoized hash
-/// lives in the payload so COW copies never rehash.
+/// pointer-equality fast path of equal()/leq().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -155,21 +154,9 @@ struct StorePayload {
   /// input. One payload never mixes domains.
   DomainKind DK = DomainKind::Interval;
   uint32_t NumPresent = 0;
-  /// StoreOps::hash memoized per payload version; 0 = not yet computed.
-  /// COW copies share the payload and therefore the cached hash, so the
-  /// O(entries) fold runs once per distinct store content no matter how
-  /// many stores alias it. Relaxed atomic: concurrent readers of a
-  /// shared payload may race to fill it, but they write the same value.
-  mutable std::atomic<uint64_t> CachedHash{0};
 
   StorePayload() = default;
-  StorePayload(const StorePayload &O)
-      : Lo(O.Lo), Hi(O.Hi), CM(O.CM), CR(O.CR), Bits(O.Bits),
-        BoolBits(O.BoolBits), Keys(O.Keys), DK(O.DK),
-        NumPresent(O.NumPresent) {
-    CachedHash.store(O.CachedHash.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  }
+  StorePayload(const StorePayload &) = default;
   StorePayload &operator=(const StorePayload &) = delete;
 
   size_t capacity() const { return Lo.size(); }
@@ -397,7 +384,6 @@ public:
       P->setKind(DK);
     assert(P->DK == DK && "mixed-domain writes to one store");
     P->put(V->storeSlot(), V, Value);
-    invalidateHash();
   }
 
   /// Removes the constraint on \p V (makes it top).
@@ -406,7 +392,6 @@ public:
       return;
     detach();
     P->erase(V->storeSlot());
-    invalidateHash();
   }
 
   void setBottom() {
@@ -484,10 +469,6 @@ private:
     }
   }
 
-  void invalidateHash() {
-    P->CachedHash.store(0, std::memory_order_relaxed);
-  }
-
   std::shared_ptr<detail::StorePayload> P;
   bool IsBottom = false;
 };
@@ -529,14 +510,6 @@ public:
 
   bool leq(const AbstractStore &A, const AbstractStore &B) const;
   bool equal(const AbstractStore &A, const AbstractStore &B) const;
-
-  /// 64-bit hash consistent with equal(): stores with equal constraints
-  /// hash equal (explicit entries at top are ignored, matching the
-  /// missing-key-is-top convention). Memoized in the shared payload, so
-  /// COW copies of a store never rehash. The transfer-function cache
-  /// keys on this; lookups still confirm with equal(), so collisions
-  /// cost time, never soundness.
-  uint64_t hash(const AbstractStore &S) const;
 
   /// \name Delta-aware lattice operations
   /// Each returns one of its *inputs* (payload shared, not copied)
@@ -600,7 +573,6 @@ private:
   bool leqK(const AbstractStore &A, const AbstractStore &B) const;
   template <bool HasCong>
   bool equalK(const AbstractStore &A, const AbstractStore &B) const;
-  template <bool HasCong> uint64_t hashK(const AbstractStore &S) const;
   template <bool HasCong>
   AbstractStore joinK(const AbstractStore &A, const AbstractStore &B) const;
   template <bool HasCong>

@@ -30,9 +30,10 @@
 namespace syntox {
 
 struct AnalysisOptions {
-  /// Not a knob: the instance count at which the Analyzer turns the
-  /// transfer cache on (Analyzer::TransferCacheMinInstances). Kept under
-  /// this name because perfbench's traced load generator prints it.
+  /// Not a knob, and read by nothing in the analysis: the instance
+  /// count at which the deleted transfer cache used to switch on. Kept
+  /// only because perfbench_traced prints it; it goes with the next
+  /// benchmark change (ROADMAP.md, "For the next benchmark change").
   static constexpr unsigned AdaptiveCacheInstanceThreshold = 10;
   /// The abstract value domain the whole pipeline runs in
   /// (--domain=interval|congruence|product).

@@ -19,9 +19,6 @@ struct SystemBase {
   const StoreOps &Ops;
   /// The WTO of the system's dependency digraph, owned by the Analyzer.
   const Wto &Order;
-  /// The shared transfer cache, or null when caching is off. Owned by
-  /// the Analyzer; the fwd/bwd systems consult it per Local edge.
-  TransferCache *Cache;
   mutable uint64_t Unions = 0;
   /// Warm-start dirty bits: per node, whether the non-graph inputs of
   /// its equation (envelope slot, seed) are unchanged since the run
@@ -29,9 +26,8 @@ struct SystemBase {
   /// provably unchanged) unless the Analyzer filled it in.
   std::vector<uint8_t> ExternalUnchanged;
 
-  SystemBase(const SuperGraph &G, const StoreOps &Ops, const Wto &Order,
-             TransferCache *Cache)
-      : G(G), Ops(Ops), Order(Order), Cache(Cache) {}
+  SystemBase(const SuperGraph &G, const StoreOps &Ops, const Wto &Order)
+      : G(G), Ops(Ops), Order(Order) {}
 
   using Value = AbstractStore;
 
@@ -91,10 +87,10 @@ struct ForwardSystem : SystemBase {
   mutable uint64_t PrunedSlots = 0;
 
   ForwardSystem(const SuperGraph &G, const StoreOps &Ops, const Wto &Order,
-                const Transfer &Xfer, TransferCache *Cache,
+                const Transfer &Xfer,
                 const std::vector<AbstractStore> *Envelope,
                 const LivenessInfo *Live)
-      : SystemBase(G, Ops, Order, Cache), Xfer(Xfer),
+      : SystemBase(G, Ops, Order), Xfer(Xfer),
         Envelope(Envelope), Live(Live) {}
 
   AbstractStore initialValue(unsigned, bool) const {
@@ -110,13 +106,6 @@ struct ForwardSystem : SystemBase {
       AbstractStore V;
       switch (E.K) {
       case SuperEdge::Kind::Local:
-        if (Cache) {
-          // Join straight out of the shared cache entry: no store copy.
-          ++Unions;
-          Out = Ops.join(Out, *Cache->fwd(Xfer, EdgeIdx, *E.Act, X[E.From],
-                                          G.instanceOf(E.From).Frame));
-          continue;
-        }
         V = Xfer.fwd(*E.Act, X[E.From], G.instanceOf(E.From).Frame);
         break;
       case SuperEdge::Kind::CallIn:
@@ -149,9 +138,9 @@ struct BackwardSystem : SystemBase {
   std::vector<AbstractStore> Seeds;
 
   BackwardSystem(const SuperGraph &G, const StoreOps &Ops, const Wto &Order,
-                 const Transfer &Xfer, TransferCache *Cache,
+                 const Transfer &Xfer,
                  const std::vector<AbstractStore> &Envelope)
-      : SystemBase(G, Ops, Order, Cache), Xfer(Xfer), Envelope(Envelope) {
+      : SystemBase(G, Ops, Order), Xfer(Xfer), Envelope(Envelope) {
     Seeds.assign(G.numNodes(), AbstractStore::bottom());
   }
 
@@ -167,12 +156,6 @@ struct BackwardSystem : SystemBase {
       AbstractStore V;
       switch (E.K) {
       case SuperEdge::Kind::Local:
-        if (Cache) {
-          ++Unions;
-          Out = Ops.join(Out, *Cache->bwd(Xfer, EdgeIdx, *E.Act, X[E.To],
-                                          G.instanceOf(E.From).Frame));
-          continue;
-        }
         V = Xfer.bwd(*E.Act, X[E.To], G.instanceOf(E.From).Frame);
         break;
       case SuperEdge::Kind::CallIn:
@@ -229,14 +212,6 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts)
   BwdDep = buildBackwardDep(*Graph);
   FwdOrder = Wto(FwdDep, {Graph->mainEntry()});
   BwdOrder = Wto(BwdDep, {Graph->mainExit()});
-  // Large unfoldings repeat transfer inputs across instances, which is
-  // where the cache pays (see TransferCacheMinInstances).
-  if (Graph->instances().size() >= TransferCacheMinInstances) {
-    Cache = std::make_unique<TransferCache>(Ops);
-    Cache->setTrace(this->Opts.Telem.Trace);
-    if (MetricsRegistry *M = this->Opts.Telem.Metrics)
-      M->counter("cache.auto_enabled").inc();
-  }
   if (this->Opts.WarmStart)
     Graph->enableTransferMemo();
   if (this->Opts.PruneDeadSlots) {
@@ -388,7 +363,7 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
                        const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  ForwardSystem Sys(*Graph, Ops, FwdOrder, Xfer, Cache.get(), Env,
+  ForwardSystem Sys(*Graph, Ops, FwdOrder, Xfer, Env,
                     Live.get());
   FixpointSolver<ForwardSystem>::Options SolverOpts;
   SolverOpts.Kind = Opts.HarrisonGfp ? FixpointKind::Gfp : FixpointKind::Lfp;
@@ -438,7 +413,7 @@ Analyzer::solveBackward(bool Eventually,
                         const std::vector<uint8_t> *Demand) {
   auto Start = std::chrono::steady_clock::now();
   tracePhase(/*Begin=*/true, Phase);
-  BackwardSystem Sys(*Graph, Ops, BwdOrder, Xfer, Cache.get(), Env);
+  BackwardSystem Sys(*Graph, Ops, BwdOrder, Xfer, Env);
   if (Eventually) {
     // Seeds: the intermittent assertions (and optionally termination).
     for (const Instance &Inst : Graph->instances()) {
@@ -641,10 +616,6 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
     ChainSlots = std::move(PublishedChain);
   }
 
-  if (Cache) {
-    Stats.CacheHits = Cache->hits();
-    Stats.CacheMisses = Cache->misses();
-  }
   Stats.BytesUsed = Graph->approximateBytes();
   // COW stores structurally share payloads across program points; count
   // each distinct payload once so Figure 4 reports the real footprint.
@@ -664,10 +635,6 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
     M->gauge("graph.instances")
         .set(static_cast<int64_t>(Graph->instances().size()));
     M->gauge("memory.bytes").set(static_cast<int64_t>(Stats.BytesUsed));
-    if (Cache) {
-      M->counter("cache.hits").inc(Stats.CacheHits);
-      M->counter("cache.misses").inc(Stats.CacheMisses);
-    }
     if (Opts.WarmStart) {
       M->counter("interproc.summary_reuse").inc(Stats.SummaryReuses);
       M->counter("interproc.link_memo_hits")

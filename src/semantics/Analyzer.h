@@ -41,12 +41,6 @@ public:
   /// `Analyzer::Options` spelling compiling.
   using Options = AnalysisOptions;
 
-  /// Instance count from which the Analyzer memoizes transfer functions
-  /// (see TransferCache): McCarthy's 11-instance unfolding gains
-  /// 1.11-1.25x from the cache while small loop chains lose 0.66-0.79x
-  /// (EXPERIMENTS.md E-store).
-  static constexpr unsigned TransferCacheMinInstances = 10;
-
   Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts);
   Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program);
   ~Analyzer();
@@ -196,9 +190,10 @@ public:
   const Digraph &backwardDependencies() const { return BwdDep; }
   const Wto &forwardOrder() const { return FwdOrder; }
   const Wto &backwardOrder() const { return BwdOrder; }
-  /// The transfer cache is live exactly when the token unfolding has at
-  /// least TransferCacheMinInstances instances.
-  bool transferCacheEnabled() const { return Cache != nullptr; }
+  /// Always false: the transfer cache is gone. Kept only because
+  /// perfbench_traced calls it; it goes with the next benchmark change
+  /// (ROADMAP.md, "For the next benchmark change").
+  bool transferCacheEnabled() const { return false; }
   /// @}
 
 private:
@@ -237,7 +232,6 @@ private:
   StoreOps Ops;
   ExprSemantics Exprs;
   Transfer Xfer;
-  std::unique_ptr<TransferCache> Cache;
   std::unique_ptr<SuperGraph> Graph;
   Digraph FwdDep, BwdDep;
   Wto FwdOrder, BwdOrder;
@@ -257,9 +251,6 @@ private:
   /// Per-phase audit of the last runDemand(); empty after a full run().
   std::vector<DemandPhaseAudit> DemandAudit;
 };
-
-static_assert(Analyzer::TransferCacheMinInstances ==
-              AnalysisOptions::AdaptiveCacheInstanceThreshold);
 
 } // namespace syntox
 

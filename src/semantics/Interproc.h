@@ -30,6 +30,7 @@
 #include "fixpoint/Digraph.h"
 #include "semantics/StableIds.h"
 #include "semantics/Transfer.h"
+#include "support/Telemetry.h"
 
 #include <array>
 #include <map>

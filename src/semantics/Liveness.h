@@ -10,7 +10,7 @@
 /// unfolded supergraph, producing one live-slot bitmask per control
 /// point. The Analyzer restricts every forward store to its node's mask
 /// (see StoreOps::restrictTo), so dead slots never enter joins, widening
-/// sequences, hashes or warm-cache rows.
+/// sequences or warm-cache rows.
 ///
 /// Two properties make the restriction *exact* (bitwise-equal findings
 /// and live-variable states), not merely sound:

@@ -94,76 +94,6 @@ AbstractStore Transfer::fwd(const Action &A, const AbstractStore &In,
   return In;
 }
 
-//===----------------------------------------------------------------------===//
-// TransferCache
-//===----------------------------------------------------------------------===//
-
-template <typename Compute>
-const AbstractStore *TransferCache::lookupOrCompute(bool Forward,
-                                                    unsigned EdgeId,
-                                                    const AbstractStore &In,
-                                                    Compute &&Fn) {
-  uint64_t Key = hashCombine(0x9216d5d98979fb1bull,
-                             (static_cast<uint64_t>(EdgeId) << 1) | Forward);
-  // Ops.hash is memoized in the store's shared payload, so keying a
-  // store the solver already hashed (the steady state: COW keeps
-  // payloads alive unchanged across iterations) costs one atomic load.
-  Key = hashCombine(Key, Ops.hash(In));
-  auto &Bucket = Buckets[Key % NumBuckets];
-  for (const Entry &E : Bucket)
-    // Payload identity first: a re-lookup of the very store that
-    // populated the entry short-circuits inside equal() without
-    // touching a single entry; only genuinely distinct payloads pay
-    // the entry-wise confirm.
-    if (E.Key == Key && E.EdgeId == EdgeId && E.Forward == Forward &&
-        Ops.equal(E.In, In)) {
-      ++Hits;
-      traceEvent(Trace, TraceEventKind::CacheHit, EdgeId, Forward);
-      return E.Result.get();
-    }
-  ++Misses;
-  traceEvent(Trace, TraceEventKind::CacheMiss, EdgeId, Forward);
-  auto Result = std::make_unique<const AbstractStore>(Fn());
-  if (Count < MaxEntries) {
-    Entry E;
-    E.Key = Key;
-    E.EdgeId = EdgeId;
-    E.Forward = Forward;
-    E.In = In;
-    E.Result = std::move(Result);
-    Bucket.push_back(std::move(E));
-    ++Count;
-    return Bucket.back().Result.get();
-  }
-  Overflow = std::move(Result);
-  return Overflow.get();
-}
-
-const AbstractStore *TransferCache::fwd(const Transfer &Xfer,
-                                        unsigned EdgeId, const Action &A,
-                                        const AbstractStore &In,
-                                        const FrameMap &F) {
-  return lookupOrCompute(/*Forward=*/true, EdgeId, In,
-                         [&] { return Xfer.fwd(A, In, F); });
-}
-
-const AbstractStore *TransferCache::bwd(const Transfer &Xfer,
-                                        unsigned EdgeId, const Action &A,
-                                        const AbstractStore &Out,
-                                        const FrameMap &F) {
-  return lookupOrCompute(/*Forward=*/false, EdgeId, Out,
-                         [&] { return Xfer.bwd(A, Out, F); });
-}
-
-void TransferCache::clear() {
-  for (auto &Bucket : Buckets)
-    Bucket.clear();
-  Count = 0;
-  Hits = 0;
-  Misses = 0;
-  Overflow.reset();
-}
-
 AbstractStore Transfer::bwd(const Action &A, const AbstractStore &Out,
                             const FrameMap &F) const {
   if (Out.isBottom())

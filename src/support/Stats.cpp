@@ -49,14 +49,6 @@ std::string AnalysisStats::str() const {
                   (unsigned long long)Scheduled);
     Out += Buf;
   }
-  if (CacheHits + CacheMisses > 0) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "*** Transfer cache: %llu hits, %llu misses (%.1f%%)\n",
-                  (unsigned long long)CacheHits,
-                  (unsigned long long)CacheMisses,
-                  100.0 * CacheHits / (CacheHits + CacheMisses));
-    Out += Buf;
-  }
   if (ComponentSkips > 0) {
     std::snprintf(Buf, sizeof(Buf),
                   "*** Warm start: %llu component replays, %llu "
@@ -97,8 +89,6 @@ json::Value AnalysisStats::toJson() const {
   V.set("unions", static_cast<int64_t>(Unions));
   V.set("widenings", static_cast<int64_t>(Widenings));
   V.set("narrowings", static_cast<int64_t>(Narrowings));
-  V.set("cache_hits", static_cast<int64_t>(CacheHits));
-  V.set("cache_misses", static_cast<int64_t>(CacheMisses));
   V.set("component_skips", static_cast<int64_t>(ComponentSkips));
   V.set("skipped_steps", static_cast<int64_t>(SkippedSteps));
   V.set("stable_input_skips", static_cast<int64_t>(StableInputSkips));

@@ -59,8 +59,6 @@ struct AnalysisStats {
   uint64_t Unions = 0;        ///< abstract joins performed
   uint64_t Widenings = 0;     ///< widening applications
   uint64_t Narrowings = 0;    ///< narrowing applications
-  uint64_t CacheHits = 0;     ///< transfer-function cache hits (all phases)
-  uint64_t CacheMisses = 0;   ///< transfer-function cache misses
   /// Stable WTO elements replayed by the warm-started refinement chain
   /// instead of re-iterated, summed over all phases.
   uint64_t ComponentSkips = 0;

@@ -26,10 +26,6 @@ const char *syntox::traceEventKindName(TraceEventKind K) {
     return "narrowing";
   case TraceEventKind::TokenUnfold:
     return "token_unfold";
-  case TraceEventKind::CacheHit:
-    return "cache_hit";
-  case TraceEventKind::CacheMiss:
-    return "cache_miss";
   case TraceEventKind::StoreDetach:
     return "store_detach";
   case TraceEventKind::ComponentSkip:
@@ -168,9 +164,6 @@ ChromeMapping chromeMapping(TraceEventKind K) {
     return {"i", "lattice"};
   case TraceEventKind::TokenUnfold:
     return {"i", "interproc"};
-  case TraceEventKind::CacheHit:
-  case TraceEventKind::CacheMiss:
-    return {"i", "cache"};
   case TraceEventKind::StoreDetach:
     return {"i", "store"};
   case TraceEventKind::ComponentSkip:

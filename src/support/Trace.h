@@ -8,8 +8,7 @@
 /// \file
 /// Event tracing for the analysis engine: a stream of typed, timestamped
 /// events (solver phases, WTO-component stabilizations, widening and
-/// narrowing applications, token unfolding, transfer-cache hits, store
-/// detaches) collected by a TraceRecorder and rendered by exporters:
+/// narrowing applications, token unfolding, store detaches) collected by a TraceRecorder and rendered by exporters:
 ///  - JSON-lines: one self-describing JSON object per event,
 ///  - Chrome trace_event: loadable in chrome://tracing or Perfetto, with
 ///    phases and component stabilizations as nested spans on a
@@ -53,8 +52,6 @@ enum class TraceEventKind : uint8_t {
   Narrowing,      ///< narrowing applied; Arg0 = head vertex
   TokenUnfold,    ///< activation class created; Arg0 = instance id,
                   ///< Arg1 = call site id, Label = routine name
-  CacheHit,       ///< transfer-cache hit; Arg0 = edge, Arg1 = 0 fwd/1 bwd
-  CacheMiss,      ///< transfer-cache miss; args as CacheHit
   StoreDetach,    ///< COW store payload cloned; Arg0 = entry count
   ComponentSkip,  ///< stable WTO element replayed from the warm-start
                   ///< memo instead of re-iterated; Arg0 = head vertex,
@@ -71,7 +68,7 @@ enum class TraceEventKind : uint8_t {
 constexpr unsigned NumTraceEventKinds =
     static_cast<unsigned>(TraceEventKind::StorePrune) + 1;
 
-/// Stable machine-readable name ("phase_begin", "cache_hit", ...).
+/// Stable machine-readable name ("phase_begin", "widening", ...).
 const char *traceEventKindName(TraceEventKind K);
 
 /// Mask bit for one event kind (free function: usable in constant
@@ -108,13 +105,11 @@ public:
   }
   /// Every kind.
   static constexpr uint32_t AllEvents = (1u << NumTraceEventKinds) - 1;
-  /// Default mask: everything except the per-lookup/per-clone detail
-  /// kinds (cache hit/miss, store detach), whose volume can dwarf the
-  /// rest of the stream. Enable them explicitly (--trace-detail).
+  /// Default mask: everything except the detail kinds (store detach
+  /// and prune), whose volume can dwarf the rest of the stream. Enable
+  /// them explicitly (--trace-detail).
   static constexpr uint32_t DefaultEvents =
-      AllEvents & ~(traceEventBit(TraceEventKind::CacheHit) |
-                    traceEventBit(TraceEventKind::CacheMiss) |
-                    traceEventBit(TraceEventKind::StoreDetach) |
+      AllEvents & ~(traceEventBit(TraceEventKind::StoreDetach) |
                     traceEventBit(TraceEventKind::StorePrune));
 
   explicit TraceRecorder(uint32_t Mask = DefaultEvents);

@@ -6,10 +6,12 @@
 // policy the daemon relies on:
 //
 //  - a walk ages entries by mtime, the path breaking ties; after that a
-//    re-saved entry becomes the newest, saves keep their order even when
-//    their mtimes tie, and an entry no save rewrote keeps its place;
+//    re-saved entry becomes the newest (so does one whose mtime alone
+//    advanced, as a skipped save leaves it), saves keep their order even
+//    when their mtimes tie, and an entry no save rewrote keeps its place;
 //  - a `.warm` file and its `.meta.json` sidecar count and go together,
-//    while files that are not entries (`*.warm.tmp` included) stay;
+//    while files that are not entries (a save's temp file included)
+//    stay;
 //  - a victim's emptied shard directory goes, the root never does;
 //  - the index stays equal to the disk when files vanish behind it, and
 //    over a randomized save/edit sequence under a cap.
@@ -148,6 +150,33 @@ TEST_F(CacheGcTest, ResavedEntryBecomesTheNewest) {
   EXPECT_TRUE(exists("syntox-c.warm"));
 }
 
+TEST_F(CacheGcTest, MtimeOnlyAdvanceMakesTheEntryNewest) {
+  // An unchanged rerun skips its save and only advances the `.warm`
+  // file's mtime (persist::touchWarmCache): same inode, same bytes. The
+  // index still ranks the entry newest, as it would after a rewrite,
+  // and so does a restart's walk.
+  fs::path A = entry("syntox-a.warm", 100, 20, 300);
+  entry("syntox-b.warm", 100, 20, 200);
+  entry("syntox-c.warm", 100, 20, 100);
+  CacheTree Tree(Root.string());
+  Tree.rescan();
+  setAge(A, 10);
+  Tree.touch(A.string());
+  EXPECT_EQ(Tree.bytes(), 360u);
+
+  CacheGcResult R = Tree.shrinkTo(240);
+  EXPECT_EQ(R.FilesRemoved, 2u);
+  EXPECT_TRUE(exists("syntox-a.warm"));
+  EXPECT_FALSE(exists("syntox-b.warm"));
+  EXPECT_TRUE(exists("syntox-c.warm"));
+
+  CacheTree Restarted(Root.string());
+  Restarted.rescan();
+  Restarted.shrinkTo(120);
+  EXPECT_TRUE(exists("syntox-a.warm"));
+  EXPECT_FALSE(exists("syntox-c.warm"));
+}
+
 TEST_F(CacheGcTest, SavesThatTieOnMtimeKeepTheirSaveOrder) {
   // Two saves inside one filesystem timestamp tick: the walk would
   // order them by path, the index keeps the order they were saved in.
@@ -216,7 +245,8 @@ TEST_F(CacheGcTest, SidecarCountsAndGoesWithItsWarmFile) {
 
 TEST_F(CacheGcTest, FilesThatAreNotEntriesAreLeftAlone) {
   entry("syntox-a.warm", 100, 20, 100);
-  write("syntox-b.warm.tmp", 50);       // a save in progress
+  write("syntox-b.warm.tmp", 50);        // an older save's temp file
+  write("syntox-e.warm.4242.7.tmp", 70); // a save in progress
   write("syntox-c.warm.meta.json", 30); // a sidecar without its file
   write("other.warm", 40);              // not a syntox- cache file
   write("shard/notes.txt", 60);
@@ -226,10 +256,12 @@ TEST_F(CacheGcTest, FilesThatAreNotEntriesAreLeftAlone) {
   EXPECT_EQ(R.BytesBefore, 120u);
   EXPECT_EQ(R.FilesRemoved, 2u);
   EXPECT_FALSE(exists("syntox-a.warm"));
-  for (const char *Kept : {"syntox-b.warm.tmp", "syntox-c.warm.meta.json",
-                           "other.warm", "shard/notes.txt", "syntox-d.warm"})
+  for (const char *Kept :
+       {"syntox-b.warm.tmp", "syntox-e.warm.4242.7.tmp",
+        "syntox-c.warm.meta.json", "other.warm", "shard/notes.txt",
+        "syntox-d.warm"})
     EXPECT_TRUE(exists(Kept)) << Kept;
-  EXPECT_EQ(diskBytes(), 180u);
+  EXPECT_EQ(diskBytes(), 250u);
 }
 
 TEST_F(CacheGcTest, EmptiedShardDirectoriesGoButNeverTheRoot) {

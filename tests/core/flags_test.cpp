@@ -37,9 +37,9 @@ Parsed parse(const std::string &Arg) {
 }
 
 TEST(AnalysisFlagsTest, StrategyAndCacheFlagsAreNotAnalysisFlags) {
-  // One iteration strategy and an unpinned transfer cache: the flags
-  // that chose them are left to the calling tool, which rejects any
-  // argument it does not know.
+  // One iteration strategy and no transfer cache: the flags that chose
+  // them are left to the calling tool, which rejects any argument it
+  // does not know.
   for (const char *Arg : {"--strategy=worklist", "--strategy=recursive",
                           "--cache", "--no-cache"}) {
     SCOPED_TRACE(Arg);
@@ -192,12 +192,24 @@ TEST(AnalysisFlagsTest, QuerySpecGrammar) {
   EXPECT_EQ(Spec.K, DemandSpec::Kind::Check);
   EXPECT_EQ(Spec.CheckId, 3u);
 
-  for (const char *Bad : {"point:0", "point:", "point:4:x", "assertion:",
-                          "assertion:two", "sideways:3", ""}) {
+  for (const char *Bad :
+       {"point:0", "point:", "point:4:x", "point:4294967300", "point:-5",
+        "assertion:", "assertion:two", "sideways:3", ""}) {
     SCOPED_TRACE(Bad);
     Error.clear();
     EXPECT_FALSE(parseQuerySpec(Bad, Spec, Error));
     EXPECT_NE(Error.find("invalid query"), std::string::npos) << Error;
+  }
+
+  // The same location grammar serves syntox_cli --state-at.
+  SourceLoc Loc;
+  ASSERT_TRUE(parseSourceLoc("4:3", Loc));
+  EXPECT_EQ(Loc.Line, 4u);
+  EXPECT_EQ(Loc.Column, 3u);
+  for (const char *Bad : {"4294967300", "-5", "4:x", "0", ""}) {
+    SCOPED_TRACE(Bad);
+    EXPECT_FALSE(parseSourceLoc(Bad, Loc));
+    EXPECT_EQ(Loc.Line, 4u); // left unchanged
   }
 }
 

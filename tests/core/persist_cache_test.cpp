@@ -7,7 +7,9 @@
 // cold run, and a truncated, corrupted, version-skewed or
 // options-skewed cache file falls back to a cold solve with — again —
 // identical findings. The fuzzed battery pins the save/load round trip
-// on 200 random programs.
+// on 200 random programs. The file itself: its store pool holds each
+// store once, an unchanged rerun leaves it byte for byte as it was,
+// and concurrent saves never tear it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +22,13 @@
 #include "../common/AnalysisTestUtil.h"
 #include "../common/RandomProgramGen.h"
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <set>
+#include <thread>
 
 using namespace syntox;
 using namespace syntox::test;
@@ -87,6 +92,8 @@ struct RunOutcome {
   uint64_t LiveSteps = 0;   ///< widening + narrowing steps actually run
   uint64_t Loaded = 0;      ///< persist.loaded counter
   uint64_t Fallback = 0;    ///< persist.fallback counter
+  uint64_t Saved = 0;       ///< persist.saved counter
+  uint64_t SaveSkipped = 0; ///< persist.save_skipped counter
   bool Ok = false;
 };
 
@@ -117,6 +124,8 @@ RunOutcome runOnce(const std::string &Source, const std::string &CacheDir,
     O.LiveSteps += P.WideningSteps + P.NarrowingSteps;
   O.Loaded = Metrics.counterValue("persist.loaded");
   O.Fallback = Metrics.counterValue("persist.fallback");
+  O.Saved = Metrics.counterValue("persist.saved");
+  O.SaveSkipped = Metrics.counterValue("persist.save_skipped");
   O.Ok = true;
   return O;
 }
@@ -170,6 +179,53 @@ TEST(PersistCacheTest, UnchangedRerunReplaysWholeChain) {
   EXPECT_TRUE(Warm.Findings == Cold.Findings);
 }
 
+/// Same program with one constant changed inside p2.
+std::string editedTwoProc() {
+  std::string Edited = TwoProcProgram;
+  size_t At = Edited.find("j := 10");
+  EXPECT_NE(At, std::string::npos);
+  if (At != std::string::npos)
+    Edited.replace(At, 7, "j := 20");
+  return Edited;
+}
+
+TEST(PersistCacheTest, UnchangedRerunSkipsTheSave) {
+  // A rerun that replays everything it loaded would re-encode the very
+  // bytes on disk: it advances the file's mtime instead, which the
+  // cache index reads as a save. An edited rerun still saves.
+  ScratchDir Dir("skip");
+  RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok);
+  EXPECT_EQ(Cold.Saved, 1u);
+  EXPECT_EQ(Cold.SaveSkipped, 0u);
+  fs::path File = cacheFile(Dir.str());
+  std::vector<char> Bytes = readFile(File);
+  fs::file_time_type MTime = fs::last_write_time(File);
+
+  RunOutcome Warm = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Warm.Ok);
+  EXPECT_EQ(Warm.Loaded, 1u);
+  EXPECT_EQ(Warm.LiveSteps, 0u);
+  EXPECT_EQ(Warm.SaveSkipped, 1u);
+  EXPECT_EQ(Warm.Saved, 0u);
+  EXPECT_EQ(readFile(File), Bytes);
+  EXPECT_GT(fs::last_write_time(File), MTime);
+  EXPECT_TRUE(Warm.Findings == Cold.Findings);
+
+  RunOutcome Edited = runOnce(editedTwoProc(), Dir.str());
+  ASSERT_TRUE(Edited.Ok);
+  EXPECT_EQ(Edited.Loaded, 1u);
+  EXPECT_GT(Edited.LiveSteps, 0u);
+  EXPECT_EQ(Edited.Saved, 1u);
+  EXPECT_EQ(Edited.SaveSkipped, 0u);
+  EXPECT_NE(readFile(File), Bytes);
+
+  // With the file gone there is nothing to advance: the caller saves.
+  ScratchDir Empty("skip_gone");
+  EXPECT_FALSE(persist::touchWarmCache(Empty.str(),
+                                       withOptions().terminationGoal()));
+}
+
 TEST(PersistCacheTest, EditedRoutineResolvesOnlyItsComponents) {
   ScratchDir Dir("edit");
   RunOutcome Seed = runOnce(TwoProcProgram, Dir.str());
@@ -178,10 +234,7 @@ TEST(PersistCacheTest, EditedRoutineResolvesOnlyItsComponents) {
   // Same program with one constant changed inside p2: p1's components
   // keep their fingerprints and replay; p2 (and the main-body suffix
   // its result feeds) re-solves live.
-  std::string Edited = TwoProcProgram;
-  size_t At = Edited.find("j := 10");
-  ASSERT_NE(At, std::string::npos);
-  Edited.replace(At, 7, "j := 20");
+  std::string Edited = editedTwoProc();
 
   RunOutcome EditedCold = runOnce(Edited, "");
   RunOutcome EditedWarm = runOnce(Edited, Dir.str());
@@ -259,17 +312,20 @@ TEST(PersistCacheTest, CorruptedBytesFallBackCold) {
 /// supergraph hash, body length, body checksum.
 constexpr size_t HeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 
-/// File offset of the first valid chain slot's iteration-strategy byte,
-/// found by walking the body layout of persist/WarmCache.h: four key
-/// tables, the store pool (rows in the codec of WarmCache.cpp's
-/// writeValue), then the slots. 0 when the walk fails.
-size_t strategyByteOffset(const std::vector<char> &File) {
+/// Walks a cache file's body layout (persist/WarmCache.h) through the
+/// store pool: four key tables, then the pool's entries (rows in the
+/// codec of WarmCache.cpp's writeValue), each appended to \p Entries as
+/// its encoded bytes when given. Returns the reader, positioned at the
+/// chain slots.
+persist::ByteReader walkPool(const std::vector<char> &File,
+                             std::vector<std::string> *Entries = nullptr) {
   persist::ByteReader R(File.data() + HeaderBytes,
                         File.size() - HeaderBytes);
   for (int Table = 0; Table < 4; ++Table)
     for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I)
       R.u64();
-  for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I)
+  for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I) {
+    size_t Start = File.size() - R.remaining();
     for (uint64_t E = 0, M = R.varint(); E < M && !R.failed(); ++E) {
       R.varint(); // variable index
       uint8_t Flags = R.u8();
@@ -284,6 +340,17 @@ size_t strategyByteOffset(const std::vector<char> &File) {
         R.svarint();
       }
     }
+    if (Entries)
+      Entries->emplace_back(File.data() + Start,
+                            File.size() - R.remaining() - Start);
+  }
+  return R;
+}
+
+/// File offset of the first valid chain slot's iteration-strategy byte.
+/// 0 when the walk fails.
+size_t strategyByteOffset(const std::vector<char> &File) {
+  persist::ByteReader R = walkPool(File);
   for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I) {
     if (!R.u8())
       continue; // an unsaved slot is a single 0 byte
@@ -293,6 +360,77 @@ size_t strategyByteOffset(const std::vector<char> &File) {
     return R.failed() ? 0 : File.size() - R.remaining();
   }
   return 0;
+}
+
+TEST(PersistCacheTest, PoolHoldsEachStoreOnce) {
+  // The pool is keyed by content: equal stores held in different
+  // payloads (an equation skipped in one sweep keeps its older payload;
+  // another phase recomputes an equal store into a fresh one) are one
+  // entry, so no two entries of the file are byte-equal.
+  ScratchDir Dir("pool");
+  RunOutcome Cold = runOnce(paper::McCarthyProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok);
+  std::vector<char> File = readFile(cacheFile(Dir.str()));
+  std::vector<std::string> Entries;
+  persist::ByteReader R = walkPool(File, &Entries);
+  ASSERT_FALSE(R.failed());
+  ASSERT_GT(Entries.size(), 10u);
+  std::set<std::string> Distinct(Entries.begin(), Entries.end());
+  EXPECT_EQ(Distinct.size(), Entries.size());
+
+  // The round trip stays exact.
+  RunOutcome Warm = runOnce(paper::McCarthyProgram, Dir.str());
+  ASSERT_TRUE(Warm.Ok);
+  EXPECT_EQ(Warm.Loaded, 1u);
+  EXPECT_EQ(Warm.LiveSteps, 0u);
+  EXPECT_TRUE(Warm.Findings == Cold.Findings);
+}
+
+TEST(PersistCacheTest, ConcurrentSavesNeverTearTheFile) {
+  // Two threads save McCarthy_6 and McCarthy_9 into one file (the same
+  // options name the same file) while a third loads it. Each save
+  // writes a temp file of its own and renames it into place, so every
+  // save succeeds and every load sees one whole file.
+  ScratchDir Dir("race");
+  AnalysisOptions Opts = withOptions().terminationGoal();
+  AnalyzedProgram Six = analyzeProgram(paper::mcCarthyK(6), Opts);
+  AnalyzedProgram Nine = analyzeProgram(paper::mcCarthyK(9), Opts);
+  AnalyzedProgram Loader = analyzeProgram(paper::mcCarthyK(9), Opts);
+  ASSERT_TRUE(Six.An && Nine.An && Loader.An);
+
+  constexpr unsigned Saves = 2000;
+  std::atomic<unsigned> FailedSaves{0};
+  std::atomic<bool> Done{false};
+  auto Saver = [&](const Analyzer *An) {
+    for (unsigned I = 0; I < Saves; ++I)
+      if (!persist::saveWarmCache(Dir.str(), *An))
+        ++FailedSaves;
+  };
+  std::vector<std::string> Torn;
+  unsigned Loads = 0;
+  std::thread LoadThread([&] {
+    while (!Done.load()) {
+      persist::CacheLoadResult L = persist::loadWarmCache(Dir.str(),
+                                                          *Loader.An);
+      ++Loads;
+      if (!L.Loaded && L.FallbackReason != "no cache file")
+        Torn.push_back(L.FallbackReason);
+    }
+  });
+  std::thread A(Saver, Six.An.get()), B(Saver, Nine.An.get());
+  A.join();
+  B.join();
+  Done = true;
+  LoadThread.join();
+  EXPECT_EQ(FailedSaves.load(), 0u);
+  EXPECT_TRUE(Torn.empty()) << Torn.size() << " torn loads, first: "
+                            << Torn.front();
+  EXPECT_GT(Loads, 0u);
+  // Nothing but the entry is left behind: no temp file survives.
+  unsigned Files = 0;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir.Dir))
+    Files += E.is_regular_file();
+  EXPECT_EQ(Files, 2u); // the .warm file and its sidecar
 }
 
 TEST(PersistCacheTest, NonZeroStrategyByteFallsBackCold) {

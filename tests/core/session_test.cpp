@@ -177,9 +177,9 @@ TEST(AnalysisSessionTest, TraceJsonLinesGolden) {
   Session->flushTrace(Sink);
 
   const std::set<std::string> Vocabulary{
-      "phase_begin",  "phase_end",      "component_begin", "component_end",
-      "widening",     "narrowing",      "token_unfold",    "cache_hit",
-      "cache_miss",   "store_detach",   "component_skip",  "demand_skip"};
+      "phase_begin",  "phase_end",    "component_begin", "component_end",
+      "widening",     "narrowing",    "token_unfold",    "store_detach",
+      "component_skip", "demand_skip"};
   std::vector<std::string> PhaseBegins;
   int PhaseDepth = 0;
   uint64_t LastTs = 0;
@@ -193,7 +193,6 @@ TEST(AnalysisSessionTest, TraceJsonLinesGolden) {
     std::string Ev = V->find("ev")->asString();
     EXPECT_TRUE(Vocabulary.count(Ev)) << Ev;
     // The default mask excludes the detail kinds.
-    EXPECT_NE(Ev, "cache_hit");
     EXPECT_NE(Ev, "store_detach");
     uint64_t Ts = static_cast<uint64_t>(V->find("t")->asInt());
     EXPECT_GE(Ts, LastTs);

@@ -1,10 +1,21 @@
 //===- tests/fixpoint/wto_test.cpp - WTO unit and property tests ----------===//
+//
+// Shapes with known decompositions, invariants on random graphs, and the
+// builder against a copy of the recursive formulation it replaced: the
+// frame-stack builder must produce the very same element trees, and must
+// not overflow the native stack on paths hundreds of thousands of
+// vertices long.
+//
+//===----------------------------------------------------------------------===//
 
 #include "fixpoint/Wto.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <set>
 #include <span>
 #include <vector>
@@ -218,6 +229,169 @@ TEST(WtoTest, ElementTablesAgreeWithTopElement) {
         EXPECT_LT(W.topElement(U), E) << W.str();
     }
   }
+}
+
+/// The recursive hierarchical decomposition (Bourdoncle, FMPA 1993) as
+/// the WTO builder wrote it before it moved to an explicit frame stack:
+/// the reference the builder must match element for element.
+class RecursiveReference {
+public:
+  explicit RecursiveReference(const Digraph &Graph)
+      : Graph(Graph), Dfn(Graph.numNodes(), 0) {}
+
+  std::vector<WtoElement> run(const std::vector<unsigned> &Roots) {
+    std::vector<WtoElement> Partition;
+    for (unsigned Root : Roots)
+      if (Dfn[Root] == 0)
+        visit(Root, Partition);
+    for (unsigned V = 0; V < Graph.numNodes(); ++V)
+      if (Dfn[V] == 0)
+        visit(V, Partition);
+    std::reverse(Partition.begin(), Partition.end());
+    return Partition;
+  }
+
+private:
+  static constexpr unsigned InfDfn = std::numeric_limits<unsigned>::max();
+
+  unsigned visit(unsigned V, std::vector<WtoElement> &Partition) {
+    Stack.push_back(V);
+    Dfn[V] = ++Num;
+    unsigned Head = Dfn[V];
+    bool Loop = false;
+    for (unsigned W : Graph.succs(V)) {
+      unsigned Min = Dfn[W] == 0 ? visit(W, Partition) : Dfn[W];
+      if (Min <= Head) {
+        Head = Min;
+        Loop = true;
+      }
+    }
+    if (Head == Dfn[V]) {
+      Dfn[V] = InfDfn;
+      unsigned Element = Stack.back();
+      Stack.pop_back();
+      if (Loop) {
+        while (Element != V) {
+          Dfn[Element] = 0;
+          Element = Stack.back();
+          Stack.pop_back();
+        }
+        Partition.push_back(component(V));
+      } else {
+        WtoElement E;
+        E.Vertex = V;
+        Partition.push_back(E);
+      }
+    }
+    return Head;
+  }
+
+  WtoElement component(unsigned Head) {
+    std::vector<WtoElement> Body;
+    for (unsigned W : Graph.succs(Head))
+      if (Dfn[W] == 0)
+        visit(W, Body);
+    std::reverse(Body.begin(), Body.end());
+    WtoElement E;
+    E.Vertex = Head;
+    E.IsComponent = true;
+    E.Body = std::move(Body);
+    return E;
+  }
+
+  const Digraph &Graph;
+  std::vector<unsigned> Dfn;
+  std::vector<unsigned> Stack;
+  unsigned Num = 0;
+};
+
+bool sameTree(const std::vector<WtoElement> &A,
+              const std::vector<WtoElement> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (A[I].Vertex != B[I].Vertex ||
+        A[I].IsComponent != B[I].IsComponent ||
+        !sameTree(A[I].Body, B[I].Body))
+      return false;
+  return true;
+}
+
+/// A random digraph with nested cycles: a spine of forward edges, back
+/// edges that close loops inside loops, random cross and duplicate
+/// edges and self-loops, and a tail of vertices no root reaches.
+Digraph nestedCycleGraph(Rng &R, unsigned N, std::vector<unsigned> &Roots) {
+  Digraph G(N);
+  unsigned Reachable = N - R.below(N / 4 + 1);
+  for (unsigned V = 0; V + 1 < Reachable; ++V)
+    if (!R.chance(1, 8)) // an occasional gap splits the spine
+      G.addEdge(V, V + 1);
+  for (unsigned I = 0, Loops = R.below(N / 2 + 1); I < Loops; ++I) {
+    unsigned To = R.below(N), From = To + R.below(N - To);
+    G.addEdge(From, To); // a back edge (or a self-loop)
+  }
+  for (unsigned I = 0, Extra = R.below(N); I < Extra; ++I)
+    G.addEdge(R.below(N), R.below(N));
+  // The unreachable tail may still carry cycles among its vertices.
+  for (unsigned V = Reachable; V + 1 < N; ++V)
+    G.addEdge(V + 1, V);
+  Roots.clear();
+  for (unsigned I = 0, K = 1 + R.below(3); I < K; ++I)
+    Roots.push_back(R.below(Reachable));
+  return G;
+}
+
+TEST(WtoTest, FrameStackBuilderMatchesTheRecursiveOne) {
+  Rng R(20240);
+  unsigned Components = 0, Nested = 0;
+  for (int Trial = 0; Trial < 1500; ++Trial) {
+    unsigned N = 1 + R.below(40);
+    std::vector<unsigned> Roots;
+    Digraph G = nestedCycleGraph(R, N, Roots);
+    Wto W(G, Roots);
+    std::vector<WtoElement> Ref = RecursiveReference(G).run(Roots);
+    ASSERT_TRUE(sameTree(W.elements(), Ref)) << "trial " << Trial << ": "
+                                             << W.str();
+    std::function<void(const std::vector<WtoElement> &, unsigned)> Count =
+        [&](const std::vector<WtoElement> &Es, unsigned Depth) {
+          for (const WtoElement &E : Es)
+            if (E.IsComponent) {
+              ++Components;
+              Nested += Depth > 0;
+              Count(E.Body, Depth + 1);
+            }
+        };
+    Count(W.elements(), 0);
+  }
+  // The battery exercised what it claims to.
+  EXPECT_GT(Components, 1000u);
+  EXPECT_GT(Nested, 300u);
+}
+
+TEST(WtoTest, LongPathsDoNotRecurseNatively) {
+  // A 200,000-vertex path and 20,000 loops in sequence: the DFS path is
+  // as long as the graph, which the recursive builder paid for in
+  // native stack frames.
+  const unsigned Path = 200000;
+  Digraph Line(Path);
+  for (unsigned V = 0; V + 1 < Path; ++V)
+    Line.addEdge(V, V + 1);
+  Wto W(Line, {0});
+  ASSERT_EQ(W.elements().size(), Path);
+  EXPECT_EQ(W.position(Path - 1), Path - 1);
+
+  const unsigned Loops = 20000;
+  Digraph Chain(2 * Loops + 1); // head 2k, body 2k+1, exit into 2k+2
+  for (unsigned K = 0; K < Loops; ++K) {
+    Chain.addEdge(2 * K, 2 * K + 1);
+    Chain.addEdge(2 * K + 1, 2 * K);
+    Chain.addEdge(2 * K, 2 * K + 2);
+  }
+  Wto C(Chain, {0});
+  ASSERT_EQ(C.elements().size(), Loops + 1);
+  EXPECT_EQ(C.wideningPoints().size(), Loops);
+  EXPECT_TRUE(C.elements().front().IsComponent);
+  EXPECT_FALSE(C.elements().back().IsComponent);
 }
 
 } // namespace

@@ -2,10 +2,12 @@
 //
 // The frontend must never crash, hang, or emit zero diagnostics on bad
 // input: random token soup, truncated programs, deeply nested
-// expressions, and mutations of valid programs.
+// expressions, and mutations of valid programs. Long but shallow
+// programs must analyze end to end.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/AnalysisSession.h"
 #include "frontend/PaperPrograms.h"
 #include "frontend/PrettyPrinter.h"
 #include "support/Rng.h"
@@ -202,6 +204,26 @@ TEST(RobustnessTest, HostileNestingStopsInsteadOfCrashing) {
                        repeat("if i > 0 then ", 100000) + "i := 1 end.");
   expectStoppedAtLimit("program p; var b : boolean; begin b := " +
                        repeat("not ", 200000) + "true end.");
+}
+
+TEST(RobustnessTest, LongShallowProgramsAnalyze) {
+  // No pass may recurse once per vertex along a path: 50,000
+  // straight-line statements and 20,000 loops in sequence once
+  // overflowed the native stack in the WTO builder (exit 139).
+  std::string Straight = "program p; var x : integer; begin ";
+  for (int I = 0; I < 49999; ++I)
+    Straight += "x := 1; ";
+  Straight += "x := 1 end.";
+  std::string Loops = "program p; var i : integer; begin ";
+  for (int I = 0; I < 20000; ++I)
+    Loops += "i := 0; while i < 10 do i := i + 1; ";
+  Loops += "i := 0 end.";
+  for (const std::string *Source : {&Straight, &Loops}) {
+    DiagnosticsEngine Diags;
+    auto Session = AnalysisSession::create(*Source, Diags);
+    ASSERT_NE(Session, nullptr) << Diags.str();
+    EXPECT_GT(Session->run().stats().ControlPoints, 50000u);
+  }
 }
 
 TEST(RobustnessTest, ErrorsAlwaysHaveMessages) {

@@ -90,10 +90,7 @@ TEST(EndToEndRandomTest, EnvelopeCoversSuccessfulRunsToo) {
 TEST(EndToEndRandomTest, CachedRecursiveStrategyIsSound) {
   // The soundness oracle over 200 random programs, analyzed as every
   // caller analyzes them: the concrete final state observed by the
-  // interpreter must stay inside the computed intervals. The programs
-  // whose unfolding reaches Analyzer::TransferCacheMinInstances run with
-  // the transfer cache on; transfer_cache_test checks the memoized
-  // transfers against the plain ones on every fourth seed.
+  // interpreter must stay inside the computed intervals.
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
     ProgramGenerator Gen(Seed * 6271);
     std::string Source = Gen.generate();

@@ -3,7 +3,7 @@
 // The copy-on-write store suite: aliasing (mutation after a copy never
 // leaks into the sibling), moved-from safety, agreement of the
 // pointer-equality fast paths with deep comparison, payload-stability of
-// the delta-aware lattice ops, hash memoization — plus a 200-seed
+// the delta-aware lattice ops — plus a 200-seed
 // differential battery that replays random operation sequences against a
 // reference reimplementation of the seed's map-based store semantics and
 // asserts bit-identical results.
@@ -128,7 +128,6 @@ TEST_F(StoreCowTest, PointerFastPathAgreesWithDeepEqual) {
   EXPECT_TRUE(Ops.equal(A, Rebuilt));
   EXPECT_TRUE(Ops.leq(A, Shared));
   EXPECT_TRUE(Ops.leq(A, Rebuilt));
-  EXPECT_EQ(Ops.hash(A), Ops.hash(Rebuilt));
 
   // A diverged-then-restored sibling is deep-equal again even though the
   // payloads stay distinct.
@@ -138,7 +137,6 @@ TEST_F(StoreCowTest, PointerFastPathAgreesWithDeepEqual) {
   C.set(Ints[0], AbsValue(Interval(0, 0)));
   EXPECT_FALSE(A.samePayload(C));
   EXPECT_TRUE(Ops.equal(A, C));
-  EXPECT_EQ(Ops.hash(A), Ops.hash(C));
 }
 
 TEST_F(StoreCowTest, ExplicitTopEntryEqualsMissingEntry) {
@@ -148,7 +146,6 @@ TEST_F(StoreCowTest, ExplicitTopEntryEqualsMissingEntry) {
   WithTop.set(Bools[0], AbsValue(BoolLattice::top()));
   EXPECT_TRUE(Ops.equal(Empty, WithTop));
   EXPECT_TRUE(Ops.equal(WithTop, Empty));
-  EXPECT_EQ(Ops.hash(Empty), Ops.hash(WithTop));
   EXPECT_TRUE(Ops.leq(Empty, WithTop));
   EXPECT_TRUE(Ops.leq(WithTop, Empty));
 }
@@ -185,20 +182,6 @@ TEST_F(StoreCowTest, ConvergedOpsReturnTheInputPayload) {
   EXPECT_FALSE(J.samePayload(A));
   EXPECT_FALSE(J.samePayload(Grown));
   EXPECT_EQ(Ops.get(J, Ints[0]).asInt(), Interval(-1, 0));
-}
-
-TEST_F(StoreCowTest, HashIsMemoizedInTheSharedPayload) {
-  AbstractStore A = makeStore(0);
-  uint64_t H = Ops.hash(A);
-  EXPECT_EQ(H, Ops.hash(A));
-  // A copy shares the memoized hash (same payload, no rehash needed for
-  // a different answer to even be possible).
-  AbstractStore B = A;
-  EXPECT_EQ(H, Ops.hash(B));
-  // Mutation invalidates only the mutated store's hash.
-  B.set(Ints[0], AbsValue(Interval(5, 5)));
-  EXPECT_NE(Ops.hash(B), H);
-  EXPECT_EQ(Ops.hash(A), H);
 }
 
 //===----------------------------------------------------------------------===//
@@ -480,32 +463,6 @@ TEST_F(StoreDifferentialTest, RandomOpSequencesMatchSeedSemantics200Seeds) {
           << "seed " << Seed;
       ASSERT_EQ(Ops.equal(Cow[A], Cow[B]), Ref.equal(Old[A], Old[B]))
           << "seed " << Seed;
-    }
-  }
-}
-
-TEST_F(StoreDifferentialTest, HashAgreesWithReferenceEquality) {
-  // equal stores must hash equal, whatever their payload history. Run a
-  // small randomized search for pairs that are equal and check.
-  RefOps Ref(Ops);
-  std::mt19937 Rng(7);
-  auto RandInt = [&](int64_t Lo, int64_t Hi) {
-    return std::uniform_int_distribution<int64_t>(Lo, Hi)(Rng);
-  };
-  for (int Trial = 0; Trial < 500; ++Trial) {
-    AbstractStore A, B;
-    for (VarDecl *V : Ints) {
-      if (RandInt(0, 1)) {
-        int64_t Lo = RandInt(-5, 5);
-        Interval X(Lo, Lo + RandInt(0, 3));
-        if (RandInt(0, 1))
-          A.set(V, AbsValue(X));
-        if (RandInt(0, 1))
-          B.set(V, AbsValue(X));
-      }
-    }
-    if (Ops.equal(A, B)) {
-      EXPECT_EQ(Ops.hash(A), Ops.hash(B));
     }
   }
 }

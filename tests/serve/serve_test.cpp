@@ -31,6 +31,7 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
@@ -71,13 +72,13 @@ public:
               static_cast<ssize_t>(Bytes.size()));
   }
 
-  /// Blocks for the next response line (10s cap) and parses it.
-  json::Value recv() {
+  /// Blocks for the next response line (\p Seconds cap) and parses it.
+  json::Value recv(int Seconds = 10) {
     if (!Reader)
       Reader = std::make_unique<LineReader>(ClientFd);
     std::string Line;
     auto Deadline = std::chrono::steady_clock::now() +
-                    std::chrono::seconds(10);
+                    std::chrono::seconds(Seconds);
     while (std::chrono::steady_clock::now() < Deadline) {
       LineReader::Status S = Reader->next(Line, 100);
       if (S == LineReader::Status::Line) {
@@ -520,6 +521,92 @@ void analyzeDocs(ServeHarness &H, unsigned Docs, unsigned Seed) {
     EXPECT_EQ(KV.second.find("status")->asString(), "ok") << KV.first;
 }
 
+/// The shard directories directly under \p Dir.
+std::set<std::filesystem::path> shardsOf(const std::filesystem::path &Dir) {
+  std::set<std::filesystem::path> Out;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    if (E.is_directory())
+      Out.insert(E.path());
+  return Out;
+}
+
+TEST(ServeCacheTest, UnchangedResubmissionSurvivesEviction) {
+  // An unchanged resubmission skips its save and only advances its
+  // file's mtime; the server's index still ranks the document newest,
+  // as it did when the rerun rewrote the file. Under a cap, the next
+  // eviction then takes the oldest other documents and keeps it.
+  namespace fs = std::filesystem;
+  const unsigned Docs = 4;
+  std::vector<std::string> Sources;
+  for (unsigned D = 0; D < Docs; ++D)
+    Sources.push_back(
+        ProgramGenerator(8100 + D, /*WithAssertions=*/true).generate());
+  auto Analyze = [&](ServeHarness &H, unsigned D, const std::string &Id) {
+    H.send(analyzeLine(Id, Sources[D],
+                       "\"cache_key\":\"doc-" + std::to_string(D) + "\""));
+    EXPECT_EQ(H.recv().find("status")->asString(), "ok") << Id;
+  };
+
+  // Each document's entry bytes, from a daemon without a cap.
+  std::vector<uint64_t> Bytes;
+  {
+    fs::path Probe = freshDir("syntox_serve_resubmit_probe");
+    ServerConfig Cfg;
+    Cfg.CacheDir = Probe.string();
+    ServeHarness H(Cfg);
+    for (unsigned D = 0; D < Docs; ++D) {
+      uint64_t Before = treeBytes(Probe);
+      Analyze(H, D, "probe" + std::to_string(D));
+      Bytes.push_back(treeBytes(Probe) - Before);
+    }
+    H.finish();
+    std::error_code EC;
+    fs::remove_all(Probe, EC);
+  }
+
+  fs::path Dir = freshDir("syntox_serve_resubmit_test");
+  ServerConfig Cfg;
+  Cfg.CacheDir = Dir.string();
+  Cfg.CacheMaxBytes = Bytes[0] + Bytes[1] + Bytes[2];
+  ServeHarness H(Cfg);
+  MetricsRegistry &M = H.server().metrics();
+  std::vector<fs::path> Shard(Docs);
+  auto AnalyzeNew = [&](unsigned D) {
+    std::set<fs::path> Before = shardsOf(Dir);
+    Analyze(H, D, "d" + std::to_string(D));
+    for (const fs::path &P : shardsOf(Dir))
+      if (!Before.count(P))
+        Shard[D] = P;
+    ASSERT_FALSE(Shard[D].empty()) << "no shard for document " << D;
+  };
+  for (unsigned D = 0; D < 3; ++D)
+    AnalyzeNew(D);
+  EXPECT_EQ(treeBytes(Dir), Cfg.CacheMaxBytes); // all three fit
+
+  Analyze(H, 0, "again");
+  EXPECT_EQ(M.counterValue("persist.save_skipped"), 1u);
+  EXPECT_EQ(M.counterValue("persist.saved"), 3u);
+  AnalyzeNew(3);
+
+  // The save order a rewrite would leave: 1, 2, 0, 3. Oldest first, the
+  // cap evicts from its front.
+  const unsigned Order[] = {1, 2, 0, 3};
+  uint64_t Total = Bytes[0] + Bytes[1] + Bytes[2] + Bytes[3];
+  unsigned Evicted = 0;
+  while (Total > Cfg.CacheMaxBytes)
+    Total -= Bytes[Order[Evicted++]];
+  ASSERT_GE(Evicted, 1u);
+  ASSERT_LT(Evicted, 3u); // the test needs document 0 to be kept
+  for (unsigned I = 0; I < Docs; ++I)
+    EXPECT_EQ(fs::exists(Shard[Order[I]]), I >= Evicted)
+        << "document " << Order[I];
+  EXPECT_EQ(treeBytes(Dir), Total);
+
+  H.finish();
+  std::error_code EC;
+  fs::remove_all(Dir, EC);
+}
+
 TEST(ServeCacheTest, GcOnAnUnboundedDaemonDeletesNothing) {
   // CacheMaxBytes 0 means unbounded: a gc request reports the tree and
   // must not read the 0 as "collect everything".
@@ -637,8 +724,8 @@ int64_t counterOf(const json::Value &Counters, const char *Name) {
 TEST(ServeAdminTest, EngineBuildMetricsCountOncePerRequest) {
   // A fresh session builds its program once, so the daemon's registry
   // sees each request's construction metrics once: a 3-instance
-  // program adds 3 to interproc.instances, and a program past the
-  // adaptive transfer-cache threshold adds 1 to cache.auto_enabled.
+  // program adds 3 to interproc.instances, and McCarthy_12 adds its
+  // own instance count.
   const std::string Small =
       "program p; procedure q(n : integer); "
       "begin if n > 0 then q(n - 1) end; begin q(3) end.";
@@ -646,7 +733,7 @@ TEST(ServeAdminTest, EngineBuildMetricsCountOncePerRequest) {
   uint64_t SmallInstances = instancesOf(Small);
   uint64_t DeepInstances = instancesOf(Deep);
   EXPECT_EQ(SmallInstances, 3u);
-  ASSERT_GE(DeepInstances, Analyzer::TransferCacheMinInstances);
+  ASSERT_GT(DeepInstances, SmallInstances);
 
   ServeHarness H(ServerConfig{});
   H.send(analyzeLine("small", Small));
@@ -655,7 +742,6 @@ TEST(ServeAdminTest, EngineBuildMetricsCountOncePerRequest) {
   json::Value M1 = *H.recv().find("metrics")->find("counters");
   EXPECT_EQ(counterOf(M1, "interproc.instances"),
             static_cast<int64_t>(SmallInstances));
-  EXPECT_EQ(counterOf(M1, "cache.auto_enabled"), 0);
 
   H.send(analyzeLine("deep", Deep));
   ASSERT_EQ(H.recv().find("status")->asString(), "ok");
@@ -663,7 +749,24 @@ TEST(ServeAdminTest, EngineBuildMetricsCountOncePerRequest) {
   json::Value M2 = *H.recv().find("metrics")->find("counters");
   EXPECT_EQ(counterOf(M2, "interproc.instances"),
             static_cast<int64_t>(SmallInstances + DeepInstances));
-  EXPECT_EQ(counterOf(M2, "cache.auto_enabled"), 1);
+}
+
+TEST(ServeAdminTest, LongProgramIsAnsweredAndTheServerKeepsServing) {
+  // 20,000 loops in sequence: the WTO builder once recursed once per
+  // vertex along this path and took the daemon down (exit 139).
+  std::string Loops = "program p; var i : integer; begin ";
+  for (int I = 0; I < 20000; ++I)
+    Loops += "i := 0; while i < 10 do i := i + 1; ";
+  Loops += "i := 0 end.";
+  ServeHarness H(ServerConfig{});
+  H.send(analyzeLine("long", Loops));
+  // About a second natively; sanitizer builds take many times that.
+  json::Value R = H.recv(/*Seconds=*/600);
+  const json::Value *Status = R.find("status");
+  ASSERT_NE(Status, nullptr);
+  EXPECT_EQ(Status->asString(), "ok");
+  H.send(adminLine("p", "ping"));
+  EXPECT_EQ(H.recv().find("status")->asString(), "ok");
 }
 
 TEST(ServeAdminTest, MetricsAndPing) {

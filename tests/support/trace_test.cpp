@@ -50,7 +50,7 @@ TEST(TraceRecorderTest, MaskDropsDisabledKinds) {
   EXPECT_FALSE(R.wants(TraceEventKind::Narrowing));
   R.record(TraceEventKind::Widening, 1);
   R.record(TraceEventKind::Narrowing, 2);
-  R.record(TraceEventKind::CacheHit, 3);
+  R.record(TraceEventKind::StoreDetach, 3);
   std::vector<TraceEvent> Events = R.take();
   ASSERT_EQ(Events.size(), 1u);
   EXPECT_EQ(Events[0].Kind, TraceEventKind::Widening);
@@ -58,9 +58,8 @@ TEST(TraceRecorderTest, MaskDropsDisabledKinds) {
 
 TEST(TraceRecorderTest, DefaultMaskExcludesDetailKinds) {
   constexpr uint32_t M = TraceRecorder::DefaultEvents;
-  EXPECT_EQ(M & traceEventBit(TraceEventKind::CacheHit), 0u);
-  EXPECT_EQ(M & traceEventBit(TraceEventKind::CacheMiss), 0u);
   EXPECT_EQ(M & traceEventBit(TraceEventKind::StoreDetach), 0u);
+  EXPECT_EQ(M & traceEventBit(TraceEventKind::StorePrune), 0u);
   EXPECT_NE(M & traceEventBit(TraceEventKind::PhaseBegin), 0u);
   EXPECT_NE(M & traceEventBit(TraceEventKind::Widening), 0u);
   EXPECT_NE(M & traceEventBit(TraceEventKind::ComponentSkip), 0u);
@@ -194,7 +193,8 @@ TEST(TraceExportTest, EventKindNamesAreStable) {
   EXPECT_STREQ(traceEventKindName(TraceEventKind::ComponentBegin),
                "component_begin");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::Widening), "widening");
-  EXPECT_STREQ(traceEventKindName(TraceEventKind::CacheHit), "cache_hit");
+  EXPECT_STREQ(traceEventKindName(TraceEventKind::TokenUnfold),
+               "token_unfold");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::ComponentSkip),
                "component_skip");
   EXPECT_STREQ(traceEventKindName(TraceEventKind::StoreDetach),
