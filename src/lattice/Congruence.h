@@ -69,6 +69,17 @@ struct Congruence {
   std::string str() const;
 };
 
+/// Hash of a congruence, consistent with operator== (every bottom
+/// representation hashes alike).
+inline uint64_t hashValue(const Congruence &X) {
+  if (X.isBottom())
+    return 0xbe5466cf34e90c6cull;
+  uint64_t H = 0xc0ac29b7c97c50ddull;
+  H = hashCombine(H, static_cast<uint64_t>(X.M));
+  H = hashCombine(H, static_cast<uint64_t>(X.R));
+  return H;
+}
+
 /// The congruence domain. Stateless (residue arithmetic needs no machine
 /// bounds), but kept as a class to mirror IntervalDomain's operator
 /// surface — every operation is total and sound over *mathematical*

@@ -64,6 +64,22 @@ struct Interval {
                   int64_t MaxValue = INT64_MAX) const;
 };
 
+/// Mixes \p V into the running hash \p H (boost-style combiner).
+inline uint64_t hashCombine(uint64_t H, uint64_t V) {
+  return H ^ (V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2));
+}
+
+/// 64-bit hash of an interval, consistent with operator==: every bottom
+/// representation hashes alike, and equal intervals hash equal.
+inline uint64_t hashValue(const Interval &X) {
+  if (X.isBottom())
+    return 0x7b10bb04ed2c4045ull;
+  uint64_t H = 0x243f6a8885a308d3ull;
+  H = hashCombine(H, static_cast<uint64_t>(X.Lo));
+  H = hashCombine(H, static_cast<uint64_t>(X.Hi));
+  return H;
+}
+
 /// Comparison operators for the abstract test primitives.
 enum class CmpOp { EQ, NE, LT, LE, GT, GE };
 

@@ -358,4 +358,18 @@ TEST_F(CongruenceUniverseTest, ComparisonsNeverRefuteWitnessedOutcomes) {
                   .first.isBottom());
 }
 
+//===----------------------------------------------------------------------===//
+// Hashing
+//===----------------------------------------------------------------------===//
+
+TEST_F(CongruenceUniverseTest, HashConsistentWithEquality) {
+  for (const Congruence &X : Universe)
+    for (const Congruence &Y : Universe)
+      if (X == Y) {
+        EXPECT_EQ(hashValue(X), hashValue(Y)) << X.str();
+      }
+  // All bottoms hash alike regardless of representation residue.
+  EXPECT_EQ(hashValue(Congruence(-1, 0)), hashValue(Congruence(-1, 7)));
+}
+
 } // namespace

@@ -394,4 +394,47 @@ INSTANTIATE_TEST_SUITE_P(AllCmpOps, CmpExhaustiveTest,
                                            CmpOp::LE, CmpOp::GT, CmpOp::GE),
                          cmpParamName);
 
+//===----------------------------------------------------------------------===//
+// Interval hashing
+//===----------------------------------------------------------------------===//
+
+TEST(IntervalHash, EqualIntervalsHashEqual) {
+  for (const Interval &A : allIntervals())
+    for (const Interval &B : allIntervals())
+      if (A == B) {
+        EXPECT_EQ(hashValue(A), hashValue(B));
+      }
+}
+
+TEST(IntervalHash, TinyDomainIsCollisionFree) {
+  // Nothing forces a 64-bit hash to be injective, but over the 79
+  // intervals of the tiny domain any collision would be a red flag for
+  // the mixing function.
+  std::vector<Interval> All = allIntervals();
+  for (size_t I = 0; I < All.size(); ++I)
+    for (size_t J = I + 1; J < All.size(); ++J)
+      EXPECT_NE(hashValue(All[I]), hashValue(All[J]))
+          << All[I].str() << " vs " << All[J].str();
+}
+
+TEST(IntervalHash, BottomIsCanonical) {
+  // Every bottom representation must collapse to one hash: the hash must
+  // not depend on stale bounds.
+  EXPECT_EQ(hashValue(Interval::bottom()), hashValue(Interval::bottom()));
+  EXPECT_NE(hashValue(Interval::bottom()),
+            hashValue(Interval(INT64_MIN, INT64_MAX)));
+}
+
+TEST(IntervalHash, SensitiveToEachBound) {
+  // Moving either endpoint alone must change the hash (these are the
+  // exact deltas widening and narrowing produce).
+  EXPECT_NE(hashValue(Interval(0, 5)), hashValue(Interval(0, 6)));
+  EXPECT_NE(hashValue(Interval(0, 5)), hashValue(Interval(-1, 5)));
+  EXPECT_NE(hashValue(Interval(0, 5)), hashValue(Interval(0, INT64_MAX)));
+  EXPECT_NE(hashValue(Interval(0, INT64_MAX)),
+            hashValue(Interval(INT64_MIN, INT64_MAX)));
+  // Swapped bounds are distinct intervals, not a symmetric-hash alias.
+  EXPECT_NE(hashValue(Interval(1, 2)), hashValue(Interval(2, 3)));
+}
+
 } // namespace
