@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 
 using namespace syntox;
@@ -145,14 +146,19 @@ int main(int Argc, char **Argv) {
     Source = Buffer.str();
   }
 
+  // The session records into the --trace recorder from its one build
+  // on, and reports metrics into its own registry.
+  std::unique_ptr<TraceRecorder> Trace;
+  if (Telem.wantsTrace()) {
+    Trace = std::make_unique<TraceRecorder>(Telem.traceMask());
+    Opts.Telem.Trace = Trace.get();
+  }
   DiagnosticsEngine Diags;
   auto Session = AnalysisSession::create(Source, Diags, Opts);
   for (const Diagnostic &D : Diags.diagnostics())
     std::fprintf(stderr, "%s\n", D.str().c_str());
   if (!Session)
     return 1;
-
-  configureSessionTelemetry(*Session, Telem);
 
   // One runner for both paths — the same shared submission model the
   // batch scheduler and syntox_serve drive.
@@ -191,7 +197,8 @@ int main(int Argc, char **Argv) {
         std::printf("  (none)\n");
       std::printf("%s", S.str().c_str());
     }
-    if (!writeTelemetryOutputs(*Session, Telem, Error)) {
+    if (!writeTelemetryOutputs(Trace.get(), &Session->metrics(), Telem,
+                               Error)) {
       std::fprintf(stderr, "syntox_cli: %s\n", Error.c_str());
       return 1;
     }
@@ -247,7 +254,8 @@ int main(int Argc, char **Argv) {
     std::printf("%s", Result.stats().str().c_str());
   }
 
-  if (!writeTelemetryOutputs(*Session, Telem, Error)) {
+  if (!writeTelemetryOutputs(Trace.get(), &Session->metrics(), Telem,
+                               Error)) {
     std::fprintf(stderr, "syntox_cli: %s\n", Error.c_str());
     return 1;
   }

@@ -240,6 +240,12 @@ check(0 < c.get("solver.stable_input_skips", 0) < scheduled,
 check(findings["stats"]["stable_input_skips"] ==
       sum(p["stable_input_skips"] for p in findings["stats"]["phases"]),
       "findings.json: per-phase stable_input_skips do not sum to the total")
+# A traced run builds its program once: the build's instance counter
+# equals the solved graph's instance gauge.
+g = metrics["gauges"]
+check(c.get("interproc.instances") == g.get("graph.instances"),
+      f"metrics.json: interproc.instances {c.get('interproc.instances')} "
+      f"!= graph.instances {g.get('graph.instances')} (program built twice)")
 
 print(f"telemetry smoke test OK ({n} trace events)")
 EOF

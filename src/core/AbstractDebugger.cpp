@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 using namespace syntox;
 
@@ -60,6 +61,22 @@ void AbstractDebugger::analyze() {
   deriveInvariantWarnings();
 }
 
+/// Every control point of \p G, as (instance, point), whose source
+/// location matches \p Loc: the same line, and the same column unless
+/// \p Loc's column is 0 (which matches the whole line).
+static std::vector<std::pair<const Instance *, unsigned>>
+pointsAt(const SuperGraph &G, SourceLoc Loc) {
+  std::vector<std::pair<const Instance *, unsigned>> Out;
+  for (const Instance &Inst : G.instances())
+    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
+      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
+      if (PLoc.isValid() && PLoc.Line == Loc.Line &&
+          (Loc.Column == 0 || PLoc.Column == Loc.Column))
+        Out.emplace_back(&Inst, P);
+    }
+  return Out;
+}
+
 void AbstractDebugger::analyzeDemand(const DemandSpec &Spec) {
   if (Analyzed)
     throw std::logic_error(
@@ -78,15 +95,8 @@ void AbstractDebugger::analyzeDemand(const DemandSpec &Spec) {
       throw std::out_of_range("no runtime check with id " +
                               std::to_string(Spec.CheckId));
   } else {
-    for (const Instance &Inst : G.instances())
-      for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-        SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-        if (!PLoc.isValid() || PLoc.Line != Spec.Loc.Line)
-          continue;
-        if (Spec.Loc.Column != 0 && PLoc.Column != Spec.Loc.Column)
-          continue;
-        Query.push_back(G.node(Inst, P));
-      }
+    for (auto [Inst, P] : pointsAt(G, Spec.Loc))
+      Query.push_back(G.node(*Inst, P));
   }
 
   // Demand runs compose with the warm chain exactly like full runs
@@ -296,18 +306,9 @@ static PointState pointState(const Analyzer &An, const Instance &Inst,
 
 std::vector<PointState> AbstractDebugger::stateAt(SourceLoc Loc) const {
   requireAnalyzed("stateAt()");
-  const SuperGraph &G = An->graph();
   std::vector<PointState> Out;
-  for (const Instance &Inst : G.instances()) {
-    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-      if (!PLoc.isValid() || PLoc.Line != Loc.Line)
-        continue;
-      if (Loc.Column != 0 && PLoc.Column != Loc.Column)
-        continue;
-      Out.push_back(pointState(*An, Inst, P));
-    }
-  }
+  for (auto [Inst, P] : pointsAt(An->graph(), Loc))
+    Out.push_back(pointState(*An, *Inst, P));
   return Out;
 }
 
@@ -317,21 +318,14 @@ AbstractDebugger::demandStateAt(SourceLoc Loc) const {
   const SuperGraph &G = An->graph();
   const std::vector<uint8_t> &Cone = An->demandMask();
   std::vector<PointState> Out;
-  for (const Instance &Inst : G.instances()) {
-    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-      if (!PLoc.isValid() || PLoc.Line != Loc.Line)
-        continue;
-      if (Loc.Column != 0 && PLoc.Column != Loc.Column)
-        continue;
-      unsigned Node = G.node(Inst, P);
-      if (Cone.empty() || !Cone[Node])
-        throw std::out_of_range(
-            "demandStateAt(): " + PLoc.str() +
-            " is outside the solved demand cone; re-query through "
-            "analyzeDemand() for this point or run a full analyze()");
-      Out.push_back(pointState(*An, Inst, P));
-    }
+  for (auto [Inst, P] : pointsAt(G, Loc)) {
+    unsigned Node = G.node(*Inst, P);
+    if (Cone.empty() || !Cone[Node])
+      throw std::out_of_range(
+          "demandStateAt(): " + Inst->Cfg->pointLoc(P).str() +
+          " is outside the solved demand cone; re-query through "
+          "analyzeDemand() for this point or run a full analyze()");
+    Out.push_back(pointState(*An, *Inst, P));
   }
   return Out;
 }
@@ -340,18 +334,9 @@ bool AbstractDebugger::demandCovers(SourceLoc Loc) const {
   requireDemandAnalyzed("demandCovers()");
   const SuperGraph &G = An->graph();
   const std::vector<uint8_t> &Cone = An->demandMask();
-  for (const Instance &Inst : G.instances()) {
-    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-      SourceLoc PLoc = Inst.Cfg->pointLoc(P);
-      if (!PLoc.isValid() || PLoc.Line != Loc.Line)
-        continue;
-      if (Loc.Column != 0 && PLoc.Column != Loc.Column)
-        continue;
-      unsigned Node = G.node(Inst, P);
-      if (Cone.empty() || !Cone[Node])
-        return false;
-    }
-  }
+  for (auto [Inst, P] : pointsAt(G, Loc))
+    if (Cone.empty() || !Cone[G.node(*Inst, P)])
+      return false;
   return true;
 }
 

@@ -2,21 +2,18 @@
 
 #include "core/AnalysisBatch.h"
 
-#include "support/Diagnostics.h"
 #include "support/ThreadPool.h"
 
 using namespace syntox;
 
 unsigned AnalysisBatch::add(AnalysisRequest R) {
   unsigned Index = size();
-  // Route every session's metrics into the batch registry. Session
-  // run() only substitutes its own registry when none is set, so the
-  // batch one sticks; the registry is thread-safe, so concurrent
-  // requests may report into it freely.
+  // Route every session's metrics into the batch registry. The session
+  // only substitutes its own registry when none is set, so the batch
+  // one sticks; the registry is thread-safe, so concurrent requests may
+  // report into it freely.
   R.Opts.Telem.Metrics = &Metrics;
-  Request Q;
-  Q.Submitted = std::move(R);
-  Requests.push_back(std::move(Q));
+  Requests.push_back(std::move(R));
   return Index;
 }
 
@@ -33,23 +30,8 @@ std::vector<AnalysisBatch::Outcome> AnalysisBatch::runAll() {
     ThreadPool Pool(Cfg.TotalThreads);
     for (size_t I = 0; I < Requests.size(); ++I)
       Pool.submit([this, I, &Outcomes] {
-        Request &R = Requests[I];
         Outcome &O = Outcomes[I];
-        if (!R.Validated) {
-          R.Validated = true;
-          DiagnosticsEngine Diags;
-          R.Session = AnalysisSession::create(std::move(R.Submitted.Source),
-                                              Diags,
-                                              std::move(R.Submitted.Opts));
-          if (!R.Session)
-            R.Error = Diags.str();
-        }
-        if (!R.Session) {
-          O.Index = static_cast<unsigned>(I);
-          O.Error = R.Error;
-          return;
-        }
-        O = runRequest(*R.Session, R.Submitted.Query);
+        O = runRequest(Requests[I]);
         O.Index = static_cast<unsigned>(I);
         Metrics.histogram("batch.request_seconds").observe(O.Seconds);
       });

@@ -13,12 +13,13 @@
 /// worker that picked it up, so the pool size alone bounds the live
 /// analysis threads.
 ///
-/// Isolation: each request is a self-contained AnalysisSession over its
-/// own source text; the engine's copy-on-write stores share nothing
-/// across requests, so no cross-request synchronization is needed beyond
-/// the scheduler itself. All sessions report into the batch-owned
-/// MetricsRegistry (thread-safe), giving one aggregate metrics snapshot
-/// for the whole batch.
+/// Isolation: each request runs through the one-shot runRequest, in an
+/// AnalysisSession of its own over its own source text; the engine's
+/// copy-on-write stores share nothing across requests, so no
+/// cross-request synchronization is needed beyond the scheduler itself.
+/// All sessions report into the batch-owned MetricsRegistry
+/// (thread-safe), giving one aggregate metrics snapshot for the whole
+/// batch.
 ///
 /// Results are bitwise-identical to running each program through its own
 /// sequential AnalysisSession: scheduling affects only *when* a request
@@ -31,7 +32,6 @@
 
 #include "core/AnalysisRequest.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,8 +50,8 @@ public:
 
   /// Queues \p R (the shared submission type — source, options,
   /// optional demand query) and returns its request index. Nothing is
-  /// parsed or built here: the first runAll() validates each program
-  /// on the pool. Telemetry metrics are routed to the batch registry.
+  /// parsed or built here: runAll() validates each program on the
+  /// pool. Telemetry metrics are routed to the batch registry.
   unsigned add(AnalysisRequest R);
 
   /// Convenience: a full-analysis request for \p Source under \p Opts.
@@ -67,12 +67,11 @@ public:
   using Outcome = AnalysisOutcome;
 
   /// Runs every queued request to completion and returns the outcomes in
-  /// add() order. The first call creates each request's session on the
-  /// pool worker that runs it (one frontend and engine build per
-  /// request, which the run then adopts); a frontend error becomes that
+  /// add() order. Each request is validated, built once and run on the
+  /// pool worker that picks it up; a frontend error becomes that
   /// request's failed outcome (runAll never throws for it). May be
-  /// called again (e.g. a warm second wave): each call re-runs all
-  /// requests on their sessions.
+  /// called again: each call runs every request afresh (a warm second
+  /// wave replays through AnalysisOptions::CacheDir).
   std::vector<Outcome> runAll();
 
   /// The batch-owned registry all sessions report into. Snapshot it for
@@ -80,18 +79,9 @@ public:
   MetricsRegistry &metrics() { return Metrics; }
 
 private:
-  struct Request {
-    /// The submission. The first runAll() moves its source and options
-    /// into the session; the query serves every run.
-    AnalysisRequest Submitted;
-    bool Validated = false; ///< the first runAll() ran the frontend
-    std::unique_ptr<AnalysisSession> Session; ///< null on frontend error
-    std::string Error; ///< frontend diagnostics
-  };
-
   Config Cfg;
   MetricsRegistry Metrics;
-  std::vector<Request> Requests;
+  std::vector<AnalysisRequest> Requests;
 };
 
 } // namespace syntox

@@ -2,8 +2,6 @@
 
 #include "core/AnalysisFlags.h"
 
-#include "core/AnalysisSession.h"
-
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
@@ -203,12 +201,6 @@ const char *syntox::analysisFlagsHelp() {
          "  --metrics-json=FILE  write a metrics snapshot (- = stdout)\n";
 }
 
-void syntox::configureSessionTelemetry(AnalysisSession &S,
-                                       const TelemetryFlags &Telem) {
-  if (Telem.wantsTrace())
-    S.enableTracing(Telem.traceMask());
-}
-
 /// Runs \p Fn with the stream named by \p Path ("-" selects stdout).
 template <typename Fn>
 static bool withOutputStream(const std::string &Path, std::string &Error,
@@ -229,12 +221,6 @@ static bool withOutputStream(const std::string &Path, std::string &Error,
     return false;
   }
   return true;
-}
-
-bool syntox::writeTelemetryOutputs(AnalysisSession &S,
-                                   const TelemetryFlags &Telem,
-                                   std::string &Error) {
-  return writeTelemetryOutputs(S.traceRecorder(), &S.metrics(), Telem, Error);
 }
 
 bool syntox::writeTelemetryOutputs(TraceRecorder *Trace,

@@ -35,8 +35,6 @@
 
 namespace syntox {
 
-class AnalysisSession;
-
 /// Where (and how) to export telemetry, as requested on a command line.
 struct TelemetryFlags {
   std::string TracePath;   ///< --trace=; empty = off, "-" = stdout
@@ -97,19 +95,9 @@ bool parseSourceLoc(const std::string &Text, SourceLoc &Out);
 bool parseQuerySpec(const std::string &Spec, DemandSpec &Out,
                     std::string &Error);
 
-/// Enables tracing on \p S as requested by \p Telem (no-op when no
-/// --trace flag was given). Call before run().
-void configureSessionTelemetry(AnalysisSession &S,
-                               const TelemetryFlags &Telem);
-
-/// Writes the --trace / --metrics-json outputs accumulated in \p S.
-/// Returns false and sets \p Error on I/O failure.
-bool writeTelemetryOutputs(AnalysisSession &S, const TelemetryFlags &Telem,
-                           std::string &Error);
-
-/// Variant over a raw recorder/registry, for tools that drive the engine
-/// without an AnalysisSession (the benchmark binaries). Either pointer
-/// may be null; the corresponding output is skipped.
+/// Writes the --trace / --metrics-json outputs: flushes \p Trace and
+/// snapshots \p Metrics. Either pointer may be null; the corresponding
+/// output is skipped. Returns false and sets \p Error on I/O failure.
 bool writeTelemetryOutputs(TraceRecorder *Trace, const MetricsRegistry *Metrics,
                            const TelemetryFlags &Telem, std::string &Error);
 

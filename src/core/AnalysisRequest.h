@@ -15,9 +15,10 @@
 /// three at once.
 ///
 /// Two runners: the one-shot overload validates and runs in one step
-/// (frontend errors surface in the outcome, never as exceptions); the
-/// session overload runs a request against a caller-owned
-/// AnalysisSession, which AnalysisBatch keeps between waves.
+/// (frontend errors surface in the outcome, never as exceptions), and
+/// is what AnalysisBatch runs; the session overload runs a query
+/// against a caller-created AnalysisSession (the CLI and syntox_serve
+/// report frontend diagnostics themselves before they run).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -62,93 +62,80 @@ json::Value DemandResult::toJson() const {
   return V;
 }
 
+namespace {
+
+/// Store detaches happen inside a value type with no telemetry context;
+/// while a build or run is in scope, route them through the
+/// process-global hook when the session's recorder asks for them.
+class StoreDetachScope {
+public:
+  explicit StoreDetachScope(TraceRecorder *Trace)
+      : Hooked(Trace && Trace->wants(TraceEventKind::StoreDetach)) {
+    if (Hooked)
+      trace::StoreDetachHook.store(Trace, std::memory_order_relaxed);
+  }
+  ~StoreDetachScope() {
+    if (Hooked)
+      trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
+  }
+  StoreDetachScope(const StoreDetachScope &) = delete;
+  StoreDetachScope &operator=(const StoreDetachScope &) = delete;
+
+private:
+  bool Hooked;
+};
+
+} // namespace
+
 std::unique_ptr<AnalysisSession>
 AnalysisSession::create(std::string Source, DiagnosticsEngine &Diags,
                         AnalysisOptions Opts) {
   // Validate the program up front so run() cannot fail: frontend errors
   // surface here, once, with diagnostics. The validation build is the
-  // engine itself, built under the telemetry run() installs, so the
-  // first run adopts it instead of building the program again.
+  // engine the first run adopts, built under the same telemetry, so
+  // the program is built once.
   std::unique_ptr<AnalysisSession> S(new AnalysisSession());
   S->Source = std::move(Source);
   S->Opts = std::move(Opts);
-  S->installTelemetry();
+  if (!S->Opts.Telem.Metrics)
+    S->Opts.Telem.Metrics = &S->Metrics;
+  StoreDetachScope Detach(S->Opts.Telem.Trace);
   S->Engine = AbstractDebugger::create(S->Source, Diags, S->Opts);
   if (!S->Engine)
     return nullptr;
-  S->EngineOpts = S->Opts;
   return S;
 }
 
 AnalysisSession::~AnalysisSession() = default;
 
-TraceRecorder &AnalysisSession::enableTracing(uint32_t Mask) {
-  if (!Trace || Trace->mask() != Mask)
-    Trace = std::make_unique<TraceRecorder>(Mask);
-  return *Trace;
-}
-
-void AnalysisSession::flushTrace(TraceSink &Sink) {
-  if (Trace)
-    Trace->flushTo(Sink);
-}
-
-void AnalysisSession::installTelemetry() {
-  Opts.Telem.Trace = Trace.get();
-  if (!Opts.Telem.Metrics)
-    Opts.Telem.Metrics = &Metrics;
-}
-
-std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun(
-    bool ForDemand) {
-  // Reuse requires: we kept an engine, nothing else can observe it (a
-  // live AnalysisResult/DemandResult shares ownership), the options
-  // are unchanged member for member (the telemetry pointers too: the
-  // Analyzer captures them at construction), and the run kinds
-  // compose — a full run must not recycle a demand engine (the
-  // published chain only ever held a private demand replay) and a
-  // demand run must not recycle a fully analyzed engine
-  // (analyzeDemand() refuses, to protect published results).
-  bool Reusable = Engine && Engine.use_count() == 1 &&
-                  EngineOpts == Opts &&
-                  (ForDemand ? !Engine->Analyzed : !Engine->DemandAnalyzed);
-  if (Reusable) {
-    // Adopting the engine create() validated with is the first run's
-    // build, not a reuse: only an engine that has run before counts.
-    if (Engine->Analyzed || Engine->DemandAnalyzed)
-      if (MetricsRegistry *M = Opts.Telem.Metrics)
-        M->counter("session.engine_reuses").inc();
-    return Engine;
-  }
+std::shared_ptr<AbstractDebugger> AnalysisSession::engineForRun() {
+  if (Engine)
+    return std::move(Engine);
   DiagnosticsEngine Diags;
-  Engine = AbstractDebugger::create(Source, Diags, Opts);
-  assert(Engine && "session source was validated by create()");
-  EngineOpts = Opts;
-  EnginePersistProbed = false;
-  return Engine;
+  std::shared_ptr<AbstractDebugger> Dbg =
+      AbstractDebugger::create(Source, Diags, Opts);
+  assert(Dbg && "session source was validated by create()");
+  return Dbg;
 }
 
 bool AnalysisSession::loadPersistCache(AbstractDebugger &Dbg) {
-  // With a cache directory configured, the first run on a fresh engine
-  // warm-starts from the persisted recordings of an earlier process,
-  // falling back to cold on any mismatch.
-  if (Opts.CacheDir.empty() || !Opts.WarmStart || EnginePersistProbed)
+  // With a cache directory configured, each engine warm-starts from
+  // the persisted recordings of an earlier run, falling back to cold
+  // on any mismatch.
+  if (Opts.CacheDir.empty() || !Opts.WarmStart)
     return false;
-  EnginePersistProbed = true;
   MetricsRegistry *M = Opts.Telem.Metrics;
   persist::CacheLoadResult R = persist::loadWarmCache(Opts.CacheDir, *Dbg.An);
-  if (M) {
-    if (R.Loaded) {
-      M->counter("persist.loaded").inc();
-      M->counter("persist.slots").inc(R.Slots);
-      M->counter("persist.restored_nodes").inc(R.RestoredNodes);
-      M->counter("persist.invalidated_nodes").inc(R.InvalidatedNodes);
-      M->counter("persist.matched_elements").inc(R.MatchedElements);
-      M->counter("persist.unmatched_elements").inc(R.UnmatchedElements);
-      M->counter("persist.restored_edge_memos").inc(R.RestoredEdgeMemos);
-    } else {
-      M->counter("persist.fallback").inc();
-    }
+  if (R.Loaded) {
+    M->counter("persist.loaded").inc();
+    M->counter("persist.slots").inc(R.Slots);
+    M->counter("persist.restored_nodes").inc(R.RestoredNodes);
+    M->counter("persist.invalidated_nodes").inc(R.InvalidatedNodes);
+    M->counter("persist.matched_elements").inc(R.MatchedElements);
+    M->counter("persist.unmatched_elements").inc(R.UnmatchedElements);
+    M->counter("persist.restored_edge_memos").inc(R.RestoredEdgeMemos);
+  } else {
+    M->counter("persist.fallback").inc();
   }
   return R.Loaded;
 }
@@ -163,70 +150,37 @@ void AnalysisSession::savePersistCache(const AbstractDebugger &Dbg,
     for (const PhaseStats &P : Dbg.An->stats().Phases)
       LiveSteps += P.WideningSteps + P.NarrowingSteps;
     if (LiveSteps == 0 && persist::touchWarmCache(Opts.CacheDir, Opts)) {
-      if (M)
-        M->counter("persist.save_skipped").inc();
+      M->counter("persist.save_skipped").inc();
       return;
     }
   }
   if (persist::saveWarmCache(Opts.CacheDir, *Dbg.An))
-    if (M)
-      M->counter("persist.saved").inc();
+    M->counter("persist.saved").inc();
 }
 
 AnalysisResult AnalysisSession::run() {
-  installTelemetry();
-
-  // Store detaches happen inside a value type with no telemetry
-  // context; route them through the process-global hook for the
-  // duration of this run when detail tracing asked for them.
-  TraceRecorder *DetachHook =
-      Trace && Trace->wants(TraceEventKind::StoreDetach) ? Trace.get()
-                                                         : nullptr;
-  if (DetachHook)
-    trace::StoreDetachHook.store(DetachHook, std::memory_order_relaxed);
-
-  std::shared_ptr<AbstractDebugger> Dbg = engineForRun(/*ForDemand=*/false);
+  StoreDetachScope Detach(Opts.Telem.Trace);
+  std::shared_ptr<AbstractDebugger> Dbg = engineForRun();
   bool Loaded = loadPersistCache(*Dbg);
   Dbg->analyze();
   savePersistCache(*Dbg, Loaded);
-
-  if (DetachHook)
-    trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
-
   return AnalysisResult(std::move(Dbg), Metrics.snapshot());
 }
 
 DemandResult AnalysisSession::runDemandQuery(const DemandSpec &Spec) {
-  installTelemetry();
-
-  TraceRecorder *DetachHook =
-      Trace && Trace->wants(TraceEventKind::StoreDetach) ? Trace.get()
-                                                         : nullptr;
-  if (DetachHook)
-    trace::StoreDetachHook.store(DetachHook, std::memory_order_relaxed);
-
-  std::shared_ptr<AbstractDebugger> Dbg = engineForRun(/*ForDemand=*/true);
+  StoreDetachScope Detach(Opts.Telem.Trace);
+  std::shared_ptr<AbstractDebugger> Dbg = engineForRun();
   // Demand runs compose with the on-disk cache exactly like full runs
   // (out-of-cone components replay from the loaded chain) but never
   // save: the cache must only ever hold full recordings.
   loadPersistCache(*Dbg);
+  Dbg->analyzeDemand(Spec);
   std::vector<PointState> States;
   CheckResult Check;
-  try {
-    Dbg->analyzeDemand(Spec);
-    if (Spec.K == DemandSpec::Kind::Point)
-      States = Dbg->demandStateAt(Spec.Loc);
-    else
-      Check = Dbg->demandCheck(Spec.CheckId);
-  } catch (...) {
-    if (DetachHook)
-      trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
-    throw;
-  }
-
-  if (DetachHook)
-    trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
-
+  if (Spec.K == DemandSpec::Kind::Point)
+    States = Dbg->demandStateAt(Spec.Loc);
+  else
+    Check = Dbg->demandCheck(Spec.CheckId);
   return DemandResult(std::move(Dbg), Spec, std::move(States), Check,
                       Metrics.snapshot());
 }

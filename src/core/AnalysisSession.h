@@ -7,13 +7,12 @@
 ///
 /// \file
 /// The preferred entry point to the abstract debugger: an AnalysisSession
-/// holds a program's analysis engine (built once, when create()
-/// validates the source) plus the analysis configuration and the
-/// telemetry plumbing (an owned MetricsRegistry, an optional owned
-/// TraceRecorder); run() executes the full schedule and returns an
-/// *immutable* AnalysisResult that owns every finding — necessary
-/// conditions, invariant warnings, check classifications, statistics, a
-/// metrics snapshot, and structured per-point state queries.
+/// holds a program's source, its analysis configuration and the
+/// telemetry sinks the runs report into, all fixed at create(); run()
+/// executes the full schedule and returns an *immutable* AnalysisResult
+/// that owns every finding — necessary conditions, invariant warnings,
+/// check classifications, statistics, a metrics snapshot, and
+/// structured per-point state queries.
 ///
 /// The split fixes the footgun of the bare AbstractDebugger API, where
 /// results were mutable views into an object that a later analyze()
@@ -23,22 +22,15 @@
 ///
 /// The session is also the sole owner of the persistent warm-start
 /// cache composition (AnalysisOptions::CacheDir): it loads matching
-/// recordings into the engine before the first run and saves them back
+/// recordings into each engine before its run and saves them back
 /// after every full run, so the CLI, AnalysisBatch and syntox_serve all
 /// share one entry path — the engine itself knows nothing about disk.
 ///
-/// Engine reuse: the first run adopts the engine create() built to
-/// validate the program, so a fresh session parses and lowers its
-/// source once. Changing options() or calling enableTracing() before
-/// that run rebuilds it, like any option change (the engine captures
-/// its telemetry sinks at construction). After a run, run() keeps the
-/// analyzed engine and, when nothing observable holds a reference to it
-/// (no live AnalysisResult) and the configuration is unchanged,
-/// re-analyzes it in place — the in-memory warm-start chain then
-/// replays stable components at zero live steps. Results are
-/// bitwise-identical either way; only iteration counters differ.
-/// Any outstanding result pins the engine and forces the next run onto
-/// a fresh one, preserving immutability.
+/// Engines: create() builds the engine it validates the program with,
+/// and the first run() or demand query adopts it, so a session that
+/// runs once parses and lowers its source once. Every later run builds
+/// and solves an engine of its own; warm reruns go through the on-disk
+/// cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +39,6 @@
 
 #include "core/AbstractDebugger.h"
 #include "support/Metrics.h"
-#include "support/Trace.h"
 
 #include <memory>
 #include <string>
@@ -192,50 +183,35 @@ private:
   json::Value MetricsSnapshot;
 };
 
-/// A program's engine plus configuration; factory of AnalysisResults.
+/// A program plus its fixed configuration; factory of AnalysisResults.
 class AnalysisSession {
 public:
   /// Parses and validates \p Source, building the engine the first
-  /// run() adopts. Returns null (with diagnostics in \p Diags) when the
-  /// program has frontend errors. The build reports into the registry
-  /// \p Opts names, else the session's own, and records no trace
-  /// events; enableTracing() before the first run makes that run
-  /// rebuild the engine under the recorder, so the trace covers it.
+  /// run() or demand query adopts. Returns null (with diagnostics in
+  /// \p Diags) when the program has frontend errors. \p Opts holds the
+  /// caller's telemetry sinks too: every build and run records into
+  /// Opts.Telem.Trace when set, and reports into Opts.Telem.Metrics,
+  /// else into the session's own registry.
   static std::unique_ptr<AnalysisSession>
   create(std::string Source, DiagnosticsEngine &Diags,
          AnalysisOptions Opts = {});
 
   ~AnalysisSession();
 
-  /// Enables event tracing for subsequent run() calls and returns the
-  /// recorder. Repeated calls replace the recorder (and drop any
-  /// unflushed events) only when \p Mask differs.
-  TraceRecorder &enableTracing(uint32_t Mask = TraceRecorder::DefaultEvents);
-
-  /// The recorder installed by enableTracing, or null.
-  TraceRecorder *traceRecorder() { return Trace.get(); }
-
-  /// Merges and clears the events recorded so far into \p Sink.
-  /// No-op without enableTracing().
-  void flushTrace(TraceSink &Sink);
-
   /// The session-owned metrics registry (live values; results carry
   /// frozen snapshots).
   MetricsRegistry &metrics() { return Metrics; }
 
   /// Runs the full analysis schedule and returns the frozen findings.
-  /// May be called repeatedly (e.g. after changing options()); earlier
-  /// results remain valid and unchanged — when one is still alive the
-  /// run analyzes a fresh engine, otherwise the previous engine is
-  /// re-analyzed in place and its warm chain replays stable work.
+  /// May be called repeatedly: each later run solves an engine of its
+  /// own, so earlier results remain valid and unchanged.
   AnalysisResult run();
 
   /// Demand-driven point query: solves only the backward dependency
   /// cone of the control points matching \p Loc (replaying everything
   /// outside the cone from warm memos at zero live steps) and returns
   /// the frozen partial result. Answers are bitwise-identical to the
-  /// same query against run(). Like run(), may be called repeatedly,
-  /// with the same engine-reuse rule.
+  /// same query against run(). Like run(), may be called repeatedly.
   DemandResult demandStateAt(SourceLoc Loc);
 
   /// Demand-driven check query: solves only the cone of runtime check
@@ -244,27 +220,19 @@ public:
   /// unknown check id.
   DemandResult demandCheck(unsigned CheckId);
 
-  /// The analysis configuration used by the next run(). Telemetry
-  /// members are managed by the session and reset on run().
-  AnalysisOptions &options() { return Opts; }
+  /// The analysis configuration every run uses, with the telemetry
+  /// sinks it reports into.
   const AnalysisOptions &options() const { return Opts; }
 
 private:
   AnalysisSession() = default;
   DemandResult runDemandQuery(const DemandSpec &Spec);
-  /// Points Opts' telemetry at the sinks a run reports into: the
-  /// recorder of enableTracing() (or none) and the caller's registry,
-  /// else the session's own.
-  void installTelemetry();
-  /// The engine the next run will use: the kept one when it is
-  /// uniquely owned, compatible with the current options, and \p
-  /// ForDemand-admissible; a freshly created one otherwise. Bumps the
-  /// "session.engine_reuses" counter when the kept engine has run
-  /// before (adopting create()'s engine is not a reuse).
-  std::shared_ptr<AbstractDebugger> engineForRun(bool ForDemand);
-  /// One-time per-engine load of the persistent warm cache, with the
-  /// persist.* telemetry counters. No-op without CacheDir/WarmStart.
-  /// Returns whether this call loaded the file.
+  /// The engine the next run solves: the one create() built, the first
+  /// time; a freshly built one after that.
+  std::shared_ptr<AbstractDebugger> engineForRun();
+  /// Loads the persistent warm cache into \p Dbg before its run, with
+  /// the persist.* telemetry counters. No-op without
+  /// CacheDir/WarmStart. Returns whether this call loaded the file.
   bool loadPersistCache(AbstractDebugger &Dbg);
   /// Saves the engine's recordings back to the cache directory after a
   /// full run (demand runs never save). No-op without CacheDir. A run
@@ -277,18 +245,8 @@ private:
   std::string Source;
   AnalysisOptions Opts;
   MetricsRegistry Metrics;
-  std::unique_ptr<TraceRecorder> Trace;
-  /// The engine create() built, then the engine of the last run, kept
-  /// for the next run to adopt or reuse warm. A live
-  /// AnalysisResult/DemandResult shares ownership, which is exactly
-  /// the reuse gate: use_count() > 1 means someone can observe the
-  /// engine, so the next run must not touch it.
-  std::shared_ptr<AbstractDebugger> Engine;
-  /// Options the kept engine was built with (reuse requires equality).
-  AnalysisOptions EngineOpts;
-  /// Whether the kept engine already probed the on-disk cache (the
-  /// load happens once per engine, like the old per-debugger probe).
-  bool EnginePersistProbed = false;
+  /// The engine create() built, until the first run adopts it.
+  std::unique_ptr<AbstractDebugger> Engine;
 };
 
 } // namespace syntox

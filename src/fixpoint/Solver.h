@@ -214,14 +214,6 @@ public:
     /// demanded sub-solution is bitwise-identical to the same nodes of
     /// a full solve. Null = full solve.
     const std::vector<uint8_t> *DemandNodes = nullptr;
-    /// Replay from Options::Memo but never overwrite it. A
-    /// demand-restricted run's recording describes a partial schedule —
-    /// genuine rows for scheduled elements, placeholder rows elsewhere —
-    /// so callers must either set this flag or hand a demand solve a
-    /// private memo copy they will not replay full solves from (the
-    /// analyzer's demand chain does the latter, which keeps cross-round
-    /// replay alive inside one demand run).
-    bool MemoReadOnly = false;
   };
 
   FixpointSolver(const System &Sys, Options Opts)
@@ -361,13 +353,11 @@ private:
   void finishWarm() {
     if (!Recording)
       return;
-    // A read-only run replays from the memo but must not replace it.
-    // (Demand-restricted runs may record — their recording is genuine
-    // for every scheduled element and the mask shrinks monotonically
-    // along a demand chain — but only into a memo the caller keeps
-    // private to the demand run; see Options::MemoReadOnly.)
-    if (Opts.MemoReadOnly)
-      return;
+    // A demand-restricted run's recording describes a partial schedule
+    // (genuine rows for scheduled elements, placeholder rows elsewhere),
+    // so a demand solve must be handed a memo private to the demand
+    // run, never one a full solve replays from: the analyzer's demand
+    // chain records into a copy it discards afterwards.
     NewMemo.Valid = true;
     *Opts.Memo = std::move(NewMemo);
   }

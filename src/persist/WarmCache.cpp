@@ -663,8 +663,13 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     size_t ERec = Fwd ? RecFwdElemKeys.size() : RecBwdElemKeys.size();
     size_t ENew = NewElemKeys.size();
 
+    // Each boundary row takes at least one byte per recorded node and
+    // two per element, so a count whose rows cannot fit in the rest of
+    // the body is rejected before the rows are allocated.
     uint64_t NumBoundaries = R.varint();
-    if (R.failed() || NumBoundaries == 0 || NumBoundaries > 100000)
+    uint64_t RowBytes = NRec + 2 * ERec;
+    if (R.failed() || NumBoundaries == 0 || NumBoundaries > 100000 ||
+        NumBoundaries * RowBytes > R.remaining())
       return Fallback("malformed boundary count");
 
     // Per-boundary recorded refs and rows, in *recorded* index space.

@@ -78,13 +78,14 @@ struct AnalysisOptions {
   /// matching chain-slot memos before solving and saves the recorded
   /// ones after a full run (see persist/WarmCache.h).
   std::string CacheDir;
-  /// Optional trace/metrics sinks (borrowed; owned by the session or
-  /// the caller). Null members disable that half of the telemetry.
+  /// Optional trace/metrics sinks (borrowed from the caller, or the
+  /// session's own registry). Null members disable that half of the
+  /// telemetry.
   Telemetry Telem;
 
   /// Member-wise identity over every field above — the one definition
-  /// of "same configuration" that engine reuse (AnalysisSession) relies
-  /// on, so a new knob can never be forgotten by it.
+  /// of "same configuration", so a new knob can never be forgotten by
+  /// it.
   bool operator==(const AnalysisOptions &) const = default;
 
   /// Hash of every knob that changes the *values* the solver computes

@@ -562,7 +562,6 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
   uint64_t KernelBlocksAtStart = Ops.kernelBlocks();
   PrunedSlotsRun = 0;
 
-  Snapshots.clear();
   DemandMask.clear();
   DemandAudit.clear();
 
@@ -591,19 +590,16 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
       } else {
         Envelope = solveForward(&Envelope, Phase, Mask);
       }
-      Snapshots.emplace_back("forward", Envelope);
       break;
     case PhaseSig::Always: {
       std::vector<AbstractStore> Always =
           solveBackward(/*Eventually=*/false, Envelope, Phase, Mask);
       meetInto(Envelope, Always);
-      Snapshots.emplace_back("always", Envelope);
       break;
     }
     case PhaseSig::Eventually:
       Envelope =
           solveBackward(/*Eventually=*/true, Envelope, Phase, Mask);
-      Snapshots.emplace_back("eventually", Envelope);
       break;
     }
   }

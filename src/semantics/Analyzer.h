@@ -149,13 +149,6 @@ public:
   /// Slots dropped by store restriction during the last run()/runDemand().
   uint64_t prunedSlots() const { return PrunedSlotsRun; }
 
-  /// Per-phase envelope snapshots (phase name, stores) in execution
-  /// order, for inspection and debugging of the iterated chain I_k.
-  const std::vector<std::pair<std::string, std::vector<AbstractStore>>> &
-  phaseSnapshots() const {
-    return Snapshots;
-  }
-
   /// \name Warm-start state access (persistence, warm bench transplants)
   /// @{
   /// The chain slots in phase-ordinal order, as recorded by the last
@@ -239,7 +232,6 @@ private:
   uint64_t PrunedSlotsRun = 0;
   std::vector<AbstractStore> Forward;
   std::vector<AbstractStore> Envelope;
-  std::vector<std::pair<std::string, std::vector<AbstractStore>>> Snapshots;
   AnalysisStats Stats;
   /// One warm slot per phase ordinal of the refinement chain, surviving
   /// across run() calls (and importable from the persistent cache).

@@ -172,7 +172,6 @@ StableIds::StableIds(const SuperGraph &G, const ProgramCfg &Cfg,
   // Instance keys: the routine's fingerprint, its lexical ancestor
   // chain (covers binding and shared-key changes from enclosing
   // routines), the call-site key, and the reference-parameter roots.
-  InstanceKeys.reserve(G.instances().size());
   NodeKeys.assign(G.numNodes(), 0);
   for (const Instance &Inst : G.instances()) {
     uint64_t K = fpMix(fpSeed(), Inst.R->fingerprint());
@@ -184,14 +183,8 @@ StableIds::StableIds(const SuperGraph &G, const ProgramCfg &Cfg,
                                           : Inst.Tok.CallSiteId);
     for (const VarDecl *Root : Inst.Tok.Roots)
       K = fpMix(K, varKey(Root));
-    InstanceKeys.push_back(K);
-    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P) {
-      uint64_t NK = fpMix(fpMix(K, 0x4E0D), P);
-      NodeKeys[Inst.FirstNode + P] = NK;
-      auto [It, Inserted] = NodeByKey.emplace(NK, Inst.FirstNode + P);
-      if (!Inserted)
-        It->second = ~0u; // ambiguous: see the var-key comment
-    }
+    for (unsigned P = 0; P < Inst.Cfg->numPoints(); ++P)
+      NodeKeys[Inst.FirstNode + P] = fpMix(fpMix(K, 0x4E0D), P);
   }
 
   // Edge keys: kind + endpoint keys, disambiguated by an occurrence
@@ -225,22 +218,12 @@ const VarDecl *StableIds::varForKey(uint64_t Key) const {
   return It == VarByKey.end() ? nullptr : It->second;
 }
 
-bool StableIds::nodeForKey(uint64_t Key, unsigned &NodeOut) const {
-  auto It = NodeByKey.find(Key);
-  if (It == NodeByKey.end() || It->second == ~0u)
-    return false;
-  NodeOut = It->second;
-  return true;
-}
-
 size_t StableIds::approximateBytes() const {
   size_t Bytes = sizeof(*this);
-  Bytes += (NodeKeys.size() + InstanceKeys.size() + EdgeKeys.size()) *
-           sizeof(uint64_t);
+  Bytes += (NodeKeys.size() + EdgeKeys.size()) * sizeof(uint64_t);
   // Hash-map entries: key/value plus a bucket pointer's worth of
   // overhead each.
   Bytes += VarKeys.size() * (sizeof(void *) + 2 * sizeof(uint64_t));
   Bytes += VarByKey.size() * (sizeof(void *) + 2 * sizeof(uint64_t));
-  Bytes += NodeByKey.size() * (sizeof(void *) + 2 * sizeof(uint64_t));
   return Bytes;
 }

@@ -60,9 +60,6 @@ public:
   uint64_t nodeKey(unsigned Node) const { return NodeKeys[Node]; }
   const std::vector<uint64_t> &nodeKeys() const { return NodeKeys; }
 
-  /// Content key of instance \p Id.
-  uint64_t instanceKey(unsigned Id) const { return InstanceKeys[Id]; }
-
   /// Content key of supergraph edge \p EdgeIdx.
   uint64_t edgeKey(unsigned EdgeIdx) const { return EdgeKeys[EdgeIdx]; }
   const std::vector<uint64_t> &edgeKeys() const { return EdgeKeys; }
@@ -73,10 +70,6 @@ public:
   /// Inverse of varKey over this program's numbered variables; null for
   /// keys minted by a different program version.
   const VarDecl *varForKey(uint64_t Key) const;
-
-  /// Inverse of nodeKey; returns false when the key has no counterpart
-  /// in this supergraph.
-  bool nodeForKey(uint64_t Key, unsigned &NodeOut) const;
 
   /// Hash of the whole lowered supergraph (all node keys + edge keys).
   /// Equal hashes mean the analyzed structure is identical, so a cached
@@ -90,11 +83,9 @@ public:
 
 private:
   std::vector<uint64_t> NodeKeys;
-  std::vector<uint64_t> InstanceKeys;
   std::vector<uint64_t> EdgeKeys;
   std::unordered_map<const VarDecl *, uint64_t> VarKeys;
   std::unordered_map<uint64_t, const VarDecl *> VarByKey;
-  std::unordered_map<uint64_t, unsigned> NodeByKey;
   uint64_t GraphHash = 0;
 };
 

@@ -8,8 +8,9 @@
 /// \file
 /// The telemetry context threaded through the analysis engine: optional
 /// pointers to a TraceRecorder and a MetricsRegistry, both owned by the
-/// session. Every instrumentation hook degrades to a null-pointer check
-/// when the corresponding sink is absent — the cost of the subsystem for
+/// caller (a session without a registry reports into its own). Every
+/// instrumentation hook degrades to a null-pointer check when the
+/// corresponding sink is absent — the cost of the subsystem for
 /// untelemetered runs is one predictable branch per hook site (verified
 /// by bench_complexity's <2% acceptance bound).
 ///

@@ -122,9 +122,6 @@ public:
   /// event arguments.
   bool wants(TraceEventKind K) const { return (Mask & bit(K)) != 0; }
 
-  /// The enabled-kind mask this recorder was built with.
-  uint32_t mask() const { return Mask; }
-
   /// Records one event with the current timestamp on the calling
   /// thread's buffer. Events of disabled kinds are dropped.
   void record(TraceEventKind K, uint64_t Arg0 = 0, uint64_t Arg1 = 0,

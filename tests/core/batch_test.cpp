@@ -83,8 +83,8 @@ TEST(AnalysisBatchTest, FrontendErrorsSurfaceAsFailedOutcomes) {
 }
 
 TEST(AnalysisBatchTest, AddOnlyQueuesAndRunAllBuildsEachProgramOnce) {
-  // add() parses nothing; the first runAll() builds each program once
-  // on the pool, and the run adopts that build. The batch registry's
+  // add() parses nothing; runAll() builds each program once on the
+  // pool, and the run adopts that build. The batch registry's
   // construction counters therefore hold exactly one build per program.
   std::vector<std::string> Sources = {
       "program p; procedure q(n : integer); "
@@ -116,10 +116,9 @@ TEST(AnalysisBatchTest, AddOnlyQueuesAndRunAllBuildsEachProgramOnce) {
   EXPECT_FALSE(Outcomes.back().OK);
   EXPECT_FALSE(Outcomes.back().Error.empty());
   EXPECT_EQ(Batch.metrics().counterValue("interproc.instances"), Instances);
-  EXPECT_EQ(Batch.metrics().counterValue("session.engine_reuses"), 0u);
 
-  // A second wave reuses the sessions: the frontend error stays the
-  // same failed outcome.
+  // A second wave builds every request again: the frontend error is
+  // the same failed outcome.
   std::string Error = Outcomes.back().Error;
   Outcomes.clear();
   auto Second = Batch.runAll();

@@ -362,6 +362,17 @@ size_t strategyByteOffset(const std::vector<char> &File) {
   return 0;
 }
 
+/// Rewrites \p File's header body length and checksum to match its
+/// body, so neither can be what rejects an edited file.
+void reseal(std::vector<char> &File) {
+  uint64_t Len = File.size() - HeaderBytes;
+  uint64_t Sum = persist::fnv1a(File.data() + HeaderBytes, Len);
+  for (int I = 0; I < 8; ++I) {
+    File[HeaderBytes - 16 + I] = static_cast<char>(Len >> (8 * I));
+    File[HeaderBytes - 8 + I] = static_cast<char>(Sum >> (8 * I));
+  }
+}
+
 TEST(PersistCacheTest, PoolHoldsEachStoreOnce) {
   // The pool is keyed by content: equal stores held in different
   // payloads (an equation skipped in one sweep keeps its older payload;
@@ -444,11 +455,7 @@ TEST(PersistCacheTest, NonZeroStrategyByteFallsBackCold) {
   ASSERT_GT(At, HeaderBytes);
   EXPECT_EQ(Full[At], 0);
   Full[At] = 1;
-  // Re-seal the body so the checksum cannot be what rejects the file.
-  uint64_t Sum =
-      persist::fnv1a(Full.data() + HeaderBytes, Full.size() - HeaderBytes);
-  for (int I = 0; I < 8; ++I)
-    Full[HeaderBytes - 8 + I] = static_cast<char>(Sum >> (8 * I));
+  reseal(Full);
   writeFile(cacheFile(Dir.str()), Full);
 
   AnalyzedProgram P =
@@ -457,6 +464,41 @@ TEST(PersistCacheTest, NonZeroStrategyByteFallsBackCold) {
   EXPECT_FALSE(Load.Loaded);
   EXPECT_EQ(Load.FallbackReason, "malformed slot");
   expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold, "strategy byte");
+}
+
+TEST(PersistCacheTest, OversizedBoundaryCountFallsBackBeforeAllocating) {
+  // A slot's boundary rows are allocated from its boundary count, so a
+  // count whose rows cannot fit in the rest of the body must be
+  // rejected before anything is allocated: anyone can re-seal a file,
+  // so the checksum does not stop it. The program stays small, since
+  // without the bound the load allocates 100,000 rows of its recorded
+  // nodes and elements before it fails.
+  ScratchDir Dir("boundaries");
+  RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok);
+  std::vector<char> Full = readFile(cacheFile(Dir.str()));
+  // The boundary count is the varint right after the strategy byte.
+  size_t At = strategyByteOffset(Full);
+  ASSERT_GT(At, HeaderBytes);
+  size_t CountBegin = At + 1, CountEnd = CountBegin;
+  while (CountEnd < Full.size() && (Full[CountEnd] & 0x80))
+    ++CountEnd;
+  ASSERT_LT(CountEnd, Full.size());
+  persist::ByteWriter Count;
+  Count.varint(100000);
+  Full.erase(Full.begin() + CountBegin, Full.begin() + CountEnd + 1);
+  Full.insert(Full.begin() + CountBegin, Count.buffer().begin(),
+              Count.buffer().end());
+  reseal(Full);
+  writeFile(cacheFile(Dir.str()), Full);
+
+  AnalyzedProgram P =
+      analyzeProgram(TwoProcProgram, withOptions().terminationGoal());
+  persist::CacheLoadResult Load = persist::loadWarmCache(Dir.str(), *P.An);
+  EXPECT_FALSE(Load.Loaded);
+  EXPECT_EQ(Load.FallbackReason, "malformed boundary count");
+  expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold,
+                          "boundary count");
 }
 
 TEST(PersistCacheTest, FormatVersionMismatchFallsBackCold) {

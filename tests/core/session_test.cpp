@@ -3,7 +3,7 @@
 #include "core/AnalysisSession.h"
 #include "frontend/PaperPrograms.h"
 #include "support/Json.h"
-#include "support/Metrics.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -77,9 +77,8 @@ TEST(AnalysisSessionTest, ResultsSurviveLaterRuns) {
   std::vector<std::string> FirstConds = conditionStrings(First.conditions());
   ASSERT_FALSE(FirstConds.empty());
 
-  // A second run with different options must not disturb the first
-  // result (it owns a separate frozen engine).
-  Session->options().terminationGoal(true);
+  // A second run must not disturb the first result (it solves an
+  // engine of its own).
   AnalysisResult Second = Session->run();
   EXPECT_EQ(conditionStrings(First.conditions()), FirstConds);
 
@@ -166,15 +165,22 @@ TEST(AnalysisSessionTest, MetricsAccumulateAcrossRuns) {
             Steps1);
 }
 
+/// Options that record into \p Trace.
+AnalysisOptions tracedOptions(TraceRecorder &Trace) {
+  AnalysisOptions Opts;
+  Opts.Telem.Trace = &Trace;
+  return Opts;
+}
+
 TEST(AnalysisSessionTest, TraceJsonLinesGolden) {
-  auto Session = makeSession(paper::ForProgram);
+  TraceRecorder Trace;
+  auto Session = makeSession(paper::ForProgram, tracedOptions(Trace));
   ASSERT_NE(Session, nullptr);
-  Session->enableTracing();
   Session->run();
 
   std::ostringstream OS;
   StreamTraceSink Sink(OS, TraceFormat::JsonLines);
-  Session->flushTrace(Sink);
+  Trace.flushTo(Sink);
 
   const std::set<std::string> Vocabulary{
       "phase_begin",  "phase_end",    "component_begin", "component_end",
@@ -214,21 +220,21 @@ TEST(AnalysisSessionTest, TraceJsonLinesGolden) {
   // Flushing consumed the events.
   std::ostringstream OS2;
   StreamTraceSink Sink2(OS2, TraceFormat::JsonLines);
-  Session->flushTrace(Sink2);
+  Trace.flushTo(Sink2);
   EXPECT_TRUE(OS2.str().empty());
 }
 
 TEST(AnalysisSessionTest, ChromeTraceOfDefaultRunIsOneBalancedThread) {
   // An analysis runs on one thread: every span of the default run sits
   // on a single tid, and its B/E events balance.
-  auto Session = makeSession(paper::McCarthyProgram);
+  TraceRecorder Trace;
+  auto Session = makeSession(paper::McCarthyProgram, tracedOptions(Trace));
   ASSERT_NE(Session, nullptr);
-  Session->enableTracing();
   Session->run();
 
   std::ostringstream OS;
   StreamTraceSink Sink(OS, TraceFormat::Chrome);
-  Session->flushTrace(Sink);
+  Trace.flushTo(Sink);
 
   std::string Error;
   std::optional<json::Value> Doc = json::parse(OS.str(), &Error);
@@ -276,116 +282,37 @@ uint64_t liveSteps(const AnalysisResult &R) {
   return Live;
 }
 
-TEST(AnalysisSessionTest, EngineReuseOnlyWhenUnobserved) {
-  // A dropped result frees the engine for warm in-place reuse; a held
-  // one pins it and forces the next run onto a fresh engine. Findings
-  // are identical either way.
-  MetricsRegistry Metrics;
-  AnalysisOptions Opts;
-  Opts.Telem.Metrics = &Metrics;
-  auto Session = makeSession(paper::McCarthyProgram, Opts);
+TEST(AnalysisSessionTest, LaterRunBuildsItsOwnEngine) {
+  // The first run adopts the engine create() built; every later run
+  // solves an engine of its own, cold, whether or not an earlier
+  // result still holds the previous one. Findings are identical.
+  auto Session = makeSession(paper::McCarthyProgram);
   ASSERT_NE(Session, nullptr);
-
-  json::Value ColdFindings;
-  uint64_t ColdLive = 0;
-  {
-    AnalysisResult First = Session->run();
-    ColdFindings = findingsOnly(First);
-    ColdLive = liveSteps(First);
-  } // First dropped: nothing can observe the engine anymore
-  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
+  AnalysisResult First = Session->run();
+  json::Value ColdFindings = findingsOnly(First);
+  uint64_t ColdLive = liveSteps(First);
   EXPECT_GT(ColdLive, 0u);
 
-  AnalysisResult Warm = Session->run();
-  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 1u);
-  EXPECT_TRUE(findingsOnly(Warm) == ColdFindings);
-  // The in-memory warm chain replays every stable component.
-  EXPECT_EQ(liveSteps(Warm), 0u);
+  {
+    AnalysisResult Second = Session->run();
+    EXPECT_NE(&Second.debugger(), &First.debugger());
+    EXPECT_TRUE(findingsOnly(Second) == ColdFindings);
+    EXPECT_EQ(liveSteps(Second), ColdLive);
+  } // Second dropped: nothing holds its engine any more
 
-  // Warm is still alive and shares the engine: this run must not touch
-  // it (immutability of published results) and builds a fresh engine.
-  AnalysisResult Pinned = Session->run();
-  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 1u);
-  EXPECT_TRUE(findingsOnly(Pinned) == ColdFindings);
-  EXPECT_EQ(liveSteps(Pinned), ColdLive);
+  AnalysisResult Third = Session->run();
+  EXPECT_TRUE(findingsOnly(Third) == ColdFindings);
+  EXPECT_EQ(liveSteps(Third), ColdLive);
+  // The earlier result is unchanged.
+  EXPECT_TRUE(findingsOnly(First) == ColdFindings);
+  EXPECT_EQ(liveSteps(First), ColdLive);
 }
 
-TEST(AnalysisSessionTest, OptionChangeForcesFreshEngine) {
-  MetricsRegistry Metrics;
-  AnalysisOptions Opts;
-  Opts.Telem.Metrics = &Metrics;
-  auto Session = makeSession(paper::ForProgram, Opts);
-  ASSERT_NE(Session, nullptr);
-  Session->run(); // result dropped immediately
-  Session->options().NarrowingPasses += 1;
-  AnalysisResult R = Session->run();
-  // Changed configuration: the kept engine is not compatible, so no
-  // reuse happened and the run paid a cold solve under the new knobs.
-  EXPECT_EQ(Metrics.counterValue("session.engine_reuses"), 0u);
-  EXPECT_GT(liveSteps(R), 0u);
-}
-
-/// Number of pruned (dead-slot) bindings over every main-routine point.
-size_t prunedBindings(const AnalysisResult &R) {
-  size_t N = 0;
-  for (const PointState &S : R.mainStates())
-    N += S.PrunedVars.size();
-  return N;
-}
-
-TEST(AnalysisSessionTest, PruneChangeForcesFreshEngine) {
-  // Engine reuse compares every option member: turning pruning off
-  // after a pruned run must rebuild the engine, not re-run the pruned
-  // one and keep reporting dead slots.
-  const char *Source = "program p;\n"
-                       "var i, n : integer;\n"
-                       "    T : array [1..100] of integer;\n"
-                       "begin\n"
-                       "  read(n);\n"
-                       "  for i := 0 to n do\n"
-                       "    read(T[i])\n"
-                       "end.\n";
-  auto Session = makeSession(Source);
-  ASSERT_NE(Session, nullptr);
-  EXPECT_GT(prunedBindings(Session->run()), 0u);
-
-  Session->options().prune(false);
-  AnalysisResult Unpruned = Session->run();
-  auto Fresh = makeSession(Source, AnalysisOptions().prune(false));
-  ASSERT_NE(Fresh, nullptr);
-  AnalysisResult Reference = Fresh->run();
-  EXPECT_EQ(prunedBindings(Reference), 0u);
-  EXPECT_EQ(prunedBindings(Unpruned), 0u);
-  EXPECT_TRUE(findingsOnly(Unpruned) == findingsOnly(Reference));
-}
-
-TEST(AnalysisSessionTest, OptionChangeBeforeFirstRunRebuildsTheEngine) {
-  // create() builds the engine the first run adopts, but only under the
-  // options it was built with. Under intervals StrideSearch keeps a
-  // strided bound check open that the product discharges, so a run that
-  // adopted the stale interval engine would show.
-  auto Session = makeSession(paper::StrideSearchProgram);
-  ASSERT_NE(Session, nullptr);
-  Session->options().domain(DomainKind::Product);
-  AnalysisResult R = Session->run();
-  EXPECT_EQ(R.toJson().find("domain")->asString(), "product");
-  EXPECT_TRUE(R.checks().allSafe());
-
-  auto Product = makeSession(paper::StrideSearchProgram,
-                             AnalysisOptions().domain(DomainKind::Product));
-  auto Interval = makeSession(paper::StrideSearchProgram);
-  ASSERT_NE(Product, nullptr);
-  ASSERT_NE(Interval, nullptr);
-  json::Value Expected = findingsOnly(Product->run());
-  EXPECT_TRUE(findingsOnly(R) == Expected);
-  EXPECT_FALSE(findingsOnly(Interval->run()) == Expected);
-}
-
-/// The token_unfold events in \p Session's recorder, flushed.
-unsigned tokenUnfoldEvents(AnalysisSession &Session) {
+/// The token_unfold events in \p Trace, flushed.
+unsigned tokenUnfoldEvents(TraceRecorder &Trace) {
   std::ostringstream OS;
   StreamTraceSink Sink(OS, TraceFormat::JsonLines);
-  Session.flushTrace(Sink);
+  Trace.flushTo(Sink);
   unsigned N = 0;
   std::istringstream In(OS.str());
   std::string Line;
@@ -396,18 +323,26 @@ unsigned tokenUnfoldEvents(AnalysisSession &Session) {
   return N;
 }
 
-TEST(AnalysisSessionTest, TracingEnabledAfterCreateRecordsTheEngineBuild) {
-  // create() builds without a recorder; enabling tracing afterwards
-  // changes the engine's telemetry, so the first run rebuilds under the
-  // recorder and the build's token unfoldings reach the trace.
-  auto Session = makeSession(paper::McCarthyProgram);
+TEST(AnalysisSessionTest, RecorderPassedToCreateSeesOneBuild) {
+  // create() builds the engine under the recorder its options name, and
+  // the run adopts that engine: the trace holds one token unfolding per
+  // instance, and the build's counters are counted once.
+  TraceRecorder Trace;
+  auto Session = makeSession(paper::McCarthyProgram, tracedOptions(Trace));
   ASSERT_NE(Session, nullptr);
-  Session->enableTracing();
   AnalysisResult R = Session->run();
   unsigned Instances =
       static_cast<unsigned>(R.analyzer().graph().instances().size());
   EXPECT_GT(Instances, 1u);
-  EXPECT_EQ(tokenUnfoldEvents(*Session), Instances);
+  EXPECT_EQ(tokenUnfoldEvents(Trace), Instances);
+  const json::Value *Counters = R.metrics().find("counters");
+  const json::Value *Gauges = R.metrics().find("gauges");
+  ASSERT_TRUE(Counters && Counters->find("interproc.instances"));
+  ASSERT_TRUE(Gauges && Gauges->find("graph.instances"));
+  EXPECT_EQ(Counters->find("interproc.instances")->asInt(),
+            Gauges->find("graph.instances")->asInt());
+  EXPECT_EQ(Gauges->find("graph.instances")->asInt(),
+            static_cast<int64_t>(Instances));
 }
 
 } // namespace

@@ -41,10 +41,9 @@ TEST(AnalyzerOptionsTest, ForwardOnlySkipsBackwardPhases) {
   const VarDecl *N = A.var("", "n");
   unsigned AfterRead = A.node("", "after read n");
   EXPECT_TRUE(A.An->storeOps().domain().intervals().isTop(A.envInt(AfterRead, N)));
-  for (const auto &[Name, Stores] : A.An->phaseSnapshots()) {
-    (void)Stores;
-    EXPECT_NE(Name, "always");
-    EXPECT_NE(Name, "eventually");
+  for (const PhaseStats &Phase : A.An->stats().Phases) {
+    EXPECT_NE(Phase.Name, "Invariant assertions");
+    EXPECT_NE(Phase.Name, "Intermittent assertions");
   }
 }
 
@@ -108,24 +107,21 @@ TEST(AnalyzerOptionsTest, ExtraBackwardRoundsRefineMonotonically) {
 TEST(AnalyzerOptionsTest, PhaseSnapshotsMatchSchedule) {
   auto A = analyzeProgram(
       paper::FactProgram, withOptions().backwardRounds(2).terminationGoal());
-  // forward, then 2 x (always, eventually, forward).
+  // Two forward passes, then 2 x (always, eventually, forward).
   std::vector<std::string> Names;
-  for (const auto &[Name, Stores] : A.An->phaseSnapshots()) {
-    (void)Stores;
-    Names.push_back(Name);
-  }
-  ASSERT_EQ(Names.size(), 7u);
-  EXPECT_EQ(Names[0], "forward");
-  EXPECT_EQ(Names[1], "always");
-  EXPECT_EQ(Names[2], "eventually");
-  EXPECT_EQ(Names[3], "forward");
-  EXPECT_EQ(Names[4], "always");
+  for (const PhaseStats &Phase : A.An->stats().Phases)
+    Names.push_back(Phase.Name);
+  const std::vector<std::string> Expected = {
+      "Forward analysis",        "Forward refinement",
+      "Invariant assertions",    "Intermittent assertions",
+      "Forward analysis",        "Invariant assertions",
+      "Intermittent assertions", "Forward analysis"};
+  EXPECT_EQ(Names, Expected);
 }
 
 TEST(AnalyzerOptionsTest, EqualityComparesEveryMember) {
-  // operator== is the one definition of "same configuration" behind
-  // engine reuse: each knob on its own must make two option sets
-  // unequal.
+  // operator== is the one definition of "same configuration": each
+  // knob on its own must make two option sets unequal.
   const AnalysisOptions Base;
   EXPECT_TRUE(AnalysisOptions(Base) == Base);
   MetricsRegistry Metrics;
