@@ -43,20 +43,13 @@ void build(Built &B, const std::string &Source) {
   B.Cfg = Builder.build(B.Prog);
 }
 
-/// Runs one ablation configuration. When \p Warm is given, the sweep
-/// tries to transplant its chain-slot memos first (importWarmFrom):
-/// phases the swept knob does not affect then replay instead of
-/// re-iterating, and the row reports the work saved. Knobs that change
-/// solver semantics (narrowing passes, widening thresholds) are
-/// auto-rejected by the transplant check, so every configuration's
-/// numbers stay those of a sound fixpoint.
-std::unique_ptr<Analyzer> runConfig(bench::Harness &H, const char *Name,
-                                    const Built &B, const char *Label,
-                                    Analyzer::Options Opts,
-                                    const Analyzer *Warm = nullptr) {
+/// Runs one ablation configuration cold, on its own engine. The
+/// component_skips/saved_steps columns count the replays within the
+/// run (a later refinement round replaying an earlier one).
+void runConfig(bench::Harness &H, const char *Name, const Built &B,
+               const char *Label, const AnalysisOptions &Opts) {
   auto Start = std::chrono::steady_clock::now();
   auto An = std::make_unique<Analyzer>(*B.Cfg, B.Prog, Opts);
-  bool Transplanted = Warm && An->importWarmFrom(*Warm);
   An->run();
   double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
@@ -83,11 +76,10 @@ std::unique_ptr<Analyzer> runConfig(bench::Harness &H, const char *Name,
   }
   CheckSummary Checks = CheckAnalysis(*An).summary();
   std::printf("  %-34s precision: %6llu finite bounds, checks: %u/%u "
-              "safe, steps: %7llu, time: %.4fs%s\n",
+              "safe, steps: %7llu, time: %.4fs\n",
               Label, (unsigned long long)FiniteBounds,
               Checks.Safe + Checks.Unreachable, Checks.Total,
-              (unsigned long long)Steps, Seconds,
-              Transplanted ? " [warm]" : "");
+              (unsigned long long)Steps, Seconds);
   json::Value Row = json::Value::object();
   Row.set("program", Name);
   Row.set("config", Label);
@@ -97,11 +89,9 @@ std::unique_ptr<Analyzer> runConfig(bench::Harness &H, const char *Name,
   Row.set("checks_total", Checks.Total);
   Row.set("steps", Steps);
   Row.set("seconds", Seconds);
-  Row.set("warm_transplant", Transplanted);
   Row.set("component_skips", Skips);
   Row.set("saved_steps", Saved);
   H.row(std::move(Row));
-  return An;
 }
 
 void ablate(bench::Harness &H, const char *Name, const std::string &Source) {
@@ -113,36 +103,31 @@ void ablate(bench::Harness &H, const char *Name, const std::string &Source) {
   }
   std::printf("---- %s ----\n", Name);
 
-  Analyzer::Options Base = H.options();
-  std::unique_ptr<Analyzer> BaseRun =
-      runConfig(H, Name, B, "recursive strategy (default)", Base);
+  AnalysisOptions Base = H.options();
+  runConfig(H, Name, B, "recursive strategy (default)", Base);
 
-  Analyzer::Options NoNarrow = Base;
+  AnalysisOptions NoNarrow = Base;
   NoNarrow.NarrowingPasses = 0;
-  runConfig(H, Name, B, "no narrowing (overshoots)", NoNarrow,
-            BaseRun.get());
+  runConfig(H, Name, B, "no narrowing (overshoots)", NoNarrow);
 
-  Analyzer::Options TwoNarrow = Base;
+  AnalysisOptions TwoNarrow = Base;
   TwoNarrow.NarrowingPasses = 2;
-  runConfig(H, Name, B, "two narrowing passes", TwoNarrow, BaseRun.get());
+  runConfig(H, Name, B, "two narrowing passes", TwoNarrow);
 
-  Analyzer::Options Thresholds = Base;
+  AnalysisOptions Thresholds = Base;
   Thresholds.WideningThresholds = {-1, 0, 1, 10, 100, 101};
-  runConfig(H, Name, B, "threshold widening {0,1,10,100,...}", Thresholds,
-            BaseRun.get());
+  runConfig(H, Name, B, "threshold widening {0,1,10,100,...}", Thresholds);
 
-  Analyzer::Options Rounds = Base;
+  AnalysisOptions Rounds = Base;
   Rounds.BackwardRounds = 2;
-  runConfig(H, Name, B, "two backward/forward rounds", Rounds,
-            BaseRun.get());
+  runConfig(H, Name, B, "two backward/forward rounds", Rounds);
 
-  // The domain dimension. Changing the domain changes the solver
-  // semantics, so no warm transplant: these are cold, comparable runs.
-  Analyzer::Options Congr = Base;
+  // The domain dimension.
+  AnalysisOptions Congr = Base;
   Congr.Domain = DomainKind::Congruence;
   runConfig(H, Name, B, "congruence domain (aZ+b)", Congr);
 
-  Analyzer::Options Product = Base;
+  AnalysisOptions Product = Base;
   Product.Domain = DomainKind::Product;
   runConfig(H, Name, B, "product domain (interval x congr)", Product);
 

@@ -20,9 +20,7 @@
 #include "frontend/PaperPrograms.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
-#include "semantics/Analyzer.h"
 
-#include <chrono>
 #include <cstdio>
 
 using namespace syntox;
@@ -49,45 +47,6 @@ static void runProgram(bench::Harness &H, const char *Name,
     Row.set("outcome", O.str());
     H.row(std::move(Row));
   }
-
-  // Cold vs warm-transplanted abstract debugging on the same build: a
-  // second Analyzer that imports the first one's chain-slot memos
-  // should replay every stable component instead of re-iterating.
-  auto runOnce = [&](const Analyzer *Warm, double &Seconds,
-                     uint64_t &Steps, uint64_t &Saved) {
-    auto Start = std::chrono::steady_clock::now();
-    auto An = std::make_unique<Analyzer>(*Cfg, Prog, H.options());
-    if (Warm)
-      An->importWarmFrom(*Warm);
-    An->run();
-    Seconds = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
-    Steps = Saved = 0;
-    for (const PhaseStats &P : An->stats().Phases) {
-      Steps += P.WideningSteps + P.NarrowingSteps;
-      Saved += P.SkippedSteps;
-    }
-    return An;
-  };
-  double ColdSecs = 0, WarmSecs = 0;
-  uint64_t ColdSteps = 0, ColdSaved = 0, WarmSteps = 0, WarmSaved = 0;
-  auto Cold = runOnce(nullptr, ColdSecs, ColdSteps, ColdSaved);
-  H.recordPhases(std::string(Name) + "/cold", Cold->stats(), ColdSecs);
-  auto WarmAn = runOnce(Cold.get(), WarmSecs, WarmSteps, WarmSaved);
-  H.recordPhases(std::string(Name) + "/warm", WarmAn->stats(), WarmSecs);
-  std::printf("  abstract-debugging warm transplant: %llu -> %llu live "
-              "steps (%llu replayed)\n",
-              (unsigned long long)ColdSteps, (unsigned long long)WarmSteps,
-              (unsigned long long)WarmSaved);
-  json::Value Row = json::Value::object();
-  Row.set("program", Name);
-  Row.set("cold_steps", ColdSteps);
-  Row.set("warm_steps", WarmSteps);
-  Row.set("warm_saved_steps", WarmSaved);
-  Row.set("cold_seconds", ColdSecs);
-  Row.set("warm_seconds", WarmSecs);
-  H.row(std::move(Row));
   std::printf("\n");
 }
 

@@ -48,13 +48,12 @@ struct Measurement {
 
 double timeOnce(bench::Harness &H, const std::string &Label,
                 const std::string &Source,
-                const AbstractDebugger::Options &Opts, unsigned *Points) {
+                const AnalysisOptions &Opts, unsigned *Points) {
   double Best = 1e9;
   const AnalysisStats *Stats = nullptr;
   std::unique_ptr<AbstractDebugger> Last;
   for (int I = 0; I < 3; ++I) {
-    // A fresh debugger per repetition so no state (the warm-start
-    // slots, say) carries across analyze() calls.
+    // A fresh debugger per repetition: an engine runs once.
     DiagnosticsEngine Diags;
     auto Dbg = AbstractDebugger::create(Source, Diags, Opts);
     if (!Dbg) {
@@ -80,7 +79,7 @@ Measurement measure(bench::Harness &H, const std::string &Label,
                     const std::string &Source) {
   Measurement M;
   M.Seconds = timeOnce(H, Label, Source, H.options(), &M.Points);
-  AbstractDebugger::Options Chain = H.options();
+  AnalysisOptions Chain = H.options();
   Chain.BackwardRounds = 3;
   Chain.WarmStart = true;
   M.Warm3Seconds = timeOnce(H, Label + "/warm3", Source, Chain, nullptr);

@@ -39,15 +39,17 @@ struct PaperRow {
 
 void row(bench::Harness &H, const char *Name, const std::string &Source,
          PaperRow Paper) {
-  DiagnosticsEngine Diags;
-  auto Dbg = AbstractDebugger::create(Source, Diags, H.options());
-  if (!Dbg) {
-    std::printf("%-12s frontend error\n", Name);
-    return;
-  }
-  // Median-ish of three runs for the time column.
+  // Best of three runs for the time column, each on a fresh debugger:
+  // an engine runs once.
   double Best = 1e9;
+  std::unique_ptr<AbstractDebugger> Dbg;
   for (int K = 0; K < 3; ++K) {
+    DiagnosticsEngine Diags;
+    Dbg = AbstractDebugger::create(Source, Diags, H.options());
+    if (!Dbg) {
+      std::printf("%-12s frontend error\n", Name);
+      return;
+    }
     auto Start = std::chrono::steady_clock::now();
     Dbg->analyze();
     double T = std::chrono::duration<double>(

@@ -34,14 +34,16 @@ if [ "$NO_TSAN" -eq 0 ]; then
 fi
 if [ "$NO_ASAN" -eq 0 ]; then
   # ASan+UBSan over the suites that exercise the solver and the
-  # semantics layer (including the demand-driven query battery).
+  # semantics layer (including the demand-driven query battery) and
+  # the engine lifetimes (sessions, debuggers, batches, cache loads).
   echo "== preset: asan (fixpoint/semantics suites) =="
   ASAN_SUITES="wto_test solver_test analyzer_test
                transfer_test interproc_test store_test store_cow_test
                store_soa_test store_product_test expr_semantics_test
                soundness_test demand_query_test liveness_prune_test
                congruence_test domain_test domain_differential_test
-               serve_test cache_gc_test"
+               serve_test cache_gc_test session_test debugger_test
+               batch_test persist_cache_test"
   cmake --preset asan
   # shellcheck disable=SC2086
   cmake --build build-asan -j "$(nproc)" --target $ASAN_SUITES syntox_serve

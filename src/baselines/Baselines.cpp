@@ -21,8 +21,8 @@ const char *syntox::baselineKindName(BaselineKind Kind) {
   return "?";
 }
 
-Analyzer::Options syntox::baselineOptions(BaselineKind Kind) {
-  Analyzer::Options Opts;
+AnalysisOptions syntox::baselineOptions(BaselineKind Kind) {
+  AnalysisOptions Opts;
   switch (Kind) {
   case BaselineKind::FullAbstractDebugging:
     break;

@@ -40,7 +40,7 @@ enum class BaselineKind {
 const char *baselineKindName(BaselineKind Kind);
 
 /// Translates a baseline into analyzer options.
-Analyzer::Options baselineOptions(BaselineKind Kind);
+AnalysisOptions baselineOptions(BaselineKind Kind);
 
 /// Measured outcome of one configuration on one program.
 struct BaselineOutcome {

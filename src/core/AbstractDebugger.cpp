@@ -17,7 +17,7 @@ using namespace syntox;
 
 std::unique_ptr<AbstractDebugger>
 AbstractDebugger::create(const std::string &Source, DiagnosticsEngine &Diags,
-                         Options Opts) {
+                         AnalysisOptions Opts) {
   auto Ctx = std::make_unique<AstContext>();
   Lexer Lex(Source, Diags);
   Parser P(Lex.lexAll(), *Ctx, Diags);
@@ -36,27 +36,20 @@ AbstractDebugger::create(const std::string &Source, DiagnosticsEngine &Diags,
   Dbg->Ctx = std::move(Ctx);
   Dbg->Cfg = std::move(Cfg);
   Dbg->Program = Program;
-  Dbg->Opts = Opts;
-  Dbg->An = std::make_unique<Analyzer>(*Dbg->Cfg, Program, Opts);
+  Dbg->An = std::make_unique<Analyzer>(*Dbg->Cfg, Program, std::move(Opts));
   return Dbg;
 }
 
 AbstractDebugger::~AbstractDebugger() = default;
 
 void AbstractDebugger::analyze() {
-  // Repeated analyze() calls re-run the chain on the same engine. With
-  // warm starts on (the default), the analyzer's warm slots survive
-  // between runs, so a re-analysis replays every phase whose recorded
-  // inputs still verify and only re-derives the findings — the results
-  // are bitwise-identical to the first call either way.
-  //
-  // The persistent on-disk cache (AnalysisOptions::CacheDir) is the
-  // session layer's business: AnalysisSession loads warm state into
-  // the engine before this call and saves the recordings after it.
+  // The analyzer refuses a second run before touching any result. The
+  // persistent on-disk cache (AnalysisOptions::CacheDir) is the session
+  // layer's business: AnalysisSession loads warm state into the engine
+  // before this call and saves the recordings after it.
   An->run();
   Checks = std::make_unique<CheckAnalysis>(*An);
-  Analyzed = true;
-  DemandAnalyzed = false;
+  Ran = RunKind::Full;
   deriveConditions();
   deriveInvariantWarnings();
 }
@@ -78,12 +71,6 @@ pointsAt(const SuperGraph &G, SourceLoc Loc) {
 }
 
 void AbstractDebugger::analyzeDemand(const DemandSpec &Spec) {
-  if (Analyzed)
-    throw std::logic_error(
-        "analyzeDemand() on an analyzed debugger would overwrite the "
-        "published full-analysis results; use a fresh debugger (the "
-        "AnalysisSession demand queries do)");
-
   const SuperGraph &G = An->graph();
   std::vector<unsigned> Query;
   if (Spec.K == DemandSpec::Kind::Check) {
@@ -99,51 +86,35 @@ void AbstractDebugger::analyzeDemand(const DemandSpec &Spec) {
       Query.push_back(G.node(*Inst, P));
   }
 
-  // Demand runs compose with the warm chain exactly like full runs
-  // (out-of-cone components replay from it) but never record back: the
-  // chain slots — and hence the on-disk cache the session layer saves
-  // them to — only ever hold full recordings.
+  // Demand runs compose with a loaded chain exactly like full runs
+  // (out-of-cone components replay from it) but are never saved: the
+  // on-disk cache only ever holds full recordings.
   An->runDemand(Query);
-  DemandAnalyzed = true;
+  Ran = RunKind::Demand;
   deriveConditions(&An->demandMask());
   deriveInvariantWarnings(&An->demandMask());
 }
 
-void AbstractDebugger::requireAnalyzed(const char *Query) const {
-  if (!Analyzed)
+void AbstractDebugger::requireRun(RunKind Want, const char *Query) const {
+  if (Ran != Want)
     throw std::logic_error(std::string(Query) +
-                           " requires a completed analyze() call");
-}
-
-void AbstractDebugger::requireDemandAnalyzed(const char *Query) const {
-  if (!DemandAnalyzed)
-    throw std::logic_error(std::string(Query) +
-                           " requires a completed analyzeDemand() call");
+                           (Want == RunKind::Full
+                                ? " requires a completed analyze() call"
+                                : " requires a completed analyzeDemand() "
+                                  "call"));
 }
 
 bool AbstractDebugger::someExecutionMaySatisfySpec() const {
-  requireAnalyzed("someExecutionMaySatisfySpec()");
+  requireRun(RunKind::Full, "someExecutionMaySatisfySpec()");
   return !An->envelopeAt(An->graph().mainEntry()).isBottom();
-}
-
-/// All predecessor nodes of \p Node in the supergraph (including the
-/// frozen-frame side input of call returns).
-static std::vector<unsigned> predecessors(const SuperGraph &G,
-                                          unsigned Node) {
-  std::vector<unsigned> Out;
-  for (unsigned EdgeIdx : G.inEdges(Node)) {
-    const SuperEdge &E = G.edges()[EdgeIdx];
-    Out.push_back(E.From);
-    if (E.K == SuperEdge::Kind::CallOut ||
-        E.K == SuperEdge::Kind::ChannelOut)
-      Out.push_back(G.links()[E.Link].NodeP);
-  }
-  return Out;
 }
 
 void AbstractDebugger::deriveConditions(const std::vector<uint8_t> *Cone) {
   Conditions.clear();
   const SuperGraph &G = An->graph();
+  // Every node whose value the node's equation reads: the source of
+  // each in-edge, plus the caller's frozen frame at a call return.
+  const Digraph &Dep = An->forwardDependencies();
   const StoreOps &Ops = An->storeOps();
   const ValueDomain &D = Ops.domain();
   std::set<std::string> Dedup;
@@ -170,7 +141,7 @@ void AbstractDebugger::deriveConditions(const std::vector<uint8_t> *Cone) {
       // The whole point is excluded by the specification: report the
       // frontier only (first such point on a path).
       bool IsFrontier = true;
-      for (unsigned Pred : predecessors(G, Node))
+      for (unsigned Pred : Dep.preds(Node))
         IsFrontier &= !(An->envelopeAt(Pred).isBottom() &&
                         !An->forwardAt(Pred).isBottom());
       if (!IsFrontier || !Loc.isValid())
@@ -193,7 +164,7 @@ void AbstractDebugger::deriveConditions(const std::vector<uint8_t> *Cone) {
       // Report only at the origin: no predecessor already carries the
       // same tightening for this variable.
       bool IsFrontier = true;
-      for (unsigned Pred : predecessors(G, Node)) {
+      for (unsigned Pred : Dep.preds(Node)) {
         if (An->forwardAt(Pred).isBottom())
           continue;
         if (An->envelopeAt(Pred).isBottom() || Tighter(Pred, V))
@@ -305,7 +276,7 @@ static PointState pointState(const Analyzer &An, const Instance &Inst,
 }
 
 std::vector<PointState> AbstractDebugger::stateAt(SourceLoc Loc) const {
-  requireAnalyzed("stateAt()");
+  requireRun(RunKind::Full, "stateAt()");
   std::vector<PointState> Out;
   for (auto [Inst, P] : pointsAt(An->graph(), Loc))
     Out.push_back(pointState(*An, *Inst, P));
@@ -314,7 +285,7 @@ std::vector<PointState> AbstractDebugger::stateAt(SourceLoc Loc) const {
 
 std::vector<PointState>
 AbstractDebugger::demandStateAt(SourceLoc Loc) const {
-  requireDemandAnalyzed("demandStateAt()");
+  requireRun(RunKind::Demand, "demandStateAt()");
   const SuperGraph &G = An->graph();
   const std::vector<uint8_t> &Cone = An->demandMask();
   std::vector<PointState> Out;
@@ -331,7 +302,7 @@ AbstractDebugger::demandStateAt(SourceLoc Loc) const {
 }
 
 bool AbstractDebugger::demandCovers(SourceLoc Loc) const {
-  requireDemandAnalyzed("demandCovers()");
+  requireRun(RunKind::Demand, "demandCovers()");
   const SuperGraph &G = An->graph();
   const std::vector<uint8_t> &Cone = An->demandMask();
   for (auto [Inst, P] : pointsAt(G, Loc))
@@ -341,7 +312,7 @@ bool AbstractDebugger::demandCovers(SourceLoc Loc) const {
 }
 
 CheckResult AbstractDebugger::demandCheck(unsigned CheckId) const {
-  requireDemandAnalyzed("demandCheck()");
+  requireRun(RunKind::Demand, "demandCheck()");
   const std::vector<uint8_t> &Cone = An->demandMask();
   for (unsigned Node : CheckAnalysis::checkNodes(*An, CheckId))
     if (Cone.empty() || !Cone[Node])
@@ -354,7 +325,7 @@ CheckResult AbstractDebugger::demandCheck(unsigned CheckId) const {
 
 std::vector<PointState>
 AbstractDebugger::mainStates(const std::string &DescFilter) const {
-  requireAnalyzed("mainStates()");
+  requireRun(RunKind::Full, "mainStates()");
   const SuperGraph &G = An->graph();
   const Instance &Main = G.instances()[0];
   std::vector<PointState> Out;

@@ -18,10 +18,12 @@
 ///    click-on-a-statement inspector, Figure 2),
 ///  - the Figure 2 analysis statistics.
 ///
-/// Querying before analyze() throws std::logic_error — it used to read
-/// uninitialized state. Prefer the AnalysisSession/AnalysisResult API
-/// (core/AnalysisSession.h), which makes the run/query phases explicit
-/// in the types.
+/// A debugger runs once, either analyze() or analyzeDemand(); a second
+/// run of either kind throws std::logic_error and leaves the first
+/// run's results as they were. Querying before the run throws
+/// std::logic_error too — it used to read uninitialized state. Prefer
+/// the AnalysisSession/AnalysisResult API (core/AnalysisSession.h),
+/// which makes the run/query phases explicit in the types.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +38,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,27 +125,20 @@ struct DemandSpec {
 
 class AbstractDebugger {
 public:
-  /// Historical spelling of the shared options struct. The old nested
-  /// `Options::Analysis` member is gone: what used to be
-  /// `Opts.Analysis.Domain` is now just `Opts.Domain`.
-  using Options = AnalysisOptions;
-
   /// Parses, checks, lowers and prepares \p Source. Returns null (with
   /// diagnostics in \p Diags) when the program has frontend errors.
   static std::unique_ptr<AbstractDebugger>
   create(const std::string &Source, DiagnosticsEngine &Diags,
-         Options Opts = Options());
+         AnalysisOptions Opts = AnalysisOptions());
 
   ~AbstractDebugger();
 
   /// Runs the analysis schedule; must be called before the queries.
-  /// May be called again: a re-analysis warm-starts from the previous
-  /// run's recordings (unless WarmStart is off) and produces identical
-  /// results.
+  /// Throws std::logic_error when this debugger already ran.
   void analyze();
 
   /// Whether analyze() has completed (the queries below require it).
-  bool analyzed() const { return Analyzed; }
+  bool analyzed() const { return Ran == RunKind::Full; }
 
   /// \name Demand-driven queries
   /// Solves only the backward dependency cone of one query instead of
@@ -155,19 +151,12 @@ public:
   /// @{
 
   /// Runs the cone-restricted analysis for \p Spec. Composes with
-  /// WarmStart exactly like analyze() — a warm chain (in-memory, or
-  /// one the session layer loaded from the on-disk cache) replays
-  /// everything outside the cone — but never writes back (the chain
-  /// slots and the on-disk cache only ever hold full recordings).
-  /// Throws std::logic_error on a debugger that already ran a full
-  /// analyze() (the demand run would overwrite its published
-  /// results); std::out_of_range for an unknown check id. May be
-  /// called repeatedly with different specs.
+  /// WarmStart exactly like analyze() — a chain the session layer
+  /// loaded from the on-disk cache replays everything outside the
+  /// cone — but is never saved (the on-disk cache only ever holds full
+  /// recordings). Throws std::out_of_range for an unknown check id,
+  /// and std::logic_error when this debugger already ran.
   void analyzeDemand(const DemandSpec &Spec);
-
-  /// Whether analyzeDemand() has completed (the demand queries below
-  /// require it).
-  bool demandAnalyzed() const { return DemandAnalyzed; }
 
   /// The abstract state at every control point matching \p Loc, like
   /// stateAt(), but answered from the demand run. Throws
@@ -188,14 +177,14 @@ public:
   /// points these equal the full-analysis conditions; conditions whose
   /// origin lies outside the cone are absent.
   const std::vector<NecessaryCondition> &demandConditions() const {
-    requireDemandAnalyzed("demandConditions()");
+    requireRun(RunKind::Demand, "demandConditions()");
     return Conditions;
   }
 
   /// Invariant warnings derived inside the solved cone (same caveat as
   /// demandConditions()).
   const std::vector<InvariantWarning> &demandInvariantWarnings() const {
-    requireDemandAnalyzed("demandInvariantWarnings()");
+    requireRun(RunKind::Demand, "demandInvariantWarnings()");
     return InvariantWarnings;
   }
 
@@ -207,19 +196,19 @@ public:
 
   /// Derived necessary conditions at their origin points.
   const std::vector<NecessaryCondition> &conditions() const {
-    requireAnalyzed("conditions()");
+    requireRun(RunKind::Full, "conditions()");
     return Conditions;
   }
 
   /// Invariant assertions the forward analysis could not discharge.
   const std::vector<InvariantWarning> &invariantWarnings() const {
-    requireAnalyzed("invariantWarnings()");
+    requireRun(RunKind::Full, "invariantWarnings()");
     return InvariantWarnings;
   }
 
   /// Classification of every runtime check.
   const CheckAnalysis &checks() const {
-    requireAnalyzed("checks()");
+    requireRun(RunKind::Full, "checks()");
     return *Checks;
   }
 
@@ -237,8 +226,9 @@ public:
   /// Figure 2 statistics (of the full or the demand run, whichever
   /// completed).
   const AnalysisStats &stats() const {
-    if (!Analyzed)
-      requireDemandAnalyzed("stats()");
+    if (Ran == RunKind::None)
+      throw std::logic_error("stats() requires a completed analyze() or "
+                             "analyzeDemand() call");
     return An->stats();
   }
 
@@ -248,18 +238,21 @@ public:
   AstContext &context() { return *Ctx; }
 
 private:
+  /// The run this debugger made: none yet, analyze(), or
+  /// analyzeDemand().
+  enum class RunKind : uint8_t { None, Full, Demand };
+
   AbstractDebugger() = default;
   /// \p Cone restricts derivation to in-cone nodes (demand runs; null
   /// = all nodes). The cone is predecessor-closed over the forward
   /// dependencies, so every value the frontier tests read is in-cone.
   void deriveConditions(const std::vector<uint8_t> *Cone = nullptr);
   void deriveInvariantWarnings(const std::vector<uint8_t> *Cone = nullptr);
-  /// Throws std::logic_error mentioning \p Query when analyze() has not
-  /// completed (such reads returned garbage before this guard existed).
-  void requireAnalyzed(const char *Query) const;
-  /// Same contract for the demand-query entry points: pre-run queries
-  /// throw std::logic_error, exactly like the full-analysis queries.
-  void requireDemandAnalyzed(const char *Query) const;
+  /// Throws std::logic_error mentioning \p Query unless this debugger's
+  /// run was of kind \p Want (such reads returned garbage before this
+  /// guard existed). A demand run never satisfies the full-result
+  /// guard: its values outside the cone are unspecified.
+  void requireRun(RunKind Want, const char *Query) const;
 
   /// The session layer owns the persistent-cache composition (loading
   /// warm state into the analyzer before a run, saving it after) and
@@ -272,9 +265,7 @@ private:
   std::unique_ptr<Analyzer> An;
   std::unique_ptr<CheckAnalysis> Checks;
   RoutineDecl *Program = nullptr;
-  Options Opts;
-  bool Analyzed = false;
-  bool DemandAnalyzed = false;
+  RunKind Ran = RunKind::None;
   std::vector<NecessaryCondition> Conditions;
   std::vector<InvariantWarning> InvariantWarnings;
 };

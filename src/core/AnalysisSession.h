@@ -14,11 +14,10 @@
 /// check classifications, statistics, a metrics snapshot, and
 /// structured per-point state queries.
 ///
-/// The split fixes the footgun of the bare AbstractDebugger API, where
-/// results were mutable views into an object that a later analyze()
-/// could silently invalidate: each run() freezes its engine behind
-/// shared const ownership, so results outlive the session and never
-/// change under the caller.
+/// The split fixes the footgun of the bare AbstractDebugger API, whose
+/// results are views into an object the caller must keep alive: each
+/// run() freezes its engine behind shared const ownership, so results
+/// outlive the session and never change under the caller.
 ///
 /// The session is also the sole owner of the persistent warm-start
 /// cache composition (AnalysisOptions::CacheDir): it loads matching
@@ -208,10 +207,10 @@ public:
   AnalysisResult run();
 
   /// Demand-driven point query: solves only the backward dependency
-  /// cone of the control points matching \p Loc (replaying everything
-  /// outside the cone from warm memos at zero live steps) and returns
-  /// the frozen partial result. Answers are bitwise-identical to the
-  /// same query against run(). Like run(), may be called repeatedly.
+  /// cone of the control points matching \p Loc (everything outside the
+  /// cone runs zero live steps) and returns the frozen partial result.
+  /// Answers are bitwise-identical to the same query against run().
+  /// Like run(), may be called repeatedly.
   DemandResult demandStateAt(SourceLoc Loc);
 
   /// Demand-driven check query: solves only the cone of runtime check

@@ -25,12 +25,6 @@ public:
   Digraph() = default;
   explicit Digraph(unsigned NumNodes) { resize(NumNodes); }
 
-  unsigned addNode() {
-    Succs.emplace_back();
-    Preds.emplace_back();
-    return static_cast<unsigned>(Succs.size() - 1);
-  }
-
   void resize(unsigned NumNodes) {
     Succs.resize(NumNodes);
     Preds.resize(NumNodes);

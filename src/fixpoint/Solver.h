@@ -106,6 +106,10 @@ enum class FixpointKind {
   Gfp,
 };
 
+/// The Gfp descending loop's safety net: a Gfp solve runs at most this
+/// many sweeps, so its memo holds at most this many boundaries.
+inline constexpr unsigned MaxGfpSweeps = 1000;
+
 /// Counters reported by one solver run.
 struct SolverStats {
   uint64_t AscendingSteps = 0;  ///< equation evaluations while ascending
@@ -355,9 +359,11 @@ private:
       return;
     // A demand-restricted run's recording describes a partial schedule
     // (genuine rows for scheduled elements, placeholder rows elsewhere),
-    // so a demand solve must be handed a memo private to the demand
-    // run, never one a full solve replays from: the analyzer's demand
-    // chain records into a copy it discards afterwards.
+    // so only a solve whose cone lies inside the recorded one may
+    // replay it. Single-use analyzers keep that invariant: a demand
+    // run's chain serves only its own later rounds (whose cones shrink
+    // along the plan), the engine cannot run again, and demand runs are
+    // never saved.
     NewMemo.Valid = true;
     *Opts.Memo = std::move(NewMemo);
   }
@@ -696,7 +702,6 @@ private:
                /*Descending=*/1);
   }
 
-  static constexpr unsigned MaxGfpSweeps = 1000;
   static constexpr unsigned MaxComponentSweeps = 1000;
 
   const System &Sys;

@@ -654,9 +654,6 @@ public:
   const Type *type() const { return Ty; }
   VarKind varKind() const { return VK; }
   bool isVarParam() const { return VK == VarKind::VarParam; }
-  bool isParam() const {
-    return VK == VarKind::ValueParam || VK == VarKind::VarParam;
-  }
 
   /// The routine that declares this variable (the program routine for
   /// globals). Set by Sema.

@@ -99,7 +99,6 @@ struct Token {
   int64_t IntValue = 0; ///< value for IntLiteral
 
   bool is(TokenKind K) const { return Kind == K; }
-  bool isNot(TokenKind K) const { return Kind != K; }
 };
 
 } // namespace syntox

@@ -132,7 +132,6 @@ public:
 
   DomainKind kind() const { return K; }
   const IntervalDomain &intervals() const { return ID; }
-  const CongruenceDomain &congruences() const { return CD; }
   int64_t minValue() const { return ID.minValue(); }
   int64_t maxValue() const { return ID.maxValue(); }
 

@@ -647,15 +647,23 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
       return Fallback("malformed slot signature");
     Slot.Sig = static_cast<Analyzer::PhaseSig>(SigByte);
     Slot.HadEnv = R.u8() != 0;
+    bool Fwd = isForwardSig(Slot.Sig);
+    // The signature fixes the slot's fixpoint kind under these options,
+    // and the kind bounds the sweeps the recorded solve could take.
     WarmStartMemo<AbstractStore> &M = Slot.Memo;
-    M.Kind = static_cast<FixpointKind>(R.u8());
+    bool Gfp = Slot.Sig == Analyzer::PhaseSig::Always ||
+               (Fwd && Opts.HarrisonGfp);
+    M.Kind = Gfp ? FixpointKind::Gfp : FixpointKind::Lfp;
+    if (R.u8() != static_cast<uint8_t>(M.Kind))
+      return Fallback("slot kind mismatch");
+    uint64_t MaxBoundaries =
+        Gfp ? MaxGfpSweeps : 1 + uint64_t(Opts.NarrowingPasses);
     // The retired iteration-strategy byte: every file this format
     // describes holds 0 (the recursive strategy, now the only one).
     if (R.u8() != 0)
       return Fallback("malformed slot");
     M.NumNodes = NNew;
 
-    bool Fwd = isForwardSig(Slot.Sig);
     const std::vector<uint64_t> &NewElemKeys =
         Fwd ? FwdElemKeys : BwdElemKeys;
     const std::unordered_map<uint64_t, unsigned> &RecElemByKey =
@@ -663,13 +671,14 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     size_t ERec = Fwd ? RecFwdElemKeys.size() : RecBwdElemKeys.size();
     size_t ENew = NewElemKeys.size();
 
-    // Each boundary row takes at least one byte per recorded node and
-    // two per element, so a count whose rows cannot fit in the rest of
-    // the body is rejected before the rows are allocated.
+    // The rows are allocated per boundary in both index spaces, so the
+    // count is checked first: against the sweeps the recorded solve
+    // could take, and against the body, since each row takes at least
+    // one byte per recorded node and two per element.
     uint64_t NumBoundaries = R.varint();
     uint64_t RowBytes = NRec + 2 * ERec;
-    if (R.failed() || NumBoundaries == 0 || NumBoundaries > 100000 ||
-        NumBoundaries * RowBytes > R.remaining())
+    if (R.failed() || NumBoundaries == 0 || NumBoundaries > MaxBoundaries ||
+        NumBoundaries > 100000 || NumBoundaries * RowBytes > R.remaining())
       return Fallback("malformed boundary count");
 
     // Per-boundary recorded refs and rows, in *recorded* index space.

@@ -555,13 +555,6 @@ public:
   uint64_t kernelBlocks() const { return KernelBlocks; }
 
 private:
-  /// True when \p Value is the top of its own kind (the full numeric
-  /// top for ints, T for booleans) — i.e. carries no constraint and is
-  /// semantically identical to a missing entry.
-  bool isTopValue(const AbsValue &Value) const {
-    return Value.isInt() ? D.isTop(Value.asNum()) : Value.asBool().isTop();
-  }
-
   /// \name Kernel bodies
   /// Each public lattice operation dispatches on the payloads' imprint:
   /// HasCong = false walks the two interval planes (code identical to

@@ -6,12 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single options struct for the whole analysis stack. It used to be
-/// scattered: Analyzer::Options, AbstractDebugger::Options wrapping it,
-/// a test-only fluent builder, and ad-hoc flag parsing duplicated across
-/// the CLI and every bench. Now there is one struct with chainable
-/// setters (so `AnalysisOptions().terminationGoal().backwardRounds(2)`
-/// reads like the old builder), consumed identically by Analyzer,
+/// The single options struct for the whole analysis stack, with
+/// chainable setters (`AnalysisOptions().terminationGoal()
+/// .backwardRounds(2)`), consumed identically by Analyzer,
 /// AbstractDebugger, AnalysisSession, and the shared CLI parser
 /// (core/AnalysisFlags.h).
 ///

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 #include <unordered_set>
 
 using namespace syntox;
@@ -197,7 +198,8 @@ uint64_t countFullInstanceReplays(const SolverT &Solver,
 
 } // namespace
 
-Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts)
+Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program,
+                   AnalysisOptions Opts)
     : Cfg(Cfg), Program(Program), Opts(std::move(Opts)),
       Domain(this->Opts.Domain), Ops(Domain), Exprs(Ops),
       Xfer(Ops, Exprs, Cfg) {
@@ -222,7 +224,7 @@ Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts)
 }
 
 Analyzer::Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program)
-    : Analyzer(Cfg, Program, Options()) {}
+    : Analyzer(Cfg, Program, AnalysisOptions()) {}
 
 Analyzer::~Analyzer() = default;
 
@@ -232,11 +234,11 @@ Analyzer::WarmSlot &Analyzer::chainSlot(PhaseSig Sig) {
     ChainSlots.emplace_back();
   WarmSlot &S = ChainSlots[Ord];
   if (S.Memo.Valid && S.Sig != Sig)
-    S = WarmSlot(); // the schedule changed shape under this ordinal
+    S = WarmSlot(); // the saved schedule had another shape here
   if (!S.Memo.Valid) {
     // Fresh ordinal: seed from the nearest earlier slot of the same
-    // system, so within one run a later round still replays against the
-    // previous round's recording (COW stores make the copy cheap).
+    // system, so a later round replays against the previous round's
+    // recording (COW stores make the copy cheap).
     for (unsigned I = Ord; I-- > 0;)
       if (ChainSlots[I].Memo.Valid && ChainSlots[I].Sig == Sig) {
         S = ChainSlots[I];
@@ -245,32 +247,6 @@ Analyzer::WarmSlot &Analyzer::chainSlot(PhaseSig Sig) {
   }
   S.Sig = Sig;
   return S;
-}
-
-bool Analyzer::importWarmFrom(const Analyzer &Other) {
-  // Same program shape: the memos are indexed by supergraph node and
-  // WTO element, so the graphs must match key-for-key.
-  if (Graph->stableIds().supergraphHash() !=
-          Other.Graph->stableIds().supergraphHash() ||
-      Graph->numNodes() != Other.Graph->numNodes())
-    return false;
-  // Same value semantics: replayed boundaries were computed under the
-  // donor's widening/narrowing configuration; verification compares
-  // values against *recorded* values, so it cannot detect that the
-  // recording itself would differ under this analyzer's semantics.
-  if (Opts.solverSemanticsHash() != Other.Opts.solverSemanticsHash())
-    return false;
-  ChainSlots = Other.ChainSlots;
-  // The per-edge transfer memos are input-verified on every probe, so
-  // they transplant safely whenever the value semantics match.
-  if (Graph->transferMemoEnabled() && Other.Graph->transferMemoEnabled()) {
-    const auto &Donor = Other.Graph->edgeMemos();
-    for (unsigned E = 0; E < Donor.size(); ++E)
-      for (unsigned Dir = 0; Dir < 2; ++Dir)
-        if (Donor[E][Dir].Valid)
-          Graph->importEdgeMemo(E, Dir, Donor[E][Dir]);
-  }
-  return true;
 }
 
 bool Analyzer::hasEventuallySeeds() const {
@@ -372,10 +348,6 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
   SolverOpts.DemandNodes = Demand;
   WarmSlot *Slot = nullptr;
   if (Opts.WarmStart) {
-    // Demand runs take the same path: runImpl swapped in a private copy
-    // of the chain, so the slot they replay from holds the published
-    // recordings while their own (cone-partial) recording never reaches
-    // the chain future full runs replay against.
     Slot = &chainSlot(Env ? PhaseSig::FwdEnv : PhaseSig::FwdNoEnv);
     Sys.ExternalUnchanged = unchangedInputs(*Slot, Env, nullptr);
     SolverOpts.Memo = &Slot->Memo;
@@ -394,7 +366,7 @@ Analyzer::solveForward(const std::vector<AbstractStore> *Env,
   accumulateSolverStats(Solver.stats(), Sys.Unions, Phase);
   if (Live) {
     uint64_t Dropped = Sys.PrunedSlots;
-    PrunedSlotsRun += Dropped;
+    PrunedSlots += Dropped;
     if (TraceRecorder *Rec = Opts.Telem.Trace;
         Rec && Rec->wants(TraceEventKind::StorePrune))
       Rec->record(TraceEventKind::StorePrune, Dropped,
@@ -438,7 +410,6 @@ Analyzer::solveBackward(bool Eventually,
   SolverOpts.DemandNodes = Demand;
   WarmSlot *Slot = nullptr;
   if (Opts.WarmStart) {
-    // Same private-chain arrangement as solveForward for demand runs.
     Slot = &chainSlot(Eventually ? PhaseSig::Eventually : PhaseSig::Always);
     Sys.ExternalUnchanged = unchangedInputs(*Slot, &Env, &Sys.Seeds);
     SolverOpts.Memo = &Slot->Memo;
@@ -535,35 +506,14 @@ void Analyzer::runDemand(const std::vector<unsigned> &QueryNodes) {
 }
 
 void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
+  if (Ran)
+    throw std::logic_error(
+        "this analysis engine already ran; an engine runs once, so build "
+        "a new one to analyze again");
+  Ran = true;
   auto Start = std::chrono::steady_clock::now();
-  Stats = AnalysisStats();
   Stats.ControlPoints = Graph->numNodes();
   Stats.Equations = Graph->numNodes();
-  // The chain slots deliberately survive into the next run(): an
-  // Analyzer's options and equation systems are fixed at construction,
-  // so a repeated run() solves the identical chain phase-by-phase and
-  // every replay check (memo shape, recorded Env/Seeds, value-by-value
-  // boundary comparison) re-verifies against the same ordinal of the
-  // previous run. Phases whose inputs still match replay outright;
-  // anything else is solved cold. A second AbstractDebugger::analyze()
-  // of an unchanged program therefore replays the *entire* chain —
-  // zero live solver steps — while remaining bitwise-identical.
-  // Demand runs (Masks != null) walk the same ordinals against a
-  // private copy of the chain: they replay whatever the published
-  // slots allow AND record their own phases (so a later round replays
-  // the earlier round's cone — the masks only shrink along the plan),
-  // but the copy is discarded below, so a demand run never poisons the
-  // chain a future full run replays against.
-  ChainOrdinal = 0;
-  std::vector<WarmSlot> PublishedChain;
-  if (Masks)
-    PublishedChain = ChainSlots; // COW stores: structural sharing
-  uint64_t MemoHitsAtStart = Graph->transferMemoHits();
-  uint64_t KernelBlocksAtStart = Ops.kernelBlocks();
-  PrunedSlotsRun = 0;
-
-  DemandMask.clear();
-  DemandAudit.clear();
 
   std::vector<PlannedPhase> Plan = phasePlan();
   for (size_t I = 0; I < Plan.size(); ++I) {
@@ -607,10 +557,8 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
   // The answerable set of a demand run is the final phase's cone (the
   // last phase is always forward, so the mask is predecessor-closed
   // under the forward dependencies the findings derivations read).
-  if (Masks) {
+  if (Masks)
     DemandMask = Masks->back();
-    ChainSlots = std::move(PublishedChain);
-  }
 
   Stats.BytesUsed = Graph->approximateBytes();
   // COW stores structurally share payloads across program points; count
@@ -633,16 +581,14 @@ void Analyzer::runImpl(const std::vector<std::vector<uint8_t>> *Masks) {
     M->gauge("memory.bytes").set(static_cast<int64_t>(Stats.BytesUsed));
     if (Opts.WarmStart) {
       M->counter("interproc.summary_reuse").inc(Stats.SummaryReuses);
-      M->counter("interproc.link_memo_hits")
-          .inc(Graph->transferMemoHits() - MemoHitsAtStart);
+      M->counter("interproc.link_memo_hits").inc(Graph->transferMemoHits());
     }
     if (Live) {
       M->gauge("store.live_slots")
           .set(static_cast<int64_t>(Live->liveSlotCount()));
-      M->counter("store.pruned_slots").inc(PrunedSlotsRun);
+      M->counter("store.pruned_slots").inc(PrunedSlots);
     }
-    M->counter("store.kernel_blocks")
-        .inc(Ops.kernelBlocks() - KernelBlocksAtStart);
+    M->counter("store.kernel_blocks").inc(Ops.kernelBlocks());
     M->histogram("analysis.seconds").observe(Stats.CpuSeconds);
   }
 }

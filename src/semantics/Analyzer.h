@@ -34,14 +34,13 @@ namespace syntox {
 
 class LivenessInfo;
 
+/// An Analyzer is single-use: it runs run() or runDemand() once, and a
+/// second run of either kind throws std::logic_error without touching
+/// the first run's results. Recorded warm-start state reaches another
+/// solve only through importChainSlots() (the on-disk cache).
 class Analyzer {
 public:
-  /// The analysis knobs — one struct shared by the whole stack (see
-  /// semantics/AnalysisOptions.h). The alias keeps the historical
-  /// `Analyzer::Options` spelling compiling.
-  using Options = AnalysisOptions;
-
-  Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, Options Opts);
+  Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program, AnalysisOptions Opts);
   Analyzer(const ProgramCfg &Cfg, RoutineDecl *Program);
   ~Analyzer();
 
@@ -55,10 +54,11 @@ public:
   /// cone reads its envelope/seeds, and those reads are per-node), so
   /// the values at every node of demandMask() are bitwise-identical to
   /// a full run() while out-of-cone components perform zero live
-  /// evaluations. The run replays from (and records into) a private
-  /// copy of the warm-start chain, so earlier rounds of the demand run
-  /// itself replay while the published chain is never mutated; results
-  /// outside demandMask() are unspecified and must not be read.
+  /// evaluations. The run replays from and records into the engine's
+  /// chain like run(), so a later round replays the earlier round's
+  /// cone; nothing replays the cone-partial recordings afterwards (the
+  /// engine cannot run again, and demand runs are never saved).
+  /// Results outside demandMask() are unspecified and must not be read.
   void runDemand(const std::vector<unsigned> &QueryNodes);
 
   /// After runDemand(): the per-node answerable mask (the final
@@ -102,18 +102,18 @@ public:
     const char *Name; ///< PhaseStats display name
   };
 
-  /// The schedule the next run()/runDemand() will execute, from the
-  /// options and the program's assertion structure.
+  /// The schedule run()/runDemand() executes, from the options and the
+  /// program's assertion structure.
   std::vector<PlannedPhase> phasePlan() const;
 
   /// Warm-start state for one slot of the refinement chain: the memo
   /// the solver records/replays, plus the external inputs the recorded
   /// run solved under (to mark the nodes whose inputs changed since).
   /// One slot exists per *phase ordinal* of the chain (F0, F1, A1, E1,
-  /// F2, ... in execution order), so a repeated run() replays each
-  /// phase against the same phase of the previous run — including the
-  /// envelope-free initial forward pass, which a shared slot would
-  /// poison with the final pass's envelope.
+  /// F2, ... in execution order), so a run warm-started from the cache
+  /// replays each phase against the same phase of the saved run —
+  /// including the envelope-free initial forward pass, which a shared
+  /// slot would poison with the final pass's envelope.
   struct WarmSlot {
     WarmStartMemo<AbstractStore> Memo;
     PhaseSig Sig = PhaseSig::FwdNoEnv;
@@ -123,10 +123,9 @@ public:
   };
 
   const SuperGraph &graph() const { return *Graph; }
-  const Options &options() const { return Opts; }
+  const AnalysisOptions &options() const { return Opts; }
   const StoreOps &storeOps() const { return Ops; }
   const ExprSemantics &exprSemantics() const { return Exprs; }
-  const ProgramCfg &programCfg() const { return Cfg; }
   /// The registered runtime checks (shared with the ProgramCfg).
   const std::vector<CheckInfo> &checkTable() const { return Cfg.checks(); }
 
@@ -146,18 +145,18 @@ public:
   /// pruning is off (--no-prune). UI layers use this to tell a
   /// genuinely-top variable from a pruned one.
   const LivenessInfo *liveness() const { return Live.get(); }
-  /// Slots dropped by store restriction during the last run()/runDemand().
-  uint64_t prunedSlots() const { return PrunedSlotsRun; }
+  /// Slots dropped by store restriction during the run.
+  uint64_t prunedSlots() const { return PrunedSlots; }
 
-  /// \name Warm-start state access (persistence, warm bench transplants)
+  /// \name Warm-start state access (persistence)
   /// @{
-  /// The chain slots in phase-ordinal order, as recorded by the last
-  /// run(). Empty before the first warm-started run.
+  /// The chain slots in phase-ordinal order, as recorded by the run.
+  /// Empty before a warm-started run.
   const std::vector<WarmSlot> &chainSlots() const { return ChainSlots; }
-  /// Installs externally restored chain slots (e.g. loaded from the
-  /// on-disk cache). The solver re-validates every memo header and every
-  /// replayed value, so a stale import degrades to cold solving, never
-  /// to wrong results.
+  /// Installs externally restored chain slots (loaded from the on-disk
+  /// cache) before the run. The solver re-validates every memo header
+  /// and every replayed value, so a stale import degrades to cold
+  /// solving, never to wrong results.
   void importChainSlots(std::vector<WarmSlot> Slots) {
     ChainSlots = std::move(Slots);
   }
@@ -166,14 +165,6 @@ public:
   void importEdgeMemo(unsigned EdgeIdx, unsigned Dir, LinkTransferMemo M) {
     Graph->importEdgeMemo(EdgeIdx, Dir, std::move(M));
   }
-  /// Transplants the warm-start state (chain slots and edge-transfer
-  /// memos) recorded by \p Other into this analyzer. Returns false — and
-  /// imports nothing — unless both analyzers solve the same supergraph
-  /// (equal stable hashes) under the same value semantics: replayed
-  /// values were *computed* under the donor's widening/narrowing
-  /// configuration, so value verification alone cannot catch a
-  /// semantics mismatch.
-  bool importWarmFrom(const Analyzer &Other);
   /// The forward / backward dependency digraphs and their WTOs (rooted
   /// at the main entry / exit). Built once at construction, these are
   /// the very objects every phase's solver iterates, so the demand
@@ -190,12 +181,11 @@ public:
   /// @}
 
 private:
-  /// Claims the next chain slot of this run and tags it \p Sig. A slot
-  /// whose recorded signature differs is reset (the schedule changed
-  /// shape under its ordinal); a fresh slot is seeded with a copy of
-  /// the nearest earlier same-signature slot, which preserves the
-  /// within-run reuse of the old shared-slot scheme (round k+1 replays
-  /// against round k) on top of the across-run per-ordinal replay.
+  /// Claims the next chain slot of the run and tags it \p Sig. An
+  /// imported slot whose recorded signature differs is reset (the saved
+  /// schedule had another shape under its ordinal); a fresh slot is
+  /// seeded with a copy of the nearest earlier same-signature slot, so
+  /// within the run round k+1 replays against round k.
   WarmSlot &chainSlot(PhaseSig Sig);
 
   /// Executes the phase plan; \p Masks (one per planned phase) restricts
@@ -220,7 +210,7 @@ private:
 
   const ProgramCfg &Cfg;
   RoutineDecl *Program;
-  Options Opts;
+  AnalysisOptions Opts;
   ValueDomain Domain;
   StoreOps Ops;
   ExprSemantics Exprs;
@@ -229,18 +219,20 @@ private:
   Digraph FwdDep, BwdDep;
   Wto FwdOrder, BwdOrder;
   std::unique_ptr<LivenessInfo> Live;
-  uint64_t PrunedSlotsRun = 0;
+  uint64_t PrunedSlots = 0;
   std::vector<AbstractStore> Forward;
   std::vector<AbstractStore> Envelope;
   AnalysisStats Stats;
-  /// One warm slot per phase ordinal of the refinement chain, surviving
-  /// across run() calls (and importable from the persistent cache).
+  /// Set when run() or runDemand() starts: the engine runs once.
+  bool Ran = false;
+  /// One warm slot per phase ordinal of the refinement chain (importable
+  /// from the persistent cache).
   std::vector<WarmSlot> ChainSlots;
-  /// Ordinal of the next phase within the current run().
+  /// Ordinal of the next phase of the run.
   unsigned ChainOrdinal = 0;
-  /// Answerable mask of the last runDemand(); empty after a full run().
+  /// Answerable mask of a runDemand(); empty after a full run().
   std::vector<uint8_t> DemandMask;
-  /// Per-phase audit of the last runDemand(); empty after a full run().
+  /// Per-phase audit of a runDemand(); empty after a full run().
   std::vector<DemandPhaseAudit> DemandAudit;
 };
 

@@ -13,13 +13,9 @@ VarNumbering::VarNumbering(const ProgramCfg &Cfg) {
   // registration order (params, result, locals, then CfgBuilder temps),
   // so the assignment below is deterministic for a given AST and safe
   // to re-run: every analysis of the same program sees the same slots.
-  for (const RoutineCfg *C : Cfg.cfgs()) {
-    Range &R = Ranges[C->routine()];
-    R.First = NumSlots;
+  for (const RoutineCfg *C : Cfg.cfgs())
     for (VarDecl *V : C->routine()->ownedVars())
       V->setStoreSlot(NumSlots++);
-    R.Count = NumSlots - R.First;
-  }
 }
 
 SuperGraph::SuperGraph(const ProgramCfg &Cfg, RoutineDecl *Program,

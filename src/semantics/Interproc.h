@@ -120,19 +120,8 @@ public:
   /// Total slots assigned (== number of owned variables program-wide).
   unsigned numSlots() const { return NumSlots; }
 
-  /// First slot / slot count of a routine's variables.
-  struct Range {
-    unsigned First = 0;
-    unsigned Count = 0;
-  };
-  Range rangeOf(const RoutineDecl *R) const {
-    auto It = Ranges.find(R);
-    return It == Ranges.end() ? Range{} : It->second;
-  }
-
 private:
   unsigned NumSlots = 0;
-  std::map<const RoutineDecl *, Range> Ranges;
 };
 
 /// Single-slot memo for one interprocedural edge transfer: the inputs
@@ -232,14 +221,6 @@ public:
   /// The dense store-slot numbering this supergraph's stores run on.
   const VarNumbering &varNumbering() const { return Numbering; }
 
-  /// The program-wide slot -> declaration table (one entry per
-  /// VarNumbering slot), shared by every store payload the
-  /// interprocedural transfers create (AbstractStore::adoptKeyTable):
-  /// a COW detach then shares the table instead of copying it.
-  const std::shared_ptr<const detail::StoreKeyTable> &keyTable() const {
-    return KeyTable;
-  }
-
   /// Replaces instance \p InstanceId's AccessedKeys (a subset of its
   /// SharedKeys, computed by the liveness pass).
   void setAccessedKeys(unsigned InstanceId,
@@ -283,6 +264,9 @@ private:
 
   const ProgramCfg &Cfg;
   VarNumbering Numbering; ///< assigns store slots; must precede analysis
+  /// The program-wide slot -> declaration table, shared by every store
+  /// payload the interprocedural transfers create (adoptKeyTable): a
+  /// COW detach then shares the table instead of copying it.
   std::shared_ptr<const detail::StoreKeyTable> KeyTable;
   const StoreOps &Ops;
   const ExprSemantics &Exprs;

@@ -89,7 +89,7 @@ inline AnalysisOptions withOptions() { return {}; }
 
 /// Runs the whole pipeline over \p Source.
 inline AnalyzedProgram analyzeProgram(const std::string &Source,
-                                      Analyzer::Options Opts = {}) {
+                                      AnalysisOptions Opts = {}) {
   AnalyzedProgram Out;
   Out.FE = runFrontend(Source);
   EXPECT_TRUE(Out.FE.SemaOk) << Out.FE.Diags->str();
@@ -107,7 +107,7 @@ inline AnalyzedProgram analyzeProgram(const std::string &Source,
 /// key-by-key with \p P.An's (a fresh analyzeProgram() call would
 /// allocate distinct VarDecls, making StoreOps::equal vacuously false).
 inline std::unique_ptr<Analyzer> reanalyze(const AnalyzedProgram &P,
-                                           Analyzer::Options Opts = {}) {
+                                           AnalysisOptions Opts = {}) {
   auto An = std::make_unique<Analyzer>(*P.Cfg, P.FE.Program, Opts);
   An->run();
   return An;

@@ -12,7 +12,7 @@ namespace {
 std::unique_ptr<AbstractDebugger>
 makeDebugger(const std::string &Source, bool TerminationGoal = false) {
   DiagnosticsEngine Diags;
-  AbstractDebugger::Options Opts;
+  AnalysisOptions Opts;
   Opts.TerminationGoal = TerminationGoal;
   auto Dbg = AbstractDebugger::create(Source, Diags, Opts);
   EXPECT_NE(Dbg, nullptr) << Diags.str();
@@ -134,7 +134,7 @@ TEST(AbstractDebuggerTest, MainStatesRendersStores) {
   // Unpruned, the exit store renders the loop's final value.
   DiagnosticsEngine Diags;
   auto Full = AbstractDebugger::create(
-      Source, Diags, AbstractDebugger::Options().prune(false));
+      Source, Diags, AnalysisOptions().prune(false));
   ASSERT_NE(Full, nullptr) << Diags.str();
   Full->analyze();
   bool Found = false;
@@ -172,7 +172,7 @@ TEST(AbstractDebuggerTest, McCarthyInvariantStudy) {
   DiagnosticsEngine Diags;
   auto Dbg =
       AbstractDebugger::create(paper::McCarthyWithInvariant, Diags,
-                               AbstractDebugger::Options().prune(false));
+                               AnalysisOptions().prune(false));
   ASSERT_NE(Dbg, nullptr) << Diags.str();
   Dbg->analyze();
   // m = 91 is visible in the final state at the exit.
@@ -202,45 +202,73 @@ TEST(AbstractDebuggerTest, QueriesBeforeAnalyzeThrow) {
   EXPECT_NO_THROW(Dbg->conditions());
 }
 
-TEST(AbstractDebuggerTest, RepeatedAnalyzeWarmStartsAndIsIdentical) {
-  DiagnosticsEngine Diags;
-  AbstractDebugger::Options Opts;
-  Opts.TerminationGoal = true;
-  Opts.BackwardRounds = 3;
-  auto Dbg = AbstractDebugger::create(paper::McCarthyProgram, Diags, Opts);
-  ASSERT_NE(Dbg, nullptr) << Diags.str();
+/// What a full run publishes, rendered for comparison: findings, check
+/// verdicts, the state at every main-routine point, and the stats.
+std::string fullResults(const AbstractDebugger &Dbg) {
+  json::Value V = json::Value::array();
+  for (const NecessaryCondition &C : Dbg.conditions())
+    V.push(C.toJson());
+  for (const InvariantWarning &W : Dbg.invariantWarnings())
+    V.push(W.toJson());
+  V.push(Dbg.checks().toJson());
+  for (const PointState &S : Dbg.mainStates())
+    V.push(S.toJson());
+  V.push(Dbg.stats().toJson());
+  return V.str();
+}
 
-  Dbg->analyze();
-  std::string FirstConditions = allConditions(*Dbg);
-  size_t FirstWarnings = Dbg->invariantWarnings().size();
-  json::Value FirstStates = json::Value::array();
-  for (const PointState &S : Dbg->mainStates())
-    FirstStates.push(S.toJson());
+/// The demand-run counterpart: in-cone findings, the state at \p Loc,
+/// and the stats.
+std::string demandResults(const AbstractDebugger &Dbg, SourceLoc Loc) {
+  json::Value V = json::Value::array();
+  for (const NecessaryCondition &C : Dbg.demandConditions())
+    V.push(C.toJson());
+  for (const InvariantWarning &W : Dbg.demandInvariantWarnings())
+    V.push(W.toJson());
+  for (const PointState &S : Dbg.demandStateAt(Loc))
+    V.push(S.toJson());
+  V.push(Dbg.stats().toJson());
+  return V.str();
+}
 
-  // A second analyze() on the same engine warm-starts from the first
-  // run's recordings: the stable bulk of the chain replays (skips > 0)
-  // and every published result is unchanged.
-  Dbg->analyze();
-  EXPECT_GT(Dbg->stats().ComponentSkips, 0u);
-  EXPECT_GT(Dbg->stats().SkippedSteps, 0u);
-  EXPECT_EQ(allConditions(*Dbg), FirstConditions);
-  EXPECT_EQ(Dbg->invariantWarnings().size(), FirstWarnings);
-  json::Value SecondStates = json::Value::array();
-  for (const PointState &S : Dbg->mainStates())
-    SecondStates.push(S.toJson());
-  EXPECT_EQ(SecondStates.str(), FirstStates.str());
+TEST(AbstractDebuggerTest, SecondRunThrowsAndKeepsFirstResults) {
+  // A debugger runs once. In all four orderings (a full or a demand
+  // run, after a full or a demand run) the second run throws and the
+  // first run's findings, states and stats stay as they were.
+  AnalysisOptions Opts = AnalysisOptions().terminationGoal().backwardRounds(3);
+  const SourceLoc Loc(13, 0); // m := mc(n)
+  const DemandSpec Spec = DemandSpec::point(Loc);
+  for (bool FirstFull : {true, false}) {
+    for (bool SecondFull : {true, false}) {
+      SCOPED_TRACE(std::string(FirstFull ? "full" : "demand") + " then " +
+                   (SecondFull ? "full" : "demand"));
+      DiagnosticsEngine Diags;
+      auto Dbg = AbstractDebugger::create(paper::McCarthyProgram, Diags, Opts);
+      ASSERT_NE(Dbg, nullptr) << Diags.str();
+      if (FirstFull) {
+        Dbg->analyze();
+      } else {
+        Dbg->analyzeDemand(Spec);
+        ASSERT_FALSE(Dbg->demandStateAt(Loc).empty());
+      }
+      auto Results = [&] {
+        return FirstFull ? fullResults(*Dbg) : demandResults(*Dbg, Loc);
+      };
+      std::string First = Results();
 
-  // With warm starts off, a repeated analyze() records nothing and
-  // skips nothing — it reproduces the cold run exactly.
-  Opts.WarmStart = false;
-  DiagnosticsEngine ColdDiags;
-  auto Cold = AbstractDebugger::create(paper::McCarthyProgram, ColdDiags, Opts);
-  ASSERT_NE(Cold, nullptr) << ColdDiags.str();
-  Cold->analyze();
-  Cold->analyze();
-  EXPECT_EQ(Cold->stats().ComponentSkips, 0u);
-  EXPECT_EQ(Cold->stats().SkippedSteps, 0u);
-  EXPECT_EQ(allConditions(*Cold), FirstConditions);
+      if (SecondFull) {
+        EXPECT_THROW(Dbg->analyze(), std::logic_error);
+      } else {
+        EXPECT_THROW(Dbg->analyzeDemand(Spec), std::logic_error);
+      }
+      EXPECT_EQ(Results(), First);
+      EXPECT_EQ(Dbg->analyzed(), FirstFull);
+      if (!FirstFull) {
+        EXPECT_THROW(Dbg->conditions(), std::logic_error)
+            << "a demand run never satisfies the full-result guard";
+      }
+    }
+  }
 }
 
 } // namespace

@@ -217,7 +217,8 @@ TEST(DemandQueryTest, TwoHundredSeedsDemandEqualsFull) {
     namespace fs = std::filesystem;
     fs::path Dir;
     if (Mode == 1) {
-      Demand.run(); // warm: a prior full run recorded every chain slot
+      // warm: the full run's recorded chain, handed over in memory
+      Demand.importChainSlots(P.An->chainSlots());
     } else if (Mode == 2) {
       Dir = fs::temp_directory_path() /
             ("syntox_demand_test_" + std::to_string(Seed));
@@ -262,8 +263,9 @@ TEST(DemandQueryTest, TwoHundredSeedsDemandEqualsFull) {
       }
     }
 
-    // Warm demand after an identical full run replays the whole cone:
-    // zero live evaluations anywhere, the splice-everything extreme.
+    // Warm demand from an identical full run's chain replays the whole
+    // cone: zero live evaluations anywhere, the splice-everything
+    // extreme.
     if (Mode == 1) {
       uint64_t Live = 0;
       for (const Analyzer::DemandPhaseAudit &A : Demand.demandAudit())
@@ -376,9 +378,8 @@ TEST(DemandApiCompatTest, PreRunQueriesThrowLogicErrorOnBothPaths) {
 }
 
 TEST(DemandApiCompatTest, FullThenDemandIsRefused) {
-  // A demand run would overwrite the published full-analysis state, so
-  // it is refused on an analyzed debugger (the session API always uses
-  // a fresh engine per query).
+  // An engine runs once, so a demand run is refused on an analyzed
+  // debugger (the session API uses a fresh engine per query).
   DiagnosticsEngine Diags;
   auto Dbg = AbstractDebugger::create(paper::ForProgram, Diags);
   ASSERT_NE(Dbg, nullptr) << Diags.str();

@@ -468,11 +468,12 @@ TEST(PersistCacheTest, NonZeroStrategyByteFallsBackCold) {
 
 TEST(PersistCacheTest, OversizedBoundaryCountFallsBackBeforeAllocating) {
   // A slot's boundary rows are allocated from its boundary count, so a
-  // count whose rows cannot fit in the rest of the body must be
-  // rejected before anything is allocated: anyone can re-seal a file,
-  // so the checksum does not stop it. The program stays small, since
-  // without the bound the load allocates 100,000 rows of its recorded
-  // nodes and elements before it fails.
+  // count the recorded solve could not take, or whose rows cannot fit
+  // in the rest of the body, must be rejected before anything is
+  // allocated: anyone can re-seal a file, so the checksum does not stop
+  // it. The program stays small, since without the bound the load
+  // allocates 100,000 rows of its recorded nodes and elements before it
+  // fails.
   ScratchDir Dir("boundaries");
   RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
   ASSERT_TRUE(Cold.Ok);
@@ -499,6 +500,87 @@ TEST(PersistCacheTest, OversizedBoundaryCountFallsBackBeforeAllocating) {
   EXPECT_EQ(Load.FallbackReason, "malformed boundary count");
   expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold,
                           "boundary count");
+}
+
+/// \p Header followed by a crafted body, resealed: the recorded program
+/// has 3 node keys and 3 element keys per system, and its one saved
+/// slot has signature \p Sig, fixpoint kind \p Kind and \p Boundaries
+/// rows of 9 zero bytes (3 references to the top store, 3 change flags,
+/// 3 step counts).
+std::vector<char> craftedFile(std::vector<char> Header,
+                              Analyzer::PhaseSig Sig, FixpointKind Kind,
+                              uint64_t Boundaries) {
+  persist::ByteWriter Body;
+  Body.varint(0); // variable keys
+  for (int Table = 0; Table < 3; ++Table) { // nodes, fwd/bwd elements
+    Body.varint(3);
+    for (uint64_t Key = 1; Key <= 3; ++Key)
+      Body.u64(Key);
+  }
+  Body.varint(0); // store pool entries
+  Body.varint(1); // chain slots
+  Body.u8(1);     // saved
+  Body.u8(static_cast<uint8_t>(Sig));
+  Body.u8(0); // solved without an envelope
+  Body.u8(static_cast<uint8_t>(Kind));
+  Body.u8(0); // strategy byte
+  Body.varint(Boundaries);
+  for (uint64_t B = 0; B < Boundaries * 9; ++B)
+    Body.u8(0);
+  for (int Mask = 0; Mask < 4; ++Mask)
+    Body.u8(0); // no node/element masks, envelope or seeds
+  Body.varint(0); // edge memos
+  Header.resize(HeaderBytes);
+  Header.insert(Header.end(), Body.buffer().begin(), Body.buffer().end());
+  reseal(Header);
+  return Header;
+}
+
+TEST(PersistCacheTest, BoundaryCountBoundedByTheRecordedSolve) {
+  // The memo a load builds holds boundaries x *current* nodes and
+  // elements, so a re-sealed file whose tiny recorded tables let
+  // 100,000 rows fit its body would cost megabytes per current node.
+  // A slot's count is bounded by the sweeps its solve could take: an
+  // lfp takes 1 + NarrowingPasses, a gfp at most MaxGfpSweeps. Its
+  // kind must match its signature under the current options.
+  using Sig = Analyzer::PhaseSig;
+  ScratchDir Dir("shape");
+  RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok);
+  std::vector<char> Header = readFile(cacheFile(Dir.str()));
+  ASSERT_GT(Header.size(), HeaderBytes);
+  AnalyzedProgram P =
+      analyzeProgram(TwoProcProgram, withOptions().terminationGoal());
+  auto Load = [&](Sig S, FixpointKind K, uint64_t Boundaries) {
+    writeFile(cacheFile(Dir.str()), craftedFile(Header, S, K, Boundaries));
+    return persist::loadWarmCache(Dir.str(), *P.An);
+  };
+
+  // The crafted file is well formed: within the bound it loads.
+  EXPECT_TRUE(Load(Sig::FwdNoEnv, FixpointKind::Lfp, 2).Loaded);
+  EXPECT_TRUE(Load(Sig::Always, FixpointKind::Gfp, MaxGfpSweeps).Loaded);
+
+  struct Case {
+    Sig S;
+    FixpointKind K;
+    uint64_t Boundaries;
+    const char *Reason;
+  } const Cases[] = {
+      {Sig::FwdNoEnv, FixpointKind::Lfp, 100000, "malformed boundary count"},
+      {Sig::FwdEnv, FixpointKind::Lfp, 3, "malformed boundary count"},
+      {Sig::Always, FixpointKind::Gfp, MaxGfpSweeps + 1,
+       "malformed boundary count"},
+      {Sig::Always, FixpointKind::Lfp, 2, "slot kind mismatch"},
+      {Sig::Eventually, FixpointKind::Gfp, 2, "slot kind mismatch"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(std::to_string(C.Boundaries) + " boundaries, " +
+                 C.Reason);
+    persist::CacheLoadResult R = Load(C.S, C.K, C.Boundaries);
+    EXPECT_FALSE(R.Loaded);
+    EXPECT_EQ(R.FallbackReason, C.Reason);
+    expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold, C.Reason);
+  }
 }
 
 TEST(PersistCacheTest, FormatVersionMismatchFallsBackCold) {

@@ -371,4 +371,47 @@ TEST(AssertionTest, IntermittentUnreachableGivesBottomEnvelope) {
   EXPECT_TRUE(A.An->envelopeAt(Entry).isBottom());
 }
 
+//===----------------------------------------------------------------------===//
+// Single-use engines
+//===----------------------------------------------------------------------===//
+
+/// An analyzer's published results, rendered for comparison: stats,
+/// the forward and envelope store at every node, and the demand mask.
+std::string results(const Analyzer &An) {
+  std::string Out = An.stats().toJson().str();
+  for (unsigned Node = 0; Node < An.graph().numNodes(); ++Node)
+    Out += "\n" + An.storeOps().str(An.forwardAt(Node)) + " | " +
+           An.storeOps().str(An.envelopeAt(Node));
+  Out += "\n";
+  for (uint8_t In : An.demandMask())
+    Out += In ? '1' : '0';
+  return Out;
+}
+
+TEST(AnalyzerLifetimeTest, SecondRunThrowsAndKeepsFirstResults) {
+  // An Analyzer runs once: after a full or a demand run, both run()
+  // and runDemand() throw and the first run's results stay as they
+  // were.
+  AnalysisOptions Opts = withOptions().terminationGoal().backwardRounds(2);
+  for (bool FirstFull : {true, false}) {
+    SCOPED_TRACE(FirstFull ? "full first" : "demand first");
+    AnalyzedProgram P = analyzeProgram(paper::McCarthyProgram, Opts);
+    ASSERT_NE(P.An, nullptr);
+    std::vector<unsigned> Query{P.An->graph().mainExit()};
+    Analyzer An(*P.Cfg, P.FE.Program, Opts);
+    if (FirstFull)
+      An.run();
+    else
+      An.runDemand(Query);
+    std::string First = results(An);
+    size_t Audits = An.demandAudit().size();
+
+    EXPECT_THROW(An.run(), std::logic_error);
+    EXPECT_THROW(An.runDemand(Query), std::logic_error);
+    EXPECT_EQ(results(An), First);
+    EXPECT_EQ(An.demandAudit().size(), Audits);
+    EXPECT_EQ(An.demandMask().empty(), FirstFull);
+  }
+}
+
 } // namespace
