@@ -6,6 +6,9 @@
 //   - store copy is O(1) (a refcount increment, flat across sizes),
 //   - join/widen/equal are O(1) on converged inputs via the payload
 //     pointer-equality fast path, entry-wise only when values differ.
+// A "sparse" row times the shape liveness pruning leaves behind: one
+// present slot at the top of a 256-slot numbering, copied and written
+// (one detach) and joined/widened into a fresh result.
 // Results are printed as a table and written to BENCH_store.json (path
 // overridable via --out=FILE) so successive PRs can track the trajectory.
 //
@@ -109,6 +112,39 @@ Row measure(unsigned Size) {
   return R;
 }
 
+/// One present slot at the top of a 256-slot numbering.
+struct SparseRow {
+  double CopySet, JoinDiff, WidenDiff;
+};
+
+SparseRow measureSparse() {
+  Setup S(256);
+  const VarDecl *Top = S.Vars.back();
+  AbstractStore A, Other;
+  A.set(Top, AbsValue(Interval(0, 10)));
+  Other.set(Top, AbsValue(Interval(-1, 5))); // neither contains the other
+
+  SparseRow R{0, 0, 0};
+  volatile bool Sink = false;
+  int64_t K = 0;
+  // Copy, then write the present slot: one detach into a fresh block.
+  R.CopySet = opsPerSec([&] {
+    AbstractStore Copy = A;
+    Copy.set(Top, AbsValue(Interval(K, K + 1)));
+    ++K;
+    Sink = Copy.isBottom();
+  });
+  R.JoinDiff = opsPerSec([&] {
+    AbstractStore J = S.Ops.join(A, Other);
+    Sink = J.isBottom();
+  });
+  R.WidenDiff = opsPerSec([&] {
+    AbstractStore W = S.Ops.widen(A, Other);
+    Sink = W.isBottom();
+  });
+  return R;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -139,6 +175,21 @@ int main(int argc, char **argv) {
   std::printf("(ops/sec, millions. copy and the same-payload columns should "
               "stay flat across sizes\n — O(1) fast paths — while join(diff) "
               "and equal(deep) scale with the entry count)\n");
+
+  SparseRow SR = measureSparse();
+  std::printf("\n%6s %14s %14s %14s\n", "sparse", "copy+set", "join(diff)",
+              "widen(diff)");
+  std::printf("%6s %12.2fM %12.2fM %12.2fM\n", "1/256", SR.CopySet / 1e6,
+              SR.JoinDiff / 1e6, SR.WidenDiff / 1e6);
+  json::Value Json = json::Value::object();
+  Json.set("size", "sparse");
+  Json.set("slots", 256);
+  Json.set("copy_set", SR.CopySet);
+  Json.set("join_diff", SR.JoinDiff);
+  Json.set("widen_diff", SR.WidenDiff);
+  H.row(std::move(Json));
+  std::printf("(one present slot at the top of a 256-slot numbering: each "
+              "result is one block\n sized for that slot alone)\n");
 
   return H.write() ? 0 : 1;
 }

@@ -339,6 +339,50 @@ print("domain-matrix smoke test OK "
       "(interval 2/3, congruence 0/3, product 3/3; caches keyed per domain)")
 EOF
 
+echo "== store memory ceiling =="
+# Figure 4's memory column, gated per program: the memory.bytes gauge
+# of two solver-heavy programs (the bench_complexity families) must
+# stay under bench/memory.ceiling.json. The gauge counts bytes, it does
+# not time anything, so the gate is the same on every run and host.
+python3 - "$OUT" "$CLI" <<'EOF'
+import json, subprocess, sys
+out, cli = sys.argv[1], sys.argv[2]
+
+def loop_chain(k):
+    src = "program gen;\nvar\n"
+    src += "".join(f"  v{i} : integer;\n" for i in range(k)) + "begin\n"
+    for i in range(k):
+        src += f"  v{i} := 0;\n  while v{i} < 100 do v{i} := v{i} + 1;\n"
+    return src + "  v0 := 0\nend.\n"
+
+def mccarthy(k):
+    call = f"n + {10 * k - 9}"
+    for _ in range(k):
+        call = f"mc({call})"
+    return ("program mccarthy;\nvar m, n : integer;\n"
+            "function mc(n : integer) : integer;\nbegin\n"
+            "  if n > 100 then\n    mc := n - 10\n  else\n    mc := " + call +
+            "\nend;\nbegin\n  read(n);\n  m := mc(n);\n  writeln(m)\nend.\n")
+
+programs = {"loopChain(160)": loop_chain(160), "mcCarthyK(30)": mccarthy(30)}
+with open("bench/memory.ceiling.json") as f:
+    ceilings = json.load(f)["programs"]
+if set(ceilings) != set(programs):
+    raise SystemExit(f"memory ceiling file names {sorted(ceilings)}")
+for name, entry in ceilings.items():
+    with open(f"{out}/mem.pas", "w") as f:
+        f.write(programs[name])
+    subprocess.run([cli, f"--metrics-json={out}/mem.json", f"{out}/mem.pas"],
+                   stdout=subprocess.DEVNULL, check=True)
+    with open(f"{out}/mem.json") as f:
+        got = json.load(f)["gauges"]["memory.bytes"]
+    if got > entry["ceiling"]:
+        raise SystemExit(f"memory ceiling violation: {name} memory.bytes "
+                         f"{got:,} exceeds the ceiling {entry['ceiling']:,}")
+    print(f"{name}: memory.bytes {got:,} (ceiling {entry['ceiling']:,})")
+print("store memory ceiling OK")
+EOF
+
 echo "== store-kernel perf floor =="
 # Perf-regression smoke for the SoA lattice kernels: bench_store must
 # not fall more than 25% below the checked-in floor

@@ -65,24 +65,23 @@ json::Value DemandResult::toJson() const {
 namespace {
 
 /// Store detaches happen inside a value type with no telemetry context;
-/// while a build or run is in scope, route them through the
-/// process-global hook when the session's recorder asks for them.
+/// while a build or run is in scope, route them to the session's
+/// recorder, when it asks for them, through the calling thread's sink.
+/// A build or run executes on the thread that calls it, so sessions on
+/// other threads never see this one's events.
 class StoreDetachScope {
 public:
   explicit StoreDetachScope(TraceRecorder *Trace)
-      : Hooked(Trace && Trace->wants(TraceEventKind::StoreDetach)) {
-    if (Hooked)
-      trace::StoreDetachHook.store(Trace, std::memory_order_relaxed);
+      : Prev(trace::StoreDetachSink) {
+    if (Trace && Trace->wants(TraceEventKind::StoreDetach))
+      trace::StoreDetachSink = Trace;
   }
-  ~StoreDetachScope() {
-    if (Hooked)
-      trace::StoreDetachHook.store(nullptr, std::memory_order_relaxed);
-  }
+  ~StoreDetachScope() { trace::StoreDetachSink = Prev; }
   StoreDetachScope(const StoreDetachScope &) = delete;
   StoreDetachScope &operator=(const StoreDetachScope &) = delete;
 
 private:
-  bool Hooked;
+  TraceRecorder *Prev;
 };
 
 } // namespace

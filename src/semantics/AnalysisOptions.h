@@ -86,10 +86,12 @@ struct AnalysisOptions {
   bool operator==(const AnalysisOptions &) const = default;
 
   /// Hash of every knob that changes the *values* the solver computes
-  /// (as opposed to how fast it computes them). Two runs with equal
-  /// solverSemanticsHash() and equal programs produce bitwise-identical
-  /// stores, so warm-start state may flow between them.
-  uint64_t solverSemanticsHash() const {
+  /// (as opposed to how fast it computes them) or the *shape* of the
+  /// recorded warm-start state (chain length). This keys the on-disk
+  /// cache file: state recorded under a different options hash is never
+  /// even loaded. The mixing order is frozen so cache files written by
+  /// earlier builds keep their names.
+  uint64_t optionsHash() const {
     uint64_t H = 0xcbf29ce484222325ull;
     auto Mix = [&H](uint64_t V) {
       H ^= V + 0x9e3779b97f4a7c15ull + (H << 12) + (H >> 3);
@@ -110,19 +112,6 @@ struct AnalysisOptions {
     // the stored *stores* differ on dead slots, so warm-start state must
     // not flow between pruned and unpruned runs.
     Mix(PruneDeadSlots);
-    return H;
-  }
-
-  /// Semantics hash plus the knobs that change the *shape* of the
-  /// recorded warm-start state (chain length). This keys the on-disk
-  /// cache file: state recorded under a different options hash is never
-  /// even loaded.
-  uint64_t optionsHash() const {
-    uint64_t H = solverSemanticsHash();
-    auto Mix = [&H](uint64_t V) {
-      H ^= V + 0x9e3779b97f4a7c15ull + (H << 12) + (H >> 3);
-      H *= 0x100000001b3ull;
-    };
     // The slot the iteration strategy once filled: a constant, so the
     // cache keys of earlier releases stay valid.
     Mix(0);

@@ -8,7 +8,8 @@
 
 using namespace syntox;
 
-std::atomic<TraceRecorder *> syntox::trace::StoreDetachHook{nullptr};
+thread_local constinit TraceRecorder *syntox::trace::StoreDetachSink =
+    nullptr;
 
 const char *syntox::traceEventKindName(TraceEventKind K) {
   switch (K) {

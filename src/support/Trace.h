@@ -16,10 +16,10 @@
 ///
 /// The recorder keeps one append-only buffer per recording thread; a
 /// thread touches only its own buffer while recording, so events are
-/// collected without a lock on the hot path even when the process-global
-/// store-detach hook routes events from concurrent sessions into one
-/// recorder. take() merges the buffers into one timestamp-ordered stream
-/// and must only run while no thread is recording.
+/// collected without a lock on the hot path even when several threads
+/// record into one recorder. take() merges the buffers into one
+/// timestamp-ordered stream and must only run while no thread is
+/// recording.
 ///
 /// When tracing is off the instrumentation hooks reduce to a
 /// null-pointer check — see Telemetry.h.
@@ -194,12 +194,13 @@ private:
 /// @}
 
 namespace trace {
-/// Process-global hook for COW-store detach events. AbstractStore has no
-/// telemetry context of its own (stores are value types created
-/// everywhere), so the session installs the recorder here for the
-/// duration of a traced run. Null when detail tracing is off — the
-/// instrumentation is one relaxed load and branch.
-extern std::atomic<TraceRecorder *> StoreDetachHook;
+/// The calling thread's sink for COW-store detach events. AbstractStore
+/// has no telemetry context of its own (stores are value types created
+/// everywhere), so a detail-traced session installs its recorder here,
+/// on the thread that builds and runs it, for the duration of the run;
+/// sessions on other threads keep their own. Null when detail tracing
+/// is off — the instrumentation is one thread-local load and branch.
+extern thread_local constinit TraceRecorder *StoreDetachSink;
 } // namespace trace
 
 } // namespace syntox

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <latch>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace syntox;
@@ -308,8 +311,8 @@ TEST(AnalysisSessionTest, LaterRunBuildsItsOwnEngine) {
   EXPECT_EQ(liveSteps(First), ColdLive);
 }
 
-/// The token_unfold events in \p Trace, flushed.
-unsigned tokenUnfoldEvents(TraceRecorder &Trace) {
+/// The events of kind \p Kind in \p Trace, flushed.
+unsigned eventsOfKind(TraceRecorder &Trace, const std::string &Kind) {
   std::ostringstream OS;
   StreamTraceSink Sink(OS, TraceFormat::JsonLines);
   Trace.flushTo(Sink);
@@ -318,9 +321,13 @@ unsigned tokenUnfoldEvents(TraceRecorder &Trace) {
   std::string Line;
   while (std::getline(In, Line)) {
     std::optional<json::Value> V = json::parse(Line);
-    N += V && V->find("ev")->asString() == "token_unfold";
+    N += V && V->find("ev")->asString() == Kind;
   }
   return N;
+}
+
+unsigned tokenUnfoldEvents(TraceRecorder &Trace) {
+  return eventsOfKind(Trace, "token_unfold");
 }
 
 TEST(AnalysisSessionTest, RecorderPassedToCreateSeesOneBuild) {
@@ -343,6 +350,39 @@ TEST(AnalysisSessionTest, RecorderPassedToCreateSeesOneBuild) {
             Gauges->find("graph.instances")->asInt());
   EXPECT_EQ(Gauges->find("graph.instances")->asInt(),
             static_cast<int64_t>(Instances));
+}
+
+TEST(AnalysisSessionTest, ConcurrentDetailTracedSessionsKeepTheirDetaches) {
+  // A store detach goes to the recorder of the session whose thread
+  // made it: two detail-traced sessions running at once on two threads
+  // each record exactly the store_detach events of a solo run.
+  const std::string Source = paper::mcCarthyK(12);
+  constexpr unsigned Runs = 3;
+  auto RunTraced = [&](TraceRecorder &Trace) {
+    AnalysisOptions Opts;
+    Opts.Telem.Trace = &Trace;
+    auto Session = makeSession(Source, Opts);
+    ASSERT_NE(Session, nullptr);
+    Session->run();
+  };
+  TraceRecorder Solo(TraceRecorder::AllEvents);
+  RunTraced(Solo);
+  unsigned SoloDetaches = eventsOfKind(Solo, "store_detach");
+  ASSERT_GT(SoloDetaches, 0u);
+
+  TraceRecorder First(TraceRecorder::AllEvents),
+      Second(TraceRecorder::AllEvents);
+  std::latch Start(2);
+  auto Worker = [&](TraceRecorder &Trace) {
+    Start.arrive_and_wait();
+    for (unsigned R = 0; R < Runs; ++R)
+      RunTraced(Trace);
+  };
+  std::thread A(Worker, std::ref(First)), B(Worker, std::ref(Second));
+  A.join();
+  B.join();
+  EXPECT_EQ(eventsOfKind(First, "store_detach"), Runs * SoloDetaches);
+  EXPECT_EQ(eventsOfKind(Second, "store_detach"), Runs * SoloDetaches);
 }
 
 } // namespace

@@ -154,7 +154,6 @@ TEST(AnalyzerOptionsTest, OptionsHashesMatchTheRecordedGoldens) {
   // hash is now a constant.
   AnalysisOptions R;
   EXPECT_EQ(R.optionsHash(), 0x04e3292583958ff9ull);
-  EXPECT_EQ(R.solverSemanticsHash(), 0x4ced0ee6149f25b5ull);
   EXPECT_EQ(AnalysisOptions().domain(DomainKind::Product).optionsHash(),
             0x83a3431ac5d22dcfull);
   EXPECT_EQ(
@@ -163,14 +162,11 @@ TEST(AnalyzerOptionsTest, OptionsHashesMatchTheRecordedGoldens) {
 
   // Domain and pruning change the stored values themselves.
   AnalysisOptions Product = AnalysisOptions().domain(DomainKind::Product);
-  EXPECT_NE(R.solverSemanticsHash(), Product.solverSemanticsHash());
-  EXPECT_NE(R.solverSemanticsHash(),
-            AnalysisOptions().prune(false).solverSemanticsHash());
-  // The chain length shapes the recorded state but not the values.
-  AnalysisOptions Two = AnalysisOptions().backwardRounds(2);
-  EXPECT_EQ(R.solverSemanticsHash(), Two.solverSemanticsHash());
-  EXPECT_NE(R.optionsHash(), Two.optionsHash());
-  // Speed-only knobs leave both hashes alone.
+  EXPECT_NE(R.optionsHash(), Product.optionsHash());
+  EXPECT_NE(R.optionsHash(), AnalysisOptions().prune(false).optionsHash());
+  // The chain length shapes the recorded state.
+  EXPECT_NE(R.optionsHash(), AnalysisOptions().backwardRounds(2).optionsHash());
+  // Speed-only knobs leave the hash alone.
   EXPECT_EQ(R.optionsHash(), AnalysisOptions().warmStart(false).optionsHash());
 }
 

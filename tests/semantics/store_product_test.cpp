@@ -311,6 +311,64 @@ TEST_P(StoreProductTest, CowFastPathsPreserveIdentityWithPlanes) {
   EXPECT_TRUE(Ops.get(Copy, V).asNum().C == Congruence(2, 1));
 }
 
+TEST_P(StoreProductTest, SparseWideStoresMatchScalarReference) {
+  // store_soa_test's sparse battery with four-word rows: one to three
+  // entries spread over a 1,000-slot numbering, written out of slot
+  // order, into moved-from stores and into copies that must detach.
+  AstContext WideCtx;
+  std::vector<VarDecl *> Wide;
+  for (unsigned I = 0; I < 1000; ++I)
+    Wide.push_back(WideCtx.create<VarDecl>(
+        SourceLoc(), "w" + std::to_string(I),
+        I % 3 == 2 ? WideCtx.booleanType() : WideCtx.integerType(),
+        VarKind::Local));
+  ScalarRef Ref{Ops, Ops.domain(), Wide};
+  std::mt19937_64 Rng(0x5a125e + static_cast<uint64_t>(GetParam()));
+  auto Sparse = [&](AbstractStore S) {
+    unsigned N = 1 + Rng() % 3;
+    for (unsigned I = 0; I < N; ++I) {
+      const VarDecl *V = Wide[Rng() % Wide.size()];
+      S.set(V, randomValue(Rng, V), VD.kind());
+    }
+    return S;
+  };
+  for (unsigned Iter = 0; Iter < 400; ++Iter) {
+    AbstractStore A = Sparse(AbstractStore());
+    AbstractStore B;
+    switch (Rng() % 4) {
+    case 0:
+      B = Sparse(A);
+      break;
+    case 1: {
+      AbstractStore Taken = Sparse(AbstractStore());
+      AbstractStore Moved = std::move(Taken);
+      B = Sparse(std::move(Taken));
+      if (Rng() % 2)
+        B = Moved;
+      break;
+    }
+    case 2:
+      B = Rng() % 2 ? AbstractStore::bottom() : AbstractStore();
+      break;
+    default:
+      B = Sparse(AbstractStore());
+      break;
+    }
+    if (Rng() % 2)
+      std::swap(A, B);
+    SCOPED_TRACE("iter " + std::to_string(Iter));
+
+    Ref.expectPointwise(ScalarRef::Op::Join, A, B, Ops.join(A, B), "join");
+    Ref.expectPointwise(ScalarRef::Op::Meet, A, B, Ops.meet(A, B), "meet");
+    Ref.expectPointwise(ScalarRef::Op::Widen, A, B, Ops.widen(A, B),
+                        "widen");
+    Ref.expectPointwise(ScalarRef::Op::Narrow, A, B, Ops.narrow(A, B),
+                        "narrow");
+    EXPECT_EQ(Ops.equal(A, B), Ref.scalarEqual(A, B));
+    EXPECT_EQ(Ops.leq(A, B), Ref.scalarLeq(A, B));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(CongruenceBearingKinds, StoreProductTest,
                          ::testing::Values(DomainKind::Congruence,
                                            DomainKind::Product),

@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <unordered_set>
 #include <vector>
 
 using namespace syntox;
@@ -341,6 +343,108 @@ TEST_F(StoreSoaTest, RestrictToMasksAndIdentity) {
           .isTop());
   AbstractStore Empty = Ops.restrictTo(A, Odd.data(), 0, &Dropped);
   EXPECT_EQ(Empty.numEntries(), 0u);
+}
+
+/// A 1,000-slot numbering of its own (slots 0..999 in creation order),
+/// for stores whose few entries sit far apart.
+struct WideNumbering {
+  static constexpr unsigned NumSlots = 1000;
+  AstContext Ctx;
+  std::vector<VarDecl *> Vars;
+  WideNumbering() {
+    for (unsigned I = 0; I < NumSlots; ++I)
+      Vars.push_back(Ctx.create<VarDecl>(
+          SourceLoc(), "w" + std::to_string(I),
+          I % 3 == 2 ? Ctx.booleanType() : Ctx.integerType(),
+          VarKind::Local));
+  }
+};
+
+TEST_F(StoreSoaTest, SparseWideStoresMatchScalarReference) {
+  // One to three entries spread over 1,000 slots, written out of slot
+  // order, sometimes into a moved-from store or into a copy that must
+  // detach: the windowed bitmaps and the slot-ordered rows must read
+  // back exactly what the scalar reference computes.
+  WideNumbering Wide;
+  ScalarRef Ref{Ops, Ops.domain(), Wide.Vars};
+  std::mt19937_64 Rng(0x5a125e);
+  auto Sparse = [&](AbstractStore S) {
+    unsigned N = 1 + Rng() % 3;
+    for (unsigned I = 0; I < N; ++I) {
+      const VarDecl *V = Wide.Vars[Rng() % WideNumbering::NumSlots];
+      S.set(V, randomValue(Rng, V));
+    }
+    return S;
+  };
+  for (unsigned Iter = 0; Iter < 400; ++Iter) {
+    AbstractStore A = Sparse(AbstractStore());
+    AbstractStore B;
+    switch (Rng() % 4) {
+    case 0:
+      B = Sparse(A); // shares A's block until its first write
+      break;
+    case 1: {
+      AbstractStore Taken = Sparse(AbstractStore());
+      AbstractStore Moved = std::move(Taken);
+      B = Sparse(std::move(Taken)); // writes into a moved-from store
+      if (Rng() % 2)
+        B = Moved;
+      break;
+    }
+    case 2:
+      B = Rng() % 2 ? AbstractStore::bottom() : AbstractStore();
+      break;
+    default:
+      B = Sparse(AbstractStore());
+      break;
+    }
+    if (Rng() % 2)
+      std::swap(A, B);
+    SCOPED_TRACE("iter " + std::to_string(Iter));
+
+    Ref.expectPointwise(ScalarRef::Op::Join, A, B, Ops.join(A, B), "join");
+    Ref.expectPointwise(ScalarRef::Op::Meet, A, B, Ops.meet(A, B), "meet");
+    Ref.expectPointwise(ScalarRef::Op::Widen, A, B, Ops.widen(A, B), "widen");
+    Ref.expectPointwise(ScalarRef::Op::Narrow, A, B, Ops.narrow(A, B),
+                        "narrow");
+    EXPECT_EQ(Ops.equal(A, B), Ref.scalarEqual(A, B));
+    EXPECT_EQ(Ops.leq(A, B), Ref.scalarLeq(A, B));
+
+    // Restriction to a random sparse live mask drops exactly the dead
+    // entries.
+    std::vector<uint64_t> Live((WideNumbering::NumSlots + 63) / 64);
+    for (uint64_t &W : Live)
+      W = Rng() & Rng();
+    AbstractStore R = Ops.restrictTo(A, Live.data(), Live.size());
+    for (const VarDecl *V : Wide.Vars) {
+      unsigned Slot = V->storeSlot();
+      bool IsLive = (Live[Slot >> 6] >> (Slot & 63)) & 1;
+      EXPECT_TRUE(Ops.get(R, V) == (IsLive || A.isBottom() ? Ops.get(A, V)
+                                                           : Ops.topFor(V)))
+          << V->name();
+    }
+  }
+}
+
+TEST(StoreBytesTest, OneEntryCostsTheSameAtAnySlot) {
+  // A payload holds rows for present slots only and bitmap words only
+  // around them: one entry at slot 999 costs what one at slot 0 does.
+  WideNumbering Wide;
+  auto Keys = std::make_shared<detail::StoreKeyTable>(Wide.Vars.begin(),
+                                                      Wide.Vars.end());
+  AbstractStore Low, High;
+  Low.adoptKeyTable(Keys);
+  High.adoptKeyTable(Keys);
+  Low.set(Wide.Vars[0], AbsValue(Interval(1, 2)));
+  High.set(Wide.Vars[999], AbsValue(Interval(1, 2)));
+  EXPECT_EQ(Low.approximateBytes(), High.approximateBytes());
+
+  // With the shared key table counted once (by Low), High's handle and
+  // block take less than one word per slot of the numbering.
+  std::unordered_set<const void *> Seen;
+  Low.approximateBytes(Seen);
+  EXPECT_LT(High.approximateBytes(Seen),
+            WideNumbering::NumSlots * sizeof(int64_t));
 }
 
 } // namespace
