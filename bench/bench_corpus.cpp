@@ -313,7 +313,8 @@ int main(int argc, char **argv) {
   AllOk &= WarmSeq.OK && WarmBatch.OK;
 
   // Wave 3: edit traffic — every program mutated once (a keystroke),
-  // re-analyzed against its now-stale disk cache. The seq and batch
+  // re-analyzed with its disk cache: the old file belongs to another
+  // program, so each run solves cold and saves. The seq and batch
   // trees diverge only by what the warm wave itself rewrote, which is
   // identical on both sides.
   for (size_t I = 0; I < Corpus.size(); ++I) {

@@ -7,17 +7,15 @@
 //   cold       first run against an empty cache directory (pays the
 //              full fixpoint plus the serialization cost),
 //   persisted  a fresh process-equivalent rerun of the *unchanged*
-//              program against the populated cache — every stable
-//              component must replay, so live evaluations drop to ~0,
-//   edited     one routine of the program is edited and the rerun pays
-//              only for the components whose fingerprint set changed;
-//              the edited-cold row is the no-cache baseline for the
-//              same edited source.
+//              program against the populated cache — every component
+//              must replay, so live evaluations drop to 0,
+//   edited     one routine of the program is edited; a cache file
+//              replays only into the program that wrote it, so the
+//              rerun falls back and pays what the edited-cold row (the
+//              no-cache baseline for the same edited source) pays.
 //
-// Families: procChain(K) (K independent procedures, the best case for
-// per-routine invalidation) and McCarthy_k (mutually dependent
-// recursion, the worst case: an edit to the callee re-keys every
-// instance below it).
+// Families: procChain(K) (K independent procedures) and McCarthy_k
+// (mutually dependent recursion).
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,8 +31,7 @@ using namespace syntox;
 namespace {
 
 /// K procedures, each a self-contained counting loop over a var
-/// parameter, called in sequence from the main body. Each procedure is
-/// its own fingerprint domain: editing one leaves K-1 untouched.
+/// parameter, called in sequence from the main body.
 std::string procChain(unsigned K, unsigned EditedProc = ~0u) {
   std::string Out = "program gen;\nvar\n";
   for (unsigned I = 0; I < K; ++I)
@@ -90,8 +87,7 @@ RunNumbers scenario(bench::Harness &H, const std::string &Label,
 }
 
 void runFamily(bench::Harness &H, const char *Family, unsigned K,
-               const std::string &Source, const std::string &Edited,
-               const std::string &EditedLast = std::string()) {
+               const std::string &Source, const std::string &Edited) {
   namespace fs = std::filesystem;
   fs::path Dir =
       fs::temp_directory_path() / ("syntox_bench_persist_" + std::string(Family));
@@ -106,17 +102,6 @@ void runFamily(bench::Harness &H, const char *Family, unsigned K,
   RunNumbers EditedWarm =
       scenario(H, Label + "/edited", Edited, Dir.string());
   RunNumbers EditedCold = scenario(H, Label + "/edited-cold", Edited, "");
-  // The edited-first scenario consumed the cache and re-saved the
-  // edited program's state; restore the original program's cache before
-  // the edited-last scenario so both edits start from the same point.
-  RunNumbers EditedLastWarm;
-  if (!EditedLast.empty()) {
-    fs::remove_all(Dir, EC);
-    fs::create_directories(Dir, EC);
-    scenario(H, Label + "/reseed", Source, Dir.string());
-    EditedLastWarm =
-        scenario(H, Label + "/edited-last", EditedLast, Dir.string());
-  }
 
   std::printf("%s:\n", Label.c_str());
   std::printf("  %-12s %12s %10s %12s %10s\n", "scenario", "live evals",
@@ -130,21 +115,11 @@ void runFamily(bench::Harness &H, const char *Family, unsigned K,
   Line("cold", Cold);
   Line("persisted", Persisted);
   Line("edited", EditedWarm);
-  if (!EditedLast.empty())
-    Line("edited-last", EditedLastWarm);
   Line("edited-cold", EditedCold);
   if (Persisted.LiveEvals == 0)
     std::printf("  unchanged rerun: full replay (0 live evaluations)\n");
-  if (EditedCold.LiveEvals) {
-    std::printf("  edit of first routine re-paid %.0f%% of the cold "
-                "edited run (changed values\n  flow through everything "
-                "downstream)\n",
-                100.0 * EditedWarm.LiveEvals / EditedCold.LiveEvals);
-    if (!EditedLast.empty())
-      std::printf("  edit of last routine re-paid %.0f%%: upstream "
-                  "components replay from disk\n",
-                  100.0 * EditedLastWarm.LiveEvals / EditedCold.LiveEvals);
-  }
+  if (EditedWarm.LiveEvals == EditedCold.LiveEvals)
+    std::printf("  edited rerun: fell back, a cold solve\n");
   std::printf("\n");
 
   json::Value Row = json::Value::object();
@@ -155,8 +130,6 @@ void runFamily(bench::Harness &H, const char *Family, unsigned K,
   Row.set("persisted_replays", Persisted.Skips);
   Row.set("persisted_avoided", Persisted.SkippedEvals);
   Row.set("edited_evals", EditedWarm.LiveEvals);
-  if (!EditedLast.empty())
-    Row.set("edited_last_evals", EditedLastWarm.LiveEvals);
   Row.set("edited_cold_evals", EditedCold.LiveEvals);
   Row.set("cold_seconds", Cold.Seconds);
   Row.set("persisted_seconds", Persisted.Seconds);
@@ -174,13 +147,12 @@ int main(int argc, char **argv) {
   std::printf("==== E-persist: on-disk warm-start cache ====\n\n");
   H.setField("note",
              json::Value("persisted_evals must be 0: the unchanged rerun "
-                         "replays every stable component from disk"));
+                         "replays every component from disk; "
+                         "edited_evals equals edited_cold_evals: an "
+                         "edited program never loads the old file"));
   for (unsigned K : {4u, 8u, 16u})
     runFamily(H, "procchain", K, procChain(K),
-              procChain(K, /*EditedProc=*/0),
-              procChain(K, /*EditedProc=*/K - 1));
-  // McCarthy_k: editing the innermost recursion is the invalidation
-  // worst case — the fingerprint chain re-keys everything below it.
+              procChain(K, /*EditedProc=*/0));
   runFamily(H, "mccarthy", 9, paper::mcCarthyK(9), paper::mcCarthyK(8));
   H.write();
   return 0;

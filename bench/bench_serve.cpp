@@ -16,6 +16,7 @@
 ///   warm   every document resubmitted unchanged (each replays its
 ///          per-document disk shard)
 ///   edit   every document mutated once (a keystroke) and resubmitted
+///          (each falls back from its shard's old file and saves anew)
 ///
 /// Reports programs/sec and p50/p99 response latency per wave (from the
 /// envelopes' own timing.total_ms), checks every response's findings
@@ -31,7 +32,7 @@
 ///                         (default 8192 per program: tight enough that
 ///                         the fattest documents overflow it and the
 ///                         server must evict, loose enough that most
-///                         edit-wave loads still warm-start)
+///                         warm-wave loads still find their file)
 ///   --seed=S              corpus base seed            (default 8101)
 ///
 //===----------------------------------------------------------------------===//
@@ -435,8 +436,9 @@ int main(int argc, char **argv) {
   H.setField("daemon_matches_sequential", AllMatch);
   H.setField("note", "pipelined JSON-lines traffic over a socketpair; "
                      "latencies are the envelopes' timing.total_ms; "
-                     "warm/edit waves replay the per-document disk "
-                     "shards under the GC cap");
+                     "the warm wave replays the per-document disk "
+                     "shards and the edit wave saves new ones, under "
+                     "the GC cap");
 
   fs::remove_all(CacheRoot, EC);
 

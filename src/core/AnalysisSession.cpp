@@ -129,10 +129,6 @@ bool AnalysisSession::loadPersistCache(AbstractDebugger &Dbg) {
     M->counter("persist.loaded").inc();
     M->counter("persist.slots").inc(R.Slots);
     M->counter("persist.restored_nodes").inc(R.RestoredNodes);
-    M->counter("persist.invalidated_nodes").inc(R.InvalidatedNodes);
-    M->counter("persist.matched_elements").inc(R.MatchedElements);
-    M->counter("persist.unmatched_elements").inc(R.UnmatchedElements);
-    M->counter("persist.restored_edge_memos").inc(R.RestoredEdgeMemos);
   } else {
     M->counter("persist.fallback").inc();
   }

@@ -162,21 +162,6 @@ template <typename ValueT> struct WarmStartMemo {
   /// Per boundary, per element: equation evaluations the recorded run
   /// spent on it (reported as SkippedSteps when replayed).
   std::vector<std::vector<uint64_t>> ElemSteps;
-  /// Per node: 1 when the Boundaries entries for this node are genuine
-  /// recorded values; 0 for placeholder entries created when a
-  /// persisted memo was mapped into an edited program (the node had no
-  /// counterpart in the recorded run). Empty = all valid, the
-  /// in-process case. An element containing an invalid node can
-  /// neither replay nor be verified as matched, and an invalid feeder
-  /// value fails verification unconditionally — placeholders must
-  /// never satisfy an equality check.
-  std::vector<uint8_t> NodeValid;
-  /// Per top-level element: 1 when the ElemChanged/ElemSteps rows are
-  /// genuine recordings for this element; 0 when the element's
-  /// membership did not match the recorded run (its values may still
-  /// be valid and serve feeder verification, but replay needs the
-  /// per-sweep rows). Empty = all replayable.
-  std::vector<uint8_t> ElemReplayable;
 };
 
 namespace solver_detail {
@@ -320,34 +305,12 @@ private:
                  !M.Boundaries.empty() &&
                  M.ElemChanged.size() == M.Boundaries.size() &&
                  M.ElemSteps.size() == M.Boundaries.size() &&
-                 M.ElemChanged.front().size() == NumElems &&
-                 (M.NodeValid.empty() || M.NodeValid.size() == N) &&
-                 (M.ElemReplayable.empty() ||
-                  M.ElemReplayable.size() == NumElems);
-    // Partial-validity mask of a memo mapped in from the persistent
-    // cache: an element containing a placeholder node has untrustworthy
-    // boundary values — it must not replay and must never be reported
-    // as matched, or a placeholder could satisfy an equality check.
-    ElemMembersValid.assign(NumElems, 1);
-    if (WarmReplay && !M.NodeValid.empty())
-      for (unsigned E = 0; E < NumElems; ++E)
-        for (unsigned V : Order.members(E))
-          if (!M.NodeValid[V]) {
-            ElemMembersValid[E] = 0;
-            break;
-          }
+                 M.ElemChanged.front().size() == NumElems;
     // Matched[e]: the element's current values equal the recorded
-    // snapshot of the boundary last processed. True initially — both
-    // runs start from the same initialValue() state — except for
-    // elements with placeholder members, whose recorded snapshots are
-    // not comparable.
+    // snapshot of the boundary last processed. True initially: both
+    // runs start from the same initialValue() state.
     Matched.assign(NumElems, 1);
     FullyReplayed.assign(NumElems, WarmReplay ? 1 : 0);
-    for (unsigned E = 0; E < NumElems; ++E)
-      if (!ElemMembersValid[E]) {
-        Matched[E] = 0;
-        FullyReplayed[E] = 0;
-      }
     CurBoundary = 0;
     NewMemo = WarmStartMemo<Value>();
     NewMemo.Kind = Opts.Kind;
@@ -408,10 +371,8 @@ private:
                  Order.elements()[E].Vertex);
       if (WarmReplay) {
         const std::vector<Value> &B = Opts.Memo->Boundaries.back();
-        const std::vector<uint8_t> &NV = Opts.Memo->NodeValid;
         for (unsigned V : Order.members(E))
-          if (NV.empty() || NV[V])
-            overwrite(V, B[V]);
+          overwrite(V, B[V]);
       }
     }
   }
@@ -446,19 +407,13 @@ private:
   bool canReplay(unsigned E) const {
     if (!WarmReplay || CurBoundary >= Opts.Memo->Boundaries.size())
       return false;
-    if (!SeedClean[E] || !ElemMembersValid[E])
-      return false;
-    if (!Opts.Memo->ElemReplayable.empty() && !Opts.Memo->ElemReplayable[E])
-      return false;
-    if (CurBoundary > 0 && !Matched[E])
+    if (!SeedClean[E] || (CurBoundary > 0 && !Matched[E]))
       return false;
     const std::vector<Value> &B = Opts.Memo->Boundaries[CurBoundary];
-    const std::vector<uint8_t> &NV = Opts.Memo->NodeValid;
     // External feeders live in strictly earlier top-level elements, so
     // their values are final for the current sweep by now.
     for (unsigned U : Order.feeders(E))
-      if (!Matched[Order.topElement(U)] &&
-          ((!NV.empty() && !NV[U]) || !Sys.equal(X[U], B[U])))
+      if (!Matched[Order.topElement(U)] && !Sys.equal(X[U], B[U]))
         return false;
     return true;
   }
@@ -487,8 +442,7 @@ private:
   void updateMatched(unsigned E) {
     FullyReplayed[E] = 0;
     Matched[E] = 0;
-    if (!WarmReplay || !ElemMembersValid[E] ||
-        CurBoundary >= Opts.Memo->Boundaries.size())
+    if (!WarmReplay || CurBoundary >= Opts.Memo->Boundaries.size())
       return;
     const std::vector<Value> &B = Opts.Memo->Boundaries[CurBoundary];
     for (unsigned V : Order.members(E))
@@ -729,7 +683,6 @@ private:
   bool WarmReplay = false; ///< memo valid: replay stable elements
   unsigned CurBoundary = 0; ///< sweep boundary the current sweep targets
   std::vector<uint8_t> SeedClean;
-  std::vector<uint8_t> ElemMembersValid;
   std::vector<uint8_t> Matched;
   std::vector<uint8_t> FullyReplayed;
   std::vector<uint8_t> SweepChangedBuf;

@@ -744,9 +744,8 @@ public:
   /// and body with nested routine bodies elided, computed by
   /// computeFingerprints() (frontend/Fingerprint.h). Zero until that
   /// pass runs. Stable across process runs and across edits to other
-  /// routines; every content-addressed identity of the analysis
-  /// pipeline (variable keys, supergraph node keys, the persistent
-  /// warm-start cache) derives from it.
+  /// routines; the persistent warm-start cache's program hash folds it
+  /// (persist/WarmCache.h).
   uint64_t fingerprint() const { return Fingerprint; }
   void setFingerprint(uint64_t F) { Fingerprint = F; }
 

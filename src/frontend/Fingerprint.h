@@ -8,10 +8,10 @@
 /// \file
 /// Content-derived identities for routines: a 64-bit structural hash of
 /// a routine's signature and body that is stable across process runs and
-/// across edits to *other* routines. Every stable key of the analysis
-/// pipeline (variable keys, interprocedural instance keys, supergraph
-/// node keys, and therefore the persistent warm-start cache) is derived
-/// from these fingerprints — see DESIGN.md §8.
+/// across edits to *other* routines. The persistent warm-start cache
+/// folds the fingerprint of every unfolded routine into the program hash
+/// that decides whether a cache file belongs to the program at hand
+/// (persist/WarmCache.h, DESIGN.md §8).
 ///
 /// What a fingerprint covers, and why:
 ///  - the signature (kind, name, parameter names/kinds/types, result
@@ -20,7 +20,8 @@
 ///    or lowering;
 ///  - the body statements and expressions, structurally (variable
 ///    references by *name*: bindings resolved through ancestors are
-///    covered by the ancestor-fingerprint chain in instance keys);
+///    covered by the ancestors' own fingerprints, since every ancestor
+///    of an unfolded routine is unfolded too);
 ///  - the *signature hash* of every callee, because the caller's
 ///    lowering of a call (argument temporaries, reference passing,
 ///    result plumbing) depends on the callee's parameter kinds — but
@@ -42,8 +43,9 @@ namespace syntox {
 class RoutineDecl;
 class Type;
 
-/// FNV-1a style mixing used by all fingerprint/key derivations. Kept in
-/// one place so the on-disk cache keys are reproducible.
+/// FNV-1a style mixing used by the fingerprints and the hashes built on
+/// them. Kept in one place so the on-disk cache's hashes are
+/// reproducible.
 inline uint64_t fpSeed() { return 0xcbf29ce484222325ull; }
 inline uint64_t fpMix(uint64_t H, uint64_t V) {
   H ^= V + 0x9e3779b97f4a7c15ull + (H << 12) + (H >> 3);

@@ -2,12 +2,11 @@
 
 #include "persist/WarmCache.h"
 
-#include "fixpoint/Wto.h"
+#include "frontend/Fingerprint.h"
 #include "persist/Serial.h"
 #include "semantics/Analyzer.h"
 #include "support/Json.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -15,7 +14,6 @@
 #include <fcntl.h>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -36,46 +34,36 @@ std::string hex64(uint64_t V) {
 }
 
 //===----------------------------------------------------------------------===//
-// Element keys
+// Program identity
 //===----------------------------------------------------------------------===//
 
-/// Content key of each top-level WTO element: the hash of its sorted
-/// member node keys. Stable under any reordering of unrelated elements
-/// and under edits that leave the member routines' fingerprints alone.
-std::vector<uint64_t> elementKeys(const Wto &Order,
-                                  const std::vector<uint64_t> &NodeKeys) {
-  std::vector<uint64_t> Keys;
-  Keys.reserve(Order.elements().size());
-  std::vector<uint64_t> MemberKeys;
-  for (unsigned E = 0; E < Order.elements().size(); ++E) {
-    MemberKeys.clear();
-    for (unsigned V : Order.members(E))
-      MemberKeys.push_back(NodeKeys[V]);
-    std::sort(MemberKeys.begin(), MemberKeys.end());
-    uint64_t K = fpMix(fpSeed(), MemberKeys.size());
-    for (uint64_t Key : MemberKeys)
-      K = fpMix(K, Key);
-    Keys.push_back(K);
+/// The hash a file is checked against (see WarmCache.h). Equal hashes
+/// mean the same equations over the same node, element and slot
+/// indices, so a file's rows can be addressed by position.
+uint64_t programHash(const SuperGraph &G) {
+  const std::vector<Instance> &Insts = G.instances();
+  computeFingerprints(Insts.front().R);
+  uint64_t H = fpMix(fpSeed(), Insts.size());
+  for (const Instance &I : Insts) {
+    H = fpMix(H, I.R->fingerprint());
+    H = fpMix(H, I.Tok.CallSiteId);
+    // The slot layout: slots are numbered in routine declaration order,
+    // which no fingerprint sees (a parent's fingerprint elides its
+    // nested routines), so the same routines declared in another order
+    // differ only here.
+    const std::vector<VarDecl *> &Owned = I.R->ownedVars();
+    H = fpMix(H, Owned.empty() ? ~0u : Owned.front()->storeSlot());
+    for (const VarDecl *Root : I.Tok.Roots)
+      H = fpMix(H, Root->storeSlot());
   }
-  return Keys;
-}
-
-/// Key -> index map with duplicate poisoning: a key minted twice (e.g.
-/// textually identical twin routines) is ambiguous and must not map, or
-/// recorded state could be grafted onto the wrong twin.
-std::unordered_map<uint64_t, unsigned>
-indexByKey(const std::vector<uint64_t> &Keys) {
-  constexpr unsigned Ambiguous = ~0u;
-  std::unordered_map<uint64_t, unsigned> Map;
-  Map.reserve(Keys.size());
-  for (unsigned I = 0; I < Keys.size(); ++I) {
-    auto [It, Inserted] = Map.emplace(Keys[I], I);
-    if (!Inserted)
-      It->second = Ambiguous;
+  H = fpMix(H, G.numNodes());
+  H = fpMix(H, G.varNumbering().numSlots());
+  for (const SuperEdge &E : G.edges()) {
+    H = fpMix(H, static_cast<unsigned>(E.K));
+    H = fpMix(H, E.From);
+    H = fpMix(H, E.To);
   }
-  for (auto It = Map.begin(); It != Map.end();)
-    It = It->second == Ambiguous ? Map.erase(It) : std::next(It);
-  return Map;
+  return H;
 }
 
 //===----------------------------------------------------------------------===//
@@ -182,8 +170,6 @@ AbsValue readValue(ByteReader &R, bool &Ok) {
 /// that the common case).
 class StorePoolWriter {
 public:
-  explicit StorePoolWriter(const StableIds &Ids) : Ids(Ids) {}
-
   uint64_t ref(const AbstractStore &S) {
     if (S.isBottom())
       return 1;
@@ -196,7 +182,7 @@ public:
     ByteWriter W;
     W.varint(S.numEntries());
     S.forEachEntry([&](const VarDecl *V, const AbsValue &Val) {
-      W.varint(varIndex(V));
+      W.varint(V->storeSlot());
       writeValue(W, Val);
     });
     auto [Entry, Inserted] = ByBytes.emplace(W.buffer(), 2 + Entries.size());
@@ -206,8 +192,6 @@ public:
     return Entry->second;
   }
 
-  const std::vector<uint64_t> &varKeys() const { return VarKeys; }
-
   void writePool(ByteWriter &W) const {
     W.varint(Entries.size());
     for (const std::string *E : Entries)
@@ -215,19 +199,9 @@ public:
   }
 
 private:
-  uint64_t varIndex(const VarDecl *V) {
-    auto [It, Inserted] = VarIdx.emplace(V, VarKeys.size());
-    if (Inserted)
-      VarKeys.push_back(Ids.varKey(V));
-    return It->second;
-  }
-
-  const StableIds &Ids;
-  std::unordered_map<const VarDecl *, uint64_t> VarIdx;
-  std::vector<uint64_t> VarKeys;
   std::unordered_map<const void *, uint64_t> ByPayload;
   std::unordered_map<std::string, uint64_t> ByBytes;
-  /// The keys of ByBytes in reference order (node keys never move).
+  /// The keys of ByBytes in reference order.
   std::vector<const std::string *> Entries;
 };
 
@@ -235,73 +209,56 @@ private:
 // Store pool (load side)
 //===----------------------------------------------------------------------===//
 
-/// The deserialized pool: one reconstructed store per entry, plus a
-/// validity bit — an entry mentioning a variable key with no
-/// counterpart in the current program (or an ambiguous one) cannot be
-/// reconstructed and poisons everything referencing it.
+/// The deserialized pool: one reconstructed store per entry, each row
+/// bound to the current program's declaration of its slot.
 struct StorePoolReader {
   std::vector<AbstractStore> Stores; ///< index = ref
-  std::vector<uint8_t> Valid;
 
-  bool parse(ByteReader &R, const std::vector<const VarDecl *> &Vars,
-             DomainKind DK) {
+  bool parse(ByteReader &R, const SuperGraph &G, DomainKind DK) {
+    const detail::StoreKeyTable &Decls = *G.keyTable();
     uint64_t Count = R.varint();
     if (R.failed() || Count > R.remaining())
       return false;
     Stores.reserve(2 + Count);
-    Valid.reserve(2 + Count);
     Stores.push_back(AbstractStore::top());
-    Valid.push_back(1);
     Stores.push_back(AbstractStore::bottom());
-    Valid.push_back(1);
     for (uint64_t I = 0; I < Count; ++I) {
       uint64_t NumEntries = R.varint();
       if (R.failed() || NumEntries > R.remaining())
         return false;
       AbstractStore S;
+      if (NumEntries)
+        S.adoptKeyTable(G.keyTable());
       bool Ok = true;
       for (uint64_t E = 0; E < NumEntries; ++E) {
-        uint64_t VarIdx = R.varint();
+        uint64_t Slot = R.varint();
         AbsValue Val = readValue(R, Ok);
-        if (R.failed())
+        // A row's lane must be its variable's: the store kernels never
+        // check it again.
+        if (R.failed() || !Ok || Slot >= Decls.size() ||
+            Val.isBool() != Decls[Slot]->type()->isBoolean())
           return false;
-        const VarDecl *V =
-            VarIdx < Vars.size() ? Vars[VarIdx] : nullptr;
-        if (!V) {
-          Ok = false;
-          continue;
-        }
-        if (Ok)
-          S.set(V, Val, DK);
+        S.set(Decls[Slot], Val, DK);
       }
-      Stores.push_back(Ok ? std::move(S) : AbstractStore::top());
-      Valid.push_back(Ok);
+      Stores.push_back(std::move(S));
     }
     return true;
   }
 
-  bool valid(uint64_t Ref) const {
-    return Ref < Valid.size() && Valid[Ref];
+  /// Reads \p N references into \p Out; false on a dangling one (a
+  /// short read yields references to top and leaves R failed).
+  bool readRefs(ByteReader &R, unsigned N,
+                std::vector<AbstractStore> &Out) const {
+    Out.resize(N);
+    for (unsigned V = 0; V < N; ++V) {
+      uint64_t Ref = R.varint();
+      if (Ref >= Stores.size())
+        return false;
+      Out[V] = Stores[Ref];
+    }
+    return true;
   }
-  const AbstractStore &store(uint64_t Ref) const { return Stores[Ref]; }
 };
-
-void writeKeyTable(ByteWriter &W, const std::vector<uint64_t> &Keys) {
-  W.varint(Keys.size());
-  for (uint64_t K : Keys)
-    W.u64(K);
-}
-
-std::vector<uint64_t> readKeyTable(ByteReader &R) {
-  uint64_t Count = R.varint();
-  if (R.failed() || Count > R.remaining() / 8 + 1)
-    return {};
-  std::vector<uint64_t> Keys;
-  Keys.reserve(Count);
-  for (uint64_t I = 0; I < Count; ++I)
-    Keys.push_back(R.u64());
-  return Keys;
-}
 
 bool isForwardSig(Analyzer::PhaseSig Sig) {
   return Sig == Analyzer::PhaseSig::FwdNoEnv ||
@@ -348,6 +305,26 @@ std::string writeFileAtomically(const std::string &Path,
   return Error;
 }
 
+/// Reads exactly \p Len bytes from \p Fd into \p Buf.
+bool readFully(int Fd, char *Buf, size_t Len) {
+  while (Len > 0) {
+    ssize_t N = ::read(Fd, Buf, Len);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Buf += N;
+    Len -= static_cast<size_t>(N);
+  }
+  return true;
+}
+
+/// Closes a file descriptor when it goes out of scope.
+struct FdCloser {
+  int Fd;
+  ~FdCloser() { ::close(Fd); }
+};
+
 } // namespace
 
 std::string persist::cacheFilePath(const std::string &Dir,
@@ -381,32 +358,25 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
     return Fail("no recorded run to persist");
 
   const SuperGraph &G = An.graph();
-  const StableIds &Ids = G.stableIds();
   unsigned N = G.numNodes();
+  size_t FwdElems = An.forwardOrder().elements().size();
+  size_t BwdElems = An.backwardOrder().elements().size();
+  uint64_t ProgramHash = programHash(G);
 
-  std::vector<uint64_t> FwdElemKeys =
-      elementKeys(An.forwardOrder(), Ids.nodeKeys());
-  std::vector<uint64_t> BwdElemKeys =
-      elementKeys(An.backwardOrder(), Ids.nodeKeys());
+  StorePoolWriter Pool;
 
-  StorePoolWriter Pool(Ids);
-
-  // Slots and edge memos are serialized first (into side buffers) so
-  // the pool they populate can be emitted ahead of them in the body.
+  // The slots are serialized first (into a side buffer) so the pool
+  // they populate can be emitted ahead of them in the body.
   ByteWriter SlotsW;
   uint64_t SavedSlots = 0;
   SlotsW.varint(Slots.size());
   for (const Analyzer::WarmSlot &Slot : Slots) {
     const WarmStartMemo<AbstractStore> &M = Slot.Memo;
-    size_t NumElems =
-        isForwardSig(Slot.Sig) ? FwdElemKeys.size() : BwdElemKeys.size();
+    size_t NumElems = isForwardSig(Slot.Sig) ? FwdElems : BwdElems;
     bool Ok = M.Valid && M.NumNodes == N && !M.Boundaries.empty() &&
               M.ElemChanged.size() == M.Boundaries.size() &&
               M.ElemSteps.size() == M.Boundaries.size() &&
-              M.ElemChanged.front().size() == NumElems &&
-              (M.NodeValid.empty() || M.NodeValid.size() == N) &&
-              (M.ElemReplayable.empty() ||
-               M.ElemReplayable.size() == NumElems);
+              M.ElemChanged.front().size() == NumElems;
     for (const std::vector<AbstractStore> &B : M.Boundaries)
       Ok &= B.size() == N;
     SlotsW.u8(Ok);
@@ -426,12 +396,6 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
       for (size_t E = 0; E < NumElems; ++E)
         SlotsW.varint(M.ElemSteps[B][E]);
     }
-    SlotsW.u8(!M.NodeValid.empty());
-    for (uint8_t Bit : M.NodeValid)
-      SlotsW.u8(Bit);
-    SlotsW.u8(!M.ElemReplayable.empty());
-    for (uint8_t Bit : M.ElemReplayable)
-      SlotsW.u8(Bit);
     bool HasEnv = Slot.Env.size() == N;
     SlotsW.u8(HasEnv);
     if (HasEnv)
@@ -444,44 +408,22 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
         SlotsW.varint(Pool.ref(Slot.Seeds[V]));
   }
 
-  ByteWriter EdgesW;
-  uint64_t SavedMemos = 0;
-  {
-    ByteWriter Records;
-    const auto &Memos = G.edgeMemos();
-    for (unsigned E = 0; E < Memos.size(); ++E)
-      for (unsigned Dir = 0; Dir < 2; ++Dir) {
-        const LinkTransferMemo &M = Memos[E][Dir];
-        if (!M.Valid)
-          continue;
-        ++SavedMemos;
-        Records.u64(Ids.edgeKey(E));
-        Records.u8(static_cast<uint8_t>(Dir));
-        Records.varint(Pool.ref(M.In1));
-        Records.varint(Pool.ref(M.In2));
-        Records.varint(Pool.ref(M.Out));
-      }
-    EdgesW.varint(SavedMemos);
-    EdgesW.append(Records);
-  }
-
-  // Body: key tables, pool, slots, edge memos — in that order, so the
-  // reader has every table it needs before the data referencing it.
+  // Body: the program's shape, the pool, the slots — in that order, so
+  // the reader can check the shape before it allocates anything.
   ByteWriter Body;
-  writeKeyTable(Body, Pool.varKeys());
-  writeKeyTable(Body, Ids.nodeKeys());
-  writeKeyTable(Body, FwdElemKeys);
-  writeKeyTable(Body, BwdElemKeys);
+  Body.varint(N);
+  Body.varint(FwdElems);
+  Body.varint(BwdElems);
+  Body.varint(G.varNumbering().numSlots());
   Pool.writePool(Body);
   Body.append(SlotsW);
-  Body.append(EdgesW);
 
   uint64_t Checksum = fnv1a(Body.buffer().data(), Body.size());
   ByteWriter File;
   File.bytes(CacheMagic, 4);
   File.u32(CacheFormatVersion);
   File.u64(Opts.optionsHash());
-  File.u64(Ids.supergraphHash());
+  File.u64(ProgramHash);
   File.u64(Body.size());
   File.u64(Checksum);
   File.append(Body);
@@ -500,12 +442,11 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
   Meta.set("magic", json::Value("SYXC"));
   Meta.set("version", json::Value(static_cast<int64_t>(CacheFormatVersion)));
   Meta.set("options_hash", json::Value(hex64(Opts.optionsHash())));
-  Meta.set("supergraph_hash", json::Value(hex64(Ids.supergraphHash())));
+  Meta.set("program_hash", json::Value(hex64(ProgramHash)));
   Meta.set("body_len", json::Value(static_cast<int64_t>(Body.size())));
   Meta.set("body_checksum", json::Value(hex64(Checksum)));
   Meta.set("num_nodes", json::Value(static_cast<int64_t>(N)));
   Meta.set("slots", json::Value(static_cast<int64_t>(SavedSlots)));
-  Meta.set("edge_memos", json::Value(static_cast<int64_t>(SavedMemos)));
   std::ofstream MetaOut(Path + ".meta.json", std::ios::trunc);
   if (MetaOut)
     MetaOut << Meta.pretty() << "\n";
@@ -555,82 +496,56 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     return Fallback("warm start disabled");
 
   std::string Path = cacheFilePath(Dir, Opts);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return Fallback("no cache file");
-  std::string Data((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  if (Data.size() < HeaderBytes)
-    return Fallback("truncated header");
+  FdCloser Closer{Fd};
 
-  if (std::memcmp(Data.data(), CacheMagic, 4) != 0)
+  // The header decides alone whether the body is worth reading: a file
+  // written under other options or for another program is rejected
+  // after one small read.
+  char Header[HeaderBytes];
+  if (!readFully(Fd, Header, HeaderBytes))
+    return Fallback("truncated header");
+  if (std::memcmp(Header, CacheMagic, 4) != 0)
     return Fallback("bad magic");
-  ByteReader Header(Data.data() + 4, HeaderBytes - 4);
-  if (Header.u32() != CacheFormatVersion)
+  ByteReader H(Header + 4, HeaderBytes - 4);
+  if (H.u32() != CacheFormatVersion)
     return Fallback("format version mismatch");
-  if (Header.u64() != Opts.optionsHash())
+  if (H.u64() != Opts.optionsHash())
     return Fallback("options mismatch");
-  Header.u64(); // recorded supergraph hash: informational only
-  uint64_t BodyLen = Header.u64();
-  uint64_t Checksum = Header.u64();
-  if (Data.size() - HeaderBytes != BodyLen)
+  const SuperGraph &G = An.graph();
+  if (H.u64() != programHash(G))
+    return Fallback("program changed");
+  uint64_t BodyLen = H.u64();
+  uint64_t Checksum = H.u64();
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || St.st_size < 0 ||
+      static_cast<uint64_t>(St.st_size) - HeaderBytes != BodyLen)
     return Fallback("truncated body");
-  if (fnv1a(Data.data() + HeaderBytes, BodyLen) != Checksum)
+  std::string Data(BodyLen, '\0');
+  if (!readFully(Fd, Data.data(), BodyLen))
+    return Fallback("truncated body");
+  if (fnv1a(Data.data(), BodyLen) != Checksum)
     return Fallback("checksum mismatch");
 
-  const SuperGraph &G = An.graph();
-  const StableIds &Ids = G.stableIds();
-  unsigned NNew = G.numNodes();
-
-  ByteReader R(Data.data() + HeaderBytes, BodyLen);
-  std::vector<uint64_t> VarKeyTable = readKeyTable(R);
-  std::vector<uint64_t> RecNodeKeys = readKeyTable(R);
-  std::vector<uint64_t> RecFwdElemKeys = readKeyTable(R);
-  std::vector<uint64_t> RecBwdElemKeys = readKeyTable(R);
-  if (R.failed())
-    return Fallback("malformed key tables");
-
-  // Var table -> current VarDecls (null for keys with no counterpart).
-  std::vector<const VarDecl *> Vars;
-  Vars.reserve(VarKeyTable.size());
-  for (uint64_t K : VarKeyTable)
-    Vars.push_back(Ids.varForKey(K));
+  // The body must describe this program's index spaces exactly; the
+  // counts are checked before any row is allocated from them.
+  unsigned N = G.numNodes();
+  size_t FwdElems = An.forwardOrder().elements().size();
+  size_t BwdElems = An.backwardOrder().elements().size();
+  ByteReader R(Data.data(), BodyLen);
+  uint64_t RecNodes = R.varint();
+  uint64_t RecFwdElems = R.varint();
+  uint64_t RecBwdElems = R.varint();
+  uint64_t RecSlots = R.varint();
+  if (R.failed() || RecNodes != N || RecFwdElems != FwdElems ||
+      RecBwdElems != BwdElems || RecSlots != G.varNumbering().numSlots())
+    return Fallback("program shape mismatch");
 
   StorePoolReader Pool;
-  if (!Pool.parse(R, Vars, Opts.Domain) || R.failed())
+  if (!Pool.parse(R, G, Opts.Domain) || R.failed())
     return Fallback("malformed store pool");
-
-  // Recorded node index -> current node index (or -1): the heart of
-  // edit-aware invalidation. Duplicate keys on either side are
-  // ambiguous and stay unmapped.
-  unsigned NRec = static_cast<unsigned>(RecNodeKeys.size());
-  std::unordered_map<uint64_t, unsigned> RecNodeByKey =
-      indexByKey(RecNodeKeys);
-  std::vector<int64_t> RecOfNew(NNew, -1);
-  {
-    std::unordered_map<uint64_t, unsigned> NewNodeByKey =
-        indexByKey(Ids.nodeKeys());
-    for (unsigned I = 0; I < NNew; ++I) {
-      auto It = NewNodeByKey.find(Ids.nodeKey(I));
-      if (It == NewNodeByKey.end() || It->second != I)
-        continue; // current-side duplicate: ambiguous
-      auto Rec = RecNodeByKey.find(Ids.nodeKey(I));
-      if (Rec != RecNodeByKey.end())
-        RecOfNew[I] = Rec->second;
-    }
-  }
-  for (unsigned I = 0; I < NNew; ++I)
-    RecOfNew[I] >= 0 ? ++Res.RestoredNodes : ++Res.InvalidatedNodes;
-
-  // Current WTO element keys per system, and the recorded-key lookup.
-  std::vector<uint64_t> FwdElemKeys =
-      elementKeys(An.forwardOrder(), Ids.nodeKeys());
-  std::vector<uint64_t> BwdElemKeys =
-      elementKeys(An.backwardOrder(), Ids.nodeKeys());
-  std::unordered_map<uint64_t, unsigned> RecFwdByKey =
-      indexByKey(RecFwdElemKeys);
-  std::unordered_map<uint64_t, unsigned> RecBwdByKey =
-      indexByKey(RecBwdElemKeys);
 
   uint64_t NumSlots = R.varint();
   if (R.failed() || NumSlots > 1024)
@@ -662,161 +577,39 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     // describes holds 0 (the recursive strategy, now the only one).
     if (R.u8() != 0)
       return Fallback("malformed slot");
-    M.NumNodes = NNew;
+    M.NumNodes = N;
 
-    const std::vector<uint64_t> &NewElemKeys =
-        Fwd ? FwdElemKeys : BwdElemKeys;
-    const std::unordered_map<uint64_t, unsigned> &RecElemByKey =
-        Fwd ? RecFwdByKey : RecBwdByKey;
-    size_t ERec = Fwd ? RecFwdElemKeys.size() : RecBwdElemKeys.size();
-    size_t ENew = NewElemKeys.size();
-
-    // The rows are allocated per boundary in both index spaces, so the
-    // count is checked first: against the sweeps the recorded solve
-    // could take, and against the body, since each row takes at least
-    // one byte per recorded node and two per element.
+    // The rows are allocated per boundary, so the count is checked
+    // first: against the sweeps the recorded solve could take, and
+    // against the body, since each row takes at least one byte per
+    // node and two per element.
+    size_t NumElems = Fwd ? FwdElems : BwdElems;
     uint64_t NumBoundaries = R.varint();
-    uint64_t RowBytes = NRec + 2 * ERec;
+    uint64_t RowBytes = N + 2 * uint64_t(NumElems);
     if (R.failed() || NumBoundaries == 0 || NumBoundaries > MaxBoundaries ||
-        NumBoundaries > 100000 || NumBoundaries * RowBytes > R.remaining())
+        NumBoundaries * RowBytes > R.remaining())
       return Fallback("malformed boundary count");
-
-    // Per-boundary recorded refs and rows, in *recorded* index space.
-    std::vector<std::vector<uint64_t>> Refs(
-        NumBoundaries, std::vector<uint64_t>(NRec));
-    std::vector<std::vector<uint8_t>> RecChanged(
-        NumBoundaries, std::vector<uint8_t>(ERec));
-    std::vector<std::vector<uint64_t>> RecSteps(
-        NumBoundaries, std::vector<uint64_t>(ERec));
+    M.Boundaries.resize(NumBoundaries);
+    M.ElemChanged.assign(NumBoundaries, std::vector<uint8_t>(NumElems));
+    M.ElemSteps.assign(NumBoundaries, std::vector<uint64_t>(NumElems));
     for (uint64_t B = 0; B < NumBoundaries; ++B) {
-      for (unsigned V = 0; V < NRec; ++V)
-        Refs[B][V] = R.varint();
-      for (size_t E = 0; E < ERec; ++E)
-        RecChanged[B][E] = R.u8();
-      for (size_t E = 0; E < ERec; ++E)
-        RecSteps[B][E] = R.varint();
+      if (!Pool.readRefs(R, N, M.Boundaries[B]))
+        return Fallback("dangling store reference");
+      for (size_t E = 0; E < NumElems; ++E)
+        M.ElemChanged[B][E] = R.u8();
+      for (size_t E = 0; E < NumElems; ++E)
+        M.ElemSteps[B][E] = R.varint();
     }
-    std::vector<uint8_t> RecNodeValid;
-    if (R.u8())
-      for (unsigned V = 0; V < NRec; ++V)
-        RecNodeValid.push_back(R.u8());
-    std::vector<uint8_t> RecElemReplayable;
-    if (R.u8())
-      for (size_t E = 0; E < ERec; ++E)
-        RecElemReplayable.push_back(R.u8());
-    std::vector<uint64_t> EnvRefs, SeedRefs;
-    if (R.u8())
-      for (unsigned V = 0; V < NRec; ++V)
-        EnvRefs.push_back(R.varint());
-    if (R.u8())
-      for (unsigned V = 0; V < NRec; ++V)
-        SeedRefs.push_back(R.varint());
+    // The envelope and seeds the recorded run solved under, for the
+    // solver's external-input check.
+    if (R.u8() && !Pool.readRefs(R, N, Slot.Env))
+      return Fallback("dangling store reference");
+    if (R.u8() && !Pool.readRefs(R, N, Slot.Seeds))
+      return Fallback("dangling store reference");
     if (R.failed())
       return Fallback("malformed slot body");
-    for (const std::vector<uint64_t> &Row : Refs)
-      for (uint64_t Ref : Row)
-        if (Ref >= Pool.Stores.size())
-          return Fallback("dangling store reference");
-
-    // Remap into the current graph: values by node key, rows by
-    // element key, placeholders (masked invalid) everywhere else.
-    std::vector<uint8_t> NodeValid(NNew, 1);
-    for (unsigned I = 0; I < NNew; ++I) {
-      int64_t J = RecOfNew[I];
-      if (J < 0 ||
-          (!RecNodeValid.empty() && !RecNodeValid[J])) {
-        NodeValid[I] = 0;
-        continue;
-      }
-      for (uint64_t B = 0; B < NumBoundaries && NodeValid[I]; ++B)
-        if (!Pool.valid(Refs[B][J]))
-          NodeValid[I] = 0;
-    }
-    M.Boundaries.assign(NumBoundaries,
-                        std::vector<AbstractStore>(NNew));
-    for (uint64_t B = 0; B < NumBoundaries; ++B)
-      for (unsigned I = 0; I < NNew; ++I)
-        if (NodeValid[I])
-          M.Boundaries[B][I] = Pool.store(Refs[B][RecOfNew[I]]);
-
-    std::vector<uint8_t> ElemReplayable(ENew, 0);
-    M.ElemChanged.assign(NumBoundaries, std::vector<uint8_t>(ENew, 1));
-    M.ElemSteps.assign(NumBoundaries, std::vector<uint64_t>(ENew, 0));
-    for (size_t E = 0; E < ENew; ++E) {
-      auto It = RecElemByKey.find(NewElemKeys[E]);
-      if (It == RecElemByKey.end())
-        continue;
-      unsigned RE = It->second;
-      if (!RecElemReplayable.empty() && !RecElemReplayable[RE])
-        continue;
-      ElemReplayable[E] = 1;
-      ++Res.MatchedElements;
-      for (uint64_t B = 0; B < NumBoundaries; ++B) {
-        M.ElemChanged[B][E] = RecChanged[B][RE];
-        M.ElemSteps[B][E] = RecSteps[B][RE];
-      }
-    }
-    Res.UnmatchedElements +=
-        ENew - static_cast<size_t>(
-                   std::count(ElemReplayable.begin(),
-                              ElemReplayable.end(), uint8_t(1)));
-
-    // Empty masks mean "all valid" to the solver; only keep them when
-    // something is actually masked.
-    if (std::count(NodeValid.begin(), NodeValid.end(), uint8_t(1)) !=
-        static_cast<long>(NNew))
-      M.NodeValid = std::move(NodeValid);
-    if (std::count(ElemReplayable.begin(), ElemReplayable.end(),
-                   uint8_t(1)) != static_cast<long>(ENew))
-      M.ElemReplayable = std::move(ElemReplayable);
-
-    // Recorded envelope/seeds, for the external-input dirtiness check.
-    // Placeholder tops at unmatched nodes are harmless: those nodes are
-    // invalid, so their elements never replay regardless.
-    auto Remap = [&](const std::vector<uint64_t> &SrcRefs,
-                     std::vector<AbstractStore> &Out) {
-      if (SrcRefs.empty())
-        return;
-      Out.assign(NNew, AbstractStore());
-      for (unsigned I = 0; I < NNew; ++I) {
-        int64_t J = RecOfNew[I];
-        if (J >= 0 && SrcRefs[J] < Pool.Stores.size() &&
-            Pool.valid(SrcRefs[J]))
-          Out[I] = Pool.store(SrcRefs[J]);
-      }
-    };
-    Remap(EnvRefs, Slot.Env);
-    Remap(SeedRefs, Slot.Seeds);
     M.Valid = true;
     ++Res.Slots;
-  }
-
-  uint64_t NumMemos = R.varint();
-  if (R.failed())
-    return Fallback("malformed edge memo count");
-  std::unordered_map<uint64_t, unsigned> NewEdgeByKey =
-      indexByKey(Ids.edgeKeys());
-  for (uint64_t I = 0; I < NumMemos; ++I) {
-    uint64_t Key = R.u64();
-    uint8_t Dir = R.u8();
-    uint64_t In1 = R.varint();
-    uint64_t In2 = R.varint();
-    uint64_t Out = R.varint();
-    if (R.failed() || Dir > 1)
-      return Fallback("malformed edge memo");
-    auto It = NewEdgeByKey.find(Key);
-    if (It == NewEdgeByKey.end() || !Pool.valid(In1) ||
-        !Pool.valid(In2) || !Pool.valid(Out))
-      continue;
-    if (G.transferMemoEnabled()) {
-      LinkTransferMemo M;
-      M.Valid = true;
-      M.In1 = Pool.store(In1);
-      M.In2 = Pool.store(In2);
-      M.Out = Pool.store(Out);
-      An.importEdgeMemo(It->second, Dir, std::move(M));
-      ++Res.RestoredEdgeMemos;
-    }
   }
   if (!R.atEnd())
     return Fallback("trailing bytes");
@@ -825,5 +618,6 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
     return Fallback("no usable slots in cache");
   An.importChainSlots(std::move(NewSlots));
   Res.Loaded = true;
+  Res.RestoredNodes = N;
   return Res;
 }

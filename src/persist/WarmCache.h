@@ -6,26 +6,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistence of the analyzer's warm-start state (chain-slot memos,
-/// boundary store snapshots, interprocedural edge-transfer memos) to a
-/// versioned cache file, keyed entirely by the content-addressed keys of
-/// semantics/StableIds.h so that a re-parse — or an edited program —
-/// maps recorded state onto its structural counterparts:
+/// Persistence of the analyzer's warm-start state (the chain-slot memos
+/// and the boundary store snapshots they replay) to a versioned cache
+/// file. A file replays only into the program that wrote it:
 ///
 ///   file name        syntox-<options hash>.warm     (one file per
-///                    options configuration; the supergraph hash lives
-///                    in the header, informationally, because after an
-///                    edit it never matches and mapping is per-key)
+///                    options configuration)
 ///   header           magic "SYXC", format version, options hash,
-///                    supergraph hash, body length, FNV-1a body checksum
-///   body             var-key table, recorded node-key table, forward /
-///                    backward WTO element-key tables, a store pool
-///                    deduplicated by content (interval bounds as zigzag
-///                    varints with +/-oo sentinel flags), the chain
-///                    slots, and the edge-transfer memos keyed by edge
-///                    key
+///                    program hash, body length, FNV-1a body checksum
+///                    (40 bytes)
+///   body             the node count, the forward and backward WTO
+///                    element counts and the store-slot count; a store
+///                    pool deduplicated by content (rows addressed by
+///                    store slot, interval bounds as zigzag varints
+///                    with +/-oo sentinel flags); the chain slots, whose
+///                    rows are addressed by node index and WTO element
+///                    index
 ///   sidecar          <file>.meta.json — the header decoded to JSON,
 ///                    validated by schemas/cache.schema.json
+///
+/// The program hash folds, in instance order, each instance's routine
+/// fingerprint (frontend/Fingerprint.h), call site and store-slot
+/// layout, then the node count, the store-slot count and every
+/// supergraph edge's kind and endpoints. Equal hashes mean the same
+/// equation system over the same index spaces, so the body needs no
+/// key tables: a row is where its index says.
 ///
 /// A save writes the whole file to a temp file of its own (pid plus a
 /// per-process counter, created with O_EXCL) and renames it into place,
@@ -33,16 +38,15 @@
 /// while two saves of one file race (two daemon requests sharing a
 /// cache_key). The sidecar is written in place: nothing reads it back.
 ///
-/// Loading maps recorded node keys onto the current supergraph: matched
-/// nodes get their recorded boundary values, unmatched ones get
-/// placeholder values with WarmStartMemo::NodeValid = 0 (the solver
-/// then refuses to replay or verify anything touching them); WTO
-/// elements whose sorted member-key set matches a recorded element
-/// reuse its per-sweep change/cost rows, others are marked
-/// non-replayable. Any header mismatch, checksum failure, or truncation
-/// falls back to cold solving — the load is strictly an optimization
-/// and the solver re-verifies every replayed value, so a stale or
-/// corrupted cache can cost time but never change a result.
+/// A load reads the header first and rejects a file on its magic,
+/// version, options hash or program hash (an edited program: "program
+/// changed") before it reads the body, in one sized read. Any body
+/// that does not describe the current program exactly (checksum, the
+/// counts above, a dangling store reference, a boundary count the
+/// recorded solve could not take) falls back to cold solving too. The
+/// load is strictly an optimization and the solver re-verifies every
+/// replayed element's inputs, so a stale or corrupted cache can cost
+/// time but never change a result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,7 +69,10 @@ namespace persist {
 /// v3: int rows carry an optional congruence component (flags bit4 +
 /// two svarints) for the congruence/product domains; interval-domain
 /// rows are byte-identical to v2.
-inline constexpr uint32_t CacheFormatVersion = 3;
+/// v4: a checked program hash in the header; rows addressed by node,
+/// element and slot index (no key tables, no partial-validity masks,
+/// no edge-transfer memos).
+inline constexpr uint32_t CacheFormatVersion = 4;
 /// The four header magic bytes.
 inline constexpr char CacheMagic[4] = {'S', 'Y', 'X', 'C'};
 
@@ -74,11 +81,7 @@ struct CacheLoadResult {
   bool Loaded = false;        ///< chain slots were imported
   std::string FallbackReason; ///< human-readable cause when !Loaded
   uint64_t Slots = 0;         ///< chain slots restored
-  uint64_t RestoredNodes = 0; ///< current nodes with a recorded value
-  uint64_t InvalidatedNodes = 0; ///< current nodes without one
-  uint64_t MatchedElements = 0;  ///< fwd+bwd WTO elements with rows
-  uint64_t UnmatchedElements = 0;
-  uint64_t RestoredEdgeMemos = 0;
+  uint64_t RestoredNodes = 0; ///< nodes given recorded values: all of them
 };
 
 /// Path of the cache file for \p Dir and \p Opts (one per options
@@ -100,9 +103,9 @@ bool saveWarmCache(const std::string &Dir, const Analyzer &An,
 /// file is gone.
 bool touchWarmCache(const std::string &Dir, const AnalysisOptions &Opts);
 
-/// Loads the cache file for \p An's options and maps its state into
-/// \p An (chain slots via Analyzer::importChainSlots, edge memos via
-/// Analyzer::importEdgeMemo). Never throws; every failure mode is a
+/// Loads the cache file for \p An's options and, when it was written
+/// for this very program, installs its chain slots in \p An
+/// (Analyzer::importChainSlots). Never throws; every failure mode is a
 /// clean fallback with CacheLoadResult::FallbackReason set.
 CacheLoadResult loadWarmCache(const std::string &Dir, Analyzer &An);
 

@@ -154,21 +154,17 @@ public:
   /// Empty before a warm-started run.
   const std::vector<WarmSlot> &chainSlots() const { return ChainSlots; }
   /// Installs externally restored chain slots (loaded from the on-disk
-  /// cache) before the run. The solver re-validates every memo header
-  /// and every replayed value, so a stale import degrades to cold
-  /// solving, never to wrong results.
+  /// cache, which holds them only for this very program) before the
+  /// run. The solver re-validates every memo header and every replayed
+  /// element's inputs, so a stale import degrades to cold solving,
+  /// never to wrong results.
   void importChainSlots(std::vector<WarmSlot> Slots) {
     ChainSlots = std::move(Slots);
-  }
-  /// Installs a restored edge-transfer memo (input-verified on every
-  /// probe, so stale imports cost a miss, never a wrong summary).
-  void importEdgeMemo(unsigned EdgeIdx, unsigned Dir, LinkTransferMemo M) {
-    Graph->importEdgeMemo(EdgeIdx, Dir, std::move(M));
   }
   /// The forward / backward dependency digraphs and their WTOs (rooted
   /// at the main entry / exit). Built once at construction, these are
   /// the very objects every phase's solver iterates, so the demand
-  /// cones and the persisted element keys derived from them describe
+  /// cones and the persisted element rows indexed by them describe
   /// exactly the solved systems.
   const Digraph &forwardDependencies() const { return FwdDep; }
   const Digraph &backwardDependencies() const { return BwdDep; }

@@ -37,7 +37,6 @@ SuperGraph::SuperGraph(const ProgramCfg &Cfg, RoutineDecl *Program,
   }
   discoverInstances(Program);
   buildEdges();
-  Ids = std::make_unique<StableIds>(*this, Cfg, Program);
   if (Telem.Metrics)
     Telem.Metrics->counter("interproc.instances").inc(Instances.size());
 }
@@ -199,12 +198,20 @@ void SuperGraph::buildEdges() {
     }
   }
 
-  In.assign(NumNodes, {});
-  Out.assign(NumNodes, {});
-  for (unsigned I = 0; I < Edges.size(); ++I) {
-    In[Edges[I].To].push_back(I);
-    Out[Edges[I].From].push_back(I);
-  }
+  // Counting sort of the edge indices by target and by source.
+  auto Index = [&](EdgeLists &L, unsigned SuperEdge::*End) {
+    L.Begin.assign(NumNodes + 1, 0);
+    for (const SuperEdge &E : Edges)
+      ++L.Begin[E.*End + 1];
+    for (unsigned V = 0; V < NumNodes; ++V)
+      L.Begin[V + 1] += L.Begin[V];
+    L.Edges.resize(Edges.size());
+    std::vector<unsigned> Next(L.Begin.begin(), L.Begin.end() - 1);
+    for (unsigned I = 0; I < Edges.size(); ++I)
+      L.Edges[Next[Edges[I].*End]++] = I;
+  };
+  Index(In, &SuperEdge::To);
+  Index(Out, &SuperEdge::From);
 }
 
 //===----------------------------------------------------------------------===//
@@ -426,12 +433,7 @@ size_t SuperGraph::approximateBytes() const {
              Inst.Frame.map().size() * 2 * sizeof(void *);
   Bytes += Links.size() * sizeof(CallLink);
   Bytes += Edges.size() * sizeof(SuperEdge);
-  Bytes += NumNodes * 2 * sizeof(std::vector<unsigned>);
-  for (unsigned N = 0; N < NumNodes; ++N)
-    Bytes += (In[N].size() + Out[N].size()) * sizeof(unsigned);
-  // The stable-key side tables are shared by every store snapshot and
-  // memo; they are charged exactly once, here.
-  if (Ids)
-    Bytes += Ids->approximateBytes();
+  for (const EdgeLists *L : {&In, &Out})
+    Bytes += (L->Begin.size() + L->Edges.size()) * sizeof(unsigned);
   return Bytes;
 }

@@ -28,13 +28,13 @@
 
 #include "cfg/Cfg.h"
 #include "fixpoint/Digraph.h"
-#include "semantics/StableIds.h"
 #include "semantics/Transfer.h"
 #include "support/Telemetry.h"
 
 #include <array>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace syntox {
@@ -164,12 +164,13 @@ public:
   const Instance &instanceOf(unsigned Node) const;
   unsigned pointOf(unsigned Node) const;
 
-  /// Edges entering / leaving each node, as indices into edges().
-  const std::vector<unsigned> &inEdges(unsigned Node) const {
-    return In[Node];
+  /// Edges entering / leaving each node, as indices into edges(), in
+  /// edge order.
+  std::span<const unsigned> inEdges(unsigned Node) const {
+    return In.of(Node);
   }
-  const std::vector<unsigned> &outEdges(unsigned Node) const {
-    return Out[Node];
+  std::span<const unsigned> outEdges(unsigned Node) const {
+    return Out.of(Node);
   }
 
   /// \name Interprocedural transfer
@@ -228,31 +229,13 @@ public:
     Instances[InstanceId].AccessedKeys = std::move(Keys);
   }
 
-  /// The content-addressed key layer over this supergraph (node,
-  /// instance, edge and variable keys; see StableIds.h). Built once in
-  /// the constructor.
-  const StableIds &stableIds() const { return *Ids; }
-
-  /// \name Persistence access to the edge memos
-  /// @{
-  bool transferMemoEnabled() const { return TransferMemoEnabled; }
-  /// All memo slots, [edge][0 = forward, 1 = backward]; empty unless
-  /// enableTransferMemo() ran.
-  const std::vector<std::array<LinkTransferMemo, 2>> &edgeMemos() const {
-    return EdgeMemos;
+  /// The program-wide slot -> declaration table every store payload of
+  /// this supergraph shares (indexed by VarDecl::storeSlot()).
+  const std::shared_ptr<const detail::StoreKeyTable> &keyTable() const {
+    return KeyTable;
   }
-  /// Installs a restored memo for one edge direction. Requires
-  /// enableTransferMemo(); the transfer functions re-verify the
-  /// recorded inputs by value before any reuse, so a stale import can
-  /// cost a miss but never an incorrect summary.
-  void importEdgeMemo(unsigned EdgeIdx, unsigned Dir, LinkTransferMemo M) {
-    EdgeMemos[EdgeIdx][Dir] = std::move(M);
-  }
-  /// @}
 
-  /// Rough bytes held by the supergraph structures (Figure 4 memory),
-  /// including the stable-key side tables — charged once here, not per
-  /// store payload that shares them.
+  /// Rough bytes held by the supergraph structures (Figure 4 memory).
   size_t approximateBytes() const;
 
 private:
@@ -260,7 +243,15 @@ private:
   unsigned getOrCreateInstance(RoutineDecl *R, ActivationToken Tok);
   void buildEdges();
 
-  std::unique_ptr<StableIds> Ids;
+  /// Per-node edge lists in one block: node V's edges are
+  /// Edges[Begin[V], Begin[V + 1]).
+  struct EdgeLists {
+    std::vector<unsigned> Begin;
+    std::vector<unsigned> Edges;
+    std::span<const unsigned> of(unsigned Node) const {
+      return {Edges.data() + Begin[Node], Edges.data() + Begin[Node + 1]};
+    }
+  };
 
   const ProgramCfg &Cfg;
   VarNumbering Numbering; ///< assigns store slots; must precede analysis
@@ -277,8 +268,7 @@ private:
   std::map<ActivationToken, unsigned> InstanceByToken;
   std::vector<CallLink> Links;
   std::vector<SuperEdge> Edges;
-  std::vector<std::vector<unsigned>> In;
-  std::vector<std::vector<unsigned>> Out;
+  EdgeLists In, Out;
   std::vector<unsigned> NodeInstance; ///< node -> instance id
   unsigned NumNodes = 0;
   bool ContextInsensitive = false;

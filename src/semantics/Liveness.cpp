@@ -7,11 +7,14 @@
 
 #include "semantics/Liveness.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace syntox {
 
 namespace {
+
+constexpr size_t NoGen = ~size_t(0);
 
 /// Collects the store slots an expression evaluates, frame-resolved.
 /// Constant-bound references have no slot and are skipped; Call nodes
@@ -186,17 +189,27 @@ LivenessInfo::LivenessInfo(const SuperGraph &G, const ProgramCfg &) {
     unsigned To = 0;
     unsigned Extra = ~0u; ///< also propagate live(To) here (NodeP)
     int Kill = -1;
-    std::vector<uint64_t> Gen;
+    size_t Gen = NoGen; ///< offset of the edge's gen words in Gens
   };
   std::vector<EdgeProp> Props;
   Props.reserve(G.edges().size());
+  // Every edge's gen mask, Words words each, in one block.
+  std::vector<uint64_t> Gens;
+  auto GenWords = [&](EdgeProp &P) {
+    if (P.Gen == NoGen) {
+      P.Gen = Gens.size();
+      Gens.resize(Gens.size() + Words, 0);
+    }
+    return Gens.data() + P.Gen;
+  };
   auto GenBits = [&](EdgeProp &P, const std::vector<const VarDecl *> &Vs) {
-    if (Vs.empty() && P.Gen.empty())
+    if (Vs.empty())
       return;
-    if (P.Gen.empty())
-      P.Gen.assign(Words, 0);
-    for (const VarDecl *V : Vs)
-      MarkIn(P.Gen, V);
+    uint64_t *M = GenWords(P);
+    for (const VarDecl *V : Vs) {
+      unsigned S = V->storeSlot();
+      M[S >> 6] |= 1ull << (S & 63);
+    }
   };
   for (const SuperEdge &E : G.edges()) {
     EdgeProp P;
@@ -230,7 +243,9 @@ LivenessInfo::LivenessInfo(const SuperGraph &G, const ProgramCfg &) {
     }
     case SuperEdge::Kind::CallIn: {
       const CallLink &L = G.links()[E.Link];
-      P.Gen = Acc[L.CalleeInstance]; // all slots the activation touches
+      // All slots the activation touches.
+      std::copy(Acc[L.CalleeInstance].begin(), Acc[L.CalleeInstance].end(),
+                GenWords(P));
       Tmp.clear();
       for (const Expr *Arg : L.Call->args())
         collectVars(Arg, Instances[L.CallerInstance].Frame, Tmp);
@@ -260,12 +275,13 @@ LivenessInfo::LivenessInfo(const SuperGraph &G, const ProgramCfg &) {
       const EdgeProp &P = *It;
       const uint64_t *LT = MaskAt(P.To);
       uint64_t *LF = MaskAt(P.From);
+      const uint64_t *Gen = P.Gen == NoGen ? nullptr : Gens.data() + P.Gen;
       for (unsigned W = 0; W < Words; ++W) {
         uint64_t V = LT[W];
         if (P.Kill >= 0 && unsigned(P.Kill >> 6) == W)
           V &= ~(1ull << (P.Kill & 63));
-        if (!P.Gen.empty())
-          V |= P.Gen[W];
+        if (Gen)
+          V |= Gen[W];
         if (V & ~LF[W]) {
           LF[W] |= V;
           Changed = true;

@@ -29,9 +29,10 @@
 ///              "point:LINE[:COL]" or "assertion:ID"
 ///   cache_key  optional stable client document identity (a URI, a
 ///              path...). Requests carrying one share the per-document
-///              shard of the server's on-disk warm cache, so
-///              resubmitting an edited document warm-starts. Without
-///              it a request never touches the disk cache.
+///              shard of the server's on-disk warm cache: an unchanged
+///              resubmission replays from it, and an edited document
+///              solves cold and saves its own state there. Without it
+///              a request never touches the disk cache.
 ///   timeout_ms per-request override of the server's admission timeout
 ///
 /// Response (schemas/serve-response.schema.json): an envelope

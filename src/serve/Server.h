@@ -25,8 +25,9 @@
 /// that response. What outlives a request is on disk: requests carrying
 /// a cache_key persist warm-start state under
 /// CacheDir/<fnv1a(cache_key)>/ (one shard per client document, so
-/// distinct documents never fight over one cache file), and a
-/// resubmitted or edited document replays from its shard. Under a
+/// distinct documents never fight over one cache file): an unchanged
+/// resubmission replays from its shard, and an edited document solves
+/// cold and saves its own state there. Under a
 /// Config::CacheMaxBytes cap the server keeps an in-memory index of the
 /// tree (persist::CacheTree), seeded by one walk at construction: after
 /// every full run that saved, it re-stats just that entry and evicts

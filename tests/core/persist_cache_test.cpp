@@ -4,9 +4,10 @@
 // invisible in every observable result and fail safe on every broken
 // input: a rerun against a valid cache replays the whole refinement
 // chain (zero live solver steps) with findings bitwise-identical to a
-// cold run, and a truncated, corrupted, version-skewed or
-// options-skewed cache file falls back to a cold solve with — again —
-// identical findings. The fuzzed battery pins the save/load round trip
+// cold run, and an edited program's run, or one against a truncated,
+// corrupted, version-skewed, options-skewed or crafted cache file,
+// falls back to a cold solve with — again — identical findings. The
+// fuzzed battery pins the save/load round trip and the edit fallback
 // on 200 random programs. The file itself: its store pool holds each
 // store once, an unchanged rerun leaves it byte for byte as it was,
 // and concurrent saves never tear it.
@@ -192,7 +193,8 @@ std::string editedTwoProc() {
 TEST(PersistCacheTest, UnchangedRerunSkipsTheSave) {
   // A rerun that replays everything it loaded would re-encode the very
   // bytes on disk: it advances the file's mtime instead, which the
-  // cache index reads as a save. An edited rerun still saves.
+  // cache index reads as a save. An edited rerun loads nothing and
+  // saves.
   ScratchDir Dir("skip");
   RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
   ASSERT_TRUE(Cold.Ok);
@@ -214,7 +216,8 @@ TEST(PersistCacheTest, UnchangedRerunSkipsTheSave) {
 
   RunOutcome Edited = runOnce(editedTwoProc(), Dir.str());
   ASSERT_TRUE(Edited.Ok);
-  EXPECT_EQ(Edited.Loaded, 1u);
+  EXPECT_EQ(Edited.Loaded, 0u);
+  EXPECT_EQ(Edited.Fallback, 1u);
   EXPECT_GT(Edited.LiveSteps, 0u);
   EXPECT_EQ(Edited.Saved, 1u);
   EXPECT_EQ(Edited.SaveSkipped, 0u);
@@ -226,33 +229,45 @@ TEST(PersistCacheTest, UnchangedRerunSkipsTheSave) {
                                        withOptions().terminationGoal()));
 }
 
-TEST(PersistCacheTest, EditedRoutineResolvesOnlyItsComponents) {
+TEST(PersistCacheTest, EditedProgramNeverLoadsTheOldFile) {
+  // A file replays only into the program that wrote it. The program
+  // with one constant changed inside p2 has another program hash: its
+  // run falls back before reading the body, solves exactly as an
+  // uncached run does, and saves its own file, which a rerun of the
+  // edited program then replays in full.
   ScratchDir Dir("edit");
   RunOutcome Seed = runOnce(TwoProcProgram, Dir.str());
   ASSERT_TRUE(Seed.Ok);
-
-  // Same program with one constant changed inside p2: p1's components
-  // keep their fingerprints and replay; p2 (and the main-body suffix
-  // its result feeds) re-solves live.
   std::string Edited = editedTwoProc();
 
-  RunOutcome EditedCold = runOnce(Edited, "");
-  RunOutcome EditedWarm = runOnce(Edited, Dir.str());
-  ASSERT_TRUE(EditedCold.Ok && EditedWarm.Ok);
-  EXPECT_EQ(EditedWarm.Loaded, 1u);
-  EXPECT_GT(EditedWarm.LiveSteps, 0u);
-  EXPECT_LT(EditedWarm.LiveSteps, EditedCold.LiveSteps)
-      << "partial invalidation must beat the cold edited run";
-  EXPECT_TRUE(EditedWarm.Findings == EditedCold.Findings);
+  AnalyzedProgram P = analyzeProgram(Edited, withOptions().terminationGoal());
+  ASSERT_TRUE(P.An);
+  persist::CacheLoadResult Load = persist::loadWarmCache(Dir.str(), *P.An);
+  EXPECT_FALSE(Load.Loaded);
+  EXPECT_EQ(Load.FallbackReason, "program changed");
+
+  RunOutcome Uncached = runOnce(Edited, "");
+  RunOutcome First = runOnce(Edited, Dir.str());
+  ASSERT_TRUE(Uncached.Ok && First.Ok);
+  EXPECT_EQ(First.Fallback, 1u);
+  EXPECT_EQ(First.Loaded, 0u);
+  EXPECT_EQ(First.Saved, 1u);
+  EXPECT_EQ(First.LiveSteps, Uncached.LiveSteps);
+  EXPECT_TRUE(First.Findings == Uncached.Findings);
+
+  RunOutcome Rerun = runOnce(Edited, Dir.str());
+  ASSERT_TRUE(Rerun.Ok);
+  EXPECT_EQ(Rerun.Loaded, 1u);
+  EXPECT_EQ(Rerun.LiveSteps, 0u);
+  EXPECT_TRUE(Rerun.Findings == Uncached.Findings);
 }
 
 TEST(PersistCacheTest, ReorderedIdenticalProgramKeepsFindingsIntact) {
-  // The same two routines declared in the opposite order: every node
-  // index shifts. Whatever the key remap salvages (all of it when the
-  // reorder leaves the fingerprints alone, nothing when the enclosing
-  // program's fingerprint absorbs the declaration order), the findings
-  // must equal a cold run's — grafting state onto the wrong node would
-  // show up here.
+  // The same two routines declared in the opposite order. Every routine
+  // keeps its fingerprint and the supergraph keeps its shape, but the
+  // store slots are numbered in declaration order, so p1's recorded
+  // rows would name p2's variables: the program hash folds the slot
+  // layout, and the run falls back with the findings of a cold run.
   std::string Reordered = TwoProcProgram;
   size_t P1 = Reordered.find("procedure p1");
   size_t P2 = Reordered.find("procedure p2");
@@ -268,7 +283,8 @@ TEST(PersistCacheTest, ReorderedIdenticalProgramKeepsFindingsIntact) {
   RunOutcome Warm = runOnce(Reordered, Dir.str());
   RunOutcome Cold = runOnce(Reordered, "");
   ASSERT_TRUE(Warm.Ok && Cold.Ok);
-  EXPECT_EQ(Warm.Loaded + Warm.Fallback, 1u);
+  EXPECT_EQ(Warm.Loaded, 0u);
+  EXPECT_EQ(Warm.Fallback, 1u);
   EXPECT_TRUE(Warm.Findings == Cold.Findings);
 }
 
@@ -309,25 +325,25 @@ TEST(PersistCacheTest, CorruptedBytesFallBackCold) {
 }
 
 /// Size of the cache file header: magic, version, options hash,
-/// supergraph hash, body length, body checksum.
+/// program hash, body length, body checksum.
 constexpr size_t HeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 
 /// Walks a cache file's body layout (persist/WarmCache.h) through the
-/// store pool: four key tables, then the pool's entries (rows in the
-/// codec of WarmCache.cpp's writeValue), each appended to \p Entries as
-/// its encoded bytes when given. Returns the reader, positioned at the
+/// store pool: the node, forward element, backward element and slot
+/// counts, then the pool's entries (rows in the codec of
+/// WarmCache.cpp's writeValue), each appended to \p Entries as its
+/// encoded bytes when given. Returns the reader, positioned at the
 /// chain slots.
 persist::ByteReader walkPool(const std::vector<char> &File,
                              std::vector<std::string> *Entries = nullptr) {
   persist::ByteReader R(File.data() + HeaderBytes,
                         File.size() - HeaderBytes);
-  for (int Table = 0; Table < 4; ++Table)
-    for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I)
-      R.u64();
+  for (int Count = 0; Count < 4; ++Count)
+    R.varint();
   for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I) {
     size_t Start = File.size() - R.remaining();
     for (uint64_t E = 0, M = R.varint(); E < M && !R.failed(); ++E) {
-      R.varint(); // variable index
+      R.varint(); // store slot
       uint8_t Flags = R.u8();
       if (Flags & 3)
         continue; // a bool row, or a bottom interval: no bounds follow
@@ -424,7 +440,9 @@ TEST(PersistCacheTest, ConcurrentSavesNeverTearTheFile) {
       persist::CacheLoadResult L = persist::loadWarmCache(Dir.str(),
                                                           *Loader.An);
       ++Loads;
-      if (!L.Loaded && L.FallbackReason != "no cache file")
+      // McCarthy_6's whole file is "program changed" to McCarthy_9.
+      if (!L.Loaded && L.FallbackReason != "no cache file" &&
+          L.FallbackReason != "program changed")
         Torn.push_back(L.FallbackReason);
     }
   });
@@ -502,22 +520,37 @@ TEST(PersistCacheTest, OversizedBoundaryCountFallsBackBeforeAllocating) {
                           "boundary count");
 }
 
-/// \p Header followed by a crafted body, resealed: the recorded program
-/// has 3 node keys and 3 element keys per system, and its one saved
-/// slot has signature \p Sig, fixpoint kind \p Kind and \p Boundaries
-/// rows of 9 zero bytes (3 references to the top store, 3 change flags,
-/// 3 step counts).
-std::vector<char> craftedFile(std::vector<char> Header,
-                              Analyzer::PhaseSig Sig, FixpointKind Kind,
-                              uint64_t Boundaries) {
+/// The counts a v4 body opens with: nodes, forward and backward WTO
+/// elements, store slots.
+struct Shape {
+  uint64_t Nodes, FwdElems, BwdElems, Slots;
+};
+
+Shape shapeOf(const Analyzer &An) {
+  return {An.graph().numNodes(), An.forwardOrder().elements().size(),
+          An.backwardOrder().elements().size(),
+          An.graph().varNumbering().numSlots()};
+}
+
+/// \p Header followed by a crafted body opening with the counts of
+/// \p Counts, resealed: a store pool holding \p PoolEntry when it is
+/// not empty and one saved slot with signature \p Sig, fixpoint kind
+/// \p Kind and \p Boundaries rows of zero bytes sized for \p S (a
+/// reference to the top store per node, then a change flag and a step
+/// count per element of the signature's system), no envelope and no
+/// seeds.
+std::vector<char> craftedFile(std::vector<char> Header, const Shape &Counts,
+                              const Shape &S, Analyzer::PhaseSig Sig,
+                              FixpointKind Kind, uint64_t Boundaries,
+                              const std::vector<uint8_t> &PoolEntry = {}) {
+  bool Fwd = Sig == Analyzer::PhaseSig::FwdNoEnv ||
+             Sig == Analyzer::PhaseSig::FwdEnv;
   persist::ByteWriter Body;
-  Body.varint(0); // variable keys
-  for (int Table = 0; Table < 3; ++Table) { // nodes, fwd/bwd elements
-    Body.varint(3);
-    for (uint64_t Key = 1; Key <= 3; ++Key)
-      Body.u64(Key);
-  }
-  Body.varint(0); // store pool entries
+  for (uint64_t Count :
+       {Counts.Nodes, Counts.FwdElems, Counts.BwdElems, Counts.Slots})
+    Body.varint(Count);
+  Body.varint(PoolEntry.empty() ? 0 : 1); // store pool entries
+  Body.bytes(PoolEntry.data(), PoolEntry.size());
   Body.varint(1); // chain slots
   Body.u8(1);     // saved
   Body.u8(static_cast<uint8_t>(Sig));
@@ -525,34 +558,47 @@ std::vector<char> craftedFile(std::vector<char> Header,
   Body.u8(static_cast<uint8_t>(Kind));
   Body.u8(0); // strategy byte
   Body.varint(Boundaries);
-  for (uint64_t B = 0; B < Boundaries * 9; ++B)
+  uint64_t RowBytes = S.Nodes + 2 * (Fwd ? S.FwdElems : S.BwdElems);
+  for (uint64_t B = 0; B < Boundaries * RowBytes; ++B)
     Body.u8(0);
-  for (int Mask = 0; Mask < 4; ++Mask)
-    Body.u8(0); // no node/element masks, envelope or seeds
-  Body.varint(0); // edge memos
+  Body.u8(0); // no envelope
+  Body.u8(0); // no seeds
   Header.resize(HeaderBytes);
   Header.insert(Header.end(), Body.buffer().begin(), Body.buffer().end());
   reseal(Header);
   return Header;
 }
 
+/// A program small enough that a crafted file with 100,000 boundary
+/// rows stays under a megabyte.
+const char *const TinyProgram = R"(
+program tiny;
+var x : integer;
+begin
+  x := 1
+end.
+)";
+
 TEST(PersistCacheTest, BoundaryCountBoundedByTheRecordedSolve) {
-  // The memo a load builds holds boundaries x *current* nodes and
-  // elements, so a re-sealed file whose tiny recorded tables let
-  // 100,000 rows fit its body would cost megabytes per current node.
-  // A slot's count is bounded by the sweeps its solve could take: an
-  // lfp takes 1 + NarrowingPasses, a gfp at most MaxGfpSweeps. Its
-  // kind must match its signature under the current options.
+  // The memo a load builds holds boundaries x nodes and elements, so a
+  // re-sealed file whose rows fit its body could still ask for far more
+  // boundaries than any solve records. A slot's count is bounded by the
+  // sweeps its solve could take: an lfp takes 1 + NarrowingPasses, a
+  // gfp at most MaxGfpSweeps. Its kind must match its signature under
+  // the current options.
   using Sig = Analyzer::PhaseSig;
   ScratchDir Dir("shape");
-  RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
+  RunOutcome Cold = runOnce(TinyProgram, Dir.str());
   ASSERT_TRUE(Cold.Ok);
   std::vector<char> Header = readFile(cacheFile(Dir.str()));
   ASSERT_GT(Header.size(), HeaderBytes);
   AnalyzedProgram P =
-      analyzeProgram(TwoProcProgram, withOptions().terminationGoal());
-  auto Load = [&](Sig S, FixpointKind K, uint64_t Boundaries) {
-    writeFile(cacheFile(Dir.str()), craftedFile(Header, S, K, Boundaries));
+      analyzeProgram(TinyProgram, withOptions().terminationGoal());
+  ASSERT_TRUE(P.An);
+  Shape S = shapeOf(*P.An);
+  auto Load = [&](Sig Signature, FixpointKind K, uint64_t Boundaries) {
+    writeFile(cacheFile(Dir.str()),
+              craftedFile(Header, S, S, Signature, K, Boundaries));
     return persist::loadWarmCache(Dir.str(), *P.An);
   };
 
@@ -561,7 +607,7 @@ TEST(PersistCacheTest, BoundaryCountBoundedByTheRecordedSolve) {
   EXPECT_TRUE(Load(Sig::Always, FixpointKind::Gfp, MaxGfpSweeps).Loaded);
 
   struct Case {
-    Sig S;
+    Sig Signature;
     FixpointKind K;
     uint64_t Boundaries;
     const char *Reason;
@@ -576,11 +622,86 @@ TEST(PersistCacheTest, BoundaryCountBoundedByTheRecordedSolve) {
   for (const Case &C : Cases) {
     SCOPED_TRACE(std::to_string(C.Boundaries) + " boundaries, " +
                  C.Reason);
-    persist::CacheLoadResult R = Load(C.S, C.K, C.Boundaries);
+    persist::CacheLoadResult R = Load(C.Signature, C.K, C.Boundaries);
     EXPECT_FALSE(R.Loaded);
     EXPECT_EQ(R.FallbackReason, C.Reason);
-    expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold, C.Reason);
+    expectFallbackIdentical(TinyProgram, Dir.str(), Cold, C.Reason);
   }
+}
+
+TEST(PersistCacheTest, ProgramShapeMismatchFallsBackBeforeAllocating) {
+  // The header's program hash is only as strong as its checksum: a
+  // re-sealed file can carry the right hash over a body written for
+  // another shape. Its rows are addressed by node, element and slot
+  // index, so every count must equal the program's before anything is
+  // allocated from it; the huge counts below would ask for terabytes.
+  using Sig = Analyzer::PhaseSig;
+  ScratchDir Dir("counts");
+  RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok);
+  std::vector<char> Header = readFile(cacheFile(Dir.str()));
+  AnalyzedProgram P =
+      analyzeProgram(TwoProcProgram, withOptions().terminationGoal());
+  ASSERT_TRUE(P.An);
+  const Shape Real = shapeOf(*P.An);
+  writeFile(cacheFile(Dir.str()),
+            craftedFile(Header, Real, Real, Sig::FwdNoEnv,
+                        FixpointKind::Lfp, 2));
+  EXPECT_TRUE(persist::loadWarmCache(Dir.str(), *P.An).Loaded);
+
+  constexpr uint64_t Huge = uint64_t(1) << 40;
+  const Shape Bad[] = {
+      {Real.Nodes + 1, Real.FwdElems, Real.BwdElems, Real.Slots},
+      {Huge, Real.FwdElems, Real.BwdElems, Real.Slots},
+      {Real.Nodes, Huge, Real.BwdElems, Real.Slots},
+      {Real.Nodes, Real.FwdElems, Real.BwdElems - 1, Real.Slots},
+      {Real.Nodes, Real.FwdElems, Real.BwdElems, Huge},
+  };
+  for (const Shape &S : Bad) {
+    SCOPED_TRACE(std::to_string(S.Nodes) + " nodes, " +
+                 std::to_string(S.FwdElems) + "/" +
+                 std::to_string(S.BwdElems) + " elements, " +
+                 std::to_string(S.Slots) + " slots");
+    writeFile(cacheFile(Dir.str()),
+              craftedFile(Header, S, Real, Sig::FwdNoEnv,
+                          FixpointKind::Lfp, 1));
+    persist::CacheLoadResult R = persist::loadWarmCache(Dir.str(), *P.An);
+    EXPECT_FALSE(R.Loaded);
+    EXPECT_EQ(R.FallbackReason, "program shape mismatch");
+    expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold,
+                            "program shape");
+  }
+}
+
+TEST(PersistCacheTest, StoreRowOfTheWrongLaneFallsBack) {
+  // A pool row names its variable by store slot, and its flags byte
+  // says whether it holds a boolean or a number. A re-sealed file can
+  // put a boolean row in an integer slot; nothing downstream checks the
+  // lane again, so the load must.
+  using Sig = Analyzer::PhaseSig;
+  ScratchDir Dir("lane");
+  RunOutcome Cold = runOnce(TinyProgram, Dir.str());
+  ASSERT_TRUE(Cold.Ok);
+  std::vector<char> Header = readFile(cacheFile(Dir.str()));
+  AnalyzedProgram P =
+      analyzeProgram(TinyProgram, withOptions().terminationGoal());
+  ASSERT_TRUE(P.An);
+  const VarDecl *X = P.var("", "x");
+  ASSERT_NE(X, nullptr);
+  Shape S = shapeOf(*P.An);
+  auto Load = [&](uint8_t Flags) {
+    // One entry: x's slot, then one row with no bound bytes.
+    std::vector<uint8_t> Entry = {1, static_cast<uint8_t>(X->storeSlot()),
+                                  Flags};
+    writeFile(cacheFile(Dir.str()), craftedFile(Header, S, S, Sig::FwdNoEnv,
+                                                FixpointKind::Lfp, 2, Entry));
+    return persist::loadWarmCache(Dir.str(), *P.An);
+  };
+  EXPECT_TRUE(Load(0x0C).Loaded); // the integer row [-oo, +oo]
+  persist::CacheLoadResult R = Load(0x07); // the boolean row top
+  EXPECT_FALSE(R.Loaded);
+  EXPECT_EQ(R.FallbackReason, "malformed store pool");
+  expectFallbackIdentical(TinyProgram, Dir.str(), Cold, "wrong lane");
 }
 
 TEST(PersistCacheTest, FormatVersionMismatchFallsBackCold) {
@@ -650,8 +771,10 @@ TEST(PersistCacheTest, PaperProgramsRoundTripAllStrategies) {
 
 TEST(PersistCacheTest, FuzzedRoundTripIdenticalFindings) {
   // 200 random programs: save on the first run, full replay on the
-  // second, identical findings both times.
-  uint64_t TotalReplayedRuns = 0;
+  // second, identical findings both times. Then one literal edit: the
+  // edited program never loads the file, and its findings equal an
+  // uncached run's.
+  uint64_t TotalReplayedRuns = 0, Edits = 0;
   for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
     ProgramGenerator Gen(Seed * 12289);
     std::string Source = Gen.generate();
@@ -668,8 +791,25 @@ TEST(PersistCacheTest, FuzzedRoundTripIdenticalFindings) {
         << "warm:\n" << Warm.Findings.pretty() << "\ncold:\n"
         << Cold.Findings.pretty();
     TotalReplayedRuns += Warm.LiveSteps == 0;
+
+    // The new literal can equal the old one; that is no edit.
+    std::string Edited = Gen.mutate(Source);
+    if (Edited == Source)
+      continue;
+    ++Edits;
+    SCOPED_TRACE("edited\n" + Edited);
+    RunOutcome EditedRun = runOnce(Edited, Dir.str());
+    RunOutcome Uncached = runOnce(Edited, "");
+    ASSERT_TRUE(EditedRun.Ok && Uncached.Ok);
+    EXPECT_EQ(EditedRun.Loaded, 0u);
+    EXPECT_EQ(EditedRun.Fallback, 1u);
+    EXPECT_EQ(EditedRun.LiveSteps, Uncached.LiveSteps);
+    EXPECT_TRUE(EditedRun.Findings == Uncached.Findings)
+        << "edited:\n" << EditedRun.Findings.pretty() << "\nuncached:\n"
+        << Uncached.Findings.pretty();
   }
   EXPECT_EQ(TotalReplayedRuns, 200u);
+  EXPECT_GT(Edits, 180u);
 }
 
 } // namespace

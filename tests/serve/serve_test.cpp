@@ -460,7 +460,9 @@ TEST(ServeCacheTest, CacheKeySharesShardAndGcHoldsCap) {
   fs::path Dir = freshDir("syntox_serve_gc_test");
   ServerConfig Cfg;
   Cfg.CacheDir = Dir.string();
-  Cfg.CacheMaxBytes = 24 * 1024;
+  // The twelve documents' files take about 19 KiB uncapped: the cap
+  // sits well below that, so the per-save evictions must engage.
+  Cfg.CacheMaxBytes = 12 * 1024;
   ServeHarness H(Cfg);
 
   // Edit wave over many distinct documents: every save is followed by an
@@ -484,7 +486,7 @@ TEST(ServeCacheTest, CacheKeySharesShardAndGcHoldsCap) {
   for (const auto &KV : ById)
     EXPECT_EQ(KV.second.find("status")->asString(), "ok") << KV.first;
 
-  // The warm path actually engaged: some run loaded recorded state.
+  // The cache path actually engaged: runs saved their state.
   EXPECT_GE(H.server().metrics().counterValue("persist.saved"), 1u);
 
   // The per-save evictions alone held the cap: the tree is under it
