@@ -507,9 +507,22 @@ EOF
 sed 's/j := 10/j := 20/' "$OUT/two.pas" > "$OUT/two-edited.pas"
 
 CACHE="$OUT/cache"
+# An entry is one file: the cache directory holds one syntox-*.warm and
+# nothing else (no sidecar, no temp file left behind by a save).
+only_entry() {
+  local files
+  files=$(ls -A "$CACHE")
+  if [ "$(printf '%s\n' "$files" | wc -l)" -ne 1 ] ||
+     [[ "$files" != syntox-*.warm ]]; then
+    echo "persistent-cache violation: $1: the cache directory holds" \
+         "'$files', not one syntox-*.warm" >&2
+    exit 1
+  fi
+}
 "$CLI" --cache-dir="$CACHE" --format=json \
        --metrics-json="$OUT/persist-cold.json" "$OUT/two.pas" \
        > "$OUT/persist-findings-cold.json"
+only_entry "after the cold save"
 cp "$CACHE"/syntox-*.warm "$OUT/persist-cold.warm"
 "$CLI" --cache-dir="$CACHE" --format=json \
        --metrics-json="$OUT/persist-warm.json" "$OUT/two.pas" \
@@ -523,11 +536,12 @@ fi
 "$CLI" --cache-dir="$CACHE" --format=json \
        --metrics-json="$OUT/persist-edit.json" "$OUT/two-edited.pas" \
        > "$OUT/persist-findings-edit.json"
+only_entry "after the edited rerun swapped its file in"
 "$CLI" --format=json --metrics-json="$OUT/persist-editcold.json" \
        "$OUT/two-edited.pas" > "$OUT/persist-findings-editcold.json"
 
 python3 - "$OUT" <<'EOF'
-import glob, json, sys
+import json, sys
 out = sys.argv[1]
 
 def check(cond, what):
@@ -578,33 +592,6 @@ check(live_steps(edit) == live_steps(editcold),
 check(findings(f"{out}/persist-findings-edit.json")
       == findings(f"{out}/persist-findings-editcold.json"),
       "edited-run findings differ from uncached findings")
-
-# The .meta.json sidecar matches schemas/cache.schema.json.
-with open("schemas/cache.schema.json") as f:
-    schema = json.load(f)
-sidecars = glob.glob(f"{out}/cache/*.meta.json")
-check(sidecars, "no .meta.json sidecar written")
-import re
-for path in sidecars:
-    with open(path) as f:
-        meta = json.load(f)
-    for key in schema["required"]:
-        check(key in meta, f"{path}: missing '{key}'")
-    for key in meta:
-        check(key in schema["properties"], f"{path}: unexpected key '{key}'")
-    for key, sub in schema["properties"].items():
-        v = meta[key]
-        if sub["type"] == "integer":
-            check(isinstance(v, int) and not isinstance(v, bool),
-                  f"{path}.{key}: not an integer")
-            check(v >= sub.get("minimum", v), f"{path}.{key}: below minimum")
-        else:
-            check(isinstance(v, str), f"{path}.{key}: not a string")
-            if "pattern" in sub:
-                check(re.fullmatch(sub["pattern"], v),
-                      f"{path}.{key}: '{v}' fails pattern")
-            if "enum" in sub:
-                check(v in sub["enum"], f"{path}.{key}: '{v}' not in enum")
 
 print("persistent-cache smoke test OK "
       f"(replay: {warm.get('solver.component_skips', 0)} skips, edit: "
@@ -968,11 +955,11 @@ print("engine build counted once (interproc.instances == 3)")
 PYEOF
 
   # The cache cap, per save and unbounded. Eight cache_key documents
-  # (843 bytes of cache each) under a 2048-byte cap: the per-save
+  # (one 315-byte file each) under a 2048-byte cap: the per-save
   # evictions alone must hold it, so the gc that follows finds the tree
   # under the cap and removes nothing. Then five documents on an
   # unbounded daemon (cap 0): its gc reports the tree and keeps every
-  # file.
+  # file, one per document.
   local doc='{"protocol_version":1,"id":"d%s","source":"program p; var i, n : integer; begin read(n); i := 0; while i < n do begin i := i + %s; assert(i >= 1) end end.","cache_key":"doc-%s"}\n'
   local run name docs cap k
   for run in capped:8:2048 unbounded:5:0; do
@@ -1025,7 +1012,7 @@ check(evicted > 0, "capped: no per-save eviction recorded")
 
 gc, counters, tree = run("unbounded", 5)
 check(gc["max_bytes"] == 0, f"unbounded: gc cap not reported: {gc}")
-check(gc["files_removed"] == 0 and gc["files_kept"] == 10,
+check(gc["files_removed"] == 0 and gc["files_kept"] == 5,
       f"unbounded: gc did not keep every file: {gc}")
 check(gc["bytes_after"] == gc["bytes_before"] == tree,
       f"unbounded: gc changed the tree ({gc}, {tree} bytes on disk)")

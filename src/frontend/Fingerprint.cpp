@@ -223,11 +223,13 @@ uint64_t fingerprintRoutine(const RoutineDecl *R) {
   return SH.H;
 }
 
+/// Nested routines first, so a set fingerprint on \p R means its whole
+/// tree is done.
 void computeTree(RoutineDecl *R) {
-  R->setFingerprint(fingerprintRoutine(R));
   if (R->block())
     for (RoutineDecl *Sub : R->block()->Routines)
       computeTree(Sub);
+  R->setFingerprint(fingerprintRoutine(R));
 }
 
 } // namespace
@@ -260,6 +262,9 @@ uint64_t hashRoutineSignature(const RoutineDecl *R) {
   return H;
 }
 
-void computeFingerprints(RoutineDecl *Program) { computeTree(Program); }
+void computeFingerprints(RoutineDecl *Program) {
+  if (Program->fingerprint() == 0)
+    computeTree(Program);
+}
 
 } // namespace syntox

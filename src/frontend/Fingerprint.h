@@ -62,7 +62,9 @@ uint64_t hashType(const Type *T);
 
 /// Computes and stores the fingerprint of \p Program and every routine
 /// nested inside it (RoutineDecl::fingerprint()). Must run after Sema
-/// (call-site callee bindings are consulted); idempotent.
+/// (call-site callee bindings are consulted). Walks the bodies once: a
+/// later call returns at once, since \p Program's fingerprint is set
+/// last.
 void computeFingerprints(RoutineDecl *Program);
 
 } // namespace syntox

@@ -20,17 +20,6 @@ bool isWarmFile(const fs::path &P) {
          P.filename().string().rfind("syntox-", 0) == 0;
 }
 
-fs::path sidecarOf(const fs::path &Warm) {
-  fs::path Meta = Warm;
-  Meta += ".meta.json";
-  return Meta;
-}
-
-/// One stat of a regular file; false for anything else.
-bool statFile(const fs::path &P, struct stat &St) {
-  return ::stat(P.c_str(), &St) == 0 && S_ISREG(St.st_mode);
-}
-
 } // namespace
 
 CacheTree::CacheTree(const std::string &Dir)
@@ -41,28 +30,23 @@ CacheTree::CacheTree(const std::string &Dir)
 
 bool CacheTree::statEntry(Entry &E) {
   struct stat St;
-  if (!statFile(E.Warm, St))
+  if (::stat(E.Warm.c_str(), &St) != 0 || !S_ISREG(St.st_mode))
     return false;
   E.Inode = St.st_ino;
   E.MTimeNs = static_cast<int64_t>(St.st_mtim.tv_sec) * 1000000000 +
               St.st_mtim.tv_nsec;
   E.Bytes = static_cast<uint64_t>(St.st_size);
-  E.HasMeta = statFile(sidecarOf(E.Warm), St);
-  if (E.HasMeta)
-    E.Bytes += static_cast<uint64_t>(St.st_size);
   return true;
 }
 
 void CacheTree::add(Entry E) {
   Total += E.Bytes;
-  Files += E.HasMeta ? 2 : 1;
   auto It = Order.insert(Order.end(), std::move(E));
   ByPath[It->Warm.native()] = It;
 }
 
 CacheTree::List::iterator CacheTree::erase(List::iterator It) {
   Total -= It->Bytes;
-  Files -= It->HasMeta ? 2 : 1;
   ByPath.erase(It->Warm.native());
   return Order.erase(It);
 }
@@ -70,7 +54,7 @@ CacheTree::List::iterator CacheTree::erase(List::iterator It) {
 void CacheTree::rescan() {
   Order.clear();
   ByPath.clear();
-  Total = Files = 0;
+  Total = 0;
   std::vector<Entry> Found;
   std::error_code EC; // a missing directory is an empty tree
   for (fs::recursive_directory_iterator
@@ -131,8 +115,6 @@ CacheGcResult CacheTree::shrinkTo(uint64_t MaxBytes) {
     }
     if (Removed) // else the file was already gone
       ++R.FilesRemoved;
-    if (It->HasMeta && fs::remove(sidecarOf(It->Warm), EC))
-      ++R.FilesRemoved;
     // Drop the directories this emptied, up to but excluding the root.
     for (fs::path D = It->Warm.parent_path(); !D.empty() && D != Root;
          D = D.parent_path())
@@ -141,7 +123,7 @@ CacheGcResult CacheTree::shrinkTo(uint64_t MaxBytes) {
     It = erase(It);
   }
   R.BytesAfter = Total;
-  R.FilesKept = Files;
+  R.FilesKept = Order.size();
   return R;
 }
 

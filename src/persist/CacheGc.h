@@ -8,17 +8,17 @@
 /// \file
 /// Garbage collection for a warm-start cache tree: bounds the total
 /// bytes under a directory by deleting the oldest cache entries first.
-/// An *entry* is one `syntox-<hash>.warm` file together with its
-/// `.meta.json` sidecar — the pair is removed (or kept) together, and
-/// anything else in the tree (the `*.tmp` file of a save in progress
-/// included) is left untouched. The saver rewrites an entry on every
-/// run, so the least recently *saved* entry goes first (an LRU policy
-/// over cache entries).
+/// An *entry* is one `syntox-<hash>.warm` file; anything else in the
+/// tree (the `*.tmp` file of a save in progress, or a `.meta.json`
+/// sidecar an older build wrote next to its file) is neither counted
+/// nor deleted. Every run rewrites its entry or advances its mtime, so
+/// the least recently *saved* entry goes first (an LRU policy over
+/// cache entries).
 ///
 /// CacheTree is the one implementation: an in-memory index of a tree's
 /// entries, oldest first, with their running byte total. rescan() seeds
 /// it with one recursive walk, aging entries by their `.warm` file's
-/// mtime; touch() re-stats the single entry a save just wrote, which
+/// mtime; touch() re-stats the one entry a save just wrote, which
 /// makes it the newest; shrinkTo() deletes only the victims an eviction
 /// needs. The walk is recursive because the serving layer shards its
 /// cache into one subdirectory per client document (see
@@ -51,12 +51,12 @@ namespace syntox {
 namespace persist {
 
 /// Outcome of one collection, for telemetry and the serve `gc` admin
-/// response.
+/// response. An entry is one file, so the file counts are entry counts.
 struct CacheGcResult {
-  uint64_t BytesBefore = 0; ///< cache-entry bytes indexed before it
-  uint64_t BytesAfter = 0;  ///< cache-entry bytes surviving it
-  uint64_t FilesRemoved = 0; ///< files deleted (.warm and sidecars)
-  uint64_t FilesKept = 0;    ///< files surviving
+  uint64_t BytesBefore = 0;  ///< cache-entry bytes indexed before it
+  uint64_t BytesAfter = 0;   ///< cache-entry bytes surviving it
+  uint64_t FilesRemoved = 0; ///< entries deleted
+  uint64_t FilesKept = 0;    ///< entries surviving
 };
 
 /// An in-memory index of the cache entries under one root directory
@@ -71,40 +71,38 @@ public:
   /// breaking ties. A missing directory is an empty cache.
   void rescan();
 
-  /// Re-stats the entry whose `.warm` file is \p WarmPath (two stats:
-  /// the file and its sidecar) after a save wrote it: the entry becomes
-  /// the newest, with its new size. If the file is gone, the entry is
-  /// dropped; if it is unchanged since it was indexed (no save
-  /// happened), it keeps its place. A path that is not a cache entry
-  /// under the root is ignored.
+  /// Re-stats the entry \p WarmPath (one stat) after a save wrote it:
+  /// the entry becomes the newest, with its new size. If the file is
+  /// gone, the entry is dropped; if it is unchanged since it was indexed
+  /// (no save happened), it keeps its place. A path that is not a cache
+  /// entry under the root is ignored.
   void touch(const std::string &WarmPath);
 
   /// Deletes the oldest entries until the indexed total is at most
   /// \p MaxBytes, and removes each victim's directory if that left it
   /// empty (never the root). Each victim is re-stat'ed first: one that
   /// a save rewrote since it was indexed becomes the newest instead of
-  /// being deleted. An entry whose `.warm` file cannot be deleted stays
-  /// indexed and keeps counting toward the total.
+  /// being deleted. An entry that cannot be deleted stays indexed and
+  /// keeps counting toward the total.
   CacheGcResult shrinkTo(uint64_t MaxBytes);
 
-  uint64_t bytes() const { return Total; } ///< indexed entry bytes
-  uint64_t files() const { return Files; } ///< indexed files
+  uint64_t bytes() const { return Total; }        ///< indexed entry bytes
+  uint64_t files() const { return Order.size(); } ///< indexed entries
 
 private:
-  /// One entry as last stat'ed: a save (a new file renamed into place)
+  /// One entry as last stat'ed: a save (a new file swapped into place)
   /// changes its inode, an in-place rewrite its mtime or size.
   struct Entry {
     std::filesystem::path Warm;
     uint64_t Inode = 0;
     int64_t MTimeNs = 0;
-    uint64_t Bytes = 0;   ///< the .warm file plus its sidecar
-    bool HasMeta = false; ///< the sidecar exists
+    uint64_t Bytes = 0;
     bool operator==(const Entry &) const = default;
   };
   using List = std::list<Entry>;
 
-  /// Fills \p E from its `.warm` file and sidecar (two stats); false
-  /// when the `.warm` file is not a regular file.
+  /// Fills \p E from one stat of its file; false when it is not a
+  /// regular file.
   static bool statEntry(Entry &E);
   /// Appends \p E as the newest entry.
   void add(Entry E);
@@ -114,7 +112,6 @@ private:
   List Order; ///< oldest first
   std::unordered_map<std::string, List::iterator> ByPath;
   uint64_t Total = 0;
-  uint64_t Files = 0;
 };
 
 /// Deletes oldest-first cache entries under \p Dir (recursively) until

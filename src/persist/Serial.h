@@ -55,6 +55,14 @@ public:
     Buf.append(static_cast<const char *>(Data), Len);
   }
   void append(const ByteWriter &Other) { Buf += Other.Buf; }
+  /// Overwrites the bytes from \p At on with \p Other's (a header
+  /// written last, over its placeholder).
+  void patch(size_t At, const ByteWriter &Other) {
+    Buf.replace(At, Other.size(), Other.Buf);
+  }
+  /// Drops every byte from \p Len on.
+  void truncate(size_t Len) { Buf.resize(Len); }
+  void reserve(size_t Len) { Buf.reserve(Len); }
 
   const std::string &buffer() const { return Buf; }
   size_t size() const { return Buf.size(); }

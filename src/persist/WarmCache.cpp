@@ -5,7 +5,6 @@
 #include "frontend/Fingerprint.h"
 #include "persist/Serial.h"
 #include "semantics/Analyzer.h"
-#include "support/Json.h"
 
 #include <atomic>
 #include <cerrno>
@@ -13,11 +12,11 @@
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
-#include <fstream>
+#include <functional>
 #include <limits>
+#include <string_view>
 #include <sys/stat.h>
 #include <unistd.h>
-#include <unordered_map>
 
 using namespace syntox;
 using namespace syntox::persist;
@@ -25,13 +24,6 @@ using namespace syntox::persist;
 namespace {
 
 constexpr size_t HeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
-
-std::string hex64(uint64_t V) {
-  char Buf[19];
-  std::snprintf(Buf, sizeof(Buf), "0x%016llx",
-                static_cast<unsigned long long>(V));
-  return Buf;
-}
 
 //===----------------------------------------------------------------------===//
 // Program identity
@@ -160,14 +152,38 @@ AbsValue readValue(ByteReader &R, bool &Ok) {
 // Store pool (save side)
 //===----------------------------------------------------------------------===//
 
+/// The first slot from \p Hash on, probing a power-of-two table
+/// linearly, that is free (value-initialized) or that \p Match accepts.
+template <typename T, typename MatchFn>
+size_t probe(const std::vector<T> &Table, size_t Hash, MatchFn Match) {
+  size_t Mask = Table.size() - 1;
+  size_t At = Hash & Mask;
+  while (!(Table[At] == T()) && !Match(Table[At]))
+    At = (At + 1) & Mask;
+  return At;
+}
+
+/// Doubles \p Table and re-inserts its occupied slots.
+template <typename T, typename HashFn>
+void grow(std::vector<T> &Table, HashFn Hash) {
+  std::vector<T> Old(2 * Table.size());
+  Old.swap(Table);
+  for (const T &E : Old)
+    if (!(E == T()))
+      Table[probe(Table, Hash(E), [](const T &) { return false; })] = E;
+}
+
 /// Content-addressed pool of serialized stores. References 0 and 1 are
-/// the implicit top and bottom stores; pool entries start at 2. Entries
-/// are keyed by their encoded row bytes, so a store serializes once
-/// however many boundary snapshots hold it and whichever payloads they
-/// hold it in, and the file depends on the values alone, not on how
-/// the solver happened to share payloads. A payload-identity memo in
-/// front skips re-encoding a payload already seen (COW sharing makes
-/// that the common case).
+/// the implicit top and bottom stores; pool entries start at 2, in
+/// first-seen order. A store is encoded once, straight onto the end of
+/// the pool buffer, and those bytes are dropped again when an earlier
+/// entry holds the same ones: a store serializes once however many
+/// boundary snapshots hold it and whichever payloads they hold it in,
+/// and the file depends on the values alone, not on how the solver
+/// happened to share payloads. The identity table in front skips the
+/// encode for a payload already seen (COW sharing makes that the common
+/// case). Both tables are open-addressed, at most half full, and hold
+/// references: an entry's bytes are found by its offsets in the buffer.
 class StorePoolWriter {
 public:
   uint64_t ref(const AbstractStore &S) {
@@ -176,33 +192,80 @@ public:
     if (S.isTop())
       return 0;
     const void *Identity = S.payloadIdentity();
-    auto It = ByPayload.find(Identity);
-    if (It != ByPayload.end())
-      return It->second;
-    ByteWriter W;
-    W.varint(S.numEntries());
-    S.forEachEntry([&](const VarDecl *V, const AbsValue &Val) {
-      W.varint(V->storeSlot());
-      writeValue(W, Val);
-    });
-    auto [Entry, Inserted] = ByBytes.emplace(W.buffer(), 2 + Entries.size());
-    if (Inserted)
-      Entries.push_back(&Entry->first);
-    ByPayload.emplace(Identity, Entry->second);
-    return Entry->second;
+    size_t At = probe(ByIdentity, mixPointer(Identity),
+                      [&](const IdentitySlot &E) { return E.Key == Identity; });
+    if (ByIdentity[At].Key)
+      return ByIdentity[At].Ref;
+    uint32_t Ref = intern(S);
+    ByIdentity[At] = {Identity, Ref};
+    if (++Identities * 2 > ByIdentity.size())
+      grow(ByIdentity, [](const IdentitySlot &E) { return mixPointer(E.Key); });
+    return Ref;
   }
 
+  /// Encoded bytes of the pool's entries.
+  size_t size() const { return Pool.size(); }
+
+  /// The pool as the body holds it: the entry count, then the entries.
   void writePool(ByteWriter &W) const {
     W.varint(Entries.size());
-    for (const std::string *E : Entries)
-      W.bytes(E->data(), E->size());
+    W.append(Pool);
   }
 
 private:
-  std::unordered_map<const void *, uint64_t> ByPayload;
-  std::unordered_map<std::string, uint64_t> ByBytes;
-  /// The keys of ByBytes in reference order.
-  std::vector<const std::string *> Entries;
+  struct IdentitySlot {
+    const void *Key = nullptr; ///< a payload; null marks a free slot
+    uint32_t Ref = 0;
+    bool operator==(const IdentitySlot &) const = default;
+  };
+  struct EntryInfo {
+    size_t End;  ///< one past the entry's last byte in Pool
+    size_t Hash; ///< of the entry's bytes
+  };
+
+  static size_t mixPointer(const void *P) {
+    return static_cast<size_t>(
+        (reinterpret_cast<uintptr_t>(P) * 0x9e3779b97f4a7c15ull) >> 32);
+  }
+
+  std::string_view bytesOf(uint32_t Ref) const {
+    size_t Begin = Ref > 2 ? Entries[Ref - 3].End : 0;
+    return std::string_view(Pool.buffer())
+        .substr(Begin, Entries[Ref - 2].End - Begin);
+  }
+
+  /// Encodes \p S onto the end of the pool and returns its reference:
+  /// a new entry's, or that of an earlier entry with the same bytes (the
+  /// new ones are dropped then).
+  uint32_t intern(const AbstractStore &S) {
+    size_t Begin = Pool.size();
+    Pool.varint(S.numEntries());
+    S.forEachEntry([&](const VarDecl *V, const AbsValue &Val) {
+      Pool.varint(V->storeSlot());
+      writeValue(Pool, Val);
+    });
+    std::string_view Bytes = std::string_view(Pool.buffer()).substr(Begin);
+    size_t Hash = std::hash<std::string_view>()(Bytes);
+    size_t At = probe(ByContent, Hash, [&](uint32_t Ref) {
+      return Entries[Ref - 2].Hash == Hash && bytesOf(Ref) == Bytes;
+    });
+    if (uint32_t Ref = ByContent[At]) {
+      Pool.truncate(Begin);
+      return Ref;
+    }
+    Entries.push_back({Pool.size(), Hash});
+    uint32_t Ref = static_cast<uint32_t>(Entries.size() + 1);
+    ByContent[At] = Ref;
+    if (Entries.size() * 2 > ByContent.size())
+      grow(ByContent, [&](uint32_t R) { return Entries[R - 2].Hash; });
+    return Ref;
+  }
+
+  ByteWriter Pool;                  ///< the entries, back to back
+  std::vector<EntryInfo> Entries;   ///< index = reference - 2
+  std::vector<IdentitySlot> ByIdentity = std::vector<IdentitySlot>(64);
+  size_t Identities = 0;            ///< occupied ByIdentity slots
+  std::vector<uint32_t> ByContent = std::vector<uint32_t>(64); ///< 0: free
 };
 
 //===----------------------------------------------------------------------===//
@@ -265,13 +328,21 @@ bool isForwardSig(Analyzer::PhaseSig Sig) {
          Sig == Analyzer::PhaseSig::FwdEnv;
 }
 
-/// Writes \p Data to a fresh temp file next to \p Path and renames it
+/// Writes \p Data to a fresh temp file next to \p Path and swaps it
 /// into place. The temp name is unique to this save (pid plus a
 /// per-process counter, created O_EXCL), so concurrent saves of one
-/// file never write through each other's temp inode. Returns an error
-/// message, empty on success.
-std::string writeFileAtomically(const std::string &Path,
-                                const std::string &Data) {
+/// file never write through each other's temp inode. An existing file
+/// is replaced by exchanging the two names (Linux renameat2 with
+/// RENAME_EXCHANGE) and unlinking the temp name, which then holds the
+/// old bytes: a rename over a live name costs far more on ext4, whose
+/// replace-via-rename heuristic (auto_da_alloc) allocates the new
+/// file's blocks and queues its data inside the call (DESIGN.md §8).
+/// The exchange fails on the entry's first save (ENOENT) and on a
+/// filesystem without it (EINVAL); a plain rename then creates or
+/// replaces the file. Either way a reader sees the old file or the new
+/// one, never a torn or missing file. Returns an error message, empty
+/// on success.
+std::string replaceFile(const std::string &Path, const std::string &Data) {
   static std::atomic<uint64_t> Serial{0};
   char Suffix[64];
   std::snprintf(Suffix, sizeof(Suffix), ".%ld.%llu.tmp",
@@ -298,8 +369,17 @@ std::string writeFileAtomically(const std::string &Path,
   }
   if (::close(Fd) != 0 && Error.empty())
     Error = Failure("write failed: ", errno);
-  if (Error.empty() && ::rename(Tmp.c_str(), Path.c_str()) != 0)
-    Error = Failure("cannot move cache file into place: ", errno);
+  if (Error.empty()) {
+#ifdef RENAME_EXCHANGE
+    if (::renameat2(AT_FDCWD, Tmp.c_str(), AT_FDCWD, Path.c_str(),
+                    RENAME_EXCHANGE) == 0) {
+      ::unlink(Tmp.c_str()); // the old bytes
+      return Error;
+    }
+#endif
+    if (::rename(Tmp.c_str(), Path.c_str()) != 0)
+      Error = Failure("cannot move cache file into place: ", errno);
+  }
   if (!Error.empty())
     ::unlink(Tmp.c_str());
   return Error;
@@ -361,14 +441,11 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
   unsigned N = G.numNodes();
   size_t FwdElems = An.forwardOrder().elements().size();
   size_t BwdElems = An.backwardOrder().elements().size();
-  uint64_t ProgramHash = programHash(G);
-
   StorePoolWriter Pool;
 
-  // The slots are serialized first (into a side buffer) so the pool
-  // they populate can be emitted ahead of them in the body.
+  // The slots are serialized first, into a side buffer, so the pool they
+  // fill can be emitted ahead of them in the body.
   ByteWriter SlotsW;
-  uint64_t SavedSlots = 0;
   SlotsW.varint(Slots.size());
   for (const Analyzer::WarmSlot &Slot : Slots) {
     const WarmStartMemo<AbstractStore> &M = Slot.Memo;
@@ -382,7 +459,6 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
     SlotsW.u8(Ok);
     if (!Ok)
       continue;
-    ++SavedSlots;
     SlotsW.u8(static_cast<uint8_t>(Slot.Sig));
     SlotsW.u8(Slot.HadEnv);
     SlotsW.u8(static_cast<uint8_t>(M.Kind));
@@ -408,48 +484,39 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
         SlotsW.varint(Pool.ref(Slot.Seeds[V]));
   }
 
-  // Body: the program's shape, the pool, the slots — in that order, so
-  // the reader can check the shape before it allocates anything.
-  ByteWriter Body;
-  Body.varint(N);
-  Body.varint(FwdElems);
-  Body.varint(BwdElems);
-  Body.varint(G.varNumbering().numSlots());
-  Pool.writePool(Body);
-  Body.append(SlotsW);
-
-  uint64_t Checksum = fnv1a(Body.buffer().data(), Body.size());
+  // The file in one buffer: a header placeholder, then the body (the
+  // program's shape, the pool, the slots, in that order, so the reader
+  // can check the shape before it allocates anything), then the header
+  // over its placeholder, once the body's length and checksum are known.
+  static constexpr char NoHeader[HeaderBytes] = {};
   ByteWriter File;
-  File.bytes(CacheMagic, 4);
-  File.u32(CacheFormatVersion);
-  File.u64(Opts.optionsHash());
-  File.u64(ProgramHash);
-  File.u64(Body.size());
-  File.u64(Checksum);
-  File.append(Body);
+  File.reserve(HeaderBytes + 5 * 10 + Pool.size() + SlotsW.size());
+  File.bytes(NoHeader, HeaderBytes);
+  File.varint(N);
+  File.varint(FwdElems);
+  File.varint(BwdElems);
+  File.varint(G.varNumbering().numSlots());
+  Pool.writePool(File);
+  File.append(SlotsW);
+  uint64_t BodyLen = File.size() - HeaderBytes;
+  ByteWriter Header;
+  Header.bytes(CacheMagic, 4);
+  Header.u32(CacheFormatVersion);
+  Header.u64(Opts.optionsHash());
+  Header.u64(programHash(G));
+  Header.u64(BodyLen);
+  Header.u64(fnv1a(File.buffer().data() + HeaderBytes, BodyLen));
+  File.patch(0, Header);
 
   std::error_code EC;
   std::filesystem::create_directories(Dir, EC);
   if (EC)
     return Fail("cannot create cache directory: " + EC.message());
-  std::string Path = cacheFilePath(Dir, Opts);
-  // Write-then-rename so a crash mid-save leaves the old file intact.
-  if (std::string Error = writeFileAtomically(Path, File.buffer());
+  // Write, then swap, so a crash mid-save leaves the old file intact.
+  if (std::string Error = replaceFile(cacheFilePath(Dir, Opts),
+                                      File.buffer());
       !Error.empty())
     return Fail(Error);
-
-  json::Value Meta = json::Value::object();
-  Meta.set("magic", json::Value("SYXC"));
-  Meta.set("version", json::Value(static_cast<int64_t>(CacheFormatVersion)));
-  Meta.set("options_hash", json::Value(hex64(Opts.optionsHash())));
-  Meta.set("program_hash", json::Value(hex64(ProgramHash)));
-  Meta.set("body_len", json::Value(static_cast<int64_t>(Body.size())));
-  Meta.set("body_checksum", json::Value(hex64(Checksum)));
-  Meta.set("num_nodes", json::Value(static_cast<int64_t>(N)));
-  Meta.set("slots", json::Value(static_cast<int64_t>(SavedSlots)));
-  std::ofstream MetaOut(Path + ".meta.json", std::ios::trunc);
-  if (MetaOut)
-    MetaOut << Meta.pretty() << "\n";
   return true;
 }
 

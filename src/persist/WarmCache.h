@@ -22,8 +22,8 @@
 ///                    with +/-oo sentinel flags); the chain slots, whose
 ///                    rows are addressed by node index and WTO element
 ///                    index
-///   sidecar          <file>.meta.json — the header decoded to JSON,
-///                    validated by schemas/cache.schema.json
+///
+/// The file is the whole entry: nothing is written next to it.
 ///
 /// The program hash folds, in instance order, each instance's routine
 /// fingerprint (frontend/Fingerprint.h), call site and store-slot
@@ -32,11 +32,17 @@
 /// equation system over the same index spaces, so the body needs no
 /// key tables: a row is where its index says.
 ///
-/// A save writes the whole file to a temp file of its own (pid plus a
-/// per-process counter, created with O_EXCL) and renames it into place,
-/// so a reader sees the old file or the new one, never a torn mix, even
-/// while two saves of one file race (two daemon requests sharing a
-/// cache_key). The sidecar is written in place: nothing reads it back.
+/// A save encodes the file into one buffer (each distinct store once,
+/// the header last), writes it to a temp file of its own (pid plus a
+/// per-process counter, created with O_EXCL) and swaps that into place:
+/// an existing file by exchanging the two names and unlinking the old
+/// bytes, a new entry (or any file, where the filesystem cannot
+/// exchange) by a rename. A reader sees the old file or the new one,
+/// never a torn or missing one, even while two saves of one file race
+/// (two daemon requests sharing a cache_key), and a process crash
+/// leaves the old file intact. Nothing is flushed to the device: a
+/// power loss can leave a short or zero-filled file, which the load
+/// rejects (header, magic, length or checksum) like any corrupted one.
 ///
 /// A load reads the header first and rejects a file on its magic,
 /// version, options hash or program hash (an edited program: "program
@@ -90,8 +96,7 @@ std::string cacheFilePath(const std::string &Dir,
                           const AnalysisOptions &Opts);
 
 /// Serializes the warm-start state recorded by \p An's last run() to
-/// the cache file (plus the .meta.json sidecar), creating \p Dir if
-/// needed. Returns false with \p ErrorOut set on I/O failure or when
+/// the cache file, creating \p Dir if needed. Returns false with \p ErrorOut set on I/O failure or when
 /// there is nothing to save yet.
 bool saveWarmCache(const std::string &Dir, const Analyzer &An,
                    std::string *ErrorOut = nullptr);

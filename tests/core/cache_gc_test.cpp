@@ -9,9 +9,9 @@
 //    re-saved entry becomes the newest (so does one whose mtime alone
 //    advanced, as a skipped save leaves it), saves keep their order even
 //    when their mtimes tie, and an entry no save rewrote keeps its place;
-//  - a `.warm` file and its `.meta.json` sidecar count and go together,
-//    while files that are not entries (a save's temp file included)
-//    stay;
+//  - an entry is one `.warm` file: files that are not entries (a save's
+//    temp file, a `.meta.json` sidecar an older build left) are neither
+//    counted nor deleted;
 //  - a victim's emptied shard directory goes, the root never does;
 //  - the index stays equal to the disk when files vanish behind it, and
 //    over a randomized save/edit sequence under a cap.
@@ -66,23 +66,18 @@ protected:
     return P;
   }
 
-  /// Writes an entry the way the saver does: the `.warm` file through a
-  /// `.tmp` file renamed into place, then its sidecar.
-  fs::path save(const std::string &Rel, size_t WarmBytes, size_t MetaBytes) {
+  /// Writes an entry the way the saver does: through a `.tmp` file
+  /// moved into place, so a re-save is a new inode.
+  fs::path save(const std::string &Rel, size_t Bytes) {
     fs::path Warm = Root / Rel;
-    fs::path Tmp = write(Rel + ".tmp", WarmBytes);
+    fs::path Tmp = write(Rel + ".tmp", Bytes);
     fs::rename(Tmp, Warm);
-    write(Rel + ".meta.json", MetaBytes);
     return Warm;
   }
 
-  /// Writes one cache entry (a `.warm` file and, unless \p MetaBytes is
-  /// 0, its sidecar) whose `.warm` mtime is \p Age seconds in the past.
-  fs::path entry(const std::string &Rel, size_t WarmBytes, size_t MetaBytes,
-                 int Age) {
-    fs::path Warm = write(Rel, WarmBytes);
-    if (MetaBytes)
-      write(Rel + ".meta.json", MetaBytes);
+  /// Writes one cache entry whose mtime is \p Age seconds in the past.
+  fs::path entry(const std::string &Rel, size_t Bytes, int Age) {
+    fs::path Warm = write(Rel, Bytes);
     setAge(Warm, Age);
     return Warm;
   }
@@ -107,15 +102,15 @@ protected:
 };
 
 TEST_F(CacheGcTest, EvictsOldestFirst) {
-  entry("syntox-a.warm", 100, 20, 300);
-  entry("syntox-b.warm", 100, 20, 200);
-  entry("syntox-c.warm", 100, 20, 100);
+  entry("syntox-a.warm", 100, 300);
+  entry("syntox-b.warm", 100, 200);
+  entry("syntox-c.warm", 100, 100);
 
   CacheGcResult R = gcCacheDir(Root.string(), 250);
-  EXPECT_EQ(R.BytesBefore, 360u);
-  EXPECT_EQ(R.BytesAfter, 240u);
-  EXPECT_EQ(R.FilesRemoved, 2u);
-  EXPECT_EQ(R.FilesKept, 4u);
+  EXPECT_EQ(R.BytesBefore, 300u);
+  EXPECT_EQ(R.BytesAfter, 200u);
+  EXPECT_EQ(R.FilesRemoved, 1u);
+  EXPECT_EQ(R.FilesKept, 2u);
   EXPECT_FALSE(exists("syntox-a.warm"));
   EXPECT_TRUE(exists("syntox-b.warm"));
   EXPECT_TRUE(exists("syntox-c.warm"));
@@ -123,15 +118,15 @@ TEST_F(CacheGcTest, EvictsOldestFirst) {
   // Zero collects everything.
   R = gcCacheDir(Root.string(), 0);
   EXPECT_EQ(R.BytesAfter, 0u);
-  EXPECT_EQ(R.FilesRemoved, 4u);
+  EXPECT_EQ(R.FilesRemoved, 2u);
   EXPECT_EQ(R.FilesKept, 0u);
   EXPECT_EQ(diskBytes(), 0u);
 }
 
 TEST_F(CacheGcTest, ResavedEntryBecomesTheNewest) {
-  entry("syntox-a.warm", 100, 0, 300);
-  entry("syntox-b.warm", 100, 0, 200);
-  entry("syntox-c.warm", 100, 0, 100);
+  entry("syntox-a.warm", 100, 300);
+  entry("syntox-b.warm", 100, 200);
+  entry("syntox-c.warm", 100, 100);
   CacheTree Tree(Root.string());
   Tree.rescan();
   EXPECT_EQ(Tree.bytes(), 300u);
@@ -155,17 +150,17 @@ TEST_F(CacheGcTest, MtimeOnlyAdvanceMakesTheEntryNewest) {
   // file's mtime (persist::touchWarmCache): same inode, same bytes. The
   // index still ranks the entry newest, as it would after a rewrite,
   // and so does a restart's walk.
-  fs::path A = entry("syntox-a.warm", 100, 20, 300);
-  entry("syntox-b.warm", 100, 20, 200);
-  entry("syntox-c.warm", 100, 20, 100);
+  fs::path A = entry("syntox-a.warm", 100, 300);
+  entry("syntox-b.warm", 100, 200);
+  entry("syntox-c.warm", 100, 100);
   CacheTree Tree(Root.string());
   Tree.rescan();
   setAge(A, 10);
   Tree.touch(A.string());
-  EXPECT_EQ(Tree.bytes(), 360u);
+  EXPECT_EQ(Tree.bytes(), 300u);
 
   CacheGcResult R = Tree.shrinkTo(240);
-  EXPECT_EQ(R.FilesRemoved, 2u);
+  EXPECT_EQ(R.FilesRemoved, 1u);
   EXPECT_TRUE(exists("syntox-a.warm"));
   EXPECT_FALSE(exists("syntox-b.warm"));
   EXPECT_TRUE(exists("syntox-c.warm"));
@@ -183,10 +178,10 @@ TEST_F(CacheGcTest, SavesThatTieOnMtimeKeepTheirSaveOrder) {
   CacheTree Tree(Root.string());
   Tree.rescan();
   auto Tick = fs::file_time_type::clock::now() - std::chrono::seconds(60);
-  fs::path First = save("b/syntox-0.warm", 100, 0);
+  fs::path First = save("b/syntox-0.warm", 100);
   fs::last_write_time(First, Tick);
   Tree.touch(First.string());
-  fs::path Second = save("a/syntox-0.warm", 100, 0);
+  fs::path Second = save("a/syntox-0.warm", 100);
   fs::last_write_time(Second, Tick);
   Tree.touch(Second.string());
 
@@ -198,8 +193,8 @@ TEST_F(CacheGcTest, SavesThatTieOnMtimeKeepTheirSaveOrder) {
 TEST_F(CacheGcTest, EntryNoSaveRewroteKeepsItsPlace) {
   // A run that saved nothing (warm starts off, say) touches an entry
   // whose file is unchanged: it must not become the newest.
-  fs::path A = entry("syntox-a.warm", 100, 0, 300);
-  entry("syntox-b.warm", 100, 0, 200);
+  fs::path A = entry("syntox-a.warm", 100, 300);
+  entry("syntox-b.warm", 100, 200);
   CacheTree Tree(Root.string());
   Tree.rescan();
   Tree.touch(A.string());
@@ -212,8 +207,8 @@ TEST_F(CacheGcTest, VictimRewrittenSinceIndexedIsKept) {
   // A save rewrote the oldest entry but has not touched the index yet
   // (the daemon saves outside its index lock): the shrink re-stats the
   // victim, finds it fresh, and evicts the next-oldest instead.
-  fs::path A = entry("syntox-a.warm", 100, 0, 300);
-  entry("syntox-b.warm", 100, 0, 200);
+  fs::path A = entry("syntox-a.warm", 100, 300);
+  entry("syntox-b.warm", 100, 200);
   CacheTree Tree(Root.string());
   Tree.rescan();
   setAge(A, 10);
@@ -225,36 +220,41 @@ TEST_F(CacheGcTest, VictimRewrittenSinceIndexedIsKept) {
   EXPECT_EQ(Tree.bytes(), 100u);
 }
 
-TEST_F(CacheGcTest, SidecarCountsAndGoesWithItsWarmFile) {
-  entry("syntox-a.warm", 100, 40, 200);
-  entry("syntox-b.warm", 100, 0, 100); // no sidecar: one file
+TEST_F(CacheGcTest, LeftoverSidecarIsNeitherCountedNorDeleted) {
+  // Older builds wrote a `.meta.json` sidecar next to every `.warm`
+  // file. It is not part of the entry: evicting the `.warm` file leaves
+  // it where it is.
+  entry("syntox-a.warm", 100, 200);
+  write("syntox-a.warm.meta.json", 40);
+  entry("syntox-b.warm", 100, 100);
   CacheTree Tree(Root.string());
   Tree.rescan();
-  EXPECT_EQ(Tree.bytes(), 240u);
-  EXPECT_EQ(Tree.files(), 3u);
+  EXPECT_EQ(Tree.bytes(), 200u);
+  EXPECT_EQ(Tree.files(), 2u);
 
-  CacheGcResult R = Tree.shrinkTo(139);
-  EXPECT_EQ(R.FilesRemoved, 2u);
+  CacheGcResult R = Tree.shrinkTo(150);
+  EXPECT_EQ(R.BytesBefore, 200u);
+  EXPECT_EQ(R.FilesRemoved, 1u);
   EXPECT_EQ(R.FilesKept, 1u);
   EXPECT_EQ(R.BytesAfter, 100u);
   EXPECT_FALSE(exists("syntox-a.warm"));
-  EXPECT_FALSE(exists("syntox-a.warm.meta.json"));
+  EXPECT_TRUE(exists("syntox-a.warm.meta.json"));
   EXPECT_TRUE(exists("syntox-b.warm"));
-  EXPECT_EQ(diskBytes(), 100u);
+  EXPECT_EQ(diskBytes(), 140u);
 }
 
 TEST_F(CacheGcTest, FilesThatAreNotEntriesAreLeftAlone) {
-  entry("syntox-a.warm", 100, 20, 100);
+  entry("syntox-a.warm", 100, 100);
   write("syntox-b.warm.tmp", 50);        // an older save's temp file
   write("syntox-e.warm.4242.7.tmp", 70); // a save in progress
-  write("syntox-c.warm.meta.json", 30); // a sidecar without its file
+  write("syntox-c.warm.meta.json", 30); // an older build's sidecar
   write("other.warm", 40);              // not a syntox- cache file
   write("shard/notes.txt", 60);
   fs::create_directories(Root / "syntox-d.warm"); // a directory
 
   CacheGcResult R = gcCacheDir(Root.string(), 0);
-  EXPECT_EQ(R.BytesBefore, 120u);
-  EXPECT_EQ(R.FilesRemoved, 2u);
+  EXPECT_EQ(R.BytesBefore, 100u);
+  EXPECT_EQ(R.FilesRemoved, 1u);
   EXPECT_FALSE(exists("syntox-a.warm"));
   for (const char *Kept :
        {"syntox-b.warm.tmp", "syntox-e.warm.4242.7.tmp",
@@ -265,14 +265,14 @@ TEST_F(CacheGcTest, FilesThatAreNotEntriesAreLeftAlone) {
 }
 
 TEST_F(CacheGcTest, EmptiedShardDirectoriesGoButNeverTheRoot) {
-  entry("s1/syntox-a.warm", 100, 20, 400);
-  entry("s2/syntox-b.warm", 100, 20, 300);
+  entry("s1/syntox-a.warm", 100, 400);
+  entry("s2/syntox-b.warm", 100, 300);
   write("s2/keep.txt", 10);
-  entry("s3/deeper/syntox-c.warm", 100, 20, 200);
-  entry("syntox-d.warm", 100, 20, 100);
+  entry("s3/deeper/syntox-c.warm", 100, 200);
+  entry("syntox-d.warm", 100, 100);
 
   CacheGcResult R = gcCacheDir(Root.string(), 0);
-  EXPECT_EQ(R.FilesRemoved, 8u);
+  EXPECT_EQ(R.FilesRemoved, 4u);
   EXPECT_FALSE(exists("s1"));
   EXPECT_TRUE(exists("s2/keep.txt")); // not empty: stays
   EXPECT_FALSE(exists("s2/syntox-b.warm"));
@@ -280,17 +280,17 @@ TEST_F(CacheGcTest, EmptiedShardDirectoriesGoButNeverTheRoot) {
   EXPECT_TRUE(fs::is_directory(Root));
 
   // A tree whose only entries sit at the root keeps the root.
-  entry("syntox-e.warm", 100, 0, 100);
+  entry("syntox-e.warm", 100, 100);
   gcCacheDir(Root.string(), 0);
   EXPECT_TRUE(fs::is_directory(Root));
 }
 
 TEST_F(CacheGcTest, SeedOrdersByMtimeWithThePathBreakingTies) {
   // Equal sizes, so each one-entry shrink names the oldest survivor.
-  fs::path Z = entry("z/syntox-0.warm", 100, 0, 0);
-  fs::path B = entry("b/syntox-0.warm", 100, 0, 0);
-  fs::path A = entry("a/syntox-0.warm", 100, 0, 0);
-  fs::path C = entry("c/syntox-0.warm", 100, 0, 0);
+  fs::path Z = entry("z/syntox-0.warm", 100, 0);
+  fs::path B = entry("b/syntox-0.warm", 100, 0);
+  fs::path A = entry("a/syntox-0.warm", 100, 0);
+  fs::path C = entry("c/syntox-0.warm", 100, 0);
   auto Now = fs::file_time_type::clock::now();
   fs::last_write_time(Z, Now - std::chrono::seconds(300));
   fs::last_write_time(A, Now - std::chrono::seconds(200));
@@ -311,25 +311,24 @@ TEST_F(CacheGcTest, SeedOrdersByMtimeWithThePathBreakingTies) {
 }
 
 TEST_F(CacheGcTest, FileDeletedBehindTheIndexIsDroppedAtItsTouch) {
-  fs::path A = entry("s/syntox-a.warm", 100, 20, 200);
-  entry("s/syntox-b.warm", 100, 20, 100);
+  fs::path A = entry("s/syntox-a.warm", 100, 200);
+  entry("s/syntox-b.warm", 100, 100);
   CacheTree Tree(Root.string());
   Tree.rescan();
-  ASSERT_EQ(Tree.bytes(), 240u);
+  ASSERT_EQ(Tree.bytes(), 200u);
 
   fs::remove(A);
-  fs::remove(Root / "s/syntox-a.warm.meta.json");
   Tree.touch(A.string());
-  EXPECT_EQ(Tree.bytes(), 120u);
-  EXPECT_EQ(Tree.files(), 2u);
+  EXPECT_EQ(Tree.bytes(), 100u);
+  EXPECT_EQ(Tree.files(), 1u);
   Tree.touch(A.string()); // dropping twice underflows nothing
-  EXPECT_EQ(Tree.bytes(), 120u);
+  EXPECT_EQ(Tree.bytes(), 100u);
 
   // An entry that vanished without a touch is dropped when it comes up
   // as a victim, without being counted as removed.
   fs::remove(Root / "s/syntox-b.warm");
   CacheGcResult R = Tree.shrinkTo(0);
-  EXPECT_EQ(R.FilesRemoved, 1u); // its orphaned sidecar
+  EXPECT_EQ(R.FilesRemoved, 0u);
   EXPECT_EQ(Tree.bytes(), 0u);
   EXPECT_EQ(Tree.files(), 0u);
   EXPECT_FALSE(exists("s"));
@@ -352,12 +351,12 @@ TEST_F(CacheGcTest, OneEntryHoweverTheRootIsSpelled) {
   // The daemon names shards as <cache-dir>/<hash>, so a --cache-dir
   // with a trailing slash must still index the walked and the touched
   // path as one entry.
-  fs::path A = entry("s/syntox-a.warm", 100, 20, 100);
+  fs::path A = entry("s/syntox-a.warm", 100, 100);
   CacheTree Tree(Root.string() + "/");
   Tree.rescan();
   Tree.touch(Root.string() + "//s/syntox-a.warm");
-  EXPECT_EQ(Tree.bytes(), 120u);
-  EXPECT_EQ(Tree.files(), 2u);
+  EXPECT_EQ(Tree.bytes(), 100u);
+  EXPECT_EQ(Tree.files(), 1u);
 }
 
 TEST_F(CacheGcTest, MissingDirectoryIsAnEmptyCache) {
@@ -372,14 +371,14 @@ TEST_F(CacheGcTest, MissingDirectoryIsAnEmptyCache) {
 }
 
 TEST_F(CacheGcTest, MaxCapOnlyReportsTheTree) {
-  entry("s/syntox-a.warm", 100, 20, 200);
-  entry("syntox-b.warm", 100, 20, 100);
+  entry("s/syntox-a.warm", 100, 200);
+  entry("syntox-b.warm", 100, 100);
   CacheGcResult R = gcCacheDir(Root.string(), UINT64_MAX);
-  EXPECT_EQ(R.BytesBefore, 240u);
-  EXPECT_EQ(R.BytesAfter, 240u);
+  EXPECT_EQ(R.BytesBefore, 200u);
+  EXPECT_EQ(R.BytesAfter, 200u);
   EXPECT_EQ(R.FilesRemoved, 0u);
-  EXPECT_EQ(R.FilesKept, 4u);
-  EXPECT_EQ(diskBytes(), 240u);
+  EXPECT_EQ(R.FilesKept, 2u);
+  EXPECT_EQ(diskBytes(), 200u);
 }
 
 TEST_F(CacheGcTest, RandomSavesKeepTheIndexEqualToTheDiskUnderTheCap) {
@@ -398,7 +397,7 @@ TEST_F(CacheGcTest, RandomSavesKeepTheIndexEqualToTheDiskUnderTheCap) {
     for (unsigned Step = 0; Step < 200; ++Step) {
       std::string Rel = "shard" + std::to_string(Rng() % 8) + "/syntox-" +
                         std::to_string(Rng() % 2) + ".warm";
-      fs::path Warm = save(Rel, 200 + Rng() % 1800, 50 + Rng() % 100);
+      fs::path Warm = save(Rel, 200 + Rng() % 1800);
       Tree.touch(Warm.string());
       Tree.shrinkTo(Cap);
 

@@ -9,8 +9,9 @@
 // falls back to a cold solve with — again — identical findings. The
 // fuzzed battery pins the save/load round trip and the edit fallback
 // on 200 random programs. The file itself: its store pool holds each
-// store once, an unchanged rerun leaves it byte for byte as it was,
-// and concurrent saves never tear it.
+// store once, an unchanged rerun leaves it byte for byte as it was, it
+// is the only file an entry leaves (the first save creates it, later
+// ones swap it), and concurrent saves never tear it or make it vanish.
 //
 //===----------------------------------------------------------------------===//
 
@@ -322,6 +323,50 @@ TEST(PersistCacheTest, CorruptedBytesFallBackCold) {
     writeFile(cacheFile(Dir.str()), Bad);
     expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold, "corrupted");
   }
+
+  // A save flushes nothing, so a power loss after it swapped its file in
+  // can leave the file at its full length with its data never written:
+  // all zeros.
+  writeFile(cacheFile(Dir.str()), std::vector<char>(Full.size(), 0));
+  expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold, "zero-filled");
+}
+
+TEST(PersistCacheTest, FirstSaveCreatesAndLaterSavesSwapOneFile) {
+  // The entry's first save creates its file (there is nothing to swap
+  // with yet); the next program's save swaps its own file in and drops
+  // the old bytes. After each save the directory holds the one `.warm`
+  // file, which its program's engine replays in full. A reader that
+  // opened the old file before the swap still reads all of it.
+  ScratchDir Dir("swap");
+  auto ExpectOneEntryFor = [&](const std::string &Source, const char *What) {
+    std::vector<fs::path> Files;
+    for (const fs::directory_entry &E : fs::directory_iterator(Dir.Dir))
+      Files.push_back(E.path());
+    ASSERT_EQ(Files.size(), 1u) << What;
+    EXPECT_EQ(Files.front(), cacheFile(Dir.str())) << What;
+    RunOutcome Warm = runOnce(Source, Dir.str());
+    ASSERT_TRUE(Warm.Ok) << What;
+    EXPECT_EQ(Warm.Loaded, 1u) << What;
+    EXPECT_EQ(Warm.LiveSteps, 0u) << What;
+  };
+
+  RunOutcome First = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(First.Ok);
+  EXPECT_EQ(First.Saved, 1u);
+  ExpectOneEntryFor(TwoProcProgram, "after the first save");
+  std::vector<char> OldBytes = readFile(cacheFile(Dir.str()));
+  std::ifstream Held(cacheFile(Dir.str()), std::ios::binary);
+  ASSERT_TRUE(Held.good());
+
+  std::string Edited = editedTwoProc();
+  RunOutcome Second = runOnce(Edited, Dir.str());
+  ASSERT_TRUE(Second.Ok);
+  EXPECT_EQ(Second.Fallback, 1u);
+  EXPECT_EQ(Second.Saved, 1u);
+  ExpectOneEntryFor(Edited, "after the swap");
+  EXPECT_NE(readFile(cacheFile(Dir.str())), OldBytes);
+  EXPECT_EQ(std::vector<char>(std::istreambuf_iterator<char>(Held), {}),
+            OldBytes);
 }
 
 /// Size of the cache file header: magic, version, options hash,
@@ -416,8 +461,9 @@ TEST(PersistCacheTest, PoolHoldsEachStoreOnce) {
 TEST(PersistCacheTest, ConcurrentSavesNeverTearTheFile) {
   // Two threads save McCarthy_6 and McCarthy_9 into one file (the same
   // options name the same file) while a third loads it. Each save
-  // writes a temp file of its own and renames it into place, so every
-  // save succeeds and every load sees one whole file.
+  // writes a temp file of its own and swaps it into place, so every
+  // save succeeds and every load sees one whole file; once a save has
+  // completed, the file is never missing either.
   ScratchDir Dir("race");
   AnalysisOptions Opts = withOptions().terminationGoal();
   AnalyzedProgram Six = analyzeProgram(paper::mcCarthyK(6), Opts);
@@ -427,22 +473,26 @@ TEST(PersistCacheTest, ConcurrentSavesNeverTearTheFile) {
 
   constexpr unsigned Saves = 2000;
   std::atomic<unsigned> FailedSaves{0};
-  std::atomic<bool> Done{false};
+  std::atomic<bool> Done{false}, Saved{false};
   auto Saver = [&](const Analyzer *An) {
-    for (unsigned I = 0; I < Saves; ++I)
-      if (!persist::saveWarmCache(Dir.str(), *An))
+    for (unsigned I = 0; I < Saves; ++I) {
+      if (persist::saveWarmCache(Dir.str(), *An))
+        Saved = true;
+      else
         ++FailedSaves;
+    }
   };
   std::vector<std::string> Torn;
   unsigned Loads = 0;
   std::thread LoadThread([&] {
     while (!Done.load()) {
+      bool AfterASave = Saved.load();
       persist::CacheLoadResult L = persist::loadWarmCache(Dir.str(),
                                                           *Loader.An);
       ++Loads;
       // McCarthy_6's whole file is "program changed" to McCarthy_9.
-      if (!L.Loaded && L.FallbackReason != "no cache file" &&
-          L.FallbackReason != "program changed")
+      if (!L.Loaded && L.FallbackReason != "program changed" &&
+          (AfterASave || L.FallbackReason != "no cache file"))
         Torn.push_back(L.FallbackReason);
     }
   });
@@ -456,10 +506,11 @@ TEST(PersistCacheTest, ConcurrentSavesNeverTearTheFile) {
                             << Torn.front();
   EXPECT_GT(Loads, 0u);
   // Nothing but the entry is left behind: no temp file survives.
-  unsigned Files = 0;
+  std::vector<fs::path> Files;
   for (const fs::directory_entry &E : fs::directory_iterator(Dir.Dir))
-    Files += E.is_regular_file();
-  EXPECT_EQ(Files, 2u); // the .warm file and its sidecar
+    Files.push_back(E.path());
+  ASSERT_EQ(Files.size(), 1u);
+  EXPECT_EQ(Files.front(), cacheFile(Dir.str(), Opts));
 }
 
 TEST(PersistCacheTest, NonZeroStrategyByteFallsBackCold) {

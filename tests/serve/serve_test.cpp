@@ -460,7 +460,7 @@ TEST(ServeCacheTest, CacheKeySharesShardAndGcHoldsCap) {
   fs::path Dir = freshDir("syntox_serve_gc_test");
   ServerConfig Cfg;
   Cfg.CacheDir = Dir.string();
-  // The twelve documents' files take about 19 KiB uncapped: the cap
+  // The twelve documents' files take about 16 KiB uncapped: the cap
   // sits well below that, so the per-save evictions must engage.
   Cfg.CacheMaxBytes = 12 * 1024;
   ServeHarness H(Cfg);
@@ -626,7 +626,7 @@ TEST(ServeCacheTest, GcOnAnUnboundedDaemonDeletesNothing) {
   ASSERT_EQ(Gc.find("status")->asString(), "ok");
   const json::Value &P = *Gc.find("gc");
   EXPECT_EQ(P.find("files_removed")->asInt(), 0);
-  EXPECT_EQ(P.find("files_kept")->asInt(), 10); // 5 .warm + 5 sidecars
+  EXPECT_EQ(P.find("files_kept")->asInt(), 5); // one .warm per document
   EXPECT_EQ(P.find("bytes_before")->asInt(), static_cast<int64_t>(Bytes));
   EXPECT_EQ(P.find("bytes_after")->asInt(), static_cast<int64_t>(Bytes));
   EXPECT_EQ(P.find("max_bytes")->asInt(), 0);
