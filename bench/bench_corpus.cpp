@@ -18,6 +18,12 @@
 /// both copied from one prime pass, so warm and edit waves start from
 /// identical cache state on both sides.
 ///
+/// A sequential wave of 200 small programs lasts about a tenth of a
+/// second, short enough for host noise to swing one run by half. Every
+/// wave therefore runs three times, each run from the same cache state,
+/// and its row reports the run with the median wall time; the aggregate
+/// speedup comes from those medians.
+///
 /// Extra flags (beyond the shared analysis/telemetry set):
 ///   --programs=N   corpus size          (default 200)
 ///   --batch=K      batch pool workers   (default 4)
@@ -35,6 +41,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -187,6 +194,15 @@ WaveResult runBatch(const std::vector<CorpusProgram> &Corpus,
   return W;
 }
 
+/// The run with the median wall time.
+WaveResult medianRun(std::vector<WaveResult> Runs) {
+  std::sort(Runs.begin(), Runs.end(),
+            [](const WaveResult &A, const WaveResult &B) {
+              return A.Seconds < B.Seconds;
+            });
+  return std::move(Runs[Runs.size() / 2]);
+}
+
 bool sameFindings(const WaveResult &A, const WaveResult &B) {
   if (A.Findings.size() != B.Findings.size())
     return false;
@@ -277,63 +293,79 @@ int main(int argc, char **argv) {
   bool AllMatch = true;
   bool AllOk = true;
 
-  // Wave 1: cold traffic, no disk cache.
-  WaveResult ColdSeq = runSequential(Corpus, Base, DirUse::None);
-  printWave("cold", "seq", ColdSeq, -1);
-  H.row(waveRow("cold", "seq", ColdSeq, -1));
-  WaveResult ColdBatch = runBatch(Corpus, Base, DirUse::None, BatchSlots);
-  bool M1 = sameFindings(ColdSeq, ColdBatch);
-  printWave("cold", "batch", ColdBatch, M1);
-  H.row(waveRow("cold", "batch", ColdBatch, M1));
-  AllMatch &= M1;
-  AllOk &= ColdSeq.OK && ColdBatch.OK;
+  // Every wave runs WaveRuns times, sequential and batch alternating,
+  // each run after Restore() has put back the cache state the wave
+  // starts from; a batch run must match the sequential run before it.
+  const unsigned WaveRuns = 3;
+  fs::path Snapshot = CacheRoot / "snapshot";
+  auto Restore = [&]() {
+    for (const char *Tree : {"seq", "batch"}) {
+      fs::remove_all(CacheRoot / Tree, EC);
+      fs::copy(Snapshot, CacheRoot / Tree, fs::copy_options::recursive, EC);
+      if (EC)
+        std::printf("  warning: cache-tree restore failed: %s\n",
+                    EC.message().c_str());
+    }
+  };
+  auto Wave = [&](const char *Name, DirUse Seq, DirUse Batch,
+                  const std::function<void()> &Before) {
+    std::vector<WaveResult> SeqRuns, BatchRuns;
+    bool Match = true;
+    for (unsigned Run = 0; Run < WaveRuns; ++Run) {
+      Before();
+      SeqRuns.push_back(runSequential(Corpus, Base, Seq));
+      BatchRuns.push_back(runBatch(Corpus, Base, Batch, BatchSlots));
+      Match &= sameFindings(SeqRuns.back(), BatchRuns.back());
+      AllOk &= SeqRuns.back().OK && BatchRuns.back().OK;
+    }
+    WaveResult S = medianRun(std::move(SeqRuns));
+    WaveResult B = medianRun(std::move(BatchRuns));
+    printWave(Name, "seq", S, -1);
+    H.row(waveRow(Name, "seq", S, -1));
+    printWave(Name, "batch", B, Match);
+    H.row(waveRow(Name, "batch", B, Match));
+    AllMatch &= Match;
+    return std::make_pair(S.Seconds, B.Seconds);
+  };
 
-  // Prime the sequential cache tree, then clone it for the batch waves
-  // so warm/edit traffic starts from identical disk state on both sides.
-  WaveResult Prime = runSequential(Corpus, Base, DirUse::Seq);
+  // Wave 1: cold traffic, no disk cache.
+  auto Cold = Wave("cold", DirUse::None, DirUse::None, [] {});
+
+  // Prime the sequential cache tree (each run into an empty one), then
+  // keep it as the state the warm wave starts from on both sides.
+  std::vector<WaveResult> PrimeRuns;
+  for (unsigned Run = 0; Run < WaveRuns; ++Run) {
+    fs::remove_all(CacheRoot / "seq", EC);
+    for (const CorpusProgram &P : Corpus)
+      fs::create_directories(P.SeqDir, EC);
+    PrimeRuns.push_back(runSequential(Corpus, Base, DirUse::Seq));
+    AllOk &= PrimeRuns.back().OK;
+  }
+  WaveResult Prime = medianRun(std::move(PrimeRuns));
   printWave("prime", "seq", Prime, -1);
   H.row(waveRow("prime", "seq", Prime, -1));
-  AllOk &= Prime.OK;
-  fs::remove_all(CacheRoot / "batch", EC);
-  fs::copy(CacheRoot / "seq", CacheRoot / "batch",
-           fs::copy_options::recursive, EC);
+  fs::copy(CacheRoot / "seq", Snapshot, fs::copy_options::recursive, EC);
   if (EC)
-    std::printf("  warning: cache-tree clone failed: %s\n",
+    std::printf("  warning: cache-tree snapshot failed: %s\n",
                 EC.message().c_str());
 
   // Wave 2: warm traffic — unchanged programs replay from disk.
-  WaveResult WarmSeq = runSequential(Corpus, Base, DirUse::Seq);
-  printWave("warm", "seq", WarmSeq, -1);
-  H.row(waveRow("warm", "seq", WarmSeq, -1));
-  WaveResult WarmBatch = runBatch(Corpus, Base, DirUse::Batch, BatchSlots);
-  bool M2 = sameFindings(WarmSeq, WarmBatch);
-  printWave("warm", "batch", WarmBatch, M2);
-  H.row(waveRow("warm", "batch", WarmBatch, M2));
-  AllMatch &= M2;
-  AllOk &= WarmSeq.OK && WarmBatch.OK;
+  auto Warm = Wave("warm", DirUse::Seq, DirUse::Batch, Restore);
 
   // Wave 3: edit traffic — every program mutated once (a keystroke),
   // re-analyzed with its disk cache: the old file belongs to another
-  // program, so each run solves cold and saves. The seq and batch
-  // trees diverge only by what the warm wave itself rewrote, which is
-  // identical on both sides.
+  // program, so each run solves cold and saves. Every run starts from
+  // the cache state the warm wave left.
+  fs::remove_all(Snapshot, EC);
+  fs::copy(CacheRoot / "seq", Snapshot, fs::copy_options::recursive, EC);
   for (size_t I = 0; I < Corpus.size(); ++I) {
     ProgramGenerator G(Seed + 100000 + I);
     Corpus[I].Source = G.mutate(std::move(Corpus[I].Source));
   }
-  WaveResult EditSeq = runSequential(Corpus, Base, DirUse::Seq);
-  printWave("edit", "seq", EditSeq, -1);
-  H.row(waveRow("edit", "seq", EditSeq, -1));
-  WaveResult EditBatch = runBatch(Corpus, Base, DirUse::Batch, BatchSlots);
-  bool M3 = sameFindings(EditSeq, EditBatch);
-  printWave("edit", "batch", EditBatch, M3);
-  H.row(waveRow("edit", "batch", EditBatch, M3));
-  AllMatch &= M3;
-  AllOk &= EditSeq.OK && EditBatch.OK;
+  auto Edit = Wave("edit", DirUse::Seq, DirUse::Batch, Restore);
 
-  double SeqTotal = ColdSeq.Seconds + WarmSeq.Seconds + EditSeq.Seconds;
-  double BatchTotal =
-      ColdBatch.Seconds + WarmBatch.Seconds + EditBatch.Seconds;
+  double SeqTotal = Cold.first + Warm.first + Edit.first;
+  double BatchTotal = Cold.second + Warm.second + Edit.second;
   std::printf("\n  aggregate (cold+warm+edit): seq %.2fs, batch %.2fs "
               "(%.2fx)\n",
               SeqTotal, BatchTotal,
@@ -348,10 +380,11 @@ int main(int argc, char **argv) {
   H.setField("batch_matches_sequential", AllMatch);
   H.setField("aggregate_speedup",
              BatchTotal > 0 ? SeqTotal / BatchTotal : 0.0);
-  H.setField("note", "programs/sec per wave; batch waves run on one "
-                     "request pool of batch_slots workers, each request "
-                     "solved serially; single-core hosts cannot show "
-                     "wall-clock speedup");
+  H.setField("wave_runs", WaveRuns);
+  H.setField("note", "programs/sec per wave, the median of wave_runs "
+                     "runs; batch waves run on one request pool of "
+                     "batch_slots workers, each request solved serially; "
+                     "single-core hosts cannot show wall-clock speedup");
 
   fs::remove_all(CacheRoot, EC);
 

@@ -339,11 +339,15 @@ print("domain-matrix smoke test OK "
       "(interval 2/3, congruence 0/3, product 3/3; caches keyed per domain)")
 EOF
 
-echo "== store memory ceiling =="
+echo "== store memory ceiling and Figure-2 iteration counts =="
 # Figure 4's memory column, gated per program: the memory.bytes gauge
 # of two solver-heavy programs (the bench_complexity families) must
-# stay under bench/memory.ceiling.json. The gauge counts bytes, it does
-# not time anything, so the gate is the same on every run and host.
+# stay under bench/memory.ceiling.json. The same runs' Figure-2 counts
+# (scheduled ascending and descending steps, widenings, narrowings)
+# must equal bench/iterations.golden.json: they are what the iteration
+# strategy schedules, so a change that skips work leaves them alone and
+# a change to the iteration itself fails here instead of moving E2.
+# Both gates are counts, not timings: the same on every run and host.
 python3 - "$OUT" "$CLI" <<'EOF'
 import json, subprocess, sys
 out, cli = sys.argv[1], sys.argv[2]
@@ -367,20 +371,29 @@ def mccarthy(k):
 programs = {"loopChain(160)": loop_chain(160), "mcCarthyK(30)": mccarthy(30)}
 with open("bench/memory.ceiling.json") as f:
     ceilings = json.load(f)["programs"]
-if set(ceilings) != set(programs):
-    raise SystemExit(f"memory ceiling file names {sorted(ceilings)}")
+with open("bench/iterations.golden.json") as f:
+    golden = json.load(f)["programs"]
+for what, table in (("memory ceiling", ceilings), ("iteration golden", golden)):
+    if set(table) != set(programs):
+        raise SystemExit(f"{what} file names {sorted(table)}")
 for name, entry in ceilings.items():
     with open(f"{out}/mem.pas", "w") as f:
         f.write(programs[name])
     subprocess.run([cli, f"--metrics-json={out}/mem.json", f"{out}/mem.pas"],
                    stdout=subprocess.DEVNULL, check=True)
     with open(f"{out}/mem.json") as f:
-        got = json.load(f)["gauges"]["memory.bytes"]
+        metrics = json.load(f)
+    got = metrics["gauges"]["memory.bytes"]
     if got > entry["ceiling"]:
         raise SystemExit(f"memory ceiling violation: {name} memory.bytes "
                          f"{got:,} exceeds the ceiling {entry['ceiling']:,}")
     print(f"{name}: memory.bytes {got:,} (ceiling {entry['ceiling']:,})")
-print("store memory ceiling OK")
+    counts = {k: metrics["counters"].get(k, 0) for k in golden[name]}
+    if counts != golden[name]:
+        raise SystemExit(f"iteration counts of {name} moved: {counts}, "
+                         f"golden {golden[name]}")
+    print(f"{name}: Figure-2 counts match the golden file")
+print("store memory ceiling and iteration counts OK")
 EOF
 
 echo "== store-kernel perf floor =="

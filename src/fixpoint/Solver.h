@@ -55,10 +55,10 @@
 /// correct for closed systems whose equations read only other nodes).
 ///
 /// The WTO, and with it the per-element member and feeder tables the
-/// warm and demand schedules use and the per-vertex predecessor table
-/// the skip rule reads, comes from the system: its owner builds it once
-/// per dependency graph and every solve of the system iterates the same
-/// order.
+/// warm and demand schedules use and the per-vertex predecessor and
+/// per-component input tables the skip rules read, comes from the
+/// system: its owner builds it once per dependency graph and every solve
+/// of the system iterates the same order.
 ///
 /// Stable-input skips. The recursive strategy re-runs a component's
 /// whole body each time its head iterates, and most of those
@@ -75,12 +75,43 @@
 /// widening or narrowing at a head, and a leaf restart, a memo replay
 /// or a demand splice — the last three also forget the node's
 /// evaluation, since the value they write is not evaluate() of its
-/// current predecessors. Component heads always evaluate, so widening
-/// and narrowing see exactly the sequences of an always-evaluating
-/// iteration. A skipped evaluation still counts as a scheduled step
-/// (AscendingSteps, DescendingSteps, nodeLiveSteps(), the memo's
-/// ElemSteps: Figure 2's iteration counts) and is reported separately
-/// as SolverStats::StableInputSkips.
+/// current predecessors.
+///
+/// The same rule covers whole components. When an enclosing head
+/// iterates, the solver re-enters each nested component; it skips the
+/// component when the component stabilized earlier in the same phase
+/// and none of its external inputs (Wto::componentInputs, the vertices
+/// outside it that feed a member) changed since. The ascent and the
+/// descent are different phases (the marks are cleared in between);
+/// the descending sweeps share one set of marks, and a memo replay
+/// clears the marks of every component it writes. Why a skip is exact:
+///  - Nothing but a replay or the component's own iteration writes its
+///    members, and every input of a member comes from the component or
+///    from its external inputs. So at re-entry the members hold the
+///    values they stabilized to, fed by the same inputs.
+///  - Ascent, leaf component: re-entry restarts it from bottom, and the
+///    same inputs replay the same trajectory to the same values, with
+///    the same steps and widenings (recorded when it last ran).
+///  - Ascent, other component: its last pass left every body vertex
+///    evaluated on its current inputs (they all precede it in the
+///    order) and the head's check satisfied, so re-entry is one pass:
+///    the head and each plain body vertex once, each nested component
+///    at its own re-entry cost, and the same check ends it.
+///  - Descent: the last sweep of a stabilized component changed
+///    nothing, so re-entry is one sweep that changes nothing: every
+///    member evaluates once and every head narrows once. (A loop cut
+///    off by its sweep cap is not marked stable.)
+///
+/// Component heads that run always evaluate, so widening and narrowing
+/// see exactly the sequences of an always-evaluating iteration. A
+/// skipped evaluation, and every step a skipped component's re-entry
+/// would have scheduled, still counts as a scheduled step
+/// (AscendingSteps, DescendingSteps, the memo's ElemSteps: Figure 2's
+/// iteration counts), and the widenings or narrowings of a skipped
+/// component are counted too; the steps are reported separately as
+/// SolverStats::StableInputSkips. nodeLiveSteps() counts single-vertex
+/// skips but not the members of a component skipped whole, and a
+/// skipped component emits no trace events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,8 +164,8 @@ struct SolverStats {
   /// at MaxGfpSweeps. Each hit leaves a truncated, unproven iterate.
   uint64_t SweepCapHits = 0;
   /// Scheduled steps (counted in AscendingSteps/DescendingSteps) whose
-  /// evaluation was skipped because no predecessor of the plain vertex
-  /// changed since its last evaluation (see the file comment).
+  /// evaluation was skipped because no input changed since: of a plain
+  /// vertex, or of a whole component (see the file comment).
   uint64_t StableInputSkips = 0;
 };
 
@@ -221,12 +252,17 @@ public:
     NodeSteps.assign(N, 0);
     ChangedAt.assign(N, 0);
     EvaluatedAt.assign(N, 0);
+    Marks.assign(Order.numComponents(), ComponentMark());
     Clock = 0;
     prepareWarm();
     prepareDemand();
 
     if (Opts.Kind == FixpointKind::Lfp) {
       ascend();
+      // A component's ascent and descent are different iterations: the
+      // descent starts with no component known stable.
+      for (ComponentMark &M : Marks)
+        M.StableAt = 0;
       for (unsigned Pass = 0; Pass < Opts.NarrowingPasses; ++Pass)
         if (!descend())
           break;
@@ -256,10 +292,11 @@ public:
     return FullyReplayed;
   }
 
-  /// Per node: equation evaluations this run scheduled on it, stable
-  /// input skips included (replays and demand skips contribute
-  /// nothing). The audit trail behind the demand-mode guarantee that
-  /// out-of-cone nodes run zero live steps.
+  /// Per node: equation evaluations this run scheduled on it, the
+  /// stable-input skips of single vertices included (replays, demand
+  /// skips and components skipped whole contribute nothing). The audit
+  /// trail behind the demand-mode guarantee that out-of-cone nodes run
+  /// zero live steps.
   const std::vector<uint64_t> &nodeLiveSteps() const { return NodeSteps; }
 
 private:
@@ -426,6 +463,13 @@ private:
     const std::vector<Value> &B = M.Boundaries[CurBoundary];
     for (unsigned V : Order.members(E))
       overwrite(V, B[V]);
+    // The copied values are not what the components last stabilized to.
+    const WtoElement &Elem = Order.elements()[E];
+    if (Elem.IsComponent)
+      for (unsigned C = Order.component(Elem.Vertex),
+                    End = Order.componentEnd(C);
+           C < End; ++C)
+        Marks[C].StableAt = 0;
     Matched[E] = 1;
     bool Flag = M.ElemChanged[CurBoundary][E] != 0;
     uint64_t Steps = M.ElemSteps[CurBoundary][E];
@@ -496,6 +540,19 @@ private:
     return true;
   }
 
+  /// Whether component \p C stabilized earlier in this phase and none of
+  /// its external inputs changed since: its re-entry would then repeat
+  /// its last stabilization exactly (see the file comment).
+  bool componentStable(unsigned C) const {
+    uint64_t At = Marks[C].StableAt;
+    if (At == 0)
+      return false;
+    for (unsigned U : Order.componentInputs(C))
+      if (ChangedAt[U] > At)
+        return false;
+    return true;
+  }
+
   //===--------------------------------------------------------------------===//
   // Sweeps over the top-level WTO elements
   //===--------------------------------------------------------------------===//
@@ -561,6 +618,13 @@ private:
       stepPlain(E.Vertex, Stats.AscendingSteps);
       return;
     }
+    unsigned C = Order.component(E.Vertex);
+    if (componentStable(C)) {
+      Stats.AscendingSteps += Marks[C].Steps;
+      Stats.StableInputSkips += Marks[C].Steps;
+      Stats.Widenings += Marks[C].Widenings;
+      return;
+    }
     // Restart *leaf* components from bottom: when an enclosing component
     // iterates, re-widening this head against values from the previous
     // outer iteration mixes unrelated ascents and overshoots on the
@@ -572,9 +636,8 @@ private:
     // programs like McCarthy_30 cannot afford), while the leaf loops are
     // where the loss shows up in practice (see the Matrix program of
     // paper §6.5).
-    bool IsLeaf = true;
-    for (const WtoElement &Sub : E.Body)
-      IsLeaf &= !Sub.IsComponent;
+    bool IsLeaf = Order.componentEnd(C) == C + 1;
+    uint64_t Steps0 = Stats.AscendingSteps, Widenings0 = Stats.Widenings;
     if (IsLeaf)
       resetComponent(E);
     traceEvent(Trace, TraceEventKind::ComponentBegin, E.Vertex,
@@ -597,6 +660,28 @@ private:
       X[E.Vertex] = Sys.widen(X[E.Vertex], New);
       stamp(E.Vertex);
     }
+    // What re-entering the now stable component would cost: a leaf
+    // restarts from bottom and repeats this trajectory; any other
+    // component runs one pass, its head and plain body vertices once
+    // each and its nested components at their own re-entry cost.
+    ComponentMark &M = Marks[C];
+    if (IsLeaf) {
+      M.Steps = Stats.AscendingSteps - Steps0;
+      M.Widenings = Stats.Widenings - Widenings0;
+    } else {
+      M.Steps = 1;
+      M.Widenings = 0;
+      for (const WtoElement &Sub : E.Body) {
+        if (!Sub.IsComponent) {
+          ++M.Steps;
+          continue;
+        }
+        const ComponentMark &Inner = Marks[Order.component(Sub.Vertex)];
+        M.Steps += Inner.Steps;
+        M.Widenings += Inner.Widenings;
+      }
+    }
+    M.StableAt = ++Clock;
     traceEvent(Trace, TraceEventKind::ComponentEnd, E.Vertex,
                /*Descending=*/0);
   }
@@ -618,6 +703,15 @@ private:
   void descendElement(const WtoElement &E, bool &Changed) {
     if (!E.IsComponent) {
       Changed |= stepPlain(E.Vertex, Stats.DescendingSteps);
+      return;
+    }
+    // A stable component's re-entry is one sweep that changes nothing:
+    // every member evaluates once and every head narrows once.
+    unsigned C = Order.component(E.Vertex);
+    if (componentStable(C)) {
+      Stats.DescendingSteps += Order.componentSize(C);
+      Stats.StableInputSkips += Order.componentSize(C);
+      Stats.Narrowings += Order.componentEnd(C) - C;
       return;
     }
     // Stabilize the component: iterate while the head *or* its body
@@ -652,6 +746,8 @@ private:
     }
     if (Sweep == MaxComponentSweeps)
       ++Stats.SweepCapHits;
+    // Stable when its last sweep changed nothing (not when cut off).
+    Marks[C].StableAt = Sweep == MaxComponentSweeps ? 0 : ++Clock;
     traceEvent(Trace, TraceEventKind::ComponentEnd, E.Vertex,
                /*Descending=*/1);
   }
@@ -673,6 +769,15 @@ private:
   std::vector<uint64_t> ChangedAt;
   std::vector<uint64_t> EvaluatedAt;
   uint64_t Clock = 0;
+  /// Per component (Wto::component()): when it last stabilized in this
+  /// phase (0 = not since the phase began, or since a replay wrote it),
+  /// and the scheduled steps and widenings its ascending re-entry costs.
+  struct ComponentMark {
+    uint64_t StableAt = 0;
+    uint64_t Steps = 0;
+    uint64_t Widenings = 0;
+  };
+  std::vector<ComponentMark> Marks;
 
   /// Demand-driven scheduling state, per top-level element; empty on a
   /// full solve.

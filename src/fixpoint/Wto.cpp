@@ -1,169 +1,45 @@
 //===- fixpoint/Wto.cpp - Weak topological ordering -----------------------===//
 //
-// Implements the hierarchical-decomposition algorithm of Bourdoncle,
-// "Efficient chaotic iteration strategies with widenings", FMPA 1993.
+// Builds the WTO of Bourdoncle, "Efficient chaotic iteration strategies
+// with widenings" (FMPA 1993), in almost-linear time from a loop-nesting
+// forest, after Kim, Venet and Thakur (POPL 2020), who derive Bourdoncle's
+// order from Havlak's loop-nesting forest with Ramalingam's handling of
+// irreducible loop entries.
+//
+// Why the forest gives Bourdoncle's trees. His recursive decomposition is
+// Tarjan's SCC search; it turns each non-trivial SCC (or self-loop) into a
+// component headed by the SCC's first-visited vertex, and decomposes the
+// rest of the SCC again with a search that visits it in the same order as
+// the first one did. So every level uses the one DFS tree, and:
+//   - the component headed by h holds exactly the vertices of h's DFS
+//     subtree that reach h without leaving that subtree (Havlak's loop of
+//     h), and h heads one iff an edge enters h from its own subtree (a
+//     back edge or a self-loop);
+//   - each body, and the top level, lists its elements in decreasing DFS
+//     post-order (the order in which Tarjan's search completes them,
+//     reversed).
 //
 //===----------------------------------------------------------------------===//
 
 #include "fixpoint/Wto.h"
 
 #include <algorithm>
-#include <limits>
+#include <cassert>
+#include <memory>
 
 using namespace syntox;
 
 namespace {
 
-constexpr unsigned InfDfn = std::numeric_limits<unsigned>::max();
+constexpr unsigned None = ~0u;
 
-/// Bourdoncle's hierarchical decomposition, run on an explicit frame
-/// stack: the textbook formulation recurses once per vertex along a DFS
-/// path, which a long straight-line program or a chain of thousands of
-/// loops turns into a native stack overflow. Each frame is one pending
-/// call of the recursive algorithm, visit(V) or component(V), and
-/// resumes at its next successor, so the output is the recursive one.
-class WtoBuilder {
-public:
-  explicit WtoBuilder(const Digraph &Graph)
-      : Graph(Graph), Dfn(Graph.numNodes(), 0) {}
-
-  std::vector<WtoElement> run(const std::vector<unsigned> &Roots) {
-    std::vector<WtoElement> Partition;
-    for (unsigned Root : Roots)
-      if (Dfn[Root] == 0)
-        visitFrom(Root, Partition);
-    // Vertices unreachable from the roots are decomposed too: they may
-    // contain cycles that the solver still has to cut.
-    for (unsigned V = 0; V < Graph.numNodes(); ++V)
-      if (Dfn[V] == 0)
-        visitFrom(V, Partition);
-    std::reverse(Partition.begin(), Partition.end());
-    return Partition;
+/// Union-find root with path halving.
+unsigned findRoot(unsigned *Link, unsigned V) {
+  while (Link[V] != V) {
+    Link[V] = Link[Link[V]];
+    V = Link[V];
   }
-
-private:
-  /// One pending call. A visit frame walks V's successors, keeping the
-  /// smallest DFN reached (Head) and whether V closes a cycle (Loop).
-  /// When a visit finds V heading a cycle, its frame turns into the
-  /// component frame that decomposes the cycle's body (the recursive
-  /// algorithm's makeComponent), still returning Head to its caller.
-  struct Frame {
-    unsigned V;
-    unsigned Next = 0; ///< index of the next successor to look at
-    unsigned Head = 0;
-    bool Loop = false;
-    bool Component = false;
-  };
-
-  /// Decomposes everything reachable from \p Root, appending finished
-  /// elements to \p Partition in reverse (the caller reverses once).
-  void visitFrom(unsigned Root, std::vector<WtoElement> &Partition) {
-    // Elements go to the innermost open component body, or to
-    // Partition when none is open: a frame finishes only after every
-    // frame above it, so the innermost body is always its own.
-    auto Target = [&]() -> std::vector<WtoElement> & {
-      return Bodies.empty() ? Partition : Bodies.back();
-    };
-    enter(Root);
-    while (!Frames.empty()) {
-      Frame &F = Frames.back();
-      const auto &Succs = Graph.succs(F.V);
-      if (F.Component) {
-        while (F.Next < Succs.size() && Dfn[Succs[F.Next]] != 0)
-          ++F.Next;
-        if (F.Next < Succs.size()) {
-          enter(Succs[F.Next++]);
-          continue;
-        }
-        std::vector<WtoElement> Body = std::move(Bodies.back());
-        Bodies.pop_back();
-        std::reverse(Body.begin(), Body.end());
-        WtoElement E;
-        E.Vertex = F.V;
-        E.IsComponent = true;
-        E.Body = std::move(Body);
-        Target().push_back(std::move(E));
-        finish();
-        continue;
-      }
-      if (F.Next < Succs.size()) {
-        unsigned W = Succs[F.Next++];
-        if (Dfn[W] == 0)
-          enter(W); // its Head comes back through finish()
-        else
-          reached(F, Dfn[W]);
-        continue;
-      }
-      if (F.Head == Dfn[F.V]) {
-        Dfn[F.V] = InfDfn;
-        unsigned Element = Stack.back();
-        Stack.pop_back();
-        if (F.Loop) {
-          while (Element != F.V) {
-            Dfn[Element] = 0; // will be re-visited inside the component
-            Element = Stack.back();
-            Stack.pop_back();
-          }
-          F.Component = true;
-          F.Next = 0;
-          Bodies.emplace_back();
-          continue;
-        }
-        WtoElement E;
-        E.Vertex = F.V;
-        Target().push_back(std::move(E));
-      }
-      finish();
-    }
-  }
-
-  /// Opens visit(V).
-  void enter(unsigned V) {
-    Stack.push_back(V);
-    Dfn[V] = ++Num;
-    Frame F;
-    F.V = V;
-    F.Head = Dfn[V];
-    Frames.push_back(F);
-  }
-
-  /// A successor of \p F's vertex reached DFN \p Min.
-  static void reached(Frame &F, unsigned Min) {
-    if (Min <= F.Head) {
-      F.Head = Min;
-      F.Loop = true;
-    }
-  }
-
-  /// Pops the finished top frame and hands its Head to the caller (a
-  /// component frame ignores what its body visits return).
-  void finish() {
-    unsigned Head = Frames.back().Head;
-    Frames.pop_back();
-    if (!Frames.empty() && !Frames.back().Component)
-      reached(Frames.back(), Head);
-  }
-
-  const Digraph &Graph;
-  std::vector<unsigned> Dfn;
-  std::vector<unsigned> Stack;
-  std::vector<Frame> Frames;
-  /// Bodies of the component frames open on Frames, innermost last.
-  std::vector<std::vector<WtoElement>> Bodies;
-  unsigned Num = 0;
-};
-
-void annotate(const std::vector<WtoElement> &Elements, unsigned Depth,
-              std::vector<bool> &Head, std::vector<unsigned> &Position,
-              std::vector<unsigned> &DepthOf, unsigned &Pos) {
-  for (const WtoElement &E : Elements) {
-    Position[E.Vertex] = Pos++;
-    DepthOf[E.Vertex] = Depth + (E.IsComponent ? 1 : 0);
-    if (E.IsComponent) {
-      Head[E.Vertex] = true;
-      annotate(E.Body, Depth + 1, Head, Position, DepthOf, Pos);
-    }
-  }
+  return V;
 }
 
 void render(const std::vector<WtoElement> &Elements, std::string &Out) {
@@ -186,77 +62,294 @@ void render(const std::vector<WtoElement> &Elements, std::string &Out) {
   }
 }
 
-void markTopElement(const WtoElement &E, unsigned Idx,
-                    std::vector<unsigned> &TopElem) {
-  TopElem[E.Vertex] = Idx;
-  for (const WtoElement &Sub : E.Body)
-    markTopElement(Sub, Idx, TopElem);
-}
-
-void collectHeads(const std::vector<WtoElement> &Elements,
-                  std::vector<unsigned> &Out) {
-  for (const WtoElement &E : Elements)
-    if (E.IsComponent) {
-      Out.push_back(E.Vertex);
-      collectHeads(E.Body, Out);
-    }
-}
-
 } // namespace
 
 Wto::Wto(const Digraph &Graph, const std::vector<unsigned> &Roots) {
-  WtoBuilder Builder(Graph);
-  Elements = Builder.run(Roots);
-  Head.assign(Graph.numNodes(), false);
-  Position.assign(Graph.numNodes(), 0);
-  Depth.assign(Graph.numNodes(), 0);
-  unsigned Pos = 0;
-  annotate(Elements, 0, Head, Position, Depth, Pos);
-  TopElem.assign(Graph.numNodes(), 0);
-  for (unsigned I = 0; I < Elements.size(); ++I)
-    markTopElement(Elements[I], I, TopElem);
+  const unsigned N = Graph.numNodes();
+  // Per-vertex scratch, in one block.
+  auto Scratch =
+      std::make_unique_for_overwrite<unsigned[]>(12 * static_cast<size_t>(N) + 1);
+  unsigned *Pre = Scratch.get();    // 1-based DFS preorder number
+  unsigned *Last = Pre + N;         // largest preorder in the subtree;
+                                    // 0 while the vertex is on the path
+  unsigned *Parent = Last + N;      // DFS tree parent, or None
+  unsigned *ByPre = Parent + N;     // ByPre[p - 1]: preorder p's vertex
+  unsigned *PostOrder = ByPre + N;  // vertices in DFS post-order
+  unsigned *Link = PostOrder + N;   // union-find: DFS ancestors, then loops
+  unsigned *Header = Link + N;      // innermost enclosing loop head
+  unsigned *Mark = Header + N;      // loop being collected that holds it
+  unsigned *Pending = Mark + N;     // cross/forward edges, by LCA
+  unsigned *Rehomed = Pending + N;  // the same edges, by loop target
+  unsigned *IsHead = Rehomed + N;   // 1 when the vertex heads a loop
+  unsigned *Next = IsHead + N;      // FirstChild[V] (N + 1 entries)
 
-  unsigned NumElems = static_cast<unsigned>(Elements.size());
-  MemberStart.assign(NumElems + 1, 0);
-  for (unsigned V = 0; V < Graph.numNodes(); ++V)
-    ++MemberStart[TopElem[V] + 1];
-  for (unsigned E = 0; E < NumElems; ++E)
+  //===------------------------------------------------------------------===//
+  // 1. One DFS: preorder, post-order and the tree; cross and forward edges
+  //    filed under the lowest common ancestor of their endpoints.
+  //===------------------------------------------------------------------===//
+  //
+  // A cross or forward edge V -> W (W already finished) can only lie in a
+  // loop whose head is a common ancestor of V and W. Filing it under
+  // their lowest common ancestor, and handing it to W's loop
+  // representative only when the loop forest reaches that ancestor,
+  // keeps an irreducible entry from being copied into every loop it
+  // crosses (Ramalingam). The LCA is the nearest ancestor of W still on
+  // the DFS path: a finished vertex links to its tree parent, a vertex on
+  // the path to itself.
+  struct CrossEdge {
+    unsigned From, To, Next;
+  };
+  std::vector<CrossEdge> Cross;
+  Cross.reserve(Graph.numEdges());
+  struct Frame {
+    unsigned V;
+    const unsigned *Next, *End; ///< the successors still to look at
+  };
+  std::vector<Frame> Stack;
+  Stack.reserve(N);
+  std::fill(Pre, Pre + 2 * static_cast<size_t>(N), 0); // Pre and Last
+  std::fill(Parent, Parent + N, None);
+  std::fill(Pending, Pending + N, None);
+  unsigned PreNum = 0, PostNum = 0;
+  auto Enter = [&](unsigned V) {
+    Pre[V] = ++PreNum;
+    ByPre[PreNum - 1] = V;
+    Link[V] = V;
+    std::span<const unsigned> Succs = Graph.succs(V);
+    Stack.push_back({V, Succs.data(), Succs.data() + Succs.size()});
+  };
+  auto Search = [&](unsigned Root) {
+    if (Pre[Root] != 0)
+      return;
+    Enter(Root);
+    while (!Stack.empty()) {
+      Frame &F = Stack.back();
+      if (F.Next == F.End) {
+        unsigned V = F.V;
+        Last[V] = PreNum;
+        PostOrder[PostNum++] = V;
+        Link[V] = Parent[V] == None ? V : Parent[V];
+        Stack.pop_back();
+        continue;
+      }
+      unsigned V = F.V, W = *F.Next++;
+      if (Pre[W] == 0) {
+        Parent[W] = V;
+        Enter(W);
+      } else if (Last[W] != 0) {
+        // Finished: a cross or forward edge. Its LCA is on the path
+        // unless W lies in an earlier DFS tree, where no loop can hold
+        // the edge.
+        unsigned L = findRoot(Link, W);
+        if (Last[L] == 0) {
+          Cross.push_back({V, W, Pending[L]});
+          Pending[L] = static_cast<unsigned>(Cross.size() - 1);
+        }
+      }
+      // An edge to a vertex on the path is a back edge; the loop forest
+      // finds those among the head's predecessors.
+    }
+  };
+  for (unsigned Root : Roots)
+    Search(Root);
+  for (unsigned V = 0; V < N; ++V)
+    Search(V);
+  assert(PreNum == N && PostNum == N);
+
+  //===------------------------------------------------------------------===//
+  // 2. Havlak's loop-nesting forest, heads in decreasing preorder
+  //===------------------------------------------------------------------===//
+  //
+  // Each loop found so far is collapsed onto its head (union-find). The
+  // loop of H is walked backward from the sources of H's back edges over
+  // the representatives' tree parents and re-homed cross/forward edges.
+  std::vector<unsigned> Work;
+  Work.reserve(N);
+  for (unsigned V = 0; V < N; ++V) {
+    Link[V] = V;
+    Header[V] = None;
+    Mark[V] = None;
+    Rehomed[V] = None;
+    IsHead[V] = 0;
+  }
+  for (unsigned P = N; P-- > 0;) {
+    unsigned H = ByPre[P];
+    for (unsigned E = Pending[H]; E != None;) {
+      CrossEdge &C = Cross[E];
+      unsigned NextE = C.Next;
+      unsigned Rep = findRoot(Link, C.To);
+      C.Next = Rehomed[Rep];
+      Rehomed[Rep] = E;
+      E = NextE;
+    }
+    auto Collect = [&](unsigned U) {
+      unsigned Rep = findRoot(Link, U);
+      if (Rep != H && Mark[Rep] != H) {
+        Mark[Rep] = H;
+        Work.push_back(Rep);
+      }
+    };
+    for (unsigned U : Graph.preds(H))
+      if (Pre[U] >= Pre[H] && Pre[U] <= Last[H]) { // from H's subtree
+        IsHead[H] = 1;
+        Collect(U);
+      }
+    for (size_t I = 0; I < Work.size(); ++I) {
+      unsigned X = Work[I];
+      Collect(Parent[X]);
+      for (unsigned E = Rehomed[X]; E != None; E = Cross[E].Next)
+        Collect(Cross[E].From);
+    }
+    for (unsigned X : Work) {
+      Header[X] = H;
+      Link[X] = H;
+    }
+    Work.clear();
+  }
+
+  //===------------------------------------------------------------------===//
+  // 3. The element trees and the per-vertex and per-component tables
+  //===------------------------------------------------------------------===//
+  //
+  // Children lists in decreasing post-order (prepended in increasing
+  // post-order); vertex N stands for the top level.
+  unsigned *FirstChild = Next;     // N + 1 entries
+  unsigned *NextSibling = Mark;    // Mark is free again
+  std::fill(FirstChild, FirstChild + N + 1, None);
+  for (unsigned I = 0; I < N; ++I) {
+    unsigned V = PostOrder[I];
+    unsigned Up = Header[V] == None ? N : Header[V];
+    NextSibling[V] = FirstChild[Up];
+    FirstChild[Up] = V;
+  }
+
+  // A preorder walk numbers positions, components and top-level elements.
+  Vertices.resize(N);
+  Components.reserve(std::count(IsHead, IsHead + N, 1u));
+  unsigned *Open = Pending; // heads of the open components, innermost last
+  unsigned *CompParent = Rehomed;
+  unsigned NumOpen = 0, Pos = 0, NumTop = 0;
+  for (unsigned V = FirstChild[N];;) {
+    if (V == None) {
+      if (NumOpen == 0)
+        break;
+      unsigned H = Open[--NumOpen];
+      ComponentInfo &C = Components[Vertices[H].Comp];
+      C.End = static_cast<unsigned>(Components.size());
+      C.Size = Pos - Vertices[H].Position;
+      V = NextSibling[H];
+      continue;
+    }
+    VertexInfo &Info = Vertices[V];
+    Info.Position = Pos++;
+    Info.Depth = NumOpen;
+    Info.TopElem = NumOpen == 0 ? NumTop++ : Vertices[Open[0]].TopElem;
+    Info.Comp = NoComponent;
+    if (!IsHead[V]) {
+      V = NextSibling[V];
+      continue;
+    }
+    Info.Comp = static_cast<unsigned>(Components.size());
+    CompParent[Info.Comp] =
+        NumOpen == 0 ? None : Vertices[Open[NumOpen - 1]].Comp;
+    Components.push_back({V, 0, 0});
+    ++Info.Depth;
+    Open[NumOpen++] = V;
+    V = FirstChild[V];
+  }
+  unsigned NumComps = numComponents();
+
+  // Element trees, innermost components first.
+  auto BuildBody = [&](unsigned Up, std::vector<WtoElement> &Body,
+                       std::vector<WtoElement> &Built) {
+    size_t Count = 0;
+    for (unsigned V = FirstChild[Up]; V != None; V = NextSibling[V])
+      ++Count;
+    Body.reserve(Count);
+    for (unsigned V = FirstChild[Up]; V != None; V = NextSibling[V]) {
+      if (IsHead[V])
+        Body.push_back(std::move(Built[Vertices[V].Comp]));
+      else
+        Body.push_back({V, false, {}});
+    }
+  };
+  std::vector<WtoElement> Built(NumComps);
+  for (unsigned C = NumComps; C-- > 0;) {
+    Built[C].Vertex = Components[C].Head;
+    Built[C].IsComponent = true;
+    BuildBody(Components[C].Head, Built[C].Body, Built);
+  }
+  BuildBody(N, Elements, Built);
+
+  // Members of each top-level element, in increasing vertex order.
+  MemberStart.assign(NumTop + 1, 0);
+  for (unsigned V = 0; V < N; ++V)
+    ++MemberStart[Vertices[V].TopElem + 1];
+  for (unsigned E = 0; E < NumTop; ++E)
     MemberStart[E + 1] += MemberStart[E];
-  MemberList.resize(Graph.numNodes());
-  std::vector<unsigned> Next(MemberStart.begin(), MemberStart.end() - 1);
-  for (unsigned V = 0; V < Graph.numNodes(); ++V)
-    MemberList[Next[TopElem[V]]++] = V;
+  MemberList.resize(N);
+  unsigned *MemberFill = Pre; // Pre is free again
+  std::copy(MemberStart.begin(), MemberStart.end() - 1, MemberFill);
+  for (unsigned V = 0; V < N; ++V)
+    MemberList[MemberFill[Vertices[V].TopElem]++] = V;
 
-  PredStart.reserve(Graph.numNodes() + 1);
-  PredStart.push_back(0);
-  for (unsigned V = 0; V < Graph.numNodes(); ++V) {
-    size_t First = PredList.size();
-    PredList.insert(PredList.end(), Graph.preds(V).begin(),
-                    Graph.preds(V).end());
-    std::sort(PredList.begin() + First, PredList.end());
-    PredList.erase(std::unique(PredList.begin() + First, PredList.end()),
-                   PredList.end());
-    PredStart.push_back(static_cast<unsigned>(PredList.size()));
-  }
-
-  FeederStart.reserve(NumElems + 1);
-  FeederStart.push_back(0);
-  for (unsigned E = 0; E < NumElems; ++E) {
-    size_t First = FeederList.size();
-    for (unsigned V : members(E))
-      for (unsigned U : preds(V))
-        if (TopElem[U] != E)
-          FeederList.push_back(U);
-    std::sort(FeederList.begin() + First, FeederList.end());
-    FeederList.erase(std::unique(FeederList.begin() + First, FeederList.end()),
-                     FeederList.end());
-    FeederStart.push_back(static_cast<unsigned>(FeederList.size()));
-  }
+  // Predecessors of each vertex, sorted and unique, and the external
+  // inputs of each component: an edge U -> V is an input of every
+  // component that holds V but not U, from V's innermost component
+  // outward. Both tables are filled by sources in increasing order, so
+  // each list comes out sorted; a per-list mark of the last source
+  // entered drops duplicates, and ends a walk outward at a component the
+  // same source already entered (it entered every one above it too).
+  // Each table is counted, then filled.
+  auto Holds = [&](unsigned C, unsigned U) {
+    return Vertices[U].Position - Vertices[Components[C].Head].Position <
+           Components[C].Size;
+  };
+  unsigned *Innermost = ByPre; // free again
+  for (unsigned V = 0; V < N; ++V)
+    Innermost[V] = Vertices[V].Comp != NoComponent ? Vertices[V].Comp
+                   : Header[V] == None             ? None
+                                                   : Vertices[Header[V]].Comp;
+  unsigned *LastPred = Link, *LastInput = Parent; // both free again
+  auto ForEachEdge = [&](auto AddPred, auto AddInput) {
+    std::fill(LastPred, LastPred + N, None);
+    std::fill(LastInput, LastInput + NumComps, None);
+    for (unsigned U = 0; U < N; ++U)
+      for (unsigned V : Graph.succs(U)) {
+        if (LastPred[V] != U) {
+          LastPred[V] = U;
+          AddPred(V, U);
+        }
+        for (unsigned C = Innermost[V];
+             C != None && LastInput[C] != U && !Holds(C, U);
+             C = CompParent[C]) {
+          LastInput[C] = U;
+          AddInput(C, U);
+        }
+      }
+  };
+  PredStart.assign(N + 1, 0);
+  InputStart.assign(NumComps + 1, 0);
+  ForEachEdge([&](unsigned V, unsigned) { ++PredStart[V + 1]; },
+              [&](unsigned C, unsigned) { ++InputStart[C + 1]; });
+  for (unsigned V = 0; V < N; ++V)
+    PredStart[V + 1] += PredStart[V];
+  for (unsigned C = 0; C < NumComps; ++C)
+    InputStart[C + 1] += InputStart[C];
+  PredList.resize(PredStart[N]);
+  InputList.resize(InputStart[NumComps]);
+  unsigned *PredFill = Pre, *InputFill = Last; // both free again
+  std::copy(PredStart.begin(), PredStart.end() - 1, PredFill);
+  std::copy(InputStart.begin(), InputStart.end() - 1, InputFill);
+  ForEachEdge([&](unsigned V, unsigned U) { PredList[PredFill[V]++] = U; },
+              [&](unsigned C, unsigned U) { InputList[InputFill[C]++] = U; });
 }
 
 std::vector<unsigned> Wto::wideningPoints() const {
   std::vector<unsigned> Out;
-  collectHeads(Elements, Out);
+  Out.reserve(Components.size());
+  for (const ComponentInfo &C : Components)
+    Out.push_back(C.Head);
   return Out;
 }
 

@@ -36,36 +36,47 @@ struct WtoElement {
 };
 
 /// The WTO of a digraph, with the per-element tables the solver's warm
-/// starts and demand solves schedule by, and the per-vertex predecessor
-/// table its skip rule reads. An equation system's owner builds it once
-/// and every solve of that system reuses it.
+/// starts and demand solves schedule by, the per-component tables its
+/// whole-component skips read, and the per-vertex predecessor table its
+/// vertex skips read. An equation system's owner builds it once and
+/// every solve of that system reuses it.
 class Wto {
 public:
+  static constexpr unsigned NoComponent = ~0u;
+
   /// The empty order (of the empty graph).
   Wto() = default;
 
-  /// Computes a WTO by Bourdoncle's hierarchical-decomposition algorithm
-  /// (depth-first, Tarjan-style). Unreachable vertices (from \p Roots)
-  /// are appended as plain vertices at the end.
+  /// Computes Bourdoncle's WTO (his recursive hierarchical
+  /// decomposition's element trees, exactly) from one depth-first search
+  /// and its loop-nesting forest. The search starts at \p Roots in order,
+  /// then at every vertex it has not reached, in index order: unreachable
+  /// vertices are decomposed too.
   Wto(const Digraph &Graph, const std::vector<unsigned> &Roots);
 
   const std::vector<WtoElement> &elements() const { return Elements; }
 
   /// True when \p Vertex is the head of some component (a widening
   /// point).
-  bool isHead(unsigned Vertex) const { return Head[Vertex]; }
+  bool isHead(unsigned Vertex) const {
+    return Vertices[Vertex].Comp != NoComponent;
+  }
 
   /// Position of \p Vertex in the linearized order.
-  unsigned position(unsigned Vertex) const { return Position[Vertex]; }
+  unsigned position(unsigned Vertex) const {
+    return Vertices[Vertex].Position;
+  }
 
   /// The nesting depth of each vertex (number of enclosing components);
   /// the paper's complexity bound is h * sum of depths.
-  unsigned depth(unsigned Vertex) const { return Depth[Vertex]; }
+  unsigned depth(unsigned Vertex) const { return Vertices[Vertex].Depth; }
 
   /// Index into elements() of the *top-level* element containing
   /// \p Vertex — the replay granule of warm starts and the scheduling
   /// granule of demand solves.
-  unsigned topElement(unsigned Vertex) const { return TopElem[Vertex]; }
+  unsigned topElement(unsigned Vertex) const {
+    return Vertices[Vertex].TopElem;
+  }
 
   /// The vertices of top-level element \p Elem, in increasing order.
   std::span<const unsigned> members(unsigned Elem) const {
@@ -76,7 +87,9 @@ public:
   /// outside it with an edge into it, sorted and unique. They all lie in
   /// earlier top-level elements.
   std::span<const unsigned> feeders(unsigned Elem) const {
-    return slice(FeederStart, FeederList, Elem);
+    const WtoElement &E = Elements[Elem];
+    return E.IsComponent ? componentInputs(component(E.Vertex))
+                         : preds(E.Vertex);
   }
 
   /// The graph predecessors of \p Vertex, sorted and unique: the values
@@ -85,6 +98,29 @@ public:
   std::span<const unsigned> preds(unsigned Vertex) const {
     return slice(PredStart, PredList, Vertex);
   }
+
+  /// \name Components
+  /// Components are numbered in WTO order of their heads (the order of
+  /// wideningPoints()), so the components nested in component C are
+  /// exactly C + 1 .. componentEnd(C) - 1.
+  /// @{
+  unsigned numComponents() const {
+    return static_cast<unsigned>(Components.size());
+  }
+  /// The component \p Head heads, or NoComponent for a plain vertex.
+  unsigned component(unsigned Head) const { return Vertices[Head].Comp; }
+  /// One past the last component nested in \p C; componentEnd(C) - C is
+  /// the number of heads in C, its own included.
+  unsigned componentEnd(unsigned C) const { return Components[C].End; }
+  /// The vertices of \p C, head and nested members included.
+  unsigned componentSize(unsigned C) const { return Components[C].Size; }
+  /// The external inputs of \p C: the vertices outside it with an edge
+  /// into one of its members, sorted and unique. They all precede C's
+  /// head in the linearized order.
+  std::span<const unsigned> componentInputs(unsigned C) const {
+    return slice(InputStart, InputList, C);
+  }
+  /// @}
 
   /// All widening points (component heads), in order.
   std::vector<unsigned> wideningPoints() const;
@@ -99,16 +135,26 @@ private:
     return {List.data() + Start[I], List.data() + Start[I + 1]};
   }
 
+  struct VertexInfo {
+    unsigned Comp;     ///< the component the vertex heads, or NoComponent
+    unsigned Position;
+    unsigned Depth;
+    unsigned TopElem;
+  };
+  struct ComponentInfo {
+    unsigned Head;
+    unsigned End;
+    unsigned Size;
+  };
+
   std::vector<WtoElement> Elements;
-  std::vector<bool> Head;
-  std::vector<unsigned> Position;
-  std::vector<unsigned> Depth;
-  std::vector<unsigned> TopElem;
+  std::vector<VertexInfo> Vertices;
+  std::vector<ComponentInfo> Components;
   /// members(E) is MemberList[MemberStart[E], MemberStart[E + 1]), and
-  /// likewise for feeders (per element) and preds (per vertex).
+  /// likewise for preds (per vertex) and inputs (per component).
   std::vector<unsigned> MemberStart, MemberList;
-  std::vector<unsigned> FeederStart, FeederList;
   std::vector<unsigned> PredStart, PredList;
+  std::vector<unsigned> InputStart, InputList;
 };
 
 } // namespace syntox

@@ -57,22 +57,24 @@ struct SystemBase {
 /// the NodeP -> NodeQ dependency of the copy-out/channel-out transfers
 /// (they read the frozen caller store at NodeP).
 Digraph buildForwardDep(const SuperGraph &G) {
-  Digraph Dep(G.numNodes());
+  std::vector<Digraph::Edge> Edges;
+  Edges.reserve(2 * G.edges().size());
   for (const SuperEdge &E : G.edges()) {
-    Dep.addEdge(E.From, E.To);
+    Edges.push_back({E.From, E.To});
     if (E.K == SuperEdge::Kind::CallOut ||
         E.K == SuperEdge::Kind::ChannelOut)
-      Dep.addEdge(G.links()[E.Link].NodeP, E.To);
+      Edges.push_back({G.links()[E.Link].NodeP, E.To});
   }
-  return Dep;
+  return Digraph(G.numNodes(), Edges);
 }
 
 /// Backward dependency digraph: the inversion of every supergraph edge.
 Digraph buildBackwardDep(const SuperGraph &G) {
-  Digraph Dep(G.numNodes());
+  std::vector<Digraph::Edge> Edges;
+  Edges.reserve(G.edges().size());
   for (const SuperEdge &E : G.edges())
-    Dep.addEdge(E.To, E.From);
-  return Dep;
+    Edges.push_back({E.To, E.From});
+  return Digraph(G.numNodes(), Edges);
 }
 
 /// Forward reachability: X_c = (entry seed) |_| join over incoming edges

@@ -58,10 +58,7 @@ unsigned count(const std::vector<uint8_t> &Mask) {
 //===----------------------------------------------------------------------===//
 
 TEST(DependencyConeTest, ChainRootsAndInteriors) {
-  Digraph G(4); // 0 -> 1 -> 2 -> 3
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
+  Digraph G(4, {{0, 1}, {1, 2}, {2, 3}}); // 0 -> 1 -> 2 -> 3
 
   std::vector<uint8_t> Tail = Analyzer::dependencyCone(G, {3});
   EXPECT_EQ(count(Tail), 4u); // the far end demands the whole chain
@@ -80,11 +77,7 @@ TEST(DependencyConeTest, ChainRootsAndInteriors) {
 }
 
 TEST(DependencyConeTest, DiamondPullsBothArms) {
-  Digraph G(4); // 0 -> {1, 2} -> 3
-  G.addEdge(0, 1);
-  G.addEdge(0, 2);
-  G.addEdge(1, 3);
-  G.addEdge(2, 3);
+  Digraph G(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}}); // 0 -> {1, 2} -> 3
 
   std::vector<uint8_t> Join = Analyzer::dependencyCone(G, {3});
   EXPECT_EQ(count(Join), 4u); // both arms feed the join
@@ -97,12 +90,8 @@ TEST(DependencyConeTest, DiamondPullsBothArms) {
 }
 
 TEST(DependencyConeTest, CyclePullsWholeComponent) {
-  Digraph G(5); // 0 -> (1 -> 2 -> 3 -> 1) -> 4
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
-  G.addEdge(3, 1);
-  G.addEdge(3, 4);
+  // 0 -> (1 -> 2 -> 3 -> 1) -> 4
+  Digraph G(5, {{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}});
 
   // Querying any member of the cycle pulls the whole SCC plus its
   // feeders — the property that makes element-level demand flags exact.
@@ -116,9 +105,8 @@ TEST(DependencyConeTest, CyclePullsWholeComponent) {
 }
 
 TEST(DependencyConeTest, DisconnectedRootsStayApart) {
-  Digraph G(4); // 0 -> 1   2 -> 3  (two independent chains)
-  G.addEdge(0, 1);
-  G.addEdge(2, 3);
+  // 0 -> 1   2 -> 3  (two independent chains)
+  Digraph G(4, {{0, 1}, {2, 3}});
 
   std::vector<uint8_t> A = Analyzer::dependencyCone(G, {1});
   EXPECT_TRUE(A[0] && A[1]);

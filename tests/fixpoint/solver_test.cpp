@@ -33,19 +33,23 @@ struct IntervalSystem {
   };
 
   IntervalDomain D;
+  std::vector<Digraph::Edge> DepEdges;
   Digraph DepGraph;
   /// The WTO of DepGraph from node 0; the solver takes it as given, so
   /// every edge rebuilds it.
   Wto Order;
   std::vector<std::vector<EdgeFn>> Inflows; // per node
   std::vector<Interval> Seeds;              // per node, joined in
+  /// evaluate() calls so far: the work a solve actually did.
+  mutable uint64_t Evaluations = 0;
 
   explicit IntervalSystem(unsigned N)
       : DepGraph(N), Order(DepGraph, {0}), Inflows(N), Seeds(N) {}
 
   void addEdge(unsigned From, unsigned To, int64_t Off, Interval Filter) {
     Inflows[To].push_back(EdgeFn(From, Off, Filter));
-    DepGraph.addEdge(From, To);
+    DepEdges.push_back({From, To});
+    DepGraph = Digraph(numNodes(), DepEdges);
     Order = Wto(DepGraph, {0});
   }
 
@@ -57,6 +61,7 @@ struct IntervalSystem {
   }
 
   Interval evaluate(unsigned Node, const std::vector<Interval> &X) const {
+    ++Evaluations;
     Interval Out = Seeds[Node];
     for (const EdgeFn &E : Inflows[Node]) {
       Interval V = X[E.From];
@@ -364,12 +369,8 @@ struct CountdownSystem {
   using Value = int64_t;
   static constexpr int64_t Top = 2000000;
 
-  Digraph DepGraph{1};
-  Wto Order;
-  CountdownSystem() {
-    DepGraph.addEdge(0, 0);
-    Order = Wto(DepGraph, {0});
-  }
+  Digraph DepGraph = Digraph(1, {{0, 0}});
+  Wto Order = Wto(DepGraph, {0});
 
   unsigned numNodes() const { return 1; }
   const Wto &wto() const { return Order; }
@@ -615,7 +616,19 @@ void expectSameCounts(const SolverStats &Got, const SolverStats &Want) {
   EXPECT_LE(Got.StableInputSkips, Got.AscendingSteps + Got.DescendingSteps);
 }
 
-TEST(StableInputSkipTest, MatchesAlwaysEvaluatingReferenceOnRandomSystems) {
+/// What a battery of skip checks saw.
+struct SkipTally {
+  uint64_t Skips = 0;
+  /// Scheduled steps of components skipped whole: the steps that
+  /// nodeLiveSteps() leaves out.
+  uint64_t WholeComponentSteps = 0;
+};
+
+/// Solves \p S cold, demand-restricted to the cone of a random node, and
+/// warm after a random seed edit, under every fixpoint mode, and expects
+/// the always-evaluating reference's solutions and counts each time.
+void checkAgainstReference(const DirtyIntervalSystem &S, Rng &R,
+                           SkipTally &Tally, const std::string &What) {
   struct Mode {
     FixpointKind Kind;
     unsigned Passes;
@@ -624,67 +637,189 @@ TEST(StableInputSkipTest, MatchesAlwaysEvaluatingReferenceOnRandomSystems) {
                         {FixpointKind::Lfp, 1},
                         {FixpointKind::Lfp, 2},
                         {FixpointKind::Gfp, 1}};
-  uint64_t Skips = 0;
+  unsigned Query = static_cast<unsigned>(R.below(S.numNodes()));
+  std::vector<uint8_t> Cone = coneOf(S.DepGraph, Query);
+  unsigned Edited = static_cast<unsigned>(R.below(S.numNodes()));
+  Interval EditedSeed(R.range(-10, 10), 10);
+  for (const Mode &M : Modes) {
+    SCOPED_TRACE(What + ", " +
+                 (M.Kind == FixpointKind::Gfp
+                      ? std::string("gfp")
+                      : "lfp/" + std::to_string(M.Passes)) +
+                 ", " + S.Order.str());
+    FixpointSolver<DirtyIntervalSystem>::Options Opts;
+    Opts.Kind = M.Kind;
+    Opts.NarrowingPasses = M.Passes;
+
+    // Cold, full solve. Every scheduled step either evaluated or was
+    // skipped, and nodeLiveSteps() misses exactly the members of the
+    // components skipped whole.
+    ReferenceSolver<DirtyIntervalSystem> Ref(S, M.Kind, M.Passes);
+    std::vector<Interval> Want = Ref.solve();
+    uint64_t EvalsBefore = S.Evaluations;
+    FixpointSolver<DirtyIntervalSystem> Cold(S, Opts);
+    EXPECT_EQ(Cold.solve(), Want);
+    const SolverStats &CS = Cold.stats();
+    expectSameCounts(CS, Ref.stats());
+    uint64_t Scheduled = CS.AscendingSteps + CS.DescendingSteps;
+    EXPECT_EQ(S.Evaluations - EvalsBefore, Scheduled - CS.StableInputSkips);
+    uint64_t PerNode = 0;
+    for (uint64_t Steps : Cold.nodeLiveSteps())
+      PerNode += Steps;
+    EXPECT_LE(PerNode, Scheduled);
+    Tally.Skips += CS.StableInputSkips;
+    Tally.WholeComponentSteps += Scheduled - PerNode;
+
+    // Demand-restricted solve: the cone's values, and the same work.
+    FixpointSolver<DirtyIntervalSystem>::Options DemandOpts = Opts;
+    DemandOpts.DemandNodes = &Cone;
+    ReferenceSolver<DirtyIntervalSystem> DemandRef(S, M.Kind, M.Passes,
+                                                   &Cone);
+    std::vector<Interval> DemandWant = DemandRef.solve();
+    FixpointSolver<DirtyIntervalSystem> Demanded(S, DemandOpts);
+    EXPECT_EQ(Demanded.solve(), DemandWant);
+    expectSameCounts(Demanded.stats(), DemandRef.stats());
+
+    // The run that records a memo replays nothing: it matches the
+    // reference exactly. The warm re-solve after a seed edit then
+    // replays, and its replays plus live steps account for exactly
+    // the reference's scheduled steps.
+    DirtyIntervalSystem Edit = S;
+    WarmStartMemo<Interval> Memo;
+    FixpointSolver<DirtyIntervalSystem>::Options WarmOpts = Opts;
+    WarmOpts.Memo = &Memo;
+    FixpointSolver<DirtyIntervalSystem> Recording(Edit, WarmOpts);
+    EXPECT_EQ(Recording.solve(), Want);
+    expectSameCounts(Recording.stats(), Ref.stats());
+    Edit.Seeds[Edited] = EditedSeed;
+    Edit.Unchanged[Edited] = 0;
+    ReferenceSolver<DirtyIntervalSystem> EditRef(Edit, M.Kind, M.Passes);
+    std::vector<Interval> EditWant = EditRef.solve();
+    FixpointSolver<DirtyIntervalSystem> Warm(Edit, WarmOpts);
+    EXPECT_EQ(Warm.solve(), EditWant);
+    const SolverStats &WS = Warm.stats();
+    EXPECT_EQ(WS.AscendingSteps + WS.DescendingSteps + WS.SkippedSteps,
+              EditRef.stats().AscendingSteps +
+                  EditRef.stats().DescendingSteps);
+    EXPECT_LE(WS.StableInputSkips, WS.AscendingSteps + WS.DescendingSteps);
+  }
+}
+
+TEST(StableInputSkipTest, MatchesAlwaysEvaluatingReferenceOnRandomSystems) {
+  SkipTally Tally;
   for (uint64_t Seed = 1; Seed <= 500; ++Seed) {
     Rng R(Seed);
     DirtyIntervalSystem S = randomSystem(R);
-    unsigned Query = static_cast<unsigned>(R.below(S.numNodes()));
-    std::vector<uint8_t> Cone = coneOf(S.DepGraph, Query);
-    unsigned Edited = static_cast<unsigned>(R.below(S.numNodes()));
-    Interval EditedSeed(R.range(-10, 10), 10);
-    for (const Mode &M : Modes) {
-      SCOPED_TRACE("seed " + std::to_string(Seed) + ", " +
-                   (M.Kind == FixpointKind::Gfp
-                        ? std::string("gfp")
-                        : "lfp/" + std::to_string(M.Passes)) +
-                   ", " + S.Order.str());
-      FixpointSolver<DirtyIntervalSystem>::Options Opts;
-      Opts.Kind = M.Kind;
-      Opts.NarrowingPasses = M.Passes;
-
-      // Cold, full solve.
-      ReferenceSolver<DirtyIntervalSystem> Ref(S, M.Kind, M.Passes);
-      std::vector<Interval> Want = Ref.solve();
-      FixpointSolver<DirtyIntervalSystem> Cold(S, Opts);
-      EXPECT_EQ(Cold.solve(), Want);
-      expectSameCounts(Cold.stats(), Ref.stats());
-      Skips += Cold.stats().StableInputSkips;
-
-      // Demand-restricted solve: the cone's values, and the same work.
-      FixpointSolver<DirtyIntervalSystem>::Options DemandOpts = Opts;
-      DemandOpts.DemandNodes = &Cone;
-      ReferenceSolver<DirtyIntervalSystem> DemandRef(S, M.Kind, M.Passes,
-                                                     &Cone);
-      std::vector<Interval> DemandWant = DemandRef.solve();
-      FixpointSolver<DirtyIntervalSystem> Demanded(S, DemandOpts);
-      EXPECT_EQ(Demanded.solve(), DemandWant);
-      expectSameCounts(Demanded.stats(), DemandRef.stats());
-
-      // The run that records a memo replays nothing: it matches the
-      // reference exactly. The warm re-solve after a seed edit then
-      // replays, and its replays plus live steps account for exactly
-      // the reference's scheduled steps.
-      DirtyIntervalSystem Edit = S;
-      WarmStartMemo<Interval> Memo;
-      FixpointSolver<DirtyIntervalSystem>::Options WarmOpts = Opts;
-      WarmOpts.Memo = &Memo;
-      FixpointSolver<DirtyIntervalSystem> Recording(Edit, WarmOpts);
-      EXPECT_EQ(Recording.solve(), Want);
-      expectSameCounts(Recording.stats(), Ref.stats());
-      Edit.Seeds[Edited] = EditedSeed;
-      Edit.Unchanged[Edited] = 0;
-      ReferenceSolver<DirtyIntervalSystem> EditRef(Edit, M.Kind, M.Passes);
-      std::vector<Interval> EditWant = EditRef.solve();
-      FixpointSolver<DirtyIntervalSystem> Warm(Edit, WarmOpts);
-      EXPECT_EQ(Warm.solve(), EditWant);
-      const SolverStats &WS = Warm.stats();
-      EXPECT_EQ(WS.AscendingSteps + WS.DescendingSteps + WS.SkippedSteps,
-                EditRef.stats().AscendingSteps +
-                    EditRef.stats().DescendingSteps);
-      EXPECT_LE(WS.StableInputSkips, WS.AscendingSteps + WS.DescendingSteps);
-    }
+    checkAgainstReference(S, R, Tally, "seed " + std::to_string(Seed));
   }
-  EXPECT_GT(Skips, 0u);
+  EXPECT_GT(Tally.Skips, 0u);
+}
+
+/// A random interval system nesting 20-30 loops along a path 0 .. 2D
+/// (loop k spans k .. 2D - k and is closed by an edge 2D - k -> k), with
+/// small leaf loops hanging inside random levels. Each side loop is fed
+/// through a clamp — an edge whose filter is a single value — so its
+/// input settles while the loops around it still iterate: the
+/// components a whole-component skip leaves out. Random extra edges add
+/// cross links and irreducible entries.
+DirtyIntervalSystem deeplyNestedSystem(Rng &R, unsigned &Depth) {
+  Depth = 20 + static_cast<unsigned>(R.below(11));
+  unsigned Path = 2 * Depth + 1;
+  unsigned Sides = Depth / 2 + static_cast<unsigned>(R.below(Depth));
+  DirtyIntervalSystem S(Path + 2 * Sides);
+  auto Filter = [&]() {
+    if (R.chance(1, 2))
+      return S.D.top();
+    int64_t Lo = R.range(-20, 20);
+    return R.chance(1, 2) ? S.D.make(INT64_MIN, Lo)
+                          : S.D.make(Lo, Lo + R.range(0, 40));
+  };
+  auto Offset = [&]() { return R.range(-2, 2); };
+  S.Seeds[0] = Interval(0, R.range(0, 3));
+  for (unsigned V = 0; V + 1 < Path; ++V)
+    S.addEdge(V, V + 1, Offset(), Filter());
+  for (unsigned K = 0; K < Depth; ++K)
+    S.addEdge(2 * Depth - K, K, Offset(), Filter());
+  for (unsigned J = 0; J < Sides; ++J) {
+    unsigned A = Path + 2 * J, B = A + 1;
+    unsigned K = static_cast<unsigned>(R.below(Depth));
+    int64_t C = R.range(-3, 3);
+    S.addEdge(K, A, 0, Interval(C, C)); // the clamp
+    S.addEdge(A, B, Offset(), Filter());
+    S.addEdge(B, A, Offset(), Filter());
+    S.addEdge(B, 2 * Depth - K, Offset(), Filter()); // back into loop K
+    if (R.chance(1, 3))
+      S.Seeds[A] = Interval(C, C + 1);
+  }
+  for (unsigned I = 0, Extra = static_cast<unsigned>(R.below(Depth / 2));
+       I < Extra; ++I) {
+    unsigned From = static_cast<unsigned>(R.below(Path));
+    S.addEdge(From, static_cast<unsigned>(R.below(Path)), Offset(),
+              Filter());
+  }
+  return S;
+}
+
+TEST(StableInputSkipTest, MatchesReferenceOnDeeplyNestedSystems) {
+  SkipTally Tally;
+  unsigned MinDepth = ~0u;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    Rng R(9000 + Seed);
+    unsigned Depth = 0;
+    DirtyIntervalSystem S = deeplyNestedSystem(R, Depth);
+    unsigned WtoDepth = 0;
+    for (unsigned V = 0; V < S.numNodes(); ++V)
+      WtoDepth = std::max(WtoDepth, S.Order.depth(V));
+    MinDepth = std::min(MinDepth, WtoDepth);
+    checkAgainstReference(S, R, Tally, "deep seed " + std::to_string(Seed));
+  }
+  EXPECT_GE(MinDepth, 20u);
+  // Whole components were skipped, not only single vertices.
+  EXPECT_GT(Tally.WholeComponentSteps, Tally.Skips / 10);
+}
+
+/// K + 1 loops nested in a chain: level k has a head H_k = 3k, a clamp
+/// C_k = 3k + 1 and a tail T_k = 3k + 2. The head counts up through its
+/// tail (T_k = (H_k + 1) meet [-oo, 10], H_k = T_k join the entry), so
+/// each level widens and then iterates until its head settles; the
+/// clamp (C_k = H_k meet [0, 0]) enters level k + 1, whose tail feeds
+/// T_k through a filter nothing passes. Level k + 1's input, C_k, stops
+/// changing after the first pass of level k.
+IntervalSystem nestedChain(unsigned K) {
+  IntervalSystem S(3 * (K + 1));
+  S.Seeds[0] = Interval(0, 0);
+  for (unsigned L = 0; L <= K; ++L) {
+    unsigned H = 3 * L, C = H + 1, T = H + 2;
+    S.addEdge(H, T, 1, S.D.make(INT64_MIN, 10));
+    S.addEdge(T, H, 0, S.D.top());
+    if (L == K)
+      break;
+    S.addEdge(H, C, 0, Interval(0, 0));
+    S.addEdge(C, H + 3, 0, S.D.top());
+    S.addEdge(T + 3, T, 0, Interval(1000, 1000));
+  }
+  return S;
+}
+
+TEST(StableInputSkipTest, NestedChainEvaluationsGrowLinearly) {
+  // Re-entering every inner level on each iteration of the levels
+  // around it costs the sum of the depths, quadratic in K; skipping the
+  // levels whose input did not change leaves a constant per level.
+  std::vector<uint64_t> Evals;
+  for (unsigned K : {10u, 20u, 40u}) {
+    IntervalSystem S = nestedChain(K);
+    ASSERT_EQ(S.Order.depth(3 * K), K + 1) << S.Order.str();
+    FixpointSolver<IntervalSystem>::Options Opts;
+    FixpointSolver<IntervalSystem> Solver(S, Opts);
+    std::vector<Interval> Got = Solver.solve();
+    Evals.push_back(S.Evaluations);
+    ReferenceSolver<IntervalSystem> Ref(S, FixpointKind::Lfp, 1);
+    EXPECT_EQ(Got, Ref.solve());
+    expectSameCounts(Solver.stats(), Ref.stats());
+  }
+  // Doubling K at most doubles the work (plus a constant).
+  EXPECT_LE(Evals[1], 2 * Evals[0] + 10) << Evals[0] << " -> " << Evals[1];
+  EXPECT_LE(Evals[2], 2 * Evals[1] + 10) << Evals[1] << " -> " << Evals[2];
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 //===- tests/fixpoint/wto_test.cpp - WTO unit and property tests ----------===//
 //
-// Shapes with known decompositions, invariants on random graphs, and the
-// builder against a copy of the recursive formulation it replaced: the
-// frame-stack builder must produce the very same element trees, and must
-// not overflow the native stack on paths hundreds of thousands of
-// vertices long.
+// Shapes with known decompositions, invariants on random graphs, the
+// per-component tables against brute force, and the builder against
+// Bourdoncle's recursive formulation: the loop-forest builder must
+// produce the very same element trees, and must not overflow the native
+// stack on paths hundreds of thousands of vertices long.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,16 @@ using namespace syntox;
 
 namespace {
 
+/// \p NumEdges edges between random vertices of an \p N-vertex graph.
+Digraph randomGraph(Rng &R, unsigned N, unsigned NumEdges) {
+  std::vector<Digraph::Edge> Edges;
+  for (unsigned I = 0; I < NumEdges; ++I) {
+    unsigned From = static_cast<unsigned>(R.below(N));
+    Edges.push_back({From, static_cast<unsigned>(R.below(N))});
+  }
+  return Digraph(N, Edges);
+}
+
 TEST(WtoTest, EmptyGraph) {
   Digraph G;
   Wto W(G, {});
@@ -33,10 +43,7 @@ TEST(WtoTest, EmptyGraph) {
 
 TEST(WtoTest, StraightLine) {
   // 0 -> 1 -> 2 -> 3: plain topological order, no components.
-  Digraph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
+  Digraph G(4, {{0, 1}, {1, 2}, {2, 3}});
   Wto W(G, {0});
   EXPECT_EQ(W.str(), "0 1 2 3");
   EXPECT_TRUE(W.wideningPoints().empty());
@@ -45,11 +52,7 @@ TEST(WtoTest, StraightLine) {
 
 TEST(WtoTest, SimpleLoop) {
   // 0 -> 1 -> 2 -> 1, 2 -> 3: component (1 2).
-  Digraph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 1);
-  G.addEdge(2, 3);
+  Digraph G(4, {{0, 1}, {1, 2}, {2, 1}, {2, 3}});
   Wto W(G, {0});
   EXPECT_EQ(W.str(), "0 (1 2) 3");
   EXPECT_TRUE(W.isHead(1));
@@ -62,13 +65,7 @@ TEST(WtoTest, SimpleLoop) {
 
 TEST(WtoTest, NestedLoops) {
   // 0 -> 1 -> 2 -> 3 -> 2 (inner), 3 -> 1 (outer), 3 -> 4.
-  Digraph G(5);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
-  G.addEdge(3, 2);
-  G.addEdge(3, 1);
-  G.addEdge(3, 4);
+  Digraph G(5, {{0, 1}, {1, 2}, {2, 3}, {3, 2}, {3, 1}, {3, 4}});
   Wto W(G, {0});
   EXPECT_EQ(W.str(), "0 (1 (2 3)) 4");
   EXPECT_TRUE(W.isHead(1));
@@ -78,9 +75,7 @@ TEST(WtoTest, NestedLoops) {
 }
 
 TEST(WtoTest, SelfLoop) {
-  Digraph G(2);
-  G.addEdge(0, 0);
-  G.addEdge(0, 1);
+  Digraph G(2, {{0, 0}, {0, 1}});
   Wto W(G, {0});
   EXPECT_EQ(W.str(), "(0) 1");
   EXPECT_TRUE(W.isHead(0));
@@ -88,21 +83,13 @@ TEST(WtoTest, SelfLoop) {
 
 TEST(WtoTest, TwoIndependentLoops) {
   // (1 2) then (3 4), sequential.
-  Digraph G(6);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 1);
-  G.addEdge(2, 3);
-  G.addEdge(3, 4);
-  G.addEdge(4, 3);
-  G.addEdge(4, 5);
+  Digraph G(6, {{0, 1}, {1, 2}, {2, 1}, {2, 3}, {3, 4}, {4, 3}, {4, 5}});
   Wto W(G, {0});
   EXPECT_EQ(W.str(), "0 (1 2) (3 4) 5");
 }
 
 TEST(WtoTest, UnreachableVerticesAppear) {
-  Digraph G(3);
-  G.addEdge(0, 1);
+  Digraph G(3, {{0, 1}});
   Wto W(G, {0});
   // Vertex 2 is unreachable but must still appear somewhere.
   std::set<unsigned> Seen;
@@ -120,10 +107,7 @@ TEST(WtoTest, EveryCycleIsCutByAWideningPoint) {
   Rng R(2024);
   for (int Trial = 0; Trial < 200; ++Trial) {
     unsigned N = 2 + R.below(15);
-    Digraph G(N);
-    unsigned NumEdges = R.below(3 * N);
-    for (unsigned I = 0; I < NumEdges; ++I)
-      G.addEdge(R.below(N), R.below(N));
+    Digraph G = randomGraph(R, N, R.below(3 * N));
     Wto W(G, {0});
 
     // Back edges must target widening points.
@@ -164,9 +148,7 @@ TEST(WtoTest, PositionsAreAPermutation) {
   Rng R(7);
   for (int Trial = 0; Trial < 50; ++Trial) {
     unsigned N = 1 + R.below(20);
-    Digraph G(N);
-    for (unsigned I = 0; I < 2 * N; ++I)
-      G.addEdge(R.below(N), R.below(N));
+    Digraph G = randomGraph(R, N, 2 * N);
     Wto W(G, {0});
     std::set<unsigned> Positions;
     for (unsigned Node = 0; Node < N; ++Node)
@@ -184,13 +166,7 @@ TEST(WtoTest, ElementTablesListMembersAndFeeders) {
   // 0 -> 1 -> 2 -> 1 (loop), 2 -> 3 and 0 -> 3: elements 0, (1 2), 3.
   // The loop's back edge 2 -> 1 is internal, so (1 2) has one feeder;
   // the doubled edge 0 -> 3 lists feeder 0 once.
-  Digraph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 1);
-  G.addEdge(2, 3);
-  G.addEdge(0, 3);
-  G.addEdge(0, 3);
+  Digraph G(4, {{0, 1}, {1, 2}, {2, 1}, {2, 3}, {0, 3}, {0, 3}});
   Wto W(G, {0});
   ASSERT_EQ(W.str(), "0 (1 2) 3");
   EXPECT_EQ(listOf(W.members(0)), (std::vector<unsigned>{0}));
@@ -208,9 +184,7 @@ TEST(WtoTest, ElementTablesAgreeWithTopElement) {
   Rng R(99);
   for (int Trial = 0; Trial < 100; ++Trial) {
     unsigned N = 1 + R.below(20);
-    Digraph G(N);
-    for (unsigned I = 0; I < 2 * N; ++I)
-      G.addEdge(R.below(N), R.below(N));
+    Digraph G = randomGraph(R, N, 2 * N);
     Wto W(G, {0});
     for (unsigned E = 0; E < W.elements().size(); ++E) {
       std::vector<unsigned> Members, Feeders;
@@ -231,9 +205,9 @@ TEST(WtoTest, ElementTablesAgreeWithTopElement) {
   }
 }
 
-/// The recursive hierarchical decomposition (Bourdoncle, FMPA 1993) as
-/// the WTO builder wrote it before it moved to an explicit frame stack:
-/// the reference the builder must match element for element.
+/// The recursive hierarchical decomposition (Bourdoncle, FMPA 1993), as
+/// the WTO builder once was: the reference the builder must match element
+/// for element.
 class RecursiveReference {
 public:
   explicit RecursiveReference(const Digraph &Graph)
@@ -317,76 +291,168 @@ bool sameTree(const std::vector<WtoElement> &A,
   return true;
 }
 
+/// What the battery below exercised.
+struct Coverage {
+  unsigned Components = 0;
+  unsigned Nested = 0;
+  /// Edges entering a component at a vertex other than its head.
+  unsigned IrreducibleEntries = 0;
+  unsigned MaxDepth = 0;
+};
+
+/// Checks the per-component tables against the element tree: components
+/// are numbered in preorder, componentEnd() closes each one's nested
+/// range, componentSize() counts its vertices and componentInputs() is
+/// the sorted set of vertices outside it with an edge into it.
+void checkComponentTables(const Digraph &G, const Wto &W, Coverage &Cov) {
+  unsigned Next = 0;
+  std::function<void(const std::vector<WtoElement> &, unsigned,
+                     std::vector<unsigned> &)>
+      Walk = [&](const std::vector<WtoElement> &Es, unsigned Depth,
+                 std::vector<unsigned> &Outer) {
+        for (const WtoElement &E : Es) {
+          Outer.push_back(E.Vertex);
+          if (!E.IsComponent) {
+            ASSERT_EQ(W.component(E.Vertex), Wto::NoComponent);
+            continue;
+          }
+          ++Cov.Components;
+          Cov.Nested += Depth > 0;
+          Cov.MaxDepth = std::max(Cov.MaxDepth, Depth + 1);
+          unsigned C = Next++;
+          ASSERT_EQ(W.component(E.Vertex), C) << W.str();
+          std::vector<unsigned> Members{E.Vertex};
+          Walk(E.Body, Depth + 1, Members);
+          ASSERT_EQ(W.componentEnd(C), Next) << W.str();
+          ASSERT_EQ(W.componentSize(C), Members.size()) << W.str();
+          std::set<unsigned> In(Members.begin(), Members.end()), Inputs;
+          for (unsigned V : Members)
+            for (unsigned U : G.preds(V))
+              if (!In.count(U)) {
+                Inputs.insert(U);
+                Cov.IrreducibleEntries += V != E.Vertex;
+              }
+          std::span<const unsigned> Got = W.componentInputs(C);
+          ASSERT_EQ(std::vector<unsigned>(Got.begin(), Got.end()),
+                    std::vector<unsigned>(Inputs.begin(), Inputs.end()))
+              << "component of " << E.Vertex << " in " << W.str();
+          for (unsigned U : Inputs)
+            ASSERT_LT(W.position(U), W.position(E.Vertex)) << W.str();
+          Outer.insert(Outer.end(), Members.begin() + 1, Members.end());
+        }
+      };
+  std::vector<unsigned> All;
+  Walk(W.elements(), 0, All);
+  EXPECT_EQ(W.numComponents(), Next);
+  EXPECT_EQ(All.size(), G.numNodes());
+}
+
+/// Builds the WTO of \p G and expects Bourdoncle's element trees and
+/// consistent component tables.
+void expectMatchesReference(const Digraph &G,
+                            const std::vector<unsigned> &Roots,
+                            Coverage &Cov, const std::string &What) {
+  Wto W(G, Roots);
+  std::vector<WtoElement> Ref = RecursiveReference(G).run(Roots);
+  ASSERT_TRUE(sameTree(W.elements(), Ref)) << What << ": " << W.str();
+  checkComponentTables(G, W, Cov);
+}
+
 /// A random digraph with nested cycles: a spine of forward edges, back
 /// edges that close loops inside loops, random cross and duplicate
 /// edges and self-loops, and a tail of vertices no root reaches.
 Digraph nestedCycleGraph(Rng &R, unsigned N, std::vector<unsigned> &Roots) {
-  Digraph G(N);
+  std::vector<Digraph::Edge> Edges;
   unsigned Reachable = N - R.below(N / 4 + 1);
   for (unsigned V = 0; V + 1 < Reachable; ++V)
     if (!R.chance(1, 8)) // an occasional gap splits the spine
-      G.addEdge(V, V + 1);
+      Edges.push_back({V, V + 1});
   for (unsigned I = 0, Loops = R.below(N / 2 + 1); I < Loops; ++I) {
     unsigned To = R.below(N), From = To + R.below(N - To);
-    G.addEdge(From, To); // a back edge (or a self-loop)
+    Edges.push_back({From, To}); // a back edge (or a self-loop)
   }
-  for (unsigned I = 0, Extra = R.below(N); I < Extra; ++I)
-    G.addEdge(R.below(N), R.below(N));
+  for (unsigned I = 0, Extra = R.below(N); I < Extra; ++I) {
+    unsigned From = R.below(N);
+    Edges.push_back({From, static_cast<unsigned>(R.below(N))});
+  }
   // The unreachable tail may still carry cycles among its vertices.
   for (unsigned V = Reachable; V + 1 < N; ++V)
-    G.addEdge(V + 1, V);
+    Edges.push_back({V + 1, V});
   Roots.clear();
   for (unsigned I = 0, K = 1 + R.below(3); I < K; ++I)
     Roots.push_back(R.below(Reachable));
-  return G;
+  return Digraph(N, Edges);
 }
 
-TEST(WtoTest, FrameStackBuilderMatchesTheRecursiveOne) {
+/// \p Depth loops nested inside each other along a path 0 .. 2 Depth
+/// (loop k is k .. 2 Depth - k, closed by the edge 2 Depth - k -> k),
+/// entered from an outside vertex both at the top and, with
+/// \p Irreducible, at random vertices inside the nest.
+Digraph deepNest(Rng &R, unsigned Depth, bool Irreducible) {
+  unsigned Outside = 2 * Depth + 1;
+  std::vector<Digraph::Edge> Edges{{Outside, 0}};
+  for (unsigned V = 0; V < 2 * Depth; ++V)
+    Edges.push_back({V, V + 1});
+  for (unsigned K = 0; K < Depth; ++K)
+    Edges.push_back({2 * Depth - K, K});
+  for (unsigned I = 0; Irreducible && I < Depth / 4; ++I)
+    Edges.push_back({Outside, static_cast<unsigned>(R.below(2 * Depth))});
+  return Digraph(Outside + 1, Edges);
+}
+
+TEST(WtoTest, BuilderMatchesTheRecursiveReference) {
   Rng R(20240);
-  unsigned Components = 0, Nested = 0;
+  Coverage Cov;
   for (int Trial = 0; Trial < 1500; ++Trial) {
     unsigned N = 1 + R.below(40);
     std::vector<unsigned> Roots;
     Digraph G = nestedCycleGraph(R, N, Roots);
-    Wto W(G, Roots);
-    std::vector<WtoElement> Ref = RecursiveReference(G).run(Roots);
-    ASSERT_TRUE(sameTree(W.elements(), Ref)) << "trial " << Trial << ": "
-                                             << W.str();
-    std::function<void(const std::vector<WtoElement> &, unsigned)> Count =
-        [&](const std::vector<WtoElement> &Es, unsigned Depth) {
-          for (const WtoElement &E : Es)
-            if (E.IsComponent) {
-              ++Components;
-              Nested += Depth > 0;
-              Count(E.Body, Depth + 1);
-            }
-        };
-    Count(W.elements(), 0);
+    expectMatchesReference(G, Roots, Cov, "nested trial " +
+                                              std::to_string(Trial));
   }
+  // Dense random digraphs: about 3N edges make large irreducible SCCs,
+  // entered away from their heads at every nesting level.
+  for (int Trial = 0; Trial < 5000; ++Trial) {
+    unsigned N = 1 + R.below(60);
+    Digraph G = randomGraph(R, N, 3 * N - R.below(N / 2 + 1));
+    std::vector<unsigned> Roots{static_cast<unsigned>(R.below(N))};
+    expectMatchesReference(G, Roots, Cov, "dense trial " +
+                                              std::to_string(Trial));
+  }
+  for (unsigned Depth : {20u, 150u, 600u})
+    for (bool Irreducible : {false, true}) {
+      Digraph G = deepNest(R, Depth, Irreducible);
+      expectMatchesReference(G, {2 * Depth + 1}, Cov,
+                             "deep nest " + std::to_string(Depth));
+    }
   // The battery exercised what it claims to.
-  EXPECT_GT(Components, 1000u);
-  EXPECT_GT(Nested, 300u);
+  EXPECT_GT(Cov.Components, 10000u);
+  EXPECT_GT(Cov.Nested, 3000u);
+  EXPECT_GT(Cov.IrreducibleEntries, 10000u);
+  EXPECT_EQ(Cov.MaxDepth, 600u);
 }
 
 TEST(WtoTest, LongPathsDoNotRecurseNatively) {
   // A 200,000-vertex path and 20,000 loops in sequence: the DFS path is
-  // as long as the graph, which the recursive builder paid for in
-  // native stack frames.
+  // as long as the graph, which a recursive builder pays for in native
+  // stack frames.
   const unsigned Path = 200000;
-  Digraph Line(Path);
+  std::vector<Digraph::Edge> LineEdges;
   for (unsigned V = 0; V + 1 < Path; ++V)
-    Line.addEdge(V, V + 1);
+    LineEdges.push_back({V, V + 1});
+  Digraph Line(Path, LineEdges);
   Wto W(Line, {0});
   ASSERT_EQ(W.elements().size(), Path);
   EXPECT_EQ(W.position(Path - 1), Path - 1);
 
   const unsigned Loops = 20000;
-  Digraph Chain(2 * Loops + 1); // head 2k, body 2k+1, exit into 2k+2
+  std::vector<Digraph::Edge> ChainEdges; // head 2k, body 2k+1, exit 2k+2
   for (unsigned K = 0; K < Loops; ++K) {
-    Chain.addEdge(2 * K, 2 * K + 1);
-    Chain.addEdge(2 * K + 1, 2 * K);
-    Chain.addEdge(2 * K, 2 * K + 2);
+    ChainEdges.push_back({2 * K, 2 * K + 1});
+    ChainEdges.push_back({2 * K + 1, 2 * K});
+    ChainEdges.push_back({2 * K, 2 * K + 2});
   }
+  Digraph Chain(2 * Loops + 1, ChainEdges);
   Wto C(Chain, {0});
   ASSERT_EQ(C.elements().size(), Loops + 1);
   EXPECT_EQ(C.wideningPoints().size(), Loops);
