@@ -14,9 +14,11 @@
 #include "core/AbstractDebugger.h"
 #include "frontend/PaperPrograms.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 using namespace syntox;
 
@@ -46,13 +48,20 @@ struct Measurement {
   double Cold3Seconds = 0;
 };
 
+/// Each configuration runs until it has run at least MinRuns times and
+/// for at least MinSeconds in all; its row reports the median run. The
+/// smallest rows take well under a millisecond, too short for a few
+/// runs to outlast the host's noise.
+constexpr size_t MinRuns = 5;
+constexpr double MinSeconds = 0.05;
+
 double timeOnce(bench::Harness &H, const std::string &Label,
                 const std::string &Source,
                 const AnalysisOptions &Opts, unsigned *Points) {
-  double Best = 1e9;
-  const AnalysisStats *Stats = nullptr;
+  std::vector<double> Runs;
+  double Total = 0;
   std::unique_ptr<AbstractDebugger> Last;
-  for (int I = 0; I < 3; ++I) {
+  while (Runs.size() < MinRuns || Total < MinSeconds) {
     // A fresh debugger per repetition: an engine runs once.
     DiagnosticsEngine Diags;
     auto Dbg = AbstractDebugger::create(Source, Diags, Opts);
@@ -62,17 +71,18 @@ double timeOnce(bench::Harness &H, const std::string &Label,
     }
     auto Start = std::chrono::steady_clock::now();
     Dbg->analyze();
-    Best = std::min(Best, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - Start)
-                              .count());
-    if (Points)
-      *Points = static_cast<unsigned>(Dbg->stats().ControlPoints);
+    Runs.push_back(std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count());
+    Total += Runs.back();
     Last = std::move(Dbg);
-    Stats = &Last->stats();
   }
-  if (Stats)
-    H.recordPhases(Label, *Stats, Best);
-  return Best;
+  if (Points)
+    *Points = static_cast<unsigned>(Last->stats().ControlPoints);
+  std::sort(Runs.begin(), Runs.end());
+  double Median = Runs[Runs.size() / 2];
+  H.recordPhases(Label, Last->stats(), Median);
+  return Median;
 }
 
 Measurement measure(bench::Harness &H, const std::string &Label,

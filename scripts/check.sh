@@ -518,6 +518,8 @@ begin
 end.
 EOF
 sed 's/j := 10/j := 20/' "$OUT/two.pas" > "$OUT/two-edited.pas"
+sed 's/^procedure p2/{ p2 counts down }\n&/' "$OUT/two.pas" \
+    > "$OUT/two-commented.pas"
 
 CACHE="$OUT/cache"
 # An entry is one file: the cache directory holds one syntox-*.warm and
@@ -546,6 +548,17 @@ if ! cmp -s "$CACHE"/syntox-*.warm "$OUT/persist-cold.warm"; then
   echo "persistent-cache violation: the unchanged rerun rewrote the file" >&2
   exit 1
 fi
+# A comment-only edit keeps the token stream, the program's cache
+# identity: it replays the file and leaves its bytes as they were too.
+"$CLI" --cache-dir="$CACHE" --format=json \
+       --metrics-json="$OUT/persist-comment.json" "$OUT/two-commented.pas" \
+       > "$OUT/persist-findings-comment.json"
+if ! cmp -s "$CACHE"/syntox-*.warm "$OUT/persist-cold.warm"; then
+  echo "persistent-cache violation: the comment-only edit rewrote the file" >&2
+  exit 1
+fi
+"$CLI" --format=json --metrics-json="$OUT/persist-commentcold.json" \
+       "$OUT/two-commented.pas" > "$OUT/persist-findings-commentcold.json"
 "$CLI" --cache-dir="$CACHE" --format=json \
        --metrics-json="$OUT/persist-edit.json" "$OUT/two-edited.pas" \
        > "$OUT/persist-findings-edit.json"
@@ -577,6 +590,7 @@ cold = counters(f"{out}/persist-cold.json")
 warm = counters(f"{out}/persist-warm.json")
 edit = counters(f"{out}/persist-edit.json")
 editcold = counters(f"{out}/persist-editcold.json")
+comment = counters(f"{out}/persist-comment.json")
 
 # Run 1 saved, run 2 replayed the whole chain: zero live solver steps,
 # every component skipped, identical findings.
@@ -593,6 +607,18 @@ check(findings(f"{out}/persist-findings-cold.json")
       == findings(f"{out}/persist-findings-warm.json"),
       "replayed findings differ from cold findings")
 
+# A comment-only edit replays as an unchanged rerun does, and its
+# findings, at the edited text's locations, are the uncached run's.
+check(comment.get("persist.loaded") == 1,
+      "the comment-only edit did not load the cache")
+check(comment.get("persist.save_skipped") == 1,
+      "the comment-only edit did not skip its save")
+check(live_steps(comment) == 0,
+      f"the comment-only edit performed {live_steps(comment)} live steps")
+check(findings(f"{out}/persist-findings-comment.json")
+      == findings(f"{out}/persist-findings-commentcold.json"),
+      "comment-only-edit findings differ from uncached findings")
+
 # Editing one constant: a file replays only into the program that wrote
 # it, so the edited run falls back before reading the body, solves as an
 # uncached run does, and saves its own file.
@@ -607,7 +633,8 @@ check(findings(f"{out}/persist-findings-edit.json")
       "edited-run findings differ from uncached findings")
 
 print("persistent-cache smoke test OK "
-      f"(replay: {warm.get('solver.component_skips', 0)} skips, edit: "
+      f"(replay: {warm.get('solver.component_skips', 0)} skips, comment "
+      "edit: replayed, edit: "
       f"fallback, {live_steps(edit)} live steps as uncached)")
 EOF
 

@@ -177,8 +177,9 @@ const char *syntox::analysisFlagsHelp() {
          "                       interval x congruence reduced product\n"
          "  --cache-dir=DIR      persistent warm-start cache: reruns\n"
          "                       replay unchanged analysis state from\n"
-         "                       disk; an edited program solves cold\n"
-         "                       and saves (results are identical)\n"
+         "                       disk (comment and layout edits\n"
+         "                       included); an edited program solves\n"
+         "                       cold and saves (results are identical)\n"
          "  --warm-start, --no-warm-start\n"
          "                       replay stable WTO components across\n"
          "                       refinement rounds (default on; results\n"

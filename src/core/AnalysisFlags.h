@@ -7,18 +7,9 @@
 ///
 /// \file
 /// One parser for the analysis and telemetry flags, shared by the CLI,
-/// the examples and every benchmark — each of which used to hand-roll
-/// its own (drifting) subset. Recognized flags:
-///
-///   --rounds=N             backward/forward refinement rounds
-///   --narrowing=N          narrowing passes per ascending phase
-///   --terminate            add the goal "the program must terminate"
-///   --no-backward          forward analysis only
-///   --context-insensitive  merge the call sites of each routine
-///   --trace=FILE           write an event trace ("-" = stdout)
-///   --trace-format=json|chrome   trace encoding (default json-lines)
-///   --trace-detail         include the store detach/prune detail events
-///   --metrics-json=FILE    write a metrics snapshot ("-" = stdout)
+/// the daemon, the examples and every benchmark — each of which used to
+/// hand-roll its own (drifting) subset. analysisFlagsHelp() lists every
+/// flag it accepts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -72,10 +72,9 @@
 /// it returns a value equal to the one stored, which the iteration
 /// would have kept. That holds because every write to X that is not
 /// the stored result of evaluate() stamps the node as changed: a
-/// widening or narrowing at a head, and a leaf restart, a memo replay
-/// or a demand splice — the last three also forget the node's
-/// evaluation, since the value they write is not evaluate() of its
-/// current predecessors.
+/// widening or narrowing at a head, and a leaf restart or a memo
+/// replay — the last two also forget the node's evaluation, since the
+/// value they write is not evaluate() of its current predecessors.
 ///
 /// The same rule covers whole components. When an enclosing head
 /// iterates, the solver re-enters each nested component; it skips the
@@ -227,9 +226,8 @@ public:
     /// Demand-driven solve: per-node mask (numNodes() entries, 1 =
     /// demanded). Top-level WTO elements containing no demanded node
     /// are excluded from the schedule — never evaluated, never
-    /// activated — and when a replayable memo is present their values
-    /// are spliced in from its last recorded boundary instead. The
-    /// mask must be closed under graph predecessors; closure makes
+    /// activated — and keep their initial values. The mask must be
+    /// closed under graph predecessors; closure makes
     /// every feeder of a demanded element demanded itself, so the
     /// demanded sub-solution is bitwise-identical to the same nodes of
     /// a full solve. Null = full solve.
@@ -381,11 +379,9 @@ private:
   // element, and the restricted iteration reads only values the full
   // schedule would produce identically — the demanded sub-solution is
   // bitwise-equal to the full solve by the same induction that makes
-  // warm replay exact. Skipped elements are never evaluated; their
-  // values are either the untouched initial values or, when a
-  // replayable memo is present, the memo's final boundary (a splice for
-  // presentation only — demand callers must not read out-of-cone
-  // results, and the analyzer's query layer refuses to answer there).
+  // warm replay exact. Skipped elements are never evaluated and keep
+  // their initial values: demand callers must not read out-of-cone
+  // results, and the analyzer's query layer refuses to answer there.
 
   void prepareDemand() {
     if (!Opts.DemandNodes)
@@ -406,11 +402,6 @@ private:
         FullyReplayed[E] = 0; // excluded, not replayed
       traceEvent(Trace, TraceEventKind::DemandSkip,
                  Order.elements()[E].Vertex);
-      if (WarmReplay) {
-        const std::vector<Value> &B = Opts.Memo->Boundaries.back();
-        for (unsigned V : Order.members(E))
-          overwrite(V, B[V]);
-      }
     }
   }
 
@@ -503,8 +494,8 @@ private:
   void stamp(unsigned V) { ChangedAt[V] = ++Clock; }
 
   /// Writes a value that is not evaluate() of V's current predecessors
-  /// (a leaf restart, memo replay or demand splice): V changed, and its
-  /// next evaluation must run.
+  /// (a leaf restart or a memo replay): V changed, and its next
+  /// evaluation must run.
   void overwrite(unsigned V, Value New) {
     X[V] = std::move(New);
     stamp(V);

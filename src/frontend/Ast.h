@@ -740,14 +740,14 @@ public:
   unsigned routineId() const { return RoutineId; }
   void setRoutineId(unsigned Id) { RoutineId = Id; }
 
-  /// Structural fingerprint: a content hash of this routine's signature
-  /// and body with nested routine bodies elided, computed by
-  /// computeFingerprints() (frontend/Fingerprint.h). Zero until that
-  /// pass runs. Stable across process runs and across edits to other
-  /// routines; the persistent warm-start cache's program hash folds it
-  /// (persist/WarmCache.h).
-  uint64_t fingerprint() const { return Fingerprint; }
-  void setFingerprint(uint64_t F) { Fingerprint = F; }
+  /// The program's identity: a hash of its token stream (token kinds,
+  /// identifier and string spellings, integer values; no locations),
+  /// set by Parser::parseProgram on the program's declaration and never
+  /// zero there; zero on every other routine. Comments, layout and
+  /// keyword case do not change it. The persistent warm-start cache's
+  /// program hash folds it (persist/WarmCache.h).
+  uint64_t tokenHash() const { return TokenHash; }
+  void setTokenHash(uint64_t H) { TokenHash = H; }
 
   static bool classof(const Decl *D) { return D->kind() == Kind::Routine; }
 
@@ -760,7 +760,7 @@ private:
   RoutineDecl *Parent = nullptr;
   unsigned Level = 0;
   unsigned RoutineId = 0;
-  uint64_t Fingerprint = 0;
+  uint64_t TokenHash = 0;
   std::vector<VarDecl *> OwnedVars;
 };
 

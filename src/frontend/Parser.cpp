@@ -2,9 +2,35 @@
 
 #include "frontend/Parser.h"
 
+#include "frontend/Fingerprint.h"
+
 #include <cassert>
 
 using namespace syntox;
+
+namespace {
+
+/// The program's identity (RoutineDecl::tokenHash()): every token's
+/// kind, plus the spelling of identifiers and strings and the value of
+/// integers. Locations are left out, and identifiers and keywords are
+/// already lower-cased, so comment, layout and case edits keep it.
+uint64_t hashTokens(const std::vector<Token> &Tokens) {
+  uint64_t H = fpSeed();
+  for (const Token &Tok : Tokens) {
+    H = fpMix(H, static_cast<unsigned>(Tok.Kind));
+    if (Tok.is(TokenKind::IntLiteral)) {
+      H = fpMix(H, static_cast<uint64_t>(Tok.IntValue));
+    } else if (Tok.is(TokenKind::Identifier) ||
+               Tok.is(TokenKind::StringLiteral)) {
+      H = fpMix(H, Tok.Text.size());
+      for (unsigned char C : Tok.Text)
+        H = fpMix(H, C);
+    }
+  }
+  return H ? H : 1; // zero means "not a parsed program"
+}
+
+} // namespace
 
 const Token &Parser::peek(unsigned Ahead) const {
   size_t Index = Pos + Ahead;
@@ -117,7 +143,10 @@ RoutineDecl *Parser::parseProgram() {
   Program->setBlock(B);
   expect(TokenKind::Dot, "at end of program");
   popScope();
-  return Stopped ? nullptr : Program;
+  if (Stopped)
+    return nullptr;
+  Program->setTokenHash(hashTokens(Tokens));
+  return Program;
 }
 
 Block *Parser::parseBlock(RoutineDecl *Owner) {

@@ -54,6 +54,8 @@ public:
   /// Parses a whole `program ... .` unit. Returns null when errors make
   /// the tree unusable (nesting past MaxNestingDepth included); partial
   /// errors still return a best-effort tree with diagnostics reported.
+  /// The returned program carries the hash of the whole token stream
+  /// (RoutineDecl::tokenHash()).
   RoutineDecl *parseProgram();
 
 private:

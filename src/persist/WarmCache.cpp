@@ -29,25 +29,13 @@ constexpr size_t HeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 // Program identity
 //===----------------------------------------------------------------------===//
 
-/// The hash a file is checked against (see WarmCache.h). Equal hashes
-/// mean the same equations over the same node, element and slot
-/// indices, so a file's rows can be addressed by position.
+/// The hash a file is checked against (see WarmCache.h): the program's
+/// token-stream identity, then the shape of the equations this build
+/// lowered it to. Equal hashes mean the same equations over the same
+/// node, element and slot indices, so a file's rows can be addressed by
+/// position.
 uint64_t programHash(const SuperGraph &G) {
-  const std::vector<Instance> &Insts = G.instances();
-  computeFingerprints(Insts.front().R);
-  uint64_t H = fpMix(fpSeed(), Insts.size());
-  for (const Instance &I : Insts) {
-    H = fpMix(H, I.R->fingerprint());
-    H = fpMix(H, I.Tok.CallSiteId);
-    // The slot layout: slots are numbered in routine declaration order,
-    // which no fingerprint sees (a parent's fingerprint elides its
-    // nested routines), so the same routines declared in another order
-    // differ only here.
-    const std::vector<VarDecl *> &Owned = I.R->ownedVars();
-    H = fpMix(H, Owned.empty() ? ~0u : Owned.front()->storeSlot());
-    for (const VarDecl *Root : I.Tok.Roots)
-      H = fpMix(H, Root->storeSlot());
-  }
+  uint64_t H = fpMix(fpSeed(), G.instances().front().R->tokenHash());
   H = fpMix(H, G.numNodes());
   H = fpMix(H, G.varNumbering().numSlots());
   for (const SuperEdge &E : G.edges()) {
@@ -462,7 +450,6 @@ bool persist::saveWarmCache(const std::string &Dir, const Analyzer &An,
     SlotsW.u8(static_cast<uint8_t>(Slot.Sig));
     SlotsW.u8(Slot.HadEnv);
     SlotsW.u8(static_cast<uint8_t>(M.Kind));
-    SlotsW.u8(0); // the retired iteration-strategy byte (format v3)
     SlotsW.varint(M.Boundaries.size());
     for (size_t B = 0; B < M.Boundaries.size(); ++B) {
       for (unsigned V = 0; V < N; ++V)
@@ -640,10 +627,6 @@ CacheLoadResult persist::loadWarmCache(const std::string &Dir,
       return Fallback("slot kind mismatch");
     uint64_t MaxBoundaries =
         Gfp ? MaxGfpSweeps : 1 + uint64_t(Opts.NarrowingPasses);
-    // The retired iteration-strategy byte: every file this format
-    // describes holds 0 (the recursive strategy, now the only one).
-    if (R.u8() != 0)
-      return Fallback("malformed slot");
     M.NumNodes = N;
 
     // The rows are allocated per boundary, so the count is checked

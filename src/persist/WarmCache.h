@@ -25,12 +25,15 @@
 ///
 /// The file is the whole entry: nothing is written next to it.
 ///
-/// The program hash folds, in instance order, each instance's routine
-/// fingerprint (frontend/Fingerprint.h), call site and store-slot
-/// layout, then the node count, the store-slot count and every
-/// supergraph edge's kind and endpoints. Equal hashes mean the same
-/// equation system over the same index spaces, so the body needs no
-/// key tables: a row is where its index says.
+/// The program hash folds the program's identity, the hash of its token
+/// stream that the parser stores (RoutineDecl::tokenHash()), then the
+/// node count, the store-slot count and every supergraph edge's kind
+/// and endpoints, which tell apart builds that lower the same text to
+/// other equations. Equal hashes mean the same equation system over
+/// the same index spaces, so the body needs no key tables: a row is
+/// where its index says. Comment, layout and keyword-case edits keep
+/// the token stream and replay; any other edit, even one that leaves
+/// the syntax tree as it was, solves cold.
 ///
 /// A save encodes the file into one buffer (each distinct store once,
 /// the header last), writes it to a temp file of its own (pid plus a
@@ -78,7 +81,10 @@ namespace persist {
 /// v4: a checked program hash in the header; rows addressed by node,
 /// element and slot index (no key tables, no partial-validity masks,
 /// no edge-transfer memos).
-inline constexpr uint32_t CacheFormatVersion = 4;
+/// v5: the program hash starts from the token-stream identity instead
+/// of per-routine fingerprints; a chain slot drops the retired
+/// iteration-strategy byte.
+inline constexpr uint32_t CacheFormatVersion = 5;
 /// The four header magic bytes.
 inline constexpr char CacheMagic[4] = {'S', 'Y', 'X', 'C'};
 

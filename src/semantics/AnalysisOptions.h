@@ -112,8 +112,8 @@ struct AnalysisOptions {
     // the stored *stores* differ on dead slots, so warm-start state must
     // not flow between pruned and unpruned runs.
     Mix(PruneDeadSlots);
-    // The slot the iteration strategy once filled: a constant, so the
-    // cache keys of earlier releases stay valid.
+    // The slot the iteration strategy once filled: a constant, so cache
+    // file names stay what earlier releases named them.
     Mix(0);
     Mix(BackwardRounds);
     return H;

@@ -3,7 +3,6 @@
 #include "support/Metrics.h"
 
 #include <bit>
-#include <cmath>
 
 using namespace syntox;
 
@@ -38,15 +37,6 @@ void Histogram::observe(double X) {
                  [](double A, double B) { return B < A ? B : A; });
   accumulateBits(MaxBits, X,
                  [](double A, double B) { return B > A ? B : A; });
-  int Exp = 0;
-  if (X > 0)
-    (void)std::frexp(X, &Exp); // X in [2^(Exp-1), 2^Exp)
-  int I = Exp + HalfBuckets;
-  if (I < 0)
-    I = 0;
-  if (I >= static_cast<int>(NumBuckets))
-    I = NumBuckets - 1;
-  Buckets[I].fetch_add(1, std::memory_order_relaxed);
 }
 
 double Histogram::sum() const {
@@ -59,9 +49,6 @@ double Histogram::minValue() const {
 double Histogram::maxValue() const {
   return count() ? bitsToDouble(MaxBits.load(std::memory_order_relaxed))
                  : 0.0;
-}
-double Histogram::bucketBound(unsigned I) {
-  return std::ldexp(1.0, static_cast<int>(I) - HalfBuckets);
 }
 
 //===----------------------------------------------------------------------===//

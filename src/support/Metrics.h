@@ -8,11 +8,11 @@
 /// \file
 /// A registry of named metrics that subsumes and extends the Figure 2
 /// AnalysisStats aggregate: counters (monotone, thread-safe), gauges
-/// (last/max value), and histograms (count/sum/min/max plus power-of-two
-/// buckets). The analyzer publishes one metric per statistic it tracks
-/// ("solver.widenings", "phase.seconds", ...; full taxonomy in
-/// DESIGN.md §Telemetry), and exporters snapshot the registry into JSON
-/// for --metrics-json and the BENCH_*.json per-phase breakdowns.
+/// (last value), and histograms (count/sum/min/max). The analyzer
+/// publishes one metric per statistic it tracks ("solver.widenings",
+/// "phase.seconds", ...; full taxonomy in DESIGN.md §Telemetry), and
+/// exporters snapshot the registry into JSON for --metrics-json and the
+/// BENCH_*.json per-phase breakdowns.
 ///
 /// Instrument accessors return stable references: hot paths resolve the
 /// name once and bump the returned object without further locking.
@@ -43,49 +43,32 @@ private:
   std::atomic<uint64_t> V{0};
 };
 
-/// A point-in-time value; set() overwrites, accumulateMax() keeps the
-/// largest observation.
+/// A point-in-time value; set() overwrites.
 class Gauge {
 public:
   void set(int64_t New) { V.store(New, std::memory_order_relaxed); }
-  void accumulateMax(int64_t New) {
-    int64_t Cur = V.load(std::memory_order_relaxed);
-    while (New > Cur &&
-           !V.compare_exchange_weak(Cur, New, std::memory_order_relaxed))
-      ;
-  }
   int64_t value() const { return V.load(std::memory_order_relaxed); }
 
 private:
   std::atomic<int64_t> V{0};
 };
 
-/// Distribution summary over double observations. Buckets are upper
-/// bounds 2^(I - HalfBuckets), so sub-1.0 observations (phase seconds)
-/// and large integer observations (sweep counts) both resolve.
+/// Distribution summary over double observations: count, sum, min and
+/// max.
 class Histogram {
 public:
-  static constexpr unsigned NumBuckets = 64;
-  static constexpr int HalfBuckets = 32;
-
   void observe(double X);
 
   uint64_t count() const { return N.load(std::memory_order_relaxed); }
   double sum() const;
   double minValue() const;
   double maxValue() const;
-  uint64_t bucketCount(unsigned I) const {
-    return Buckets[I].load(std::memory_order_relaxed);
-  }
-  /// Upper bound of bucket \p I.
-  static double bucketBound(unsigned I);
 
 private:
   std::atomic<uint64_t> N{0};
   std::atomic<uint64_t> SumBits{0}; ///< double bit-pattern, CAS-updated
   std::atomic<uint64_t> MinBits{0x7FF0000000000000ull};  ///< +inf
   std::atomic<uint64_t> MaxBits{0xFFF0000000000000ull};  ///< -inf
-  std::atomic<uint64_t> Buckets[NumBuckets]{};
 };
 
 /// Owner of all metrics of one analysis session. Lookup registers on

@@ -4,14 +4,16 @@
 // invisible in every observable result and fail safe on every broken
 // input: a rerun against a valid cache replays the whole refinement
 // chain (zero live solver steps) with findings bitwise-identical to a
-// cold run, and an edited program's run, or one against a truncated,
-// corrupted, version-skewed, options-skewed or crafted cache file,
-// falls back to a cold solve with — again — identical findings. The
-// fuzzed battery pins the save/load round trip and the edit fallback
-// on 200 random programs. The file itself: its store pool holds each
-// store once, an unchanged rerun leaves it byte for byte as it was, it
-// is the only file an entry leaves (the first save creates it, later
-// ones swap it), and concurrent saves never tear it or make it vanish.
+// cold run, and so does a rerun of the program with only comments,
+// layout or keyword case edited; an edited program's run, or one
+// against a truncated, corrupted, version-skewed, options-skewed or
+// crafted cache file, falls back to a cold solve with — again —
+// identical findings. The fuzzed battery pins the save/load round trip
+// and the edit fallback on 200 random programs. The file itself: its
+// store pool holds each store once, an unchanged rerun leaves it byte
+// for byte as it was, it is the only file an entry leaves (the first
+// save creates it, later ones swap it), and concurrent saves never tear
+// it or make it vanish.
 //
 //===----------------------------------------------------------------------===//
 
@@ -264,11 +266,11 @@ TEST(PersistCacheTest, EditedProgramNeverLoadsTheOldFile) {
 }
 
 TEST(PersistCacheTest, ReorderedIdenticalProgramKeepsFindingsIntact) {
-  // The same two routines declared in the opposite order. Every routine
-  // keeps its fingerprint and the supergraph keeps its shape, but the
-  // store slots are numbered in declaration order, so p1's recorded
-  // rows would name p2's variables: the program hash folds the slot
-  // layout, and the run falls back with the findings of a cold run.
+  // The same two routines declared in the opposite order. The
+  // supergraph keeps its shape, but the store slots are numbered in
+  // declaration order, so p1's recorded rows would name p2's
+  // variables: the token stream differs, and the run falls back with
+  // the findings of a cold run.
   std::string Reordered = TwoProcProgram;
   size_t P1 = Reordered.find("procedure p1");
   size_t P2 = Reordered.find("procedure p2");
@@ -287,6 +289,67 @@ TEST(PersistCacheTest, ReorderedIdenticalProgramKeepsFindingsIntact) {
   EXPECT_EQ(Warm.Loaded, 0u);
   EXPECT_EQ(Warm.Fallback, 1u);
   EXPECT_TRUE(Warm.Findings == Cold.Findings);
+}
+
+/// \p Source with every \p From replaced by \p To.
+std::string replaceAll(std::string Source, const std::string &From,
+                       const std::string &To) {
+  for (size_t At = Source.find(From); At != std::string::npos;
+       At = Source.find(From, At + To.size()))
+    Source.replace(At, From.size(), To);
+  return Source;
+}
+
+TEST(PersistCacheTest, CommentLayoutAndCaseEditsReplayTheFile) {
+  // A file is keyed by the program's token stream, which comments,
+  // blank lines, indentation and keyword case do not touch: each such
+  // edit replays the whole file, skips the save and leaves the file as
+  // it was, and its findings (at the edited text's locations) are those
+  // of an uncached run. Redundant parentheses change the tokens but not
+  // the syntax tree: another program to the cache, which solves cold.
+  ScratchDir Dir("layout");
+  RunOutcome Seed = runOnce(TwoProcProgram, Dir.str());
+  ASSERT_TRUE(Seed.Ok);
+  fs::path File = cacheFile(Dir.str());
+  std::vector<char> Bytes = readFile(File);
+
+  const std::string Source = TwoProcProgram;
+  const std::pair<const char *, std::string> Edits[] = {
+      {"comment",
+       replaceAll(Source, "procedure p2", "{ counts down }\nprocedure p2")},
+      {"blank lines", replaceAll(Source, ";\n", ";\n\n")},
+      {"indentation", replaceAll(Source, "\n  ", "\n\t  ")},
+      {"keyword case",
+       replaceAll(replaceAll(Source, "begin", "BEGIN"), "while", "While")},
+  };
+  for (const auto &[What, Edited] : Edits) {
+    SCOPED_TRACE(What);
+    ASSERT_NE(Edited, Source);
+    RunOutcome Warm = runOnce(Edited, Dir.str());
+    RunOutcome Uncached = runOnce(Edited, "");
+    ASSERT_TRUE(Warm.Ok && Uncached.Ok);
+    EXPECT_EQ(Warm.Loaded, 1u);
+    EXPECT_EQ(Warm.LiveSteps, 0u);
+    EXPECT_EQ(Warm.SaveSkipped, 1u);
+    EXPECT_EQ(Warm.Saved, 0u);
+    EXPECT_EQ(readFile(File), Bytes);
+    EXPECT_TRUE(Warm.Findings == Uncached.Findings)
+        << "warm:\n" << Warm.Findings.pretty() << "\nuncached:\n"
+        << Uncached.Findings.pretty();
+  }
+
+  std::string Parenthesized = replaceAll(Source, "x := i", "x := (i)");
+  ASSERT_NE(Parenthesized, Source);
+  AnalyzedProgram P =
+      analyzeProgram(Parenthesized, withOptions().terminationGoal());
+  ASSERT_TRUE(P.An);
+  persist::CacheLoadResult Load = persist::loadWarmCache(Dir.str(), *P.An);
+  EXPECT_FALSE(Load.Loaded);
+  EXPECT_EQ(Load.FallbackReason, "program changed");
+  RunOutcome Uncached = runOnce(Parenthesized, "");
+  ASSERT_TRUE(Uncached.Ok);
+  expectFallbackIdentical(Parenthesized, Dir.str(), Uncached,
+                          "redundant parentheses");
 }
 
 TEST(PersistCacheTest, TruncatedCacheFallsBackCold) {
@@ -408,9 +471,9 @@ persist::ByteReader walkPool(const std::vector<char> &File,
   return R;
 }
 
-/// File offset of the first valid chain slot's iteration-strategy byte.
-/// 0 when the walk fails.
-size_t strategyByteOffset(const std::vector<char> &File) {
+/// File offset of the first valid chain slot's boundary count. 0 when
+/// the walk fails.
+size_t boundaryCountOffset(const std::vector<char> &File) {
   persist::ByteReader R = walkPool(File);
   for (uint64_t I = 0, N = R.varint(); I < N && !R.failed(); ++I) {
     if (!R.u8())
@@ -513,28 +576,6 @@ TEST(PersistCacheTest, ConcurrentSavesNeverTearTheFile) {
   EXPECT_EQ(Files.front(), cacheFile(Dir.str(), Opts));
 }
 
-TEST(PersistCacheTest, NonZeroStrategyByteFallsBackCold) {
-  // Format v3 keeps the byte the iteration strategy once filled; files
-  // always hold 0 there, and any other value is a malformed slot.
-  ScratchDir Dir("strategy");
-  RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
-  ASSERT_TRUE(Cold.Ok);
-  std::vector<char> Full = readFile(cacheFile(Dir.str()));
-  size_t At = strategyByteOffset(Full);
-  ASSERT_GT(At, HeaderBytes);
-  EXPECT_EQ(Full[At], 0);
-  Full[At] = 1;
-  reseal(Full);
-  writeFile(cacheFile(Dir.str()), Full);
-
-  AnalyzedProgram P =
-      analyzeProgram(TwoProcProgram, withOptions().terminationGoal());
-  persist::CacheLoadResult Load = persist::loadWarmCache(Dir.str(), *P.An);
-  EXPECT_FALSE(Load.Loaded);
-  EXPECT_EQ(Load.FallbackReason, "malformed slot");
-  expectFallbackIdentical(TwoProcProgram, Dir.str(), Cold, "strategy byte");
-}
-
 TEST(PersistCacheTest, OversizedBoundaryCountFallsBackBeforeAllocating) {
   // A slot's boundary rows are allocated from its boundary count, so a
   // count the recorded solve could not take, or whose rows cannot fit
@@ -547,10 +588,9 @@ TEST(PersistCacheTest, OversizedBoundaryCountFallsBackBeforeAllocating) {
   RunOutcome Cold = runOnce(TwoProcProgram, Dir.str());
   ASSERT_TRUE(Cold.Ok);
   std::vector<char> Full = readFile(cacheFile(Dir.str()));
-  // The boundary count is the varint right after the strategy byte.
-  size_t At = strategyByteOffset(Full);
-  ASSERT_GT(At, HeaderBytes);
-  size_t CountBegin = At + 1, CountEnd = CountBegin;
+  size_t CountBegin = boundaryCountOffset(Full);
+  ASSERT_GT(CountBegin, HeaderBytes);
+  size_t CountEnd = CountBegin;
   while (CountEnd < Full.size() && (Full[CountEnd] & 0x80))
     ++CountEnd;
   ASSERT_LT(CountEnd, Full.size());
@@ -571,7 +611,7 @@ TEST(PersistCacheTest, OversizedBoundaryCountFallsBackBeforeAllocating) {
                           "boundary count");
 }
 
-/// The counts a v4 body opens with: nodes, forward and backward WTO
+/// The counts a v5 body opens with: nodes, forward and backward WTO
 /// elements, store slots.
 struct Shape {
   uint64_t Nodes, FwdElems, BwdElems, Slots;
@@ -607,7 +647,6 @@ std::vector<char> craftedFile(std::vector<char> Header, const Shape &Counts,
   Body.u8(static_cast<uint8_t>(Sig));
   Body.u8(0); // solved without an envelope
   Body.u8(static_cast<uint8_t>(Kind));
-  Body.u8(0); // strategy byte
   Body.varint(Boundaries);
   uint64_t RowBytes = S.Nodes + 2 * (Fwd ? S.FwdElems : S.BwdElems);
   for (uint64_t B = 0; B < Boundaries * RowBytes; ++B)

@@ -298,6 +298,7 @@ TEST_P(PaperProgramTest, ParsesCleanly) {
   auto R = runFrontend(GetParam(), /*RunSema=*/false);
   ASSERT_NE(R.Program, nullptr);
   EXPECT_FALSE(R.Diags->hasErrors()) << R.Diags->str();
+  EXPECT_NE(R.Program->tokenHash(), 0u);
 }
 
 TEST_P(PaperProgramTest, PrettyPrintRoundTripIsAFixpoint) {
@@ -321,6 +322,67 @@ INSTANTIATE_TEST_SUITE_P(
                       paper::BinarySearchProgram, paper::AckermannProgram,
                       paper::QuickSortProgram, paper::HeapSortProgram,
                       paper::BubbleSortProgram));
+
+TEST(ParserTest, TokenHashIdentifiesTheTokenStream) {
+  // The program's identity sees token kinds, identifier and string
+  // spellings and integer values, never locations: comments, layout and
+  // case (identifiers and keywords are lower-cased) keep it, and any
+  // other edit changes it, even one the syntax tree does not show.
+  const std::string Base = "program p;\n"
+                           "var x, y : integer;\n"
+                           "begin\n"
+                           "  x := 1;\n"
+                           "  y := x + 2;\n"
+                           "  writeln('done')\n"
+                           "end.\n";
+  auto HashOf = [](const std::string &Source) -> uint64_t {
+    auto R = runFrontend(Source, /*RunSema=*/false);
+    EXPECT_NE(R.Program, nullptr) << Source;
+    EXPECT_FALSE(R.Diags->hasErrors()) << Source << R.Diags->str();
+    return R.Program ? R.Program->tokenHash() : 0;
+  };
+  uint64_t H = HashOf(Base);
+  EXPECT_NE(H, 0u);
+
+  const char *const Same[] = {
+      "{ a comment } program p;\n"
+      "var x, y : integer; (* another *)\n"
+      "begin\n"
+      "  x := 1;\n"
+      "  y := x + 2;\n"
+      "  writeln('done')\n"
+      "end.\n",
+      "program p; var x, y : integer;\n\n\nbegin x := 1;\n"
+      "\t\ty := x + 2; writeln('done') end.",
+      "PROGRAM P;\n"
+      "Var X, y : INTEGER;\n"
+      "BEGIN\n"
+      "  x := 1;\n"
+      "  Y := X + 2;\n"
+      "  WriteLn('done')\n"
+      "End.\n",
+  };
+  for (const char *Source : Same)
+    EXPECT_EQ(HashOf(Source), H) << Source;
+
+  auto Edit = [&](const std::string &From, const std::string &To) {
+    std::string Out = Base;
+    for (size_t At = Out.find(From); At != std::string::npos;
+         At = Out.find(From, At + To.size()))
+      Out.replace(At, From.size(), To);
+    EXPECT_NE(Out, Base) << From;
+    return Out;
+  };
+  const std::string Differ[] = {
+      Edit("x := 1", "x := 3"),     // one literal
+      Edit("y", "z"),               // a renamed variable
+      Edit("var x, y", "var y, x"), // swapped declarations
+      Edit("'done'", "'Done'"),     // a string's spelling
+      Edit("x + 2", "(x) + 2"),     // redundant parentheses
+  };
+  for (const std::string &Source : Differ)
+    EXPECT_NE(HashOf(Source), H) << Source;
+}
 
 TEST(ParserTest, McCarthyKGenerator) {
   for (unsigned K : {1u, 2u, 9u, 30u}) {
